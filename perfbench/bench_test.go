@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"dmfb/internal/fti"
+	"dmfb/internal/pcr"
 	"dmfb/internal/telemetry"
 )
 
@@ -173,5 +175,26 @@ func TestSpansUseTelemetrySchema(t *testing.T) {
 	}
 	if s := st["core.AnnealArea"]; s.TotalMS != 3 || s.SelfMS != 3 {
 		t.Fatalf("core.AnnealArea %+v", s)
+	}
+}
+
+func TestCampaignChipIndependentOfWorkers(t *testing.T) {
+	s, err := pcr.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := campaignChip(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := campaignChip(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePlacement(one.Final, two.Final) {
+		t.Fatal("the campaign chip differs between 1 and 2 start workers")
+	}
+	if cells, f := one.Final.ArrayCells(), fti.Compute(one.Final).FTI(); cells != 80 || f != 1 {
+		t.Errorf("campaign chip has %d cells and FTI %v, want 80 and 1", cells, f)
 	}
 }

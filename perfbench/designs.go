@@ -205,19 +205,26 @@ func meanOf(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// runOps calls op on b.workers goroutines, each taking the next number
-// of the sequence next, until the phase has expired and done reports
-// true. Every CPU stays busy: a lone single-threaded op stream runs up
-// to 30% faster whenever its SMT sibling happens to be idle, so on a
-// shared host its figures swing from run to run.
-func runOps(b *bench, ph *phase, next *atomic.Int64, done func() bool, op func(n int)) {
+// runOps calls op on b.workers goroutines until the phase has expired
+// and done reports true. Each goroutine takes the next pair number k
+// of the sequence next and calls op(k, false), then op(k, true): the
+// second op repeats the first's input on the same goroutine right
+// after it. So the miss (first run) and hit (repeat) classes each hold
+// half the ops, spread through the whole run, and a result cache added
+// later would show on the hit class. Every CPU stays busy: a lone
+// single-threaded op stream runs up to 30% faster whenever its SMT
+// sibling happens to be idle, so on a shared host its figures swing
+// from run to run.
+func runOps(b *bench, ph *phase, next *atomic.Int64, done func() bool, op func(k int, repeat bool)) {
 	var wg sync.WaitGroup
 	for w := 0; w < b.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !ph.expired() || (!done() && ph.failures() == 0) {
-				op(int(next.Add(1) - 1))
+				k := int(next.Add(1) - 1)
+				op(k, false)
+				op(k, true)
 			}
 		}()
 	}

@@ -79,10 +79,9 @@ func (w *invitroArea) setup(b *bench) error {
 }
 
 func (w *invitroArea) run(b *bench, ph *phase) error {
-	runOps(b, ph, &w.next, w.done.complete, func(n int) {
-		i := w.order[n%len(w.order)]
+	runOps(b, ph, &w.next, w.done.complete, func(k int, hit bool) {
+		i := w.order[k%len(w.order)]
 		d := invitroPool[i]
-		hit := n >= len(w.order) // the design already ran earlier in the sequence
 		op := ph.tr.Start("bench.op")
 		t0 := time.Now()
 		sp := op.StartChild("core.AnnealArea")

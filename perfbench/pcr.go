@@ -37,7 +37,7 @@ type pcrTable2 struct {
 	s1Reg  *telemetry.Registry // stage-1 kernel counters of the last set-up
 	pool   []table2Point       // the sweep, in seeded order
 	done   *designPool
-	next   atomic.Int64 // op sequence number, across phases
+	next   atomic.Int64 // op pair number, across phases
 }
 
 type table2Point struct {
@@ -92,10 +92,9 @@ func (w *pcrTable2) setup(b *bench) error {
 }
 
 func (w *pcrTable2) run(b *bench, ph *phase) error {
-	runOps(b, ph, &w.next, w.done.complete, func(n int) {
-		i := n % len(w.pool)
+	runOps(b, ph, &w.next, w.done.complete, func(k int, hit bool) {
+		i := k % len(w.pool)
 		pt := w.pool[i]
-		hit := n >= len(w.pool) // the point already ran earlier in the sequence
 		op := ph.tr.Start("bench.op")
 		t0 := time.Now()
 		sp := op.StartChild("core.AnnealFaultTolerance")

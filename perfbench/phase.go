@@ -31,7 +31,7 @@ type phase struct {
 
 	mu        sync.Mutex
 	lat       []float64 // op latencies in ms, in completion order
-	hit       []bool    // op repeated an input that already ran in this process
+	hit       []bool    // op was a cache hit (serve-mix) or repeated an input (see runOps)
 	attempted int
 	failed    int
 	errs      []string

@@ -23,14 +23,12 @@ def main():
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--seed0", type=int, default=1, help="first seed; run i uses seed0+i")
     ap.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
-    ap.add_argument("--trace", type=int, default=0)
     ap.add_argument("--out", help="write every run's result and the summary as JSON")
     args = ap.parse_args()
 
     spec = json.load(open("BENCHMARK.json"))
     names = args.workloads or [w["name"] for w in spec["workloads"]]
-    kind = "per_layer" if args.trace else "end_to_end"
-    bounds = {m["name"]: m.get("bound") for m in spec[kind]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     report = {"runs": {}, "summary": {}}
     ok = True
     for wl in names:
@@ -39,7 +37,7 @@ def main():
         for i in range(args.runs):
             seed = args.seed0 + i
             cmd = spec["command"] + ["--workload", wl, "--seed", str(seed),
-                                     "--seconds", str(spec["run_seconds"]), "--trace", str(args.trace)]
+                                     "--seconds", str(spec["run_seconds"]), "--trace", "0"]
             p = subprocess.run(cmd, capture_output=True, text=True)
             lines = p.stdout.strip().splitlines()
             if p.returncode != 0 or not lines:
@@ -65,10 +63,8 @@ def main():
         print(f"  {'metric':<36}{'median':>14}{'spread':>9}{'bound':>8}")
         for m, s in summary.items():
             b = s["bound"]
-            flag = "" if b is None or m == "setup_s" or s["spread"] <= b / 3 else \
-                ("  > bound/3" if s["spread"] <= b else "  > BOUND")
-            bs = "" if b is None else f"{b:.2f}"
-            print(f"  {m:<36}{s['median']:>14.6g}{s['spread']:>9.4f}{bs:>8}{flag}")
+            flag = "" if s["spread"] <= b / 3 else ("  > bound/3" if s["spread"] <= b else "  > BOUND")
+            print(f"  {m:<36}{s['median']:>14.6g}{s['spread']:>9.4f}{b:>8.2f}{flag}")
     if args.out:
         with open(args.out, "w") as f:
             json.dump(report, f, indent=1)

@@ -82,14 +82,6 @@ type spanStat struct {
 	SelfMS  float64 `json:"self_ms"`
 }
 
-// MeanMS is the mean span duration.
-func (s spanStat) MeanMS() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.TotalMS / float64(s.Count)
-}
-
 // selfUS returns each span's self time: its duration minus the part of
 // its interval that its children cover. Children that overlap each
 // other (parallel campaign trials, concurrent requests) count once.
