@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,14 +18,13 @@ type generated struct {
 	table2      []table2Point
 	table2Seeds []int64
 	invitro     []int
-	bodies      [][]byte
 	order       []int
 	misses      [][]byte
 }
 
 func generate(t *testing.T, seed int64) generated {
 	t.Helper()
-	bodies, err := serveBodies(seed)
+	bodies, err := serveBodies()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +32,7 @@ func generate(t *testing.T, seed int64) generated {
 		table2:      table2Pool(seed),
 		table2Seeds: table2Stage1Seeds(seed),
 		invitro:     invitroOrder(seed),
-		order:       serveOrder(seed, len(bodies)),
-	}
-	for _, b := range bodies {
-		g.bodies = append(g.bodies, b.body)
+		order:       serveOrder(seed, bodies),
 	}
 	for i := int64(0); i < 3*serveMissPeriod; i++ {
 		if serveMiss(i) {
@@ -53,7 +51,6 @@ func TestInputsDeriveFromSeed(t *testing.T) {
 		"table2 order":       !reflect.DeepEqual(a.table2, c.table2),
 		"table2 seeds":       !reflect.DeepEqual(a.table2Seeds, c.table2Seeds),
 		"invitro order":      !reflect.DeepEqual(a.invitro, c.invitro),
-		"serve fault":        !reflect.DeepEqual(a.bodies, c.bodies),
 		"serve hit sequence": !reflect.DeepEqual(a.order, c.order),
 		"serve misses":       !reflect.DeepEqual(a.misses, c.misses),
 	} {
@@ -80,16 +77,28 @@ func TestServeMixClassesMatchDeclaredMix(t *testing.T) {
 	if want := n / serveMissPeriod; misses != want {
 		t.Fatalf("%d misses in %d requests, want %d", misses, n, want)
 	}
-	bodies, err := serveBodies(3)
+	bodies, err := serveBodies()
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := map[int]bool{}
-	for _, i := range serveOrder(3, len(bodies)) {
-		used[i] = true
-	}
-	if len(used) != len(bodies) {
-		t.Fatalf("hit sequence uses %d of %d warmed bodies", len(used), len(bodies))
+	for _, seed := range []int64{3, 4} {
+		count := make([]int, len(bodies))
+		for _, i := range serveOrder(seed, bodies) {
+			count[i]++
+		}
+		hits, compiles := 0, 0
+		for i, b := range bodies {
+			if count[i] != b.weight {
+				t.Errorf("seed %d: body %d appears %d times in the hit sequence, want %d", seed, i, count[i], b.weight)
+			}
+			hits += count[i]
+			if b.kind == "compile" {
+				compiles += count[i]
+			}
+		}
+		if 4*compiles != 3*hits {
+			t.Errorf("seed %d: %d of %d hits are compiles, want three quarters", seed, compiles, hits)
+		}
 	}
 }
 
@@ -196,5 +205,65 @@ func TestCampaignChipIndependentOfWorkers(t *testing.T) {
 	}
 	if cells, f := one.Final.ArrayCells(), fti.Compute(one.Final).FTI(); cells != 80 || f != 1 {
 		t.Errorf("campaign chip has %d cells and FTI %v, want 80 and 1", cells, f)
+	}
+}
+
+func TestRunOpsEndsOnWholePass(t *testing.T) {
+	const pool = 7
+	for _, c := range []struct {
+		workers, minPasses int
+		seconds            float64
+	}{{1, 1, 0.03}, {2, 1, 0.03}, {2, 3, 0.001}} {
+		workers := c.workers
+		b := &bench{workers: workers}
+		ph := newPhase(c.seconds, false)
+		var next atomic.Int64
+		var mu sync.Mutex
+		runs := map[int]int{}
+		err := ph.measure(func() error {
+			runOps(b, ph, &next, pool, c.minPasses, func(k int, repeat bool) {
+				time.Sleep(time.Millisecond)
+				mu.Lock()
+				runs[k%pool]++
+				mu.Unlock()
+				ph.record(1, repeat, nil)
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes := len(ph.lat) / (2 * pool)
+		if passes < c.minPasses || len(ph.lat) != 2*pool*passes {
+			t.Fatalf("workers %d: %d ops, want at least %d whole passes of %d pairs", workers, len(ph.lat), c.minPasses, pool)
+		}
+		if c.seconds == 0.001 && passes != c.minPasses {
+			t.Errorf("a 1 ms phase ran %d passes, want the minimum, %d", passes, c.minPasses)
+		}
+		for i := 0; i < pool; i++ {
+			if runs[i] != 2*passes {
+				t.Errorf("workers %d: input %d ran %d times, want %d", workers, i, runs[i], 2*passes)
+			}
+		}
+		if got := len(ph.probe.ms); got != len(ph.lat) {
+			t.Errorf("workers %d: %d host probes, want one per op (%d)", workers, got, len(ph.lat))
+		}
+	}
+}
+
+func TestTimingsScaled(t *testing.T) {
+	raw := timings{SetupS: 0.5, Throughput: 10, OpP50MS: 100, OpTailMS: 300, HitP50MS: 80, MissP50MS: 120}
+	got := raw.scaled(4, 2)
+	want := timings{SetupS: 0.125, Throughput: 20, OpP50MS: 50, OpTailMS: 150, HitP50MS: 40, MissP50MS: 60}
+	if got != want {
+		t.Fatalf("scaled by a 4x set-up and 2x phase slowdown: %+v, want %+v", got, want)
+	}
+	if raw.scaled(1, 1) != raw {
+		t.Fatal("a host at the reference speed changed the figures")
+	}
+	var p hostProbe
+	p.ms = []float64{3 * probeRefMS, probeRefMS, 2 * probeRefMS}
+	if s := p.slowdown(); s != 2 {
+		t.Fatalf("slowdown %v, want the median probe over the reference, 2", s)
 	}
 }

@@ -82,6 +82,7 @@ func (w *assayCampaign) run(b *bench, ph *phase) error {
 		i := w.n / 2
 		hit := w.n%2 == 1
 		w.n++
+		ph.probe.sampleAll(b.workers)
 		run := ph.tr.Start("campaign.Run")
 		timed := func(ctx context.Context, t campaign.Trial) campaign.Outcome {
 			if ph.tr == nil {

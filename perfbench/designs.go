@@ -205,25 +205,49 @@ func meanOf(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// runOps calls op on b.workers goroutines until the phase has expired
-// and done reports true. Each goroutine takes the next pair number k
-// of the sequence next and calls op(k, false), then op(k, true): the
-// second op repeats the first's input on the same goroutine right
-// after it. So the miss (first run) and hit (repeat) classes each hold
-// half the ops, spread through the whole run, and a result cache added
-// later would show on the hit class. Every CPU stays busy: a lone
-// single-threaded op stream runs up to 30% faster whenever its SMT
-// sibling happens to be idle, so on a shared host its figures swing
-// from run to run.
-func runOps(b *bench, ph *phase, next *atomic.Int64, done func() bool, op func(k int, repeat bool)) {
+// runOps calls op on b.workers goroutines. Each goroutine takes the
+// next pair number k of the sequence next and calls op(k, false), then
+// op(k, true): the second op repeats the first's input on the same
+// goroutine right after it. So the miss (first run) and hit (repeat)
+// classes each hold half the ops, spread through the whole run, and a
+// result cache added later would show on the hit class. Before each
+// op the goroutine takes a host-speed probe (see probe.go).
+//
+// The phase ends on a whole pass of the pool, after at least minPasses
+// passes: once its deadline has passed, no pair is started beyond the
+// next multiple of pool. Every run then times the same mix of inputs,
+// whatever the seed's order, so a run cut mid-pass cannot tilt
+// throughput and the medians toward the inputs that happened to run
+// last. After a failure the phase ends at the deadline.
+func runOps(b *bench, ph *phase, next *atomic.Int64, pool, minPasses int, op func(k int, repeat bool)) {
+	var mu sync.Mutex
+	end := int64(-1) // the first pair number not to run, once known
+	first := next.Load()
+	take := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		k := next.Load()
+		if end < 0 && ph.expired() {
+			end = k
+			if ph.failures() == 0 {
+				end = max((k+int64(pool)-1)/int64(pool)*int64(pool), first+int64(minPasses*pool))
+			}
+		}
+		if end >= 0 && k >= end {
+			return 0, false
+		}
+		next.Store(k + 1)
+		return int(k), true
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < b.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !ph.expired() || (!done() && ph.failures() == 0) {
-				k := int(next.Add(1) - 1)
+			for k, ok := take(); ok; k, ok = take() {
+				ph.probe.sample()
 				op(k, false)
+				ph.probe.sample()
 				op(k, true)
 			}
 		}()

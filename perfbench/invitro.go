@@ -39,9 +39,9 @@ var invitroSizes = []int{2, 3, 4}
 // invitroArea is the stage-1 workload on in-vitro arrays 1.5–7× the
 // size of PCR's: one op is one area-only anneal (core.AnnealArea) plus
 // fti.Compute on the result, with one op in flight per CPU. Set-up
-// synthesises every size and runs a fixed warm-up anneal per CPU, so
-// set-up time is not a sub-millisecond figure at the mercy of the
-// clock.
+// synthesises every size and runs a fixed 3×3 warm-up anneal per CPU
+// (~0.4 s), so set-up time is not a sub-millisecond figure, or a
+// 0.1 s one, at the mercy of the clock.
 type invitroArea struct {
 	probs map[int]core.Problem
 	order []int // pool indices in the seed's order
@@ -64,7 +64,7 @@ func (w *invitroArea) setup(b *bench) error {
 		w.probs[n] = core.FromSchedule(s)
 	}
 	if err := parallel(b.workers, b.workers, func(int) error {
-		p, _, err := core.AnnealArea(w.probs[2], core.Options{Seed: 1})
+		p, _, err := core.AnnealArea(w.probs[3], core.Options{Seed: 1})
 		if err == nil {
 			fti.Compute(p)
 		}
@@ -79,7 +79,7 @@ func (w *invitroArea) setup(b *bench) error {
 }
 
 func (w *invitroArea) run(b *bench, ph *phase) error {
-	runOps(b, ph, &w.next, w.done.complete, func(k int, hit bool) {
+	runOps(b, ph, &w.next, len(w.order), 1, func(k int, hit bool) {
 		i := w.order[k%len(w.order)]
 		d := invitroPool[i]
 		op := ph.tr.Start("bench.op")

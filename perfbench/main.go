@@ -23,8 +23,9 @@ import (
 )
 
 // setupReps is how many times a run repeats its workload's set-up;
-// setup_s is the median, so one slow repetition cannot move it.
-const setupReps = 5
+// setup_s is the median, so the first, cold repetition and one or two
+// slow ones cannot move it.
+const setupReps = 7
 
 // traceDir holds the traced runs' span files, relative to the working
 // directory (the repository root).
@@ -171,14 +172,17 @@ func execute(name string, wl workload, seed int64, seconds float64, traced bool,
 	defer wl.close()
 
 	setup := make([]float64, setupReps)
+	var setupProbe hostProbe
 	for r := range setup {
 		wl.close()
+		setupProbe.sampleAll(b.workers)
 		t0 := time.Now()
 		if err := wl.setup(b); err != nil {
 			return outcome{}, fmt.Errorf("setup: %w", err)
 		}
 		setup[r] = time.Since(t0).Seconds()
 	}
+	setupProbe.sampleAll(b.workers)
 
 	details["setup_s_values"] = setup
 	m := metrics{}
@@ -193,7 +197,7 @@ func execute(name string, wl workload, seed int64, seconds float64, traced bool,
 		if err != nil {
 			return outcome{}, err
 		}
-		if err := endToEnd(m, ph, q, median(setup), details); err != nil {
+		if err := endToEnd(m, ph, q, median(setup), setupProbe.slowdown(), details); err != nil {
 			return outcome{}, err
 		}
 	} else {
@@ -222,7 +226,7 @@ func execute(name string, wl workload, seed int64, seconds float64, traced bool,
 			return outcome{}, err
 		}
 		ph.runtimeLayers(m)
-		m.set("trace.overhead_frac", ph.throughput()/base.throughput(), "fraction")
+		m.set("trace.overhead_frac", ph.throughput()*ph.probe.slowdown()/(base.throughput()*base.probe.slowdown()), "fraction")
 		path, err := writeTrace(ph, name, seed)
 		if err != nil {
 			return outcome{}, err
@@ -248,8 +252,11 @@ func execute(name string, wl workload, seed int64, seconds float64, traced bool,
 	return outcome{result: res, details: details, failures: failures}, nil
 }
 
-// endToEnd fills the end-to-end metrics of an untraced phase.
-func endToEnd(m metrics, ph *phase, q quality, setupS float64, details map[string]any) error {
+// endToEnd fills the end-to-end metrics of an untraced phase. Times
+// and throughput are scaled to the reference host speed (see probe.go):
+// setup_s by the probes taken around each set-up (setupSlow), the rest
+// by the phase's probes. The context line keeps them unscaled.
+func endToEnd(m metrics, ph *phase, q quality, setupS, setupSlow float64, details map[string]any) error {
 	lat, hits, misses := ph.latencies()
 	tail, err := tailPercentile(lat)
 	if err != nil {
@@ -258,19 +265,56 @@ func endToEnd(m metrics, ph *phase, q quality, setupS float64, details map[strin
 	if len(hits) == 0 || len(misses) == 0 {
 		return fmt.Errorf("need both hit and miss ops, got %d and %d", len(hits), len(misses))
 	}
-	m.set("setup_s", setupS, "s")
-	m.set("throughput_per_s", ph.throughput(), "1/s")
-	m.set("op_p50_ms", median(lat), "ms")
-	m.set("op_tail_ms", tail.Value, "ms")
-	m.set("hit_p50_ms", median(hits), "ms")
-	m.set("miss_p50_ms", median(misses), "ms")
+	raw := timings{
+		SetupS:     setupS,
+		Throughput: ph.throughput(),
+		OpP50MS:    median(lat),
+		OpTailMS:   tail.Value,
+		HitP50MS:   median(hits),
+		MissP50MS:  median(misses),
+	}
+	slow := ph.probe.slowdown()
+	t := raw.scaled(setupSlow, slow)
+	m.set("setup_s", t.SetupS, "s")
+	m.set("throughput_per_s", t.Throughput, "1/s")
+	m.set("op_p50_ms", t.OpP50MS, "ms")
+	m.set("op_tail_ms", t.OpTailMS, "ms")
+	m.set("hit_p50_ms", t.HitP50MS, "ms")
+	m.set("miss_p50_ms", t.MissP50MS, "ms")
 	m.set("fti_mean", q.FTIMean, "fraction")
 	m.set("area_cells_mean", q.AreaMean, "cells")
 	m.set("survival_rate", q.SurvivalRate, "fraction")
 	m.set("rss_median_mb", ph.rssMedianMB(), "MB")
 	details["op_tail"] = tail
 	details["ops"] = map[string]int{"total": len(lat), "hits": len(hits), "misses": len(misses)}
+	details["unscaled"] = raw
+	details["host_slowdown"] = map[string]any{"setup": setupSlow, "phase": slow, "phase_probes": len(ph.probe.ms)}
 	return nil
+}
+
+// timings are a run's time metrics.
+type timings struct {
+	SetupS     float64 `json:"setup_s"`
+	Throughput float64 `json:"throughput_per_s"`
+	OpP50MS    float64 `json:"op_p50_ms"`
+	OpTailMS   float64 `json:"op_tail_ms"`
+	HitP50MS   float64 `json:"hit_p50_ms"`
+	MissP50MS  float64 `json:"miss_p50_ms"`
+}
+
+// scaled converts timings measured on a host running setupSlow times
+// slower than the reference in set-up, and slow times slower in the
+// timed phase (see hostProbe.slowdown), to the reference speed: times
+// divide by the slowdown, throughput multiplies.
+func (t timings) scaled(setupSlow, slow float64) timings {
+	return timings{
+		SetupS:     t.SetupS / setupSlow,
+		Throughput: t.Throughput * slow,
+		OpP50MS:    t.OpP50MS / slow,
+		OpTailMS:   t.OpTailMS / slow,
+		HitP50MS:   t.HitP50MS / slow,
+		MissP50MS:  t.MissP50MS / slow,
+	}
 }
 
 // writeTrace flushes the traced phase's spans, held in memory during

@@ -24,6 +24,13 @@ var table2Betas = []float64{10, 20, 30, 40, 50, 60}
 // six keeps fti_mean within a few percent from seed to seed.
 const table2Seeds = 6
 
+// table2Passes is the least number of whole passes of the sweep (72
+// ops, ~18 s on two CPUs) a timed phase runs. With 20 s runs a phase
+// ends after one pass or two as the host's speed puts the first pass
+// under or over the deadline, and the tail percentile's rank moves with
+// the op count; two passes at least keep every run at two.
+const table2Passes = 2
+
 // pcrTable2 replays the paper's Table 2 experiment on the PCR assay:
 // one op is one stage-2 LTSA run at one β from a shared stage-1
 // placement, followed by fti.Compute on its result (core.BetaSweep's
@@ -92,7 +99,7 @@ func (w *pcrTable2) setup(b *bench) error {
 }
 
 func (w *pcrTable2) run(b *bench, ph *phase) error {
-	runOps(b, ph, &w.next, w.done.complete, func(k int, hit bool) {
+	runOps(b, ph, &w.next, len(w.pool), table2Passes, func(k int, hit bool) {
 		i := k % len(w.pool)
 		pt := w.pool[i]
 		op := ph.tr.Start("bench.op")

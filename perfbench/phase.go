@@ -36,6 +36,7 @@ type phase struct {
 	failed    int
 	errs      []string
 
+	probe  hostProbe            // host-speed probes taken between ops
 	rss    []float64            // resident set samples in MB
 	series map[string][]float64 // workload-specific samples, see observe
 

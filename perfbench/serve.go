@@ -29,15 +29,15 @@ import (
 
 const (
 	// serveMissPeriod makes every serveMissPeriod-th request a cache
-	// miss (a fresh-seed `sa` anneal of PCR, ~120 ms); the rest are
-	// hits on the warmed bodies (~0.3 ms). A 30 s run on two CPUs makes
-	// about 120 misses, so the tail percentile (10 requests beyond it)
-	// falls well inside the miss class instead of on the hit/miss
-	// boundary.
-	serveMissPeriod = 1000
-	// serveOrderLen is the length of the seeded hit-body sequence the
-	// requests cycle through.
-	serveOrderLen = 64
+	// miss (a fresh-seed `sa` anneal of PCR, ~85 ms); the rest are hits
+	// on the warmed bodies (~0.2 ms). A 25 s run makes about 130
+	// misses, so the tail percentile (10 requests beyond it) falls well
+	// inside the miss class instead of on the hit/miss boundary, and
+	// miss_p50_ms is a median of many fresh seeds.
+	serveMissPeriod = 500
+	// serveProbeEvery spaces the client's host-speed probes (see
+	// probe.go), taken between requests.
+	serveProbeEvery = 100 * time.Millisecond
 
 	hdrReq  = "X-Bench-Req"  // request sequence number
 	hdrSpan = "X-Bench-Span" // client span id, the parent of the handler span
@@ -45,33 +45,40 @@ const (
 
 // serveBody is one request of the warmed hit set.
 type serveBody struct {
-	kind string // "compile" or "simulate"
-	req  server.SimulateRequest
-	body []byte // the request body
-	want []byte // the warming miss's response body
+	kind   string // "compile" or "simulate"
+	req    server.SimulateRequest
+	weight int    // its share of the hit sequence, see serveOrder
+	body   []byte // the request body
+	want   []byte // the warming miss's response body
 }
 
 // serveBodies generates the warmed hit set: compiles and simulates of
 // PCR and a 2×2 in-vitro diagnostic, so every hit runs the per-request
 // synthesis → cache lookup → FTI path and the simulates add the chip
-// simulator. The designs' annealing seeds are fixed, so fti_mean and
-// area_cells_mean compare across workload seeds (PCR's area-only FTI
-// ranges 0.21–0.29 between annealing seeds); the workload seed draws
-// the injected fault, the request order and the misses.
-func serveBodies(seed int64) ([]serveBody, error) {
-	rng := rand.New(rand.NewSource(seed))
+// simulator. The set is the same for every workload seed, which draws
+// only the request order and the misses: the designs' annealing seeds
+// are fixed, so fti_mean and area_cells_mean compare across workload
+// seeds (PCR's area-only FTI ranges 0.21–0.29 between annealing seeds),
+// and so is the injected fault, since where it lands sets the cost of
+// every simulate of that body (0.23–0.53 ms a hit between faults).
+//
+// The weights give the compiles (~0.15 ms a hit) three quarters of the
+// hits and the simulates (~0.2–0.5 ms) one quarter, so hit_p50_ms lies
+// inside the compile class, well away from the boundary between the
+// two.
+func serveBodies() ([]serveBody, error) {
 	pcrSA := func(s int64) server.CompileRequest {
 		return server.CompileRequest{Assay: "pcr", Placer: "sa", Seed: s}
 	}
 	bodies := []serveBody{
-		{kind: "compile", req: server.SimulateRequest{CompileRequest: pcrSA(1)}},
-		{kind: "compile", req: server.SimulateRequest{CompileRequest: pcrSA(2)}},
-		{kind: "compile", req: server.SimulateRequest{CompileRequest: server.CompileRequest{Assay: "pcr", Placer: "greedy"}}},
-		{kind: "compile", req: server.SimulateRequest{CompileRequest: server.CompileRequest{
+		{kind: "compile", weight: 12, req: server.SimulateRequest{CompileRequest: pcrSA(1)}},
+		{kind: "compile", weight: 12, req: server.SimulateRequest{CompileRequest: pcrSA(2)}},
+		{kind: "compile", weight: 12, req: server.SimulateRequest{CompileRequest: server.CompileRequest{Assay: "pcr", Placer: "greedy"}}},
+		{kind: "compile", weight: 12, req: server.SimulateRequest{CompileRequest: server.CompileRequest{
 			Assay: "invitro", Samples: 2, Assays: 2, Placer: "greedy"}}},
-		{kind: "simulate", req: server.SimulateRequest{CompileRequest: pcrSA(3), Recovery: "l1",
-			Faults: []server.FaultRequest{{TimeSec: rng.Intn(10), X: rng.Intn(4), Y: rng.Intn(4)}}}},
-		{kind: "simulate", req: server.SimulateRequest{CompileRequest: pcrSA(4)}},
+		{kind: "simulate", weight: 8, req: server.SimulateRequest{CompileRequest: pcrSA(3), Recovery: "l1",
+			Faults: []server.FaultRequest{{TimeSec: 5, X: 2, Y: 1}}}},
+		{kind: "simulate", weight: 8, req: server.SimulateRequest{CompileRequest: pcrSA(4)}},
 	}
 	for i := range bodies {
 		b, err := json.Marshal(bodies[i].req)
@@ -83,13 +90,18 @@ func serveBodies(seed int64) ([]serveBody, error) {
 	return bodies, nil
 }
 
-// serveOrder is the seeded sequence of hit-body indices.
-func serveOrder(seed int64, nBodies int) []int {
-	rng := rand.New(rand.NewSource(campaign.DeriveSeed(seed, 100)))
-	order := make([]int, serveOrderLen)
-	for i := range order {
-		order[i] = rng.Intn(nBodies)
+// serveOrder is the hit sequence the requests cycle through: body i
+// appears weight times, in an order shuffled by the seed. Every seed
+// thus sends the same mix of hits, and only their order differs.
+func serveOrder(seed int64, bodies []serveBody) []int {
+	var order []int
+	for i, b := range bodies {
+		for r := 0; r < b.weight; r++ {
+			order = append(order, i)
+		}
 	}
+	rng := rand.New(rand.NewSource(campaign.DeriveSeed(seed, 100)))
+	rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 	return order
 }
 
@@ -103,10 +115,16 @@ func serveMissBody(seed, i int64) []byte {
 }
 
 // serveMix serves an in-process server.New(...).Handler() on a real
-// loopback listener to a closed loop of one client per CPU: each
-// client sends its next request when the previous reply has arrived.
-// Set-up builds the server and warms the cache with one miss per hit
-// body.
+// loopback listener to a closed loop of one client, which sends its
+// next request when the previous reply has arrived, as a CLI or CI
+// caller does. One client rather than one per CPU: with two clients
+// and their handlers sharing two CPUs, a hit's latency included waiting
+// for a CPU, and hit_p50_ms and op_tail_ms spread twice as far from run
+// to run (0.15 and 0.22 of the median over four seeds, against 0.07
+// and 0.08 with one client). The server keeps one worker per CPU, so a
+// miss's anneal and the client's next request do not queue behind each
+// other's goroutines. Set-up builds the server and warms the cache with
+// one miss per hit body.
 type serveMix struct {
 	seed     int64
 	reg      *telemetry.Registry
@@ -146,17 +164,15 @@ func (w *serveMix) setup(b *bench) error {
 	go func() { w.serveErr <- w.hs.Serve(ln) }()
 	w.base = "http://" + ln.Addr().String()
 	w.client = &http.Client{
-		Transport: &http.Transport{MaxIdleConnsPerHost: b.workers, DisableCompression: true},
+		Transport: &http.Transport{DisableCompression: true},
 		Timeout:   2 * time.Minute,
 	}
-	if w.bodies, err = serveBodies(b.seed); err != nil {
+	if w.bodies, err = serveBodies(); err != nil {
 		return err
 	}
-	w.order = serveOrder(b.seed, len(w.bodies))
-	// Warm with one client per CPU, as the timed load runs: a lone
-	// request stream is faster whenever the other CPU idles.
+	w.order = serveOrder(b.seed, w.bodies)
 	w.designs = make([]*place.Placement, len(w.bodies))
-	if err := parallel(b.workers, len(w.bodies), func(i int) error {
+	for i := range w.bodies {
 		body := &w.bodies[i]
 		got, cache, err := w.post(body.kind, body.body, -1, 0)
 		if err != nil {
@@ -169,9 +185,6 @@ func (w *serveMix) setup(b *bench) error {
 			return fmt.Errorf("warming body %d: %w", i, err)
 		}
 		body.want = got
-		return nil
-	}); err != nil {
-		return err
 	}
 	w.next.Store(0)
 	return nil
@@ -258,17 +271,14 @@ func (w *serveMix) run(b *bench, ph *phase) error {
 	w.from = w.reg.Snapshot()
 	w.cur.Store(ph)
 	defer w.cur.Store(nil)
-	var wg sync.WaitGroup
-	for c := 0; c < b.workers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !ph.expired() {
-				w.request(ph, w.next.Add(1)-1)
-			}
-		}()
+	var probed time.Time
+	for !ph.expired() {
+		if time.Since(probed) >= serveProbeEvery {
+			ph.probe.sample()
+			probed = time.Now()
+		}
+		w.request(ph, w.next.Add(1)-1)
 	}
-	wg.Wait()
 	w.to = w.reg.Snapshot()
 	return nil
 }
@@ -277,7 +287,7 @@ func (w *serveMix) run(b *bench, ph *phase) error {
 func (w *serveMix) request(ph *phase, i int64) {
 	kind, body, want := "compile", serveMissBody(w.seed, i), []byte(nil)
 	if !serveMiss(i) {
-		hb := w.bodies[w.order[i%serveOrderLen]]
+		hb := w.bodies[w.order[i%int64(len(w.order))]]
 		kind, body, want = hb.kind, hb.body, hb.want
 	}
 	sp := ph.tr.Start("http.request")

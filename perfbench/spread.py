@@ -6,7 +6,7 @@ reports, per end-to-end metric, the median of the runs and the distance
 between the first and third quartiles as a share of the median (the
 spread the metric's bound must cover). Run from the repository root:
 
-    python3 perfbench/spread.py --runs 10 --seed0 1 --out spread.json
+    python3 perfbench/spread.py --runs 10 --seed0 1 --out .bench_build/spread.json
     python3 perfbench/spread.py --runs 5 --workloads serve-mix
 
 Runs are sequential, so they do not compete for the CPUs they measure.
