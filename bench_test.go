@@ -20,6 +20,9 @@ package dmfb
 import (
 	"sync"
 	"testing"
+
+	"dmfb/internal/faultsim"
+	"dmfb/internal/invitro"
 )
 
 // fixtures are shared across benchmarks; built once.
@@ -309,7 +312,7 @@ func BenchmarkFullVsPartialReconfiguration(b *testing.B) {
 	var partial, full float64
 	for i := 0; i < b.N; i++ {
 		partial = MonteCarloMultiFault(fx.tolerant, 2, 100, 5).SurvivalRate()
-		full = MonteCarloMultiFaultFull(fx.tolerant, 2, 100, 5, light).SurvivalRate()
+		full = faultsim.MultiFaultFull(fx.tolerant, 2, 100, 5, light).SurvivalRate()
 	}
 	b.ReportMetric(partial, "partial_survival")
 	b.ReportMetric(full, "full_survival")
@@ -377,7 +380,7 @@ func BenchmarkAblationNoControllingWindow(b *testing.B) {
 func BenchmarkInVitroPlacement(b *testing.B) {
 	for _, size := range []struct{ s, a int }{{2, 2}, {3, 3}, {4, 4}} {
 		b.Run(sizeName(size.s, size.a), func(b *testing.B) {
-			sched, err := InVitroSchedule(size.s, size.a, 80)
+			sched, err := invitro.Synthesize(size.s, size.a, 80)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -401,7 +404,7 @@ func BenchmarkInVitroPlacement(b *testing.B) {
 func BenchmarkDilutionTreePlacement(b *testing.B) {
 	for _, depth := range []int{2, 3, 4} {
 		b.Run("depth"+itoa(depth), func(b *testing.B) {
-			sched, err := DilutionTreeSchedule(depth, 60)
+			sched, err := invitro.SynthesizeTree(depth, 60)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,7 +6,7 @@
 // The flow mirrors the paper's synthesis methodology:
 //
 //  1. Describe a bioassay as a sequencing graph (NewAssay, or the
-//     built-in PCR and in-vitro case studies).
+//     built-in PCR case study).
 //  2. Architectural-level synthesis: bind operations to module-library
 //     devices and schedule them (Bind, ScheduleAssay).
 //  3. Module placement: the greedy baseline (PlaceGreedy), the
@@ -27,7 +27,6 @@ package dmfb
 
 import (
 	"context"
-	"io"
 	"math"
 
 	"dmfb/internal/actuation"
@@ -35,21 +34,15 @@ import (
 	"dmfb/internal/assay"
 	"dmfb/internal/campaign"
 	"dmfb/internal/core"
-	"dmfb/internal/defect"
 	"dmfb/internal/faultsim"
 	"dmfb/internal/fluidics"
 	"dmfb/internal/format"
 	"dmfb/internal/fti"
 	"dmfb/internal/geom"
-	"dmfb/internal/invitro"
-	"dmfb/internal/mixcalc"
 	"dmfb/internal/modlib"
-	"dmfb/internal/pcache"
 	"dmfb/internal/pcr"
-	"dmfb/internal/pipeline"
 	"dmfb/internal/place"
 	"dmfb/internal/reconfig"
-	"dmfb/internal/recovery"
 	"dmfb/internal/render"
 	"dmfb/internal/router"
 	"dmfb/internal/schedule"
@@ -59,46 +52,26 @@ import (
 )
 
 // Geometry. Cells are addressed zero-based; a Rect occupies the
-// half-open range [X,X+W)×[Y,Y+H); an Interval is half-open in
-// schedule seconds.
+// half-open range [X,X+W)×[Y,Y+H).
 type (
 	// Point is a cell coordinate on the microfluidic array.
 	Point = geom.Point
-	// Size is a module footprint in cells.
-	Size = geom.Size
 	// Rect is an axis-aligned rectangle of cells.
 	Rect = geom.Rect
-	// Interval is a half-open time interval in seconds.
-	Interval = geom.Interval
 )
 
-// Assay modelling.
-type (
-	// Assay is a sequencing graph of fluidic operations.
-	Assay = assay.Graph
-	// OpKind classifies a fluidic operation.
-	OpKind = assay.OpKind
-	// Op is one node of a sequencing graph.
-	Op = assay.Op
-)
+// Assay is a sequencing graph of fluidic operations.
+type Assay = assay.Graph
 
 // Operation kinds.
 const (
 	Dispense = assay.Dispense
 	Mix      = assay.Mix
-	Dilute   = assay.Dilute
-	Store    = assay.Store
 	Detect   = assay.Detect
-	Output   = assay.Output
 )
 
-// Module library.
-type (
-	// Device is a module-library entry (a virtual device type).
-	Device = modlib.Device
-	// Library is a catalogue of devices.
-	Library = modlib.Library
-)
+// Library is a module-library catalogue of devices.
+type Library = modlib.Library
 
 // Synthesis.
 type (
@@ -118,8 +91,6 @@ const (
 
 // Placement.
 type (
-	// Module is a placeable module: footprint × fixed time span.
-	Module = place.Module
 	// Placement assigns positions and orientations to modules.
 	Placement = place.Placement
 	// PlacementProblem is a module set plus the core area bounds.
@@ -171,9 +142,6 @@ type (
 	// CampaignReport is a finished campaign: deterministic summary plus
 	// wall-clock execution facts.
 	CampaignReport = campaign.Report
-	// CampaignSummary is the worker-count-independent aggregate of a
-	// campaign.
-	CampaignSummary = campaign.Summary
 	// TrialFunc executes one campaign trial.
 	TrialFunc = campaign.TrialFunc
 )
@@ -213,35 +181,9 @@ func PCRAssay() (*Assay, [7]int) { return pcr.Graph() }
 // and the 63-cell area budget (regenerating Figure 6).
 func PCRSchedule() (*Schedule, error) { return pcr.Schedule() }
 
-// InVitroSchedule synthesises an nSamples × nAssays multiplexed
-// in-vitro diagnostic workload (reference [4] of the paper) under the
-// given concurrent-area budget (0 = unlimited).
-func InVitroSchedule(nSamples, nAssays, areaBudget int) (*Schedule, error) {
-	return invitro.Synthesize(nSamples, nAssays, areaBudget)
-}
-
-// DilutionSchedule synthesises a serial-dilution ladder of the given
-// depth (a 2^-1..2^-depth concentration series), exercising the
-// dilute/split path of the flow.
-func DilutionSchedule(depth, areaBudget int) (*Schedule, error) {
-	return invitro.SynthesizeDilution(depth, areaBudget)
-}
-
-// DilutionTreeSchedule synthesises the exponential-dilution benchmark:
-// a complete binary tree of dilutions producing 2^depth measured
-// droplets at concentration 2^-depth — the largest workload shipped
-// with this repository (2^depth−1 dilute modules plus 2^depth
-// detectors).
-func DilutionTreeSchedule(depth, areaBudget int) (*Schedule, error) {
-	return invitro.SynthesizeTree(depth, areaBudget)
-}
-
 // PlacementProblemOf extracts the placement problem from a schedule,
 // with an automatically sized core area.
 func PlacementProblemOf(s *Schedule) PlacementProblem { return core.FromSchedule(s) }
-
-// ModulesOf extracts the placeable modules of a schedule.
-func ModulesOf(s *Schedule) []Module { return place.FromSchedule(s) }
 
 // PlaceGreedy runs the baseline placer of Section 6.1 (largest module
 // first, bottom-left position). timeAware selects whether the greedy
@@ -255,13 +197,6 @@ func PlaceGreedy(prob PlacementProblem, timeAware bool) (*Placement, error) {
 // Section 4, minimising array area.
 func PlaceAnneal(prob PlacementProblem, opts PlacerOptions) (*Placement, PlacerStats, error) {
 	return core.AnnealArea(prob, opts)
-}
-
-// PlaceAnnealBestOf runs the annealing placer with n seeds in parallel
-// and keeps the smallest result — the practical way to spend extra
-// cores on placement quality. Deterministic for fixed opts.Seed and n.
-func PlaceAnnealBestOf(prob PlacementProblem, opts PlacerOptions, n int) (*Placement, PlacerStats, error) {
-	return core.AnnealAreaBestOf(prob, opts, n)
 }
 
 // PlaceFaultTolerant runs the two-stage enhanced placer of Section
@@ -281,16 +216,6 @@ func BetaSweep(prob PlacementProblem, opts PlacerOptions, ft FTOptions, betas []
 // bounding array (Section 5.2, fast algorithm of Section 5.3).
 func ComputeFTI(p *Placement) FTIResult { return fti.Compute(p) }
 
-// ComputeFTIOn evaluates the FTI on an explicit array.
-func ComputeFTIOn(p *Placement, array Rect) FTIResult { return fti.ComputeOn(p, array) }
-
-// PlanRecovery computes the partial reconfiguration for a faulty cell
-// without modifying the placement. Earlier accumulated faults may be
-// passed as obstacles; no relocated module will cover any of them.
-func PlanRecovery(p *Placement, array Rect, fault Point, obstacles ...Point) ([]Relocation, error) {
-	return reconfig.Plan(p, array, fault, obstacles...)
-}
-
 // Recover plans and applies partial reconfiguration for a faulty cell,
 // relocating every module that uses it while avoiding the given
 // obstacle cells (earlier faults).
@@ -298,83 +223,20 @@ func Recover(p *Placement, array Rect, fault Point, obstacles ...Point) ([]Reloc
 	return reconfig.Recover(p, array, fault, obstacles...)
 }
 
-// Graceful-degradation recovery ladder (escalating reconfiguration).
+// Simulator fault recovery.
 type (
-	// RecoveryLadderOptions configures a recovery Ladder.
-	RecoveryLadderOptions = recovery.Options
-	// RecoveryState is the execution state a ladder recovers from.
-	RecoveryState = recovery.State
-	// RecoveryPlan is a validated ladder plan: new placement, possibly
-	// stretched schedule, downgrades and abandoned operations.
-	RecoveryPlan = recovery.Plan
-	// RecoveryLevel identifies a ladder rung (relocate, downgrade,
-	// defragment, degrade).
-	RecoveryLevel = recovery.Level
-	// RecoveryAttempt is one rung tried during a ladder invocation.
-	RecoveryAttempt = recovery.Attempt
-	// LadderReport is the audit trail of one ladder invocation.
-	LadderReport = recovery.Report
 	// RecoveryMode selects the simulator's fault response (L1-only,
 	// full ladder, or off).
 	RecoveryMode = sim.RecoveryMode
-	// SimOutcome classifies how a simulated assay ended: completed,
-	// degraded (partial completion) or failed.
-	SimOutcome = sim.Outcome
 	// SimRecoveryReport aggregates a run's recovery activity.
 	SimRecoveryReport = sim.RecoveryReport
-	// FaultClassification is the outcome of a bounded-retry re-test of
-	// a suspect cell.
-	FaultClassification = testdrop.Classification
-	// RetryPolicy bounds the re-test loop of ClassifyFault.
-	RetryPolicy = testdrop.RetryPolicy
 )
 
-// Ladder rungs and simulator recovery modes.
-const (
-	LevelRelocate   = recovery.LevelRelocate
-	LevelDowngrade  = recovery.LevelDowngrade
-	LevelDefragment = recovery.LevelDefragment
-	LevelDegrade    = recovery.LevelDegrade
-
-	RecoveryL1     = sim.RecoveryL1
-	RecoveryLadder = sim.RecoveryLadder
-	RecoveryOff    = sim.RecoveryOff
-
-	OutcomeCompleted = sim.OutcomeCompleted
-	OutcomeDegraded  = sim.OutcomeDegraded
-	OutcomeFailed    = sim.OutcomeFailed
-)
-
-// NewRecoveryLadder builds the escalating recovery ladder: L1 in-place
-// relocation, L2 relocation with device downgrade and schedule
-// stretch, L3 defragmenting re-placement, L4 graceful degradation.
-// The zero options enable the full ladder with the Table 1 library.
-func NewRecoveryLadder(opts RecoveryLadderOptions) *recovery.Ladder { return recovery.New(opts) }
-
-// ValidateRecoveryPlan proves a ladder plan safe to adopt without
-// executing it: geometry inside the array, no live-module overlap, no
-// live module over a known fault, precedence intact, abandonment
-// successor-closed.
-func ValidateRecoveryPlan(st RecoveryState, p *RecoveryPlan) error {
-	return recovery.ValidatePlan(st, p)
-}
+// OutcomeFailed classifies a simulated assay that could not complete.
+const OutcomeFailed = sim.OutcomeFailed
 
 // ParseRecoveryMode parses the CLI spellings "l1", "ladder" and "off".
 func ParseRecoveryMode(s string) (RecoveryMode, error) { return sim.ParseRecoveryMode(s) }
-
-// ClassifyFault re-tests a suspect cell with bounded retries and
-// deterministic backoff, distinguishing permanent faults (which force
-// reconfiguration) from transient ones (which heal in place).
-func ClassifyFault(c *Chip, cell Point, pol RetryPolicy) FaultClassification {
-	return testdrop.ClassifyFault(c, cell, pol)
-}
-
-// AssayTrial is the end-to-end assay campaign workload: each trial
-// simulates the full schedule with k injected faults (each transient
-// with probability transientProb), recovering with the given mode.
-func AssayTrial(s *Schedule, p *Placement, k int, mode RecoveryMode, transientProb float64) TrialFunc {
-	return faultsim.AssayTrial(s, p, k, mode, transientProb)
-}
 
 // Simulate executes the schedule on the placed array with the
 // cycle-accurate chip simulator, injecting the given faults at their
@@ -470,25 +332,10 @@ func MonteCarloMultiFault(p *Placement, k, trials int, seed int64) FaultCampaign
 	return faultsim.MultiFault(p, k, trials, seed)
 }
 
-// MonteCarloMultiFaultFull is MonteCarloMultiFault with full
-// reconfiguration (FullReconfigure) as a fallback whenever partial
-// reconfiguration cannot absorb a fault.
-func MonteCarloMultiFaultFull(p *Placement, k, trials int, seed int64, opts PlacerOptions) FaultCampaign {
-	return faultsim.MultiFaultFull(p, k, trials, seed, opts)
-}
-
-// FullReconfigure re-places the entire module set from scratch around
-// the accumulated dead cells, within the original array bounds — the
-// slower, stronger alternative to partial reconfiguration for faults
-// the FTI marks uncoverable.
-func FullReconfigure(old *Placement, dead []Point, opts PlacerOptions) (*Placement, error) {
-	return core.FullReconfigure(old, dead, opts)
-}
-
 // EstimateYield measures the fraction of chips usable when every array
 // cell fails independently with probability defectProb, absorbing
 // defects by sequential partial reconfiguration; withFull adds full
-// re-placement (FullReconfigure, configured by opts) as a fallback.
+// re-placement (configured by opts) as a fallback.
 func EstimateYield(p *Placement, defectProb float64, trials int, seed int64,
 	withFull bool, opts PlacerOptions) FaultCampaign {
 	return faultsim.Yield(p, defectProb, trials, seed, withFull, opts)
@@ -512,52 +359,6 @@ func MultiFaultTrial(p *Placement, k int, withFull bool, opts PlacerOptions) Tri
 	return faultsim.MultiFaultTrial(p, k, withFull, opts)
 }
 
-// YieldTrial is the defect-density yield campaign workload on p.
-func YieldTrial(p *Placement, defectProb float64, withFull bool, opts PlacerOptions) TrialFunc {
-	return faultsim.YieldTrial(p, defectProb, withFull, opts)
-}
-
-// DefectParams describes a fabrication defect-map model (uniform,
-// clustered or an explicit map file) for yield campaigns.
-type DefectParams = defect.Params
-
-// DefectGenerator draws one fabricated die's defect map per trial.
-type DefectGenerator = defect.Generator
-
-// DefectYieldTrial is the yield campaign workload on p under any
-// defect-map model (see DefectParams.Generator).
-func DefectYieldTrial(p *Placement, gen DefectGenerator, withFull bool, opts PlacerOptions) TrialFunc {
-	return faultsim.DefectYieldTrial(p, gen, withFull, opts)
-}
-
-// LadderYieldTrial is the design-time local-reconfiguration yield
-// workload: a die survives when the full recovery ladder absorbs its
-// whole defect map before the assay starts.
-func LadderYieldTrial(s *Schedule, p *Placement, gen DefectGenerator, anneal PlacerOptions) TrialFunc {
-	return faultsim.LadderYieldTrial(s, p, gen, anneal)
-}
-
-// DesignReconfigure decides at design time whether a fabricated die
-// with the given defect map can run the assay without re-synthesis, by
-// replaying the recovery ladder over the defects before the assay
-// starts.
-func DesignReconfigure(s *Schedule, p *Placement, array Rect, defects []Point,
-	opts defect.ReconfigureOptions) defect.Review {
-	return defect.Reconfigure(s, p, array, defects, opts)
-}
-
-// InsertSpares threads cols spare columns and rows spare rows through
-// the interior of a placement's bounding box — the space-redundancy
-// transform for yield enhancement. SpareSplit divides a single budget
-// between columns and rows the way every CLI and service does.
-func InsertSpares(p *Placement, cols, rows int) *Placement {
-	return place.InsertSpares(p, cols, rows)
-}
-
-// SpareSplit splits a spare-line budget between columns and rows,
-// columns first.
-func SpareSplit(budget int) (cols, rows int) { return place.SpareSplit(budget) }
-
 // RenderPlacement draws a placement as ASCII art.
 func RenderPlacement(p *Placement) string { return render.PlacementASCII(p) }
 
@@ -567,53 +368,17 @@ func RenderPlacementSVG(p *Placement, cellPx int) string { return render.Placeme
 // RenderSchedule draws a schedule as an ASCII Gantt chart.
 func RenderSchedule(s *Schedule) string { return render.ScheduleASCII(s) }
 
-// RenderScheduleSVG draws a schedule as a standalone SVG Gantt chart.
-func RenderScheduleSVG(s *Schedule, secPx int) string { return render.GanttSVG(s, secPx) }
-
-// ScheduleSlack returns the per-operation slack (ALAP − ASAP) at the
-// given deadline; zero-slack operations are on the critical path.
-func ScheduleSlack(g *Assay, b Binding, opts ScheduleOptions, deadline int) ([]int, error) {
-	return schedule.Slack(g, b, opts, deadline)
-}
-
 // RenderCoverage draws an FTI coverage map as ASCII art.
 func RenderCoverage(r FTIResult) string { return render.CoverageASCII(r) }
 
-// MarshalPlacement / UnmarshalPlacement serialise placements as JSON.
+// MarshalPlacement serialises a placement as JSON.
 func MarshalPlacement(p *Placement) ([]byte, error) { return format.MarshalPlacement(p) }
-
-// UnmarshalPlacement decodes and validates a placement.
-func UnmarshalPlacement(data []byte) (*Placement, error) { return format.UnmarshalPlacement(data) }
-
-// MarshalAssay serialises a sequencing graph as JSON.
-func MarshalAssay(g *Assay) ([]byte, error) { return format.MarshalGraph(g) }
 
 // UnmarshalAssay decodes and validates a sequencing graph.
 func UnmarshalAssay(data []byte) (*Assay, error) { return format.UnmarshalGraph(data) }
 
 // MarshalSchedule serialises a synthesis result as JSON.
 func MarshalSchedule(s *Schedule) ([]byte, error) { return format.MarshalSchedule(s) }
-
-// UnmarshalSchedule decodes a schedule against a device library.
-func UnmarshalSchedule(data []byte, lib *Library) (*Schedule, error) {
-	return format.UnmarshalSchedule(data, lib)
-}
-
-// Composition analysis.
-type (
-	// Composition maps fluid name to exact volume (big.Rat units).
-	Composition = mixcalc.Composition
-	// CompositionResult holds the composition of every droplet.
-	CompositionResult = mixcalc.Result
-)
-
-// AnalyzeConcentrations computes, with exact rational arithmetic, the
-// composition of every droplet an assay produces — verifying protocol
-// stoichiometry (e.g. each PCR reagent at 1/8 of the master mix)
-// before synthesis effort is spent.
-func AnalyzeConcentrations(g *Assay) (*CompositionResult, error) {
-	return mixcalc.Concentrations(g)
-}
 
 // Round4 rounds to four decimals, the paper's FTI reporting precision.
 func Round4(v float64) float64 { return math.Round(v*1e4) / 1e4 }
@@ -624,13 +389,9 @@ func Round4(v float64) float64 { return math.Round(v*1e4) / 1e4 }
 type (
 	// Tracer emits structured JSONL trace records (spans and events).
 	Tracer = telemetry.Tracer
-	// TraceFields is the free-form payload of a trace record.
-	TraceFields = telemetry.Fields
 	// MetricsRegistry holds named counters, gauges and histograms,
 	// safe for concurrent use.
 	MetricsRegistry = telemetry.Registry
-	// MetricsSnapshot is a JSON-marshalable capture of a registry.
-	MetricsSnapshot = telemetry.Snapshot
 	// AnnealObserver receives progress callbacks from the annealing
 	// placers (one per temperature level plus best-cost improvements);
 	// set it on PlacerOptions.Observer.
@@ -639,13 +400,6 @@ type (
 	AnnealProgress = anneal.Progress
 )
 
-// NewTracer returns a Tracer writing JSONL records to w; timestamps
-// are monotonic microseconds since this call.
-func NewTracer(w io.Writer) *Tracer { return telemetry.New(w) }
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
 // ObserveAnneal adapts telemetry sinks into an AnnealObserver: each
 // temperature level becomes an "anneal.level" span and updates the
 // anneal.* metrics, tagged with the given stage name. Either sink may
@@ -653,56 +407,3 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 func ObserveAnneal(tr *Tracer, reg *MetricsRegistry, stage string) AnnealObserver {
 	return telemetry.AnnealObserver(tr, reg, stage)
 }
-
-// Pipeline. RunPipeline executes the shared synth → place → analyse →
-// route/test/simulate flow the CLI tools and dmfb-server are built on:
-// describe the stages in a PipelineRequest and read the typed
-// PipelineResult. A PlacementCache attached to the request serves
-// placements by content-addressed fingerprint, byte-identical to a
-// fresh run.
-type (
-	// PipelineRequest selects and configures the stages of one run.
-	PipelineRequest = pipeline.Request
-	// PipelineResult carries the outputs of the selected stages.
-	PipelineResult = pipeline.Result
-	// PipelineStageError tags a pipeline failure with its stage.
-	PipelineStageError = pipeline.StageError
-	// SynthSpec, PlaceSpec, FTISpec, RouteSpec, TestSpec and SimSpec
-	// configure the individual stages.
-	SynthSpec = pipeline.SynthSpec
-	PlaceSpec = pipeline.PlaceSpec
-	FTISpec   = pipeline.FTISpec
-	RouteSpec = pipeline.RouteSpec
-	TestSpec  = pipeline.TestSpec
-	SimSpec   = pipeline.SimSpec
-	// PlacementCache is a bounded, concurrency-safe LRU of placement
-	// results keyed by canonical problem fingerprint.
-	PlacementCache = pcache.Cache
-	// PlacementCacheKey is a content-addressed fingerprint.
-	PlacementCacheKey = pcache.Key
-	// PlacementCacheStats reports hit/miss/eviction counts and
-	// occupancy.
-	PlacementCacheStats = pcache.Stats
-)
-
-// RunPipeline executes the requested stages in order; see
-// pipeline.Run.
-func RunPipeline(ctx context.Context, req PipelineRequest) (PipelineResult, error) {
-	return pipeline.Run(ctx, req)
-}
-
-// PipelineExitCode maps a pipeline outcome to the dmfb tools' process
-// exit status convention: 1 on error or failed assay, 2 on degraded
-// completion, 0 otherwise.
-func PipelineExitCode(res PipelineResult, err error) int { return pipeline.ExitCode(res, err) }
-
-// NewPlacementCache returns a placement cache bounded to maxBytes of
-// stored placement data (0 = the 64 MiB default). Metrics, when
-// non-nil, receives pcache.* hit/miss/eviction counters.
-func NewPlacementCache(maxBytes int, reg *MetricsRegistry) *PlacementCache {
-	return pcache.New(maxBytes, reg)
-}
-
-// FingerprintPlacement computes the content-addressed cache key of a
-// placement problem.
-func FingerprintPlacement(in pcache.Input) PlacementCacheKey { return pcache.Fingerprint(in) }

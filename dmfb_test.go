@@ -5,6 +5,14 @@ import (
 	"math/big"
 	"strings"
 	"testing"
+
+	"dmfb/internal/core"
+	"dmfb/internal/faultsim"
+	"dmfb/internal/format"
+	"dmfb/internal/invitro"
+	"dmfb/internal/mixcalc"
+	"dmfb/internal/render"
+	"dmfb/internal/schedule"
 )
 
 // TestPublicAPIEndToEnd drives the whole flow through the facade:
@@ -142,14 +150,14 @@ func TestFacadeSerialisationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalPlacement(data)
+	back, err := format.UnmarshalPlacement(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.ArrayCells() != p.ArrayCells() {
 		t.Error("round trip changed area")
 	}
-	gd, err := MarshalAssay(s.Graph)
+	gd, err := format.MarshalGraph(s.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestFacadeSerialisationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalSchedule(sd, Table1Library()); err != nil {
+	if _, err := format.UnmarshalSchedule(sd, Table1Library()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -207,7 +215,7 @@ func TestFacadeChipTesting(t *testing.T) {
 }
 
 func TestInVitroThroughFacade(t *testing.T) {
-	s, err := InVitroSchedule(2, 2, 40)
+	s, err := invitro.Synthesize(2, 2, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +228,13 @@ func TestInVitroThroughFacade(t *testing.T) {
 }
 
 func TestFacadeExtensions(t *testing.T) {
-	// Parallel best-of placement.
+	// Parallel multi-start placement.
 	s, _ := PCRSchedule()
 	prob := PlacementProblemOf(s)
 	light := PlacerOptions{Seed: 1, ItersPerModule: 80, WindowPatience: 3}
-	p, _, err := PlaceAnnealBestOf(prob, light, 3)
+	multi := light
+	multi.Search = SearchOptions{Starts: 3}
+	p, _, err := PlaceAnneal(prob, multi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +244,7 @@ func TestFacadeExtensions(t *testing.T) {
 
 	// Concentration analysis.
 	g, mix := PCRAssay()
-	comp, err := AnalyzeConcentrations(g)
+	comp, err := mixcalc.Concentrations(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +279,7 @@ func TestFacadeExtensions(t *testing.T) {
 
 	// Full reconfiguration + yield.
 	dead := []Point{{X: 0, Y: 0}}
-	fresh, err := FullReconfigure(p, dead, light)
+	fresh, err := core.FullReconfigure(p, dead, light)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +299,14 @@ func TestFacadeExtensions(t *testing.T) {
 
 	// Multi-fault with full fallback never loses to partial-only.
 	mfPartial := MonteCarloMultiFault(p, 2, 60, 4)
-	mfFull := MonteCarloMultiFaultFull(p, 2, 60, 4, light)
+	mfFull := faultsim.MultiFaultFull(p, 2, 60, 4, light)
 	if mfFull.Survived < mfPartial.Survived {
 		t.Error("full fallback below partial-only")
 	}
 
 	// Gantt SVG + slack at the critical-path deadline (19 s with the
 	// fastest-mixer binding: mix 3 s + detect... here pure mixes).
-	if !strings.Contains(RenderScheduleSVG(s, 0), "<svg") {
+	if !strings.Contains(render.GanttSVG(s, 0), "<svg") {
 		t.Error("Gantt SVG missing")
 	}
 	gg, _ := PCRAssay()
@@ -305,7 +315,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With every mix bound to the 3 s mixer the critical path is 9 s.
-	slack, err := ScheduleSlack(gg, bb, ScheduleOptions{}, 9)
+	slack, err := schedule.Slack(gg, bb, ScheduleOptions{}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,14 +146,6 @@ func perimeter(r geom.Rect) []geom.Point {
 	return out
 }
 
-// HoldPattern returns the single repeating frame that parks droplets
-// at fixed cells (storage modules): their electrodes stay energised.
-func HoldPattern(cells []geom.Point) Frame {
-	on := append([]geom.Point(nil), cells...)
-	sortCells(on)
-	return Frame{Step: 0, On: on}
-}
-
 // Program is a complete electrode control program: an ordered frame
 // sequence plus the array dimensions it addresses.
 type Program struct {

@@ -141,11 +141,8 @@ func TestMixerPatternErrors(t *testing.T) {
 	}
 }
 
-func TestHoldPatternAndBitmap(t *testing.T) {
-	f := HoldPattern([]geom.Point{{X: 3, Y: 1}, {X: 0, Y: 0}})
-	if len(f.On) != 2 || f.On[0] != (geom.Point{X: 0, Y: 0}) {
-		t.Errorf("HoldPattern = %v", f.On)
-	}
+func TestFrameBitmapAndString(t *testing.T) {
+	f := Frame{On: []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 1}}}
 	bm := f.Bitmap(4, 2)
 	if !bm[0] || !bm[1*4+3] {
 		t.Error("Bitmap bits wrong")

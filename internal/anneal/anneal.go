@@ -8,13 +8,12 @@ package anneal
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 )
 
-// Schedule holds the annealing parameters. The defaults mirror the
-// paper's Section 4(d): T0 = 10000, α = 0.9, and an inner loop of
-// Na = 400 iterations per module.
+// Schedule holds the annealing parameters. The placers' defaults
+// mirror the paper's Section 4(d): T0 = 10000, α = 0.9, and an inner
+// loop of Na = 400 iterations per module.
 type Schedule struct {
 	T0    float64 // initial temperature
 	Alpha float64 // cooling factor, 0 < Alpha < 1
@@ -22,12 +21,6 @@ type Schedule struct {
 	// MaxLevels bounds the number of temperature levels as a safety
 	// net against a stop criterion that never fires. Zero means 1000.
 	MaxLevels int
-}
-
-// Default returns the paper's annealing schedule for nm modules
-// (N = Na × Nm with Na = 400).
-func Default(nm int) Schedule {
-	return Schedule{T0: 10000, Alpha: 0.9, Iters: 400 * nm}
 }
 
 // Validate reports configuration errors.
@@ -54,7 +47,7 @@ type Level struct {
 	Improved int     // accepted moves with ΔC < 0
 	BestCost float64 // best cost seen so far (global)
 	CurCost  float64 // cost of current state at level end
-	// Duration is the wall-clock time Run spent on this level, so
+	// Duration is the wall-clock time RunMoves spent on this level, so
 	// convergence-versus-time plots (paper Fig. 5/6 style) need no
 	// external timing. Zero while a level is still in progress (as
 	// seen by ProgressNewBest observer notifications).
@@ -99,7 +92,7 @@ type Progress struct {
 	Evaluations int // cost evaluations so far, including the initial state
 }
 
-// Observer receives progress notifications during Run: one
+// Observer receives progress notifications during RunMoves: one
 // ProgressLevel per temperature level and one ProgressNewBest per
 // strict best-cost improvement. It runs synchronously on the
 // annealing goroutine, so implementations must be fast; a nil
@@ -107,96 +100,22 @@ type Progress struct {
 // nothing.
 type Observer func(Progress)
 
-// Problem bundles the callbacks that define an annealing run.
-type Problem[S any] struct {
-	// Cost evaluates a state. Lower is better.
-	Cost func(S) float64
-	// Neighbor proposes a new state from cur at temperature T. It must
-	// not mutate cur.
-	Neighbor func(cur S, T float64, rng *rand.Rand) S
-	// Stop, if non-nil, is consulted after each temperature level;
-	// returning true ends the run. This is where the paper's
-	// "controlling window reached its minimum span" criterion plugs in.
-	Stop func(l Level) bool
-	// Observer, if non-nil, receives progress notifications (per
-	// temperature level and on best-cost improvement) — the hook the
-	// telemetry layer attaches to.
-	Observer Observer
-}
-
-// Run executes simulated annealing from the initial state and returns
-// the best state encountered. It panics on an invalid schedule (a
-// static configuration bug) and requires a non-nil rng for
-// reproducibility.
-//
-// Run is a thin adapter over the move-based engine (RunMoves): a
-// "move" is simply the cloned candidate state, Delta evaluates its
-// full cost, Commit adopts it and Revert drops it. Clone-based
-// problems therefore share one annealing loop with the incremental
-// placers and inherit identical scheduling, acceptance, Observer and
-// Stop behaviour.
-func Run[S any](initial S, p Problem[S], sched Schedule, rng *rand.Rand) Result[S] {
-	cur := initial
-	var curCost, nextCost float64
-	haveCur := false
-	mp := MoveProblem[S, S]{
-		Cost: func() float64 {
-			if !haveCur {
-				curCost = p.Cost(cur)
-				haveCur = true
-			}
-			return curCost
-		},
-		Propose: func(T float64, rng *rand.Rand) S { return p.Neighbor(cur, T, rng) },
-		Delta: func(next S) float64 {
-			nextCost = p.Cost(next)
-			return nextCost - curCost
-		},
-		Commit: func(next S) {
-			cur = next
-			curCost = nextCost
-		},
-		Revert:   func(S) {},
-		Snapshot: func() S { return cur },
-		Stop:     p.Stop,
-		Observer: p.Observer,
-	}
-	return RunMoves(mp, sched, rng)
-}
-
 // StopBelow returns a stop criterion that fires once the temperature
 // drops below tMin.
 func StopBelow(tMin float64) func(Level) bool {
 	return func(l Level) bool { return l.T < tMin }
 }
 
-// StopFrozen returns a stop criterion that fires after `patience`
-// consecutive levels without any accepted move — the configuration is
-// frozen. The returned closure is stateful: it assumes it is called
-// exactly once per level, in order, and must not be shared between
-// runs (build a fresh one per Run).
-func StopFrozen(patience int) func(Level) bool {
-	quiet := 0
-	return func(l Level) bool {
-		if l.Accepted == 0 {
-			quiet++
-		} else {
-			quiet = 0
-		}
-		return quiet >= patience
-	}
-}
-
 // StopAny combines criteria; it fires when any of them fires.
 //
-// Stateful criteria (StopFrozen, the placers' controlling-window
-// rule) count calls: they assume exactly one evaluation per
-// temperature level. StopAny therefore deliberately does NOT
-// short-circuit — every criterion is evaluated on every call, even
-// after an earlier one has fired, so each criterion sees every level
-// exactly once and keeps counting correctly. Like the criteria it
+// Stateful criteria (such as the placers' controlling-window rule)
+// count calls: they assume exactly one evaluation per temperature
+// level. StopAny therefore deliberately does NOT short-circuit —
+// every criterion is evaluated on every call, even after an earlier
+// one has fired, so each criterion sees every level exactly once and
+// keeps counting correctly. Like the criteria it
 // wraps, the combined closure is single-use: build a fresh StopAny
-// (with fresh constituent criteria) for each Run.
+// (with fresh constituent criteria) for each run.
 func StopAny(stops ...func(Level) bool) func(Level) bool {
 	return func(l Level) bool {
 		fire := false

@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// cloneProblem is the clone-and-recompute adapter: a move is the
+// whole candidate state proposed by neighbor, Delta re-derives its
+// full cost, Commit adopts it and Revert drops it.
+func cloneProblem[S any](init S, cost func(S) float64, neighbor func(cur S, T float64, rng *rand.Rand) S) MoveProblem[S, S] {
+	cur, curCost := init, cost(init)
+	var nextCost float64
+	return MoveProblem[S, S]{
+		Cost:    func() float64 { return curCost },
+		Propose: func(T float64, rng *rand.Rand) S { return neighbor(cur, T, rng) },
+		Delta: func(next S) float64 {
+			nextCost = cost(next)
+			return nextCost - curCost
+		},
+		Commit:   func(next S) { cur, curCost = next, nextCost },
+		Revert:   func(S) {},
+		Snapshot: func() S { return cur },
+	}
+}
+
 func TestScheduleValidate(t *testing.T) {
 	good := Schedule{T0: 100, Alpha: 0.9, Iters: 10}
 	if err := good.Validate(); err != nil {
@@ -24,13 +43,6 @@ func TestScheduleValidate(t *testing.T) {
 	}
 }
 
-func TestDefaultMatchesPaper(t *testing.T) {
-	s := Default(7) // the PCR case study has 7 modules
-	if s.T0 != 10000 || s.Alpha != 0.9 || s.Iters != 2800 {
-		t.Errorf("Default(7) = %+v, want T0=10000 alpha=0.9 iters=2800", s)
-	}
-}
-
 // A 1-D quadratic with many local perturbations: SA must find the
 // global minimum at x = 17 despite local minima from the sin term.
 func TestRunFindsGlobalMinimum(t *testing.T) {
@@ -38,22 +50,12 @@ func TestRunFindsGlobalMinimum(t *testing.T) {
 		d := float64(x - 17)
 		return d*d + 10*math.Abs(math.Sin(float64(x)))
 	}
-	p := Problem[int]{
-		Cost: cost,
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int {
-			step := 1 + int(T/10)
-			next := cur + rng.Intn(2*step+1) - step
-			if next < -100 {
-				next = -100
-			}
-			if next > 100 {
-				next = 100
-			}
-			return next
-		},
-		Stop: StopBelow(0.01),
-	}
-	res := Run(-90, p, Schedule{T0: 100, Alpha: 0.9, Iters: 50}, rand.New(rand.NewSource(1)))
+	p := cloneProblem(-90, cost, func(cur int, T float64, rng *rand.Rand) int {
+		step := 1 + int(T/10)
+		return min(max(cur+rng.Intn(2*step+1)-step, -100), 100)
+	})
+	p.Stop = StopBelow(0.01)
+	res := RunMoves(p, Schedule{T0: 100, Alpha: 0.9, Iters: 50}, rand.New(rand.NewSource(1)))
 	wantX, wantCost := -100, cost(-100)
 	for x := -100; x <= 100; x++ {
 		if c := cost(x); c < wantCost {
@@ -72,15 +74,11 @@ func TestRunFindsGlobalMinimum(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	p := Problem[int]{
-		Cost: func(x int) float64 { return float64(x * x) },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int {
-			return cur + rng.Intn(11) - 5
-		},
-		Stop: StopBelow(0.5),
-	}
 	run := func(seed int64) Result[int] {
-		return Run(50, p, Schedule{T0: 50, Alpha: 0.8, Iters: 20}, rand.New(rand.NewSource(seed)))
+		p := cloneProblem(50, func(x int) float64 { return float64(x * x) },
+			func(cur int, T float64, rng *rand.Rand) int { return cur + rng.Intn(11) - 5 })
+		p.Stop = StopBelow(0.5)
+		return RunMoves(p, Schedule{T0: 50, Alpha: 0.8, Iters: 20}, rand.New(rand.NewSource(seed)))
 	}
 	a, b := run(7), run(7)
 	if a.Best != b.Best || a.BestCost != b.BestCost || a.Evaluations != b.Evaluations {
@@ -91,13 +89,9 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunTracksBestNotCurrent(t *testing.T) {
 	// Neighbor always jumps randomly over a wide range; the final
 	// current state is unlikely to be the best, but Best must be.
-	p := Problem[int]{
-		Cost: func(x int) float64 { return float64(x * x) },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int {
-			return rng.Intn(201) - 100
-		},
-	}
-	res := Run(100, p, Schedule{T0: 1e9, Alpha: 0.9, Iters: 100, MaxLevels: 5},
+	p := cloneProblem(100, func(x int) float64 { return float64(x * x) },
+		func(cur int, T float64, rng *rand.Rand) int { return rng.Intn(201) - 100 })
+	res := RunMoves(p, Schedule{T0: 1e9, Alpha: 0.9, Iters: 100, MaxLevels: 5},
 		rand.New(rand.NewSource(3)))
 	// At T=1e9 everything is accepted; best must still be the minimum
 	// cost over all visited states.
@@ -112,11 +106,9 @@ func TestRunTracksBestNotCurrent(t *testing.T) {
 }
 
 func TestHighTemperatureAcceptsEverything(t *testing.T) {
-	p := Problem[int]{
-		Cost:     func(x int) float64 { return float64(x) },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int { return cur + 1 }, // always worse
-	}
-	res := Run(0, p, Schedule{T0: 1e12, Alpha: 0.9, Iters: 200, MaxLevels: 1},
+	p := cloneProblem(0, func(x int) float64 { return float64(x) },
+		func(cur int, T float64, rng *rand.Rand) int { return cur + 1 }) // always worse
+	res := RunMoves(p, Schedule{T0: 1e12, Alpha: 0.9, Iters: 200, MaxLevels: 1},
 		rand.New(rand.NewSource(5)))
 	if res.Levels[0].AcceptRate() < 0.99 {
 		t.Errorf("accept rate at huge T = %v, want ~1", res.Levels[0].AcceptRate())
@@ -124,31 +116,15 @@ func TestHighTemperatureAcceptsEverything(t *testing.T) {
 }
 
 func TestLowTemperatureRejectsUphill(t *testing.T) {
-	p := Problem[int]{
-		Cost:     func(x int) float64 { return float64(x) },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int { return cur + 100 },
-	}
-	res := Run(0, p, Schedule{T0: 1e-6, Alpha: 0.5, Iters: 200, MaxLevels: 1},
+	p := cloneProblem(0, func(x int) float64 { return float64(x) },
+		func(cur int, T float64, rng *rand.Rand) int { return cur + 100 })
+	res := RunMoves(p, Schedule{T0: 1e-6, Alpha: 0.5, Iters: 200, MaxLevels: 1},
 		rand.New(rand.NewSource(5)))
 	if res.Levels[0].Accepted != 0 {
 		t.Errorf("uphill moves accepted at T~0: %d", res.Levels[0].Accepted)
 	}
 	if res.Best != 0 {
 		t.Errorf("Best = %d", res.Best)
-	}
-}
-
-func TestStopFrozen(t *testing.T) {
-	stop := StopFrozen(3)
-	mk := func(acc int) Level { return Level{Accepted: acc} }
-	seq := []struct {
-		acc  int
-		want bool
-	}{{5, false}, {0, false}, {0, false}, {1, false}, {0, false}, {0, false}, {0, true}}
-	for i, s := range seq {
-		if got := stop(mk(s.acc)); got != s.want {
-			t.Fatalf("step %d: stop = %v, want %v", i, got, s.want)
-		}
 	}
 }
 
@@ -168,12 +144,10 @@ func TestStopAny(t *testing.T) {
 }
 
 func TestMaxLevelsSafetyNet(t *testing.T) {
-	p := Problem[int]{
-		Cost:     func(x int) float64 { return 0 },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int { return cur },
-		Stop:     func(Level) bool { return false }, // never stops voluntarily
-	}
-	res := Run(0, p, Schedule{T0: 10, Alpha: 0.99, Iters: 1, MaxLevels: 7},
+	p := cloneProblem(0, func(x int) float64 { return 0 },
+		func(cur int, T float64, rng *rand.Rand) int { return cur })
+	p.Stop = func(Level) bool { return false } // never stops voluntarily
+	res := RunMoves(p, Schedule{T0: 10, Alpha: 0.99, Iters: 1, MaxLevels: 7},
 		rand.New(rand.NewSource(1)))
 	if len(res.Levels) != 7 {
 		t.Errorf("levels = %d, want 7", len(res.Levels))
@@ -181,10 +155,8 @@ func TestMaxLevelsSafetyNet(t *testing.T) {
 }
 
 func TestRunPanicsOnBadInput(t *testing.T) {
-	p := Problem[int]{
-		Cost:     func(x int) float64 { return 0 },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int { return cur },
-	}
+	p := cloneProblem(0, func(x int) float64 { return 0 },
+		func(cur int, T float64, rng *rand.Rand) int { return cur })
 	assertPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
@@ -194,9 +166,9 @@ func TestRunPanicsOnBadInput(t *testing.T) {
 		f()
 	}
 	assertPanic("bad schedule", func() {
-		Run(0, p, Schedule{}, rand.New(rand.NewSource(1)))
+		RunMoves(p, Schedule{}, rand.New(rand.NewSource(1)))
 	})
 	assertPanic("nil rng", func() {
-		Run(0, p, Schedule{T0: 1, Alpha: 0.5, Iters: 1}, nil)
+		RunMoves(p, Schedule{T0: 1, Alpha: 0.5, Iters: 1}, nil)
 	})
 }

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// MoveProblem is the incremental counterpart of Problem: instead of
-// cloning the whole state and re-deriving its cost on every proposal,
-// the annealer asks the problem for a small move value, the exact cost
-// change that move would cause, and an in-place commit or revert.
+// MoveProblem bundles the callbacks that define an annealing run.
+// Instead of cloning the whole state and re-deriving its cost on every
+// proposal, the annealer asks the problem for a small move value, the
+// exact cost change that move would cause, and an in-place commit or
+// revert.
 //
 // The protocol per inner-loop iteration is strictly sequential:
 //
@@ -49,18 +50,18 @@ type MoveProblem[S, M any] struct {
 	// copy that later moves cannot mutate.
 	Snapshot func() S
 	// Stop, if non-nil, is consulted after each temperature level;
-	// returning true ends the run (same semantics as Problem.Stop).
+	// returning true ends the run. This is where the paper's
+	// "controlling window reached its minimum span" criterion plugs in.
 	Stop func(l Level) bool
-	// Observer, if non-nil, receives progress notifications (same
-	// semantics as Problem.Observer).
+	// Observer, if non-nil, receives progress notifications (per
+	// temperature level and on best-cost improvement) — the hook the
+	// telemetry layer attaches to.
 	Observer Observer
 }
 
 // RunMoves executes simulated annealing over a move-based problem and
-// returns the best snapshot encountered. Scheduling, Metropolis
-// acceptance, Level accounting, Observer notifications and Stop
-// semantics are identical to Run — Run is in fact a thin adapter over
-// this engine. It panics on an invalid schedule and requires a
+// returns the best snapshot encountered. It panics on an invalid
+// schedule (callers validate the schedule they build) and requires a
 // non-nil rng for reproducibility.
 func RunMoves[S, M any](p MoveProblem[S, M], sched Schedule, rng *rand.Rand) Result[S] {
 	if err := sched.Validate(); err != nil {

@@ -22,11 +22,11 @@ type vecMove struct {
 	idx, delta int
 }
 
-// TestRunMovesMatchesRun runs the same toy problem through the
-// clone-based adapter (Run) and a genuinely incremental MoveProblem
-// (delta arithmetic, in-place commit/revert) with identical seeds, and
-// asserts the two engines produce identical results: same best state,
-// same cost, same level and evaluation counts.
+// TestRunMovesMatchesRun runs the same toy problem as a
+// clone-and-recompute problem (cloneProblem) and as a genuinely
+// incremental MoveProblem (delta arithmetic, in-place commit/revert)
+// with identical seeds, and asserts the two produce identical results:
+// same best state, same cost, same level and evaluation counts.
 func TestRunMovesMatchesRun(t *testing.T) {
 	sched := Schedule{T0: 50, Alpha: 0.8, Iters: 300, MaxLevels: 40}
 	init := intVec{9, -7, 4, 12, -3}
@@ -37,16 +37,15 @@ func TestRunMovesMatchesRun(t *testing.T) {
 	}
 
 	// Clone-based path.
-	cloneProb := Problem[intVec]{
-		Cost: func(v intVec) float64 { return float64(sumSquares(v)) },
-		Neighbor: func(cur intVec, T float64, rng *rand.Rand) intVec {
+	cloneProb := cloneProblem(append(intVec(nil), init...),
+		func(v intVec) float64 { return float64(sumSquares(v)) },
+		func(cur intVec, T float64, rng *rand.Rand) intVec {
 			m := proposeDims(len(cur), T, rng)
 			next := append(intVec(nil), cur...)
 			next[m.idx] += m.delta
 			return next
-		},
-	}
-	cloneRes := Run(append(intVec(nil), init...), cloneProb, sched, rand.New(rand.NewSource(17)))
+		})
+	cloneRes := RunMoves(cloneProb, sched, rand.New(rand.NewSource(17)))
 
 	// Incremental path: in-place mutation, exact integer delta.
 	cur := append(intVec(nil), init...)

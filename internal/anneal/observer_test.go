@@ -6,18 +6,9 @@ import (
 	"time"
 )
 
-// quadratic is a minimal deterministic problem for observer tests.
-func quadratic() Problem[int] {
-	return Problem[int]{
-		Cost: func(x int) float64 { return float64(x * x) },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int {
-			return cur + rng.Intn(11) - 5
-		},
-	}
-}
-
 func TestObserverLevelNotifications(t *testing.T) {
-	p := quadratic()
+	p := cloneProblem(80, func(x int) float64 { return float64(x * x) },
+		func(cur int, T float64, rng *rand.Rand) int { return cur + rng.Intn(11) - 5 })
 	var levels []Progress
 	var bests []Progress
 	p.Observer = func(pr Progress) {
@@ -28,7 +19,7 @@ func TestObserverLevelNotifications(t *testing.T) {
 			bests = append(bests, pr)
 		}
 	}
-	res := Run(80, p, Schedule{T0: 50, Alpha: 0.8, Iters: 30, MaxLevels: 10},
+	res := RunMoves(p, Schedule{T0: 50, Alpha: 0.8, Iters: 30, MaxLevels: 10},
 		rand.New(rand.NewSource(2)))
 
 	if len(levels) != len(res.Levels) {
@@ -66,14 +57,12 @@ func TestObserverLevelNotifications(t *testing.T) {
 }
 
 func TestLevelDurationPopulated(t *testing.T) {
-	p := Problem[int]{
-		Cost: func(x int) float64 { return float64(x) },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int {
+	p := cloneProblem(0, func(x int) float64 { return float64(x) },
+		func(cur int, T float64, rng *rand.Rand) int {
 			time.Sleep(10 * time.Microsecond)
 			return cur
-		},
-	}
-	res := Run(0, p, Schedule{T0: 10, Alpha: 0.5, Iters: 5, MaxLevels: 3},
+		})
+	res := RunMoves(p, Schedule{T0: 10, Alpha: 0.5, Iters: 5, MaxLevels: 3},
 		rand.New(rand.NewSource(1)))
 	for i, l := range res.Levels {
 		if l.Duration <= 0 {
@@ -83,47 +72,45 @@ func TestLevelDurationPopulated(t *testing.T) {
 }
 
 // StopAny must evaluate every criterion on every level — even after
-// one has fired — so stateful criteria like StopFrozen keep counting
-// correctly when combined.
+// one has fired — so stateful criteria (like the placers'
+// controlling-window rule) keep counting correctly when combined.
 func TestStopAnyKeepsStatefulCriteriaCounting(t *testing.T) {
-	frozen := StopFrozen(2)
+	// quiet fires after 2 consecutive levels without an accepted move.
+	streak := 0
+	quiet := func(l Level) bool {
+		if l.Accepted == 0 {
+			streak++
+		} else {
+			streak = 0
+		}
+		return streak >= 2
+	}
 	fired := func(l Level) bool { return true }
-	stop := StopAny(fired, frozen)
+	stop := StopAny(fired, quiet)
 
-	// Both calls fire (because of `fired`), but frozen must still see
+	// Both calls fire (because of `fired`), but quiet must still see
 	// both quiet levels and be ready to fire on its own.
 	stop(Level{Accepted: 0})
 	stop(Level{Accepted: 0})
-	if !frozen(Level{Accepted: 0}) {
-		t.Error("StopFrozen lost count inside StopAny: want quiet streak 3 >= 2")
+	if !quiet(Level{Accepted: 0}) {
+		t.Error("stateful criterion lost count inside StopAny: want quiet streak 3 >= 2")
 	}
 }
 
-func TestStopFrozenSingleUse(t *testing.T) {
-	// Two Runs sharing one StopFrozen would inherit the quiet streak;
-	// fresh criteria must start from zero.
-	s1 := StopFrozen(2)
-	s1(Level{Accepted: 0})
-	s1(Level{Accepted: 0})
-	if !s1(Level{Accepted: 0}) {
-		t.Fatal("streak of 3 quiet levels did not fire StopFrozen(2)")
-	}
-	s2 := StopFrozen(2)
-	if s2(Level{Accepted: 0}) {
-		t.Error("fresh StopFrozen fired after one quiet level")
-	}
+// countdown is a problem whose every move improves the cost, so each
+// iteration commits and snapshots.
+func countdown() MoveProblem[int, int] {
+	return cloneProblem(1000000, func(x int) float64 { return float64(x * x) },
+		func(cur int, T float64, rng *rand.Rand) int { return cur - 1 })
 }
 
-// allocsPerRun measures total allocations of one Run with the given
-// inner-loop iteration count and no observer.
+// allocsPerRun measures total allocations of one RunMoves with the
+// given inner-loop iteration count and no observer.
 func allocsPerRun(iters int) float64 {
-	p := Problem[int]{
-		Cost:     func(x int) float64 { return float64(x * x) },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int { return cur - 1 },
-	}
+	p := countdown()
 	rng := rand.New(rand.NewSource(1))
 	return testing.AllocsPerRun(10, func() {
-		Run(1000000, p, Schedule{T0: 1, Alpha: 0.5, Iters: iters, MaxLevels: 1}, rng)
+		RunMoves(p, Schedule{T0: 1, Alpha: 0.5, Iters: iters, MaxLevels: 1}, rng)
 	})
 }
 
@@ -137,13 +124,10 @@ func TestNilObserverZeroAllocInnerLoop(t *testing.T) {
 }
 
 func BenchmarkRunNilObserver(b *testing.B) {
-	p := Problem[int]{
-		Cost:     func(x int) float64 { return float64(x * x) },
-		Neighbor: func(cur int, T float64, rng *rand.Rand) int { return cur - 1 },
-	}
+	p := countdown()
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Run(1000000, p, Schedule{T0: 1, Alpha: 0.5, Iters: 1000, MaxLevels: 1}, rng)
+		RunMoves(p, Schedule{T0: 1, Alpha: 0.5, Iters: 1000, MaxLevels: 1}, rng)
 	}
 }

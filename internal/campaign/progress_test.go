@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -83,15 +84,21 @@ func containsKey(b []byte, key string) bool {
 // TestProgressTrackerETAConverges runs a real (tiny-trial) campaign
 // and checks mid-run ETA + elapsed stays within 20% of the actual
 // completion time once half the trials are in — the acceptance bar
-// for the /progress endpoint.
+// for the /progress endpoint. Trials cost uneven amounts (100–300 µs,
+// fixed by the trial seed) of simulated time, and the tracker's clock
+// is that work spread over the workers, so the estimator sees the same
+// rate noise on every run and the check does not depend on how busy
+// the host is.
 func TestProgressTrackerETAConverges(t *testing.T) {
-	const trials = 512
-	tracker := NewProgressTracker("eta", trials)
+	const trials, workers = 512, 4
+	var work atomic.Int64 // simulated trial time, summed over all workers
+	clock := func() time.Duration { return time.Duration(work.Load() / workers) }
+	tracker := newProgressTracker("eta", trials, clock)
 	var predicted float64 // eta+elapsed captured at ~50% completion
 	cfg := Config{
 		Name:    "eta",
 		Trials:  trials,
-		Workers: 4,
+		Workers: workers,
 		Seed:    11,
 		Tracker: tracker,
 		Progress: func(done, total int) {
@@ -101,19 +108,15 @@ func TestProgressTrackerETAConverges(t *testing.T) {
 			}
 		},
 	}
-	start := time.Now()
 	_, err := Run(context.Background(), cfg, func(_ context.Context, tr Trial) Outcome {
-		// ~200 µs of deterministic busywork per trial.
-		x := tr.Seed
-		for i := 0; i < 20000; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-		}
-		return Outcome{Survived: x%2 == 0}
+		cost := 100*time.Microsecond + time.Duration(uint64(tr.Seed)%200_000)
+		work.Add(int64(cost))
+		return Outcome{Survived: tr.Seed%2 == 0}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	actual := float64(time.Since(start).Microseconds()) / 1000
+	actual := float64(clock().Microseconds()) / 1000
 	if predicted == 0 {
 		t.Fatal("progress callback never saw 50% completion")
 	}

@@ -24,7 +24,7 @@ func BenchmarkStage2IterClone(b *testing.B) {
 	if err != nil {
 		b.Fatalf("stage 1: %v", err)
 	}
-	o = o.withDefaults(len(prob.Modules))
+	o = o.withDefaults()
 	rng := rand.New(rand.NewSource(2))
 	cur := start.Clone()
 	b.ReportAllocs()
@@ -43,7 +43,7 @@ func BenchmarkStage2IterMove(b *testing.B) {
 	if err != nil {
 		b.Fatalf("stage 1: %v", err)
 	}
-	o = o.withDefaults(len(prob.Modules))
+	o = o.withDefaults()
 	k := newMoveKernel(start.Clone(), prob, o, 30, true, true)
 	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
@@ -59,7 +59,7 @@ func BenchmarkStage2IterMove(b *testing.B) {
 // README table.
 func BenchmarkStage1IterClone(b *testing.B) {
 	prob := FromSchedule(pcr.MustSchedule())
-	o := Options{}.withDefaults(len(prob.Modules))
+	o := Options{}.withDefaults()
 	cur := initialPlacement(prob)
 	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
@@ -72,7 +72,7 @@ func BenchmarkStage1IterClone(b *testing.B) {
 
 func BenchmarkStage1IterMove(b *testing.B) {
 	prob := FromSchedule(pcr.MustSchedule())
-	o := Options{}.withDefaults(len(prob.Modules))
+	o := Options{}.withDefaults()
 	k := newMoveKernel(initialPlacement(prob), prob, o, 0, false, false)
 	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()

@@ -143,32 +143,31 @@ type Options struct {
 	// the paper's stopping criterion.
 	WindowPatience int
 
-	// Search configures deterministic multi-start annealing: TwoStage
-	// fans out Search.Starts independent two-stage runs (splitmix64-
+	// Search configures deterministic multi-start annealing: AnnealArea
+	// and TwoStage fan out Search.Starts independent runs (splitmix64-
 	// derived per-start seeds, start 0 = the base seed) across at most
-	// Search.Workers goroutines and keeps the lowest-cost result, with
+	// Search.Workers goroutines and keep the lowest-cost result, with
 	// ties broken by lowest start index. The winner is byte-identical
-	// for a given seed at any worker count. Single-stage placers ignore
-	// it (AnnealAreaBestOf predates it and keeps its seed+i semantics).
+	// for a given seed at any worker count.
 	Search place.SearchOptions
 
 	// Observer, if non-nil, receives annealing progress notifications
 	// (per temperature level and on best-cost improvement) from every
 	// annealing run these options configure. Wire telemetry through it
-	// with telemetry.AnnealObserver. With parallel restarts
-	// (AnnealAreaBestOf) the observer is shared across goroutines and
-	// must be safe for concurrent use.
+	// with telemetry.AnnealObserver. With multi-start search the
+	// observer is shared across goroutines and must be safe for
+	// concurrent use.
 	Observer anneal.Observer
 
 	// Metrics, if non-nil, receives the incremental kernel's counters
 	// at the end of every annealing run: moves proposed / committed /
 	// reverted, delta vs from-scratch cost evaluations, and the FTI
-	// cache hit rate. With parallel restarts the registry is shared
+	// cache hit rate. With multi-start search the registry is shared
 	// across goroutines (it is safe for concurrent use).
 	Metrics *telemetry.Registry
 }
 
-func (o Options) withDefaults(nm int) Options {
+func (o Options) withDefaults() Options {
 	if o.T0 == 0 {
 		o.T0 = 10000
 	}
@@ -199,7 +198,7 @@ func (o Options) withDefaults(nm int) Options {
 // telemetry sinks (Observer, Metrics) — which never influence the
 // placement — are cleared.
 func (o Options) Canonicalized() Options {
-	c := o.withDefaults(0)
+	c := o.withDefaults()
 	c.Observer = nil
 	c.Metrics = nil
 	c.Search = c.Search.Normalized()
@@ -336,51 +335,6 @@ func window(T, windowT0 float64, span int) int {
 	return w
 }
 
-// neighbor generates a new placement per Section 4b. It never mutates
-// cur.
-func neighbor(cur *place.Placement, prob Problem, o Options, T float64, rng *rand.Rand, singleOnly bool) *place.Placement {
-	next := cur.Clone()
-	n := len(next.Modules)
-	span := prob.MaxW
-	if prob.MaxH > span {
-		span = prob.MaxH
-	}
-	w := window(T, o.WindowT0, span)
-
-	if singleOnly || n < 2 || rng.Float64() < o.PSingle {
-		// Move types (i)/(ii): displace one module within the window,
-		// possibly changing its orientation.
-		i := rng.Intn(n)
-		if rng.Intn(2) == 0 && rotatable(next.Modules[i], prob) {
-			next.Rot[i] = !next.Rot[i]
-		}
-		dx := rng.Intn(2*w+1) - w
-		dy := rng.Intn(2*w+1) - w
-		next.Pos[i] = clampPos(next.Pos[i].Add(geom.Point{X: dx, Y: dy}), next.Size(i), prob)
-	} else {
-		// Move types (iii)/(iv): interchange a pair, possibly rotating
-		// one of the two.
-		i := rng.Intn(n)
-		j := rng.Intn(n - 1)
-		if j >= i {
-			j++
-		}
-		next.Pos[i], next.Pos[j] = next.Pos[j], next.Pos[i]
-		if rng.Intn(2) == 0 {
-			k := i
-			if rng.Intn(2) == 0 {
-				k = j
-			}
-			if rotatable(next.Modules[k], prob) {
-				next.Rot[k] = !next.Rot[k]
-			}
-		}
-		next.Pos[i] = clampPos(next.Pos[i], next.Size(i), prob)
-		next.Pos[j] = clampPos(next.Pos[j], next.Size(j), prob)
-	}
-	return next
-}
-
 // rotatable reports whether a rotation move may be proposed for m:
 // the transposed footprint must itself fit the core area, or clampPos
 // would push the module to a negative origin. Auto-sized problems
@@ -432,11 +386,30 @@ func windowStop(o Options, span, patience int) func(anneal.Level) bool {
 // array area with a forbidden-overlap penalty. Moves are priced
 // incrementally by a moveKernel; results are bit-identical to the
 // historical clone-and-recompute placer for any given seed.
+//
+// With opts.Search.Starts > 1 it runs the same deterministic
+// multi-start search as TwoStage and returns the winning start's
+// placement and stats; with Starts ≤ 1 Search is ignored.
 func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
+	if opts.Search.Starts > 1 {
+		type run struct {
+			p  *place.Placement
+			st Stats
+		}
+		r, err := multiStart(opts.Search, func(i int) (run, float64, error) {
+			p, st, err := AnnealArea(prob, startOptions(opts, i))
+			return run{p, st}, st.FinalCost, err
+		})
+		return r.p, r.st, err
+	}
 	if err := prob.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	o := opts.withDefaults(len(prob.Modules))
+	o := opts.withDefaults()
+	sched := anneal.Schedule{T0: o.T0, Alpha: o.Alpha, Iters: o.ItersPerModule * len(prob.Modules)}
+	if err := sched.Validate(); err != nil {
+		return nil, Stats{}, fmt.Errorf("core: %w", err)
+	}
 	rng := rand.New(rand.NewSource(o.Seed))
 	span := max(prob.MaxW, prob.MaxH)
 
@@ -451,7 +424,6 @@ func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
 		Stop:     windowStop(o, span, o.WindowPatience),
 		Observer: o.Observer,
 	}
-	sched := anneal.Schedule{T0: o.T0, Alpha: o.Alpha, Iters: o.ItersPerModule * len(prob.Modules)}
 	res := anneal.RunMoves(problem, sched, rng)
 	k.flushMetrics(o.Metrics, "area")
 
@@ -467,54 +439,6 @@ func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("core: annealing could not clear %d obstacle cell(s)", hits)
 	}
 	return best, Stats{Levels: len(res.Levels), Evaluations: res.Evaluations, FinalCost: res.BestCost}, nil
-}
-
-// AnnealAreaBestOf runs the area placer with n different seeds in
-// parallel and returns the best placement found (ties favour the
-// lowest seed, so results stay deterministic). Simulated annealing is
-// embarrassingly parallel across restarts; this is the practical way
-// to spend extra cores on placement quality. The restarts share the
-// immutable Problem; all mutable annealing state (the placement, its
-// incremental cost caches, the RNG) is private to each goroutine's
-// moveKernel, so no locking is needed and each restart is bit-identical
-// to a standalone AnnealArea run with that seed.
-func AnnealAreaBestOf(prob Problem, opts Options, n int) (*place.Placement, Stats, error) {
-	if n < 1 {
-		return nil, Stats{}, fmt.Errorf("core: need at least one restart, got %d", n)
-	}
-	type outcome struct {
-		p     *place.Placement
-		stats Stats
-		err   error
-	}
-	results := make([]outcome, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			o := opts
-			o.Seed = opts.Seed + int64(i)
-			p, st, err := AnnealArea(prob, o)
-			results[i] = outcome{p, st, err}
-		}(i)
-	}
-	wg.Wait()
-
-	agg := Stats{}
-	var best *place.Placement
-	for i, r := range results {
-		if r.err != nil {
-			return nil, Stats{}, fmt.Errorf("core: restart %d: %w", i, r.err)
-		}
-		agg.Levels += r.stats.Levels
-		agg.Evaluations += r.stats.Evaluations
-		if best == nil || r.p.ArrayCells() < best.ArrayCells() {
-			best = r.p
-			agg.FinalCost = r.stats.FinalCost
-		}
-	}
-	return best, agg, nil
 }
 
 // FullReconfigure is "full reconfiguration": re-placing the entire
@@ -573,25 +497,10 @@ func (f FTOptions) withDefaults() FTOptions {
 	return f
 }
 
-// ftCost is the stage-2 cost metric: α·area − β·FTI (α = 1) plus the
-// forbidden-overlap and obstacle penalties. Area is in cells; the
-// fault-tolerance term is the index so that β expresses how many cells
-// of area one unit of FTI is worth.
-func ftCost(p *place.Placement, prob Problem, o Options, beta float64) float64 {
-	c := float64(p.ArrayCells()) + o.OverlapPenalty*float64(p.OverlapCells())
-	if len(prob.Obstacles) > 0 {
-		c += o.OverlapPenalty * float64(prob.obstacleHits(p))
-	}
-	if p.Valid() {
-		c -= beta * fti.Compute(p).FTI()
-	}
-	return c
-}
-
 // AnnealFaultTolerance runs stage 2 (LTSA) from a stage-1 placement:
 // single-module displacement only, fault tolerance index in the cost.
 func AnnealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft FTOptions) (*place.Placement, Stats, error) {
-	o := opts.withDefaults(len(prob.Modules))
+	o := opts.withDefaults()
 	f := ft.withDefaults()
 	if start == nil {
 		return nil, Stats{}, fmt.Errorf("core: stage 2 requires a stage-1 placement")
@@ -613,6 +522,12 @@ func AnnealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft
 	}
 	span := max(prob2.MaxW, prob2.MaxH)
 	sched := anneal.Schedule{T0: f.T0, Alpha: o.Alpha, Iters: o.ItersPerModule * len(prob.Modules)}
+	if err := sched.Validate(); err != nil {
+		return nil, Stats{}, fmt.Errorf("core: stage 2: %w", err)
+	}
+	if f.Restarts < 1 {
+		return nil, Stats{}, fmt.Errorf("core: stage 2 needs at least one restart, got %d", f.Restarts)
+	}
 
 	var best *place.Placement
 	bestCost := 0.0
@@ -710,31 +625,40 @@ func twoStageOne(prob Problem, opts Options, ft FTOptions) (TwoStageResult, erro
 // refinement of fault tolerance.
 //
 // With opts.Search.Starts > 1 it becomes a deterministic parallel
-// multi-start search: that many independent two-stage runs fan out
-// across at most opts.Search.Workers goroutines (one per CPU when 0),
-// each with the per-start seed described by place.SearchOptions, and
-// the run with the lowest stage-2 final cost wins, ties broken by
-// lowest start index. Starts are compared in index order over the
-// fully collected result slice, so the winner — placements, stats,
-// everything — is byte-identical for a given seed at any worker
-// count. Simulated annealing restarts share nothing mutable: the
-// problem is immutable and every kernel, RNG, and FTI cache is
-// goroutine-private.
+// multi-start search (see multiStart): that many independent
+// two-stage runs, each with the per-start seed described by
+// place.SearchOptions, and the run with the lowest stage-2 final cost
+// wins — placements, stats, everything.
 func TwoStage(prob Problem, opts Options, ft FTOptions) (TwoStageResult, error) {
-	starts := opts.Search.Starts
-	if starts <= 1 {
+	if opts.Search.Starts <= 1 {
 		return twoStageOne(prob, startOptions(opts, 0), ft)
 	}
-	workers := opts.Search.Workers
+	return multiStart(opts.Search, func(i int) (TwoStageResult, float64, error) {
+		r, err := twoStageOne(prob, startOptions(opts, i), ft)
+		r.Start = i
+		return r, r.Stage2Stats.FinalCost, err
+	})
+}
+
+// multiStart runs search.Starts independent starts of run across at
+// most search.Workers goroutines (one per CPU when 0) and returns the
+// result of the start with the lowest cost, ties broken by lowest
+// start index. Starts are compared in index order over the fully
+// collected results, so the winner is byte-identical at any worker
+// count. Simulated annealing restarts share nothing mutable: the
+// problem is immutable and every kernel, RNG and FTI cache is
+// goroutine-private.
+func multiStart[R any](search place.SearchOptions, run func(i int) (R, float64, error)) (R, error) {
+	starts := search.Starts
+	workers := search.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > starts {
-		workers = starts
-	}
+	workers = min(workers, starts)
 	type outcome struct {
-		res TwoStageResult
-		err error
+		res  R
+		cost float64
+		err  error
 	}
 	results := make([]outcome, starts)
 	sem := make(chan struct{}, workers)
@@ -745,19 +669,19 @@ func TwoStage(prob Problem, opts Options, ft FTOptions) (TwoStageResult, error) 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			r, err := twoStageOne(prob, startOptions(opts, i), ft)
-			r.Start = i
-			results[i] = outcome{r, err}
+			r, cost, err := run(i)
+			results[i] = outcome{r, cost, err}
 		}(i)
 	}
 	wg.Wait()
 
 	best := -1
-	for i := range results {
-		if results[i].err != nil {
-			return TwoStageResult{}, fmt.Errorf("core: multi-start %d: %w", i, results[i].err)
+	for i, o := range results {
+		if o.err != nil {
+			var zero R
+			return zero, fmt.Errorf("core: multi-start %d: %w", i, o.err)
 		}
-		if best < 0 || results[i].res.Stage2Stats.FinalCost < results[best].res.Stage2Stats.FinalCost {
+		if best < 0 || o.cost < results[best].cost {
 			best = i
 		}
 	}

@@ -103,7 +103,7 @@ func TestInitialPlacementFeasible(t *testing.T) {
 }
 
 func TestWindowShrinksWithTemperature(t *testing.T) {
-	o := Options{}.withDefaults(7)
+	o := Options{}.withDefaults()
 	span := 17
 	if got := window(o.T0, o.WindowT0, span); got != span {
 		t.Errorf("window at T0 = %d, want full span %d", got, span)
@@ -127,7 +127,7 @@ func TestWindowShrinksWithTemperature(t *testing.T) {
 
 func TestNeighborInvariants(t *testing.T) {
 	prob := pcrProblem()
-	o := Options{}.withDefaults(len(prob.Modules))
+	o := Options{}.withDefaults()
 	rng := rand.New(rand.NewSource(9))
 	cur := initialPlacement(prob)
 	for i := 0; i < 3000; i++ {
@@ -282,34 +282,37 @@ func TestAnnealAreaRandomProblems(t *testing.T) {
 	}
 }
 
-func TestAnnealAreaBestOf(t *testing.T) {
+// TestAnnealRejectsInvalidSchedule pins that options which build an
+// invalid annealing schedule, or no stage-2 restart at all, come back
+// as errors instead of panicking inside the annealer.
+func TestAnnealRejectsInvalidSchedule(t *testing.T) {
 	prob := pcrProblem()
-	single, _, err := AnnealArea(prob, lightOptions(1))
+	bad := lightOptions(1)
+	bad.ItersPerModule = -1
+	if _, _, err := AnnealArea(prob, bad); err == nil {
+		t.Error("AnnealArea accepted ItersPerModule -1")
+	}
+	if _, err := TwoStage(prob, bad, FTOptions{Beta: 30}); err == nil {
+		t.Error("TwoStage accepted ItersPerModule -1")
+	}
+	s1, _, err := AnnealArea(prob, lightOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, stats, err := AnnealAreaBestOf(prob, lightOptions(1), 4)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := AnnealFaultTolerance(s1, prob, bad, FTOptions{Beta: 30}); err == nil {
+		t.Error("AnnealFaultTolerance accepted ItersPerModule -1")
 	}
-	if err := multi.Validate(); err != nil {
-		t.Fatal(err)
+	if _, _, err := AnnealFaultTolerance(s1, prob, lightOptions(1), FTOptions{Beta: 30, Restarts: -1}); err == nil {
+		t.Error("AnnealFaultTolerance accepted Restarts -1")
 	}
-	// Best-of-n includes seed 1, so it can only match or improve.
-	if multi.ArrayCells() > single.ArrayCells() {
-		t.Errorf("best-of-4 (%d cells) worse than single seed (%d cells)",
-			multi.ArrayCells(), single.ArrayCells())
-	}
-	if stats.Evaluations <= single.ArrayCells() {
-		t.Error("aggregate stats missing")
-	}
-	if _, _, err := AnnealAreaBestOf(prob, lightOptions(1), 0); err == nil {
-		t.Error("zero restarts accepted")
-	}
-	// Determinism despite parallel execution.
-	a, _, _ := AnnealAreaBestOf(prob, lightOptions(2), 3)
-	b, _, _ := AnnealAreaBestOf(prob, lightOptions(2), 3)
-	if a.String() != b.String() {
-		t.Error("parallel best-of not deterministic")
+}
+
+// TestDefaultMatchesPaper pins the zero Options to the paper's
+// Section 4(d) schedule: T0 = 10000, α = 0.9, Na = 400 per module.
+func TestDefaultMatchesPaper(t *testing.T) {
+	o := Options{}.withDefaults()
+	if o.T0 != 10000 || o.Alpha != 0.9 || o.ItersPerModule != 400 {
+		t.Errorf("defaults = T0 %v alpha %v iters/module %d, want 10000, 0.9, 400",
+			o.T0, o.Alpha, o.ItersPerModule)
 	}
 }

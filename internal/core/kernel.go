@@ -86,8 +86,8 @@ func (k *moveKernel) Snapshot() *place.Placement { return k.st.P.Clone() }
 
 // costNow evaluates the cost of the current (possibly staged) state
 // from the kernel's integer books, with the same expression and
-// operation order as the clone-based cost functions (AnnealArea's cost
-// closure and ftCost), so the floats are bit-identical.
+// operation order as the clone-and-recompute reference cost
+// (reference_test.go), so the floats are bit-identical.
 func (k *moveKernel) costNow() float64 {
 	c := float64(k.st.ArrayCells()) + k.o.OverlapPenalty*float64(k.st.Overlap())
 	if len(k.prob.Obstacles) > 0 {
@@ -100,8 +100,8 @@ func (k *moveKernel) costNow() float64 {
 }
 
 // Propose generates a Section 4(b) move. It consumes the RNG in
-// exactly the order the clone-based neighbor function did, so seeded
-// runs stay reproducible across the refactor.
+// exactly the order the clone-and-recompute reference placer
+// (reference_test.go) does, so seeded runs match it.
 func (k *moveKernel) Propose(T float64, rng *rand.Rand) kernelMove {
 	p := k.st.P
 	n := len(p.Modules)

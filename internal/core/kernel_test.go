@@ -41,7 +41,7 @@ func samePlacement(a, b *place.Placement) bool {
 //   - Revert restores the placement and cost exactly.
 func runKernelDifferential(t *testing.T, prob Problem, o Options, beta float64, useFTI, singleOnly bool, seed int64, moves int) {
 	t.Helper()
-	o = o.withDefaults(len(prob.Modules))
+	o = o.withDefaults()
 
 	k := newMoveKernel(initialPlacement(prob), prob, o, beta, useFTI, singleOnly)
 	cur := k.st.P.Clone() // mirror for the clone-based path

@@ -8,50 +8,6 @@ import (
 	"dmfb/internal/telemetry"
 )
 
-// TestAnnealAreaBestOfDeterministicAcrossRestartCounts verifies that
-// the parallel restarts are bit-reproducible regardless of restart
-// count and scheduling: BestOf(n) run twice gives the same placement,
-// and its result equals the best of the individual seeded runs (which
-// each share the immutable problem with restart-private state).
-func TestAnnealAreaBestOfDeterministicAcrossRestartCounts(t *testing.T) {
-	prob := Problem{Modules: []place.Module{
-		mod(0, "A", 3, 2, 0, 6), mod(1, "B", 2, 4, 2, 9),
-		mod(2, "C", 2, 2, 5, 12), mod(3, "D", 4, 2, 8, 14),
-	}, MaxW: 8, MaxH: 8}
-	opts := lightOptions(21)
-
-	for _, n := range []int{1, 2, 3} {
-		p1, _, err := AnnealAreaBestOf(prob, opts, n)
-		if err != nil {
-			t.Fatalf("BestOf(%d): %v", n, err)
-		}
-		p2, _, err := AnnealAreaBestOf(prob, opts, n)
-		if err != nil {
-			t.Fatalf("BestOf(%d) rerun: %v", n, err)
-		}
-		if p1.String() != p2.String() {
-			t.Fatalf("BestOf(%d) not deterministic:\n%s\nvs\n%s", n, p1, p2)
-		}
-
-		// Equals the best of the standalone runs, ties to lowest seed.
-		var want *place.Placement
-		for i := 0; i < n; i++ {
-			o := opts
-			o.Seed = opts.Seed + int64(i)
-			p, _, err := AnnealArea(prob, o)
-			if err != nil {
-				t.Fatalf("AnnealArea(seed %d): %v", o.Seed, err)
-			}
-			if want == nil || p.ArrayCells() < want.ArrayCells() {
-				want = p
-			}
-		}
-		if p1.String() != want.String() {
-			t.Fatalf("BestOf(%d) != best standalone run:\n%s\nvs\n%s", n, p1, want)
-		}
-	}
-}
-
 // TestAnnealAreaObstaclePinnedNoNormalize checks the obstacle path
 // skips normalisation: with a dead cell at the origin of a tight core,
 // the only feasible placements leave the origin free, so the returned

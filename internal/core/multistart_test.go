@@ -130,3 +130,83 @@ func TestMultiStartSeedOverride(t *testing.T) {
 		t.Fatal("Search.Seed=99 should equal base Seed=99 for the same start count")
 	}
 }
+
+// TestAnnealAreaBestOf pins that the area placer honours Search
+// through the same fan-out as TwoStage: a single start is
+// byte-identical to a plain run, and a 4-start search returns a valid
+// placement no worse than start 0 (the plain run), the same one on a
+// rerun.
+func TestAnnealAreaBestOf(t *testing.T) {
+	prob := pcrProblem()
+	base := multiStartOptions(7)
+	plain, plainStats, err := AnnealArea(prob, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := base
+	one.Search = place.SearchOptions{Starts: 1, Workers: 3}
+	p1, st1, err := AnnealArea(prob, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.String() != plain.String() || st1 != plainStats {
+		t.Fatalf("Starts 1 diverged from the plain run:\n%s\nvs\n%s", p1, plain)
+	}
+
+	multi := base
+	multi.Search = place.SearchOptions{Starts: 4}
+	p, st, err := AnnealArea(prob, multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The search includes start 0, so it can only match or improve.
+	if st.FinalCost > plainStats.FinalCost {
+		t.Errorf("best-of-4 cost %v worse than start 0 (%v)", st.FinalCost, plainStats.FinalCost)
+	}
+	again, _, err := AnnealArea(prob, multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != p.String() {
+		t.Error("parallel best-of not deterministic")
+	}
+}
+
+// TestAnnealAreaBestOfDeterministicAcrossRestartCounts verifies that
+// for 1, 2 and 3 starts the search picks the same winner at 1 and 3
+// workers, namely the best of the standalone per-start runs (ties to
+// the lowest index).
+func TestAnnealAreaBestOfDeterministicAcrossRestartCounts(t *testing.T) {
+	prob := pcrProblem()
+	base := multiStartOptions(7)
+	for _, n := range []int{1, 2, 3} {
+		multi := base
+		multi.Search = place.SearchOptions{Starts: n}
+		var want *place.Placement
+		var wantStats Stats
+		for i := 0; i < n; i++ {
+			p, st, err := AnnealArea(prob, startOptions(multi, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil || st.FinalCost < wantStats.FinalCost {
+				want, wantStats = p, st
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			o := multi
+			o.Search.Workers = workers
+			p, st, err := AnnealArea(prob, o)
+			if err != nil {
+				t.Fatalf("starts=%d workers=%d: %v", n, workers, err)
+			}
+			if p.String() != want.String() || st != wantStats {
+				t.Fatalf("starts=%d workers=%d: winner is not the best standalone start:\n%s\nvs\n%s",
+					n, workers, p, want)
+			}
+		}
+	}
+}

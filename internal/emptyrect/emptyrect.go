@@ -271,17 +271,6 @@ func isMaximal(g *grid.Grid, r geom.Rect) bool {
 	return true
 }
 
-// Accommodates reports whether a module footprint s fits inside any of
-// the rectangles, in either orientation.
-func Accommodates(rects []geom.Rect, s geom.Size) bool {
-	for _, r := range rects {
-		if s.FitsEither(r.Size()) {
-			return true
-		}
-	}
-	return false
-}
-
 // AccommodatesAvoiding reports whether a module footprint s can be
 // placed inside some rectangle without covering the cell avoid. This
 // is the relocation feasibility test for a faulty cell that lies within
@@ -326,33 +315,13 @@ func overlapLen(a0, a1, b0, b1 int) int {
 	return hi - lo + 1
 }
 
-// BestFit returns the placement rectangle for footprint s (considering
-// both orientations) inside the rectangle set that minimises leftover
-// area of the hosting MER, preferring the first in sorted order on
-// ties. ok is false when no rectangle accommodates s. The returned
-// rect is anchored at its host's origin.
-func BestFit(rects []geom.Rect, s geom.Size) (placed geom.Rect, ok bool) {
-	bestWaste := int(^uint(0) >> 1)
-	for _, r := range rects {
-		for _, o := range orientations(s) {
-			if !o.Fits(r.Size()) {
-				continue
-			}
-			waste := r.Cells() - o.Cells()
-			if waste < bestWaste {
-				bestWaste = waste
-				placed = geom.RectAt(r.Origin(), o)
-				ok = true
-			}
-		}
-	}
-	return placed, ok
-}
-
-// BestFitAvoiding is BestFit with the additional constraint that the
-// placement must not cover the cell avoid. The placement is anchored
-// at the host origin when that avoids the cell, otherwise shifted the
-// minimum distance needed.
+// BestFitAvoiding returns the placement rectangle for footprint s
+// (considering both orientations) inside the rectangle set that
+// minimises leftover area of the hosting MER, preferring the first in
+// sorted order on ties, under the constraint that the placement must
+// not cover the cell avoid. ok is false when no rectangle can host s
+// that way. The placement is anchored at the host origin when that
+// avoids the cell, otherwise shifted the minimum distance needed.
 func BestFitAvoiding(rects []geom.Rect, s geom.Size, avoid geom.Point) (placed geom.Rect, ok bool) {
 	bestWaste := int(^uint(0) >> 1)
 	for _, r := range rects {

@@ -171,8 +171,11 @@ func TestEveryFreeCellCovered(t *testing.T) {
 	}
 }
 
+// TestAccommodates checks plain fit (in either orientation) through
+// AccommodatesAvoiding with the avoided cell outside every rectangle.
 func TestAccommodates(t *testing.T) {
 	rects := []geom.Rect{{X: 0, Y: 0, W: 3, H: 5}, {X: 4, Y: 4, W: 2, H: 2}}
+	outside := geom.Point{X: -1, Y: -1}
 	cases := []struct {
 		s    geom.Size
 		want bool
@@ -185,12 +188,12 @@ func TestAccommodates(t *testing.T) {
 		{geom.Size{W: 3, H: 4}, true},
 	}
 	for _, c := range cases {
-		if got := Accommodates(rects, c.s); got != c.want {
-			t.Errorf("Accommodates(%v) = %v, want %v", c.s, got, c.want)
+		if got := AccommodatesAvoiding(rects, c.s, outside); got != c.want {
+			t.Errorf("AccommodatesAvoiding(%v) = %v, want %v", c.s, got, c.want)
 		}
 	}
-	if Accommodates(nil, geom.Size{W: 1, H: 1}) {
-		t.Error("Accommodates(nil) = true")
+	if AccommodatesAvoiding(nil, geom.Size{W: 1, H: 1}, outside) {
+		t.Error("AccommodatesAvoiding(nil) = true")
 	}
 }
 
@@ -246,18 +249,21 @@ func TestAccommodatesAvoidingProperty(t *testing.T) {
 	}
 }
 
+// TestBestFit checks the least-waste host choice through
+// BestFitAvoiding with the avoided cell outside every rectangle.
 func TestBestFit(t *testing.T) {
 	rects := []geom.Rect{{X: 0, Y: 0, W: 6, H: 6}, {X: 7, Y: 0, W: 3, H: 4}}
-	placed, ok := BestFit(rects, geom.Size{W: 3, H: 4})
+	outside := geom.Point{X: -1, Y: -1}
+	placed, ok := BestFitAvoiding(rects, geom.Size{W: 3, H: 4}, outside)
 	if !ok {
-		t.Fatal("BestFit failed")
+		t.Fatal("BestFitAvoiding failed")
 	}
 	// The 3x4 host wastes 0 cells; must be chosen over the 6x6.
 	if placed != (geom.Rect{X: 7, Y: 0, W: 3, H: 4}) {
-		t.Fatalf("BestFit = %v, want tight host", placed)
+		t.Fatalf("BestFitAvoiding = %v, want tight host", placed)
 	}
-	if _, ok := BestFit(rects, geom.Size{W: 7, H: 7}); ok {
-		t.Fatal("BestFit accepted an oversized module")
+	if _, ok := BestFitAvoiding(rects, geom.Size{W: 7, H: 7}, outside); ok {
+		t.Fatal("BestFitAvoiding accepted an oversized module")
 	}
 }
 
@@ -299,8 +305,9 @@ func BenchmarkMaximalBrute16x16(b *testing.B) {
 	}
 }
 
-// Property: BestFit returns a placement inside some MER that the
-// footprint fits, and reports failure exactly when Accommodates does.
+// Property: BestFitAvoiding returns a free placement of the footprint
+// that does not cover the avoided cell, and reports failure exactly
+// when AccommodatesAvoiding does.
 func TestBestFitConsistencyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 300; trial++ {
@@ -310,18 +317,19 @@ func TestBestFitConsistencyProperty(t *testing.T) {
 		}
 		mers := Maximal(g)
 		s := geom.Size{W: 1 + rng.Intn(4), H: 1 + rng.Intn(4)}
-		placed, ok := BestFit(mers, s)
-		if ok != Accommodates(mers, s) {
-			t.Fatalf("BestFit ok=%v disagrees with Accommodates", ok)
+		avoid := geom.Point{X: rng.Intn(g.W()+2) - 1, Y: rng.Intn(g.H()+2) - 1}
+		placed, ok := BestFitAvoiding(mers, s, avoid)
+		if ok != AccommodatesAvoiding(mers, s, avoid) {
+			t.Fatalf("BestFitAvoiding ok=%v disagrees with AccommodatesAvoiding", ok)
 		}
 		if !ok {
 			continue
 		}
 		if placed.Size() != s && placed.Size() != s.Transpose() {
-			t.Fatalf("BestFit returned wrong footprint %v for %v", placed.Size(), s)
+			t.Fatalf("BestFitAvoiding returned wrong footprint %v for %v", placed.Size(), s)
 		}
-		if !g.RectFree(placed) {
-			t.Fatalf("BestFit placement %v not free in\n%s", placed, g)
+		if !g.RectFree(placed) || placed.Contains(avoid) {
+			t.Fatalf("BestFitAvoiding placement %v not free or covers %v in\n%s", placed, avoid, g)
 		}
 	}
 }

@@ -249,21 +249,3 @@ func Yield(p *place.Placement, defectProb float64, trials int, seed int64,
 			return campaign.Outcome{Survived: true, Value: float64(len(defects))}
 		})
 }
-
-// SweepPoint pairs a placement label with its measured survival.
-type SweepPoint struct {
-	Label    string
-	FTI      float64
-	Measured float64
-}
-
-// CompareSurvival runs the exhaustive single-fault campaign over
-// several placements, for FTI-versus-survivability tables.
-func CompareSurvival(placements map[string]*place.Placement) []SweepPoint {
-	var out []SweepPoint
-	for label, p := range placements {
-		s := ExhaustiveSingleFault(p)
-		out = append(out, SweepPoint{Label: label, FTI: s.PredictedFTI, Measured: s.SurvivalRate()})
-	}
-	return out
-}

@@ -90,16 +90,6 @@ func TestMultiFaultSingleEqualsMonteCarloSingle(t *testing.T) {
 	}
 }
 
-func TestCompareSurvival(t *testing.T) {
-	pts := CompareSurvival(map[string]*place.Placement{"spaced": spaced()})
-	if len(pts) != 1 || pts[0].Label != "spaced" {
-		t.Fatalf("points = %v", pts)
-	}
-	if math.Abs(pts[0].FTI-pts[0].Measured) > 1e-12 {
-		t.Error("exhaustive comparison should match FTI")
-	}
-}
-
 func TestConfidenceIntervalCoversFTI(t *testing.T) {
 	p := spaced()
 	s := SingleFault(p, 2000, 3)

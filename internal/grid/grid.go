@@ -8,8 +8,7 @@
 // the hot geometric predicates — RectFree, SetRect, CountOccupied —
 // are word operations (mask tests, popcounts) instead of per-cell
 // byte loads. Scanline consumers (the maximal-empty-rectangle miner)
-// read rows through RowWords; BoolGrid retains the historical []bool
-// implementation as a differential-testing oracle.
+// read rows through RowWords.
 package grid
 
 import (
@@ -106,21 +105,6 @@ func (g *Grid) Words() []uint64 { return g.words }
 // instead of per-cell Occupied calls.
 func (g *Grid) RowWords(y int) []uint64 {
 	return g.words[y*g.wpr : (y+1)*g.wpr]
-}
-
-// Row returns row y of the occupancy matrix as a freshly allocated
-// []bool. It panics if y is out of range.
-//
-// Deprecated: Row is the pre-bit-packing read surface, kept as a
-// compatibility shim; it allocates on every call. Hot paths should
-// read RowWords (or Words) instead.
-func (g *Grid) Row(y int) []bool {
-	row := g.RowWords(y)
-	out := make([]bool, g.w)
-	for x := range out {
-		out[x] = row[x/wordBits]&(1<<(uint(x)%wordBits)) != 0
-	}
-	return out
 }
 
 // Resize reshapes the grid to w×h and marks every cell free, reusing

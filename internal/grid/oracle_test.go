@@ -11,8 +11,7 @@ import (
 // differential-testing oracle for the bit-packed Grid: it implements
 // the same operations cell by cell, with no word-level cleverness to
 // share a bug with. Property tests drive both implementations through
-// identical op sequences and assert identical observations. It is not
-// used outside tests and carries no performance guarantees.
+// identical op sequences and assert identical observations.
 type BoolGrid struct {
 	w, h  int
 	cells []bool // row-major: index = y*w + x

@@ -101,31 +101,6 @@ func TestGridOpSequenceOracle(t *testing.T) {
 	}
 }
 
-// TestRowShimMatchesWords pins the deprecated Row shim to the word
-// API: both must describe the same cells.
-func TestRowShimMatchesWords(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, w := range []int{1, 9, 63, 64, 65, 129} {
-		g := New(w, 4)
-		for i := 0; i < w*4/3; i++ {
-			g.Set(geom.Point{X: rng.Intn(w), Y: rng.Intn(4)}, true)
-		}
-		for y := 0; y < g.H(); y++ {
-			row := g.Row(y)
-			words := g.RowWords(y)
-			if len(row) != w || len(words) != WordsPerRow(w) {
-				t.Fatalf("w=%d y=%d: len(Row)=%d len(RowWords)=%d", w, y, len(row), len(words))
-			}
-			for x := 0; x < w; x++ {
-				fromWord := words[x/64]&(1<<(uint(x)%64)) != 0
-				if row[x] != fromWord {
-					t.Fatalf("w=%d cell (%d,%d): Row says %v, RowWords says %v", w, x, y, row[x], fromWord)
-				}
-			}
-		}
-	}
-}
-
 // TestWordPaddingInvariant checks that no mutation leaves stray bits
 // past the grid width, the invariant PopCount and word-level readers
 // rely on.

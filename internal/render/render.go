@@ -204,27 +204,3 @@ func GanttSVG(s *schedule.Schedule, secPx int) string {
 	b.WriteString("</svg>\n")
 	return b.String()
 }
-
-// BetaTable formats a β sweep as the paper's Table 2: one column per
-// β value, rows for area (mm²) and FTI.
-func BetaTable(points []struct {
-	Beta    float64
-	AreaMM2 float64
-	FTI     float64
-}) string {
-	var b strings.Builder
-	b.WriteString("beta      ")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%10.0f", p.Beta)
-	}
-	b.WriteString("\narea(mm2) ")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%10.2f", p.AreaMM2)
-	}
-	b.WriteString("\nFTI       ")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%10.4f", p.FTI)
-	}
-	b.WriteString("\n")
-	return b.String()
-}

@@ -97,23 +97,6 @@ func TestPlacementSVG(t *testing.T) {
 	}
 }
 
-func TestBetaTable(t *testing.T) {
-	pts := []struct {
-		Beta    float64
-		AreaMM2 float64
-		FTI     float64
-	}{
-		{10, 141.75, 0.2857},
-		{60, 222.75, 1.0},
-	}
-	s := BetaTable(pts)
-	for _, want := range []string{"141.75", "222.75", "0.2857", "1.0000", "beta"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("table missing %q:\n%s", want, s)
-		}
-	}
-}
-
 func TestGlyphsStayDistinctOnPCR(t *testing.T) {
 	prob := core.FromSchedule(pcr.MustSchedule())
 	g, err := core.Greedy(prob, true)

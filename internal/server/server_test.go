@@ -204,6 +204,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/compile", `{not json`, http.StatusBadRequest, ""},
 		{"/v1/compile", `{"assay":"warp"}`, http.StatusBadRequest, "synth"},
 		{"/v1/compile", `{"assay":"pcr","placer":"magic"}`, http.StatusBadRequest, "place"},
+		{"/v1/compile", `{"assay":"pcr","iters_per_module":-1}`, http.StatusBadRequest, "place"},
 		{"/v1/compile", `{"assay":"pcr","bogus_field":1}`, http.StatusBadRequest, ""},
 		{"/v1/compile", `{"assay":"pcr","recovery":"l1"}`, http.StatusBadRequest, ""},
 		{"/v1/simulate", `{"assay":"pcr","recovery":"yolo"}`, http.StatusBadRequest, ""},
@@ -333,6 +334,52 @@ func TestAsyncJobFlow(t *testing.T) {
 			t.Fatal("async job never finished")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestAsyncBadOptionsFailsJob checks that an async request whose
+// options the placer rejects ends its job with 400 and stage "place",
+// and that the server keeps answering afterwards.
+func TestAsyncBadOptionsFailsJob(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, b := post(t, ts, "/v1/compile", `{"assay":"pcr","iters_per_module":-1,"async":true}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async compile: status %d, want 202 (body %s)", resp.StatusCode, b)
+	}
+	var acc struct {
+		StatusURL string `json:"status_url"`
+	}
+	if err := json.Unmarshal(b, &acc); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + acc.StatusURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			var er struct {
+				Stage string `json:"stage"`
+			}
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || er.Stage != "place" {
+				t.Fatalf("job poll: status %d body %s, want 400 with stage place", resp.StatusCode, body)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("async job never finished")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	if resp, b := post(t, ts, "/v1/compile", `{"assay":"pcr","placer":"greedy"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow-up compile: status %d (body %s)", resp.StatusCode, b)
 	}
 }
 

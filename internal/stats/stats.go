@@ -42,14 +42,6 @@ func WilsonInterval(k, n int, z float64) (lo, hi float64) {
 // Wilson95 is WilsonInterval at 95% coverage.
 func Wilson95(k, n int) (lo, hi float64) { return WilsonInterval(k, n, z95) }
 
-// Covers95 reports whether the 95% Wilson interval for k/n contains
-// the hypothesised rate p — the acceptance test the Monte-Carlo suites
-// use to compare measured survival against a placement's FTI.
-func Covers95(k, n int, p float64) bool {
-	lo, hi := Wilson95(k, n)
-	return p >= lo && p <= hi
-}
-
 // Summary holds descriptive statistics of a sample. Median is the
 // p50 quantile.
 type Summary struct {

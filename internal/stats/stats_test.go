@@ -60,7 +60,7 @@ func TestWilsonCoverageProperty(t *testing.T) {
 					k++
 				}
 			}
-			if Covers95(k, n, p) {
+			if lo, hi := Wilson95(k, n); p >= lo && p <= hi {
 				covered++
 			}
 		}
