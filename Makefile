@@ -35,7 +35,8 @@ errcheck:
 	@out="$$(grep -rnE '(^|[^[:alnum:]_])_ =|, _ =|, _ :=' \
 		--include='*.go' --exclude='*_test.go' \
 		internal/recovery internal/sim internal/campaign internal/obs \
-		internal/pipeline internal/pcache internal/server internal/dispatch || true)"; \
+		internal/pipeline internal/pcache internal/server internal/dispatch \
+		internal/faultsim || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "ignored error returns (handle or propagate):"; echo "$$out"; exit 1; \
 	fi

@@ -296,7 +296,11 @@ func BenchmarkMonteCarloSurvival(b *testing.B) {
 	fixtures(b)
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		rate = MonteCarloSingleFault(fx.tolerant, 10000, 7).SurvivalRate()
+		mc, err := MonteCarloSingleFault(fx.tolerant, 10000, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rate = mc.SurvivalRate()
 	}
 	b.ReportMetric(rate, "survival")
 	b.ReportMetric(ComputeFTI(fx.tolerant).FTI(), "fti")
@@ -311,8 +315,15 @@ func BenchmarkFullVsPartialReconfiguration(b *testing.B) {
 	light := PlacerOptions{Seed: 1, ItersPerModule: 60, WindowPatience: 3}
 	var partial, full float64
 	for i := 0; i < b.N; i++ {
-		partial = MonteCarloMultiFault(fx.tolerant, 2, 100, 5).SurvivalRate()
-		full = faultsim.MultiFaultFull(fx.tolerant, 2, 100, 5, light).SurvivalRate()
+		p, err := MonteCarloMultiFault(fx.tolerant, 2, 100, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := faultsim.Run(fx.tolerant, 100, 5, faultsim.MultiFaultTrial(fx.tolerant, 2, true, light))
+		if err != nil {
+			b.Fatal(err)
+		}
+		partial, full = p.SurvivalRate(), f.SurvivalRate()
 	}
 	b.ReportMetric(partial, "partial_survival")
 	b.ReportMetric(full, "full_survival")

@@ -489,7 +489,7 @@ func monteCarlo() []measurement {
 	}{{"area-minimal", "area_minimal", s1},
 		{"fault-tolerant (beta=60)", "fault_tolerant", res.Placement}} {
 		ex := dmfb.ExhaustiveSingleFault(c.p)
-		mc := dmfb.MonteCarloSingleFault(c.p, 10000, *seed)
+		mc := must(dmfb.MonteCarloSingleFault(c.p, 10000, *seed))
 		fmt.Printf("%-26s exhaustive: %v\n", c.label, ex)
 		fmt.Printf("%-26s montecarlo: %v\n", c.label, mc)
 		// The FTI is the exact single-fault survival rate, so the
@@ -501,7 +501,7 @@ func monteCarlo() []measurement {
 			Paper:    dmfb.Round4(ex.SurvivalRate()),
 		})
 		for _, k := range []int{2, 3} {
-			mk := dmfb.MonteCarloMultiFault(c.p, k, 2000, *seed)
+			mk := must(dmfb.MonteCarloMultiFault(c.p, k, 2000, *seed))
 			fmt.Printf("%-26s %d faults:   survived %.4f\n", c.label, k, mk.SurvivalRate())
 			ms = append(ms, measurement{
 				Name:     fmt.Sprintf("%s_%dfault_survival", c.slug, k),

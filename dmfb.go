@@ -34,6 +34,7 @@ import (
 	"dmfb/internal/assay"
 	"dmfb/internal/campaign"
 	"dmfb/internal/core"
+	"dmfb/internal/defect"
 	"dmfb/internal/faultsim"
 	"dmfb/internal/fluidics"
 	"dmfb/internal/format"
@@ -315,9 +316,10 @@ func TestArrayOnline(c *Chip, keepOut []Rect) TestReport { return testdrop.Onlin
 func LocateAllFaults(c *Chip) []Point { return testdrop.LocalizeAll(c) }
 
 // MonteCarloSingleFault measures survival under uniform random
-// single-cell faults; the rate converges to the placement's FTI.
-func MonteCarloSingleFault(p *Placement, trials int, seed int64) FaultCampaign {
-	return faultsim.SingleFault(p, trials, seed)
+// single-cell faults; the rate converges to the placement's FTI. The
+// error rejects a campaign of fewer than one trial.
+func MonteCarloSingleFault(p *Placement, trials int, seed int64) (FaultCampaign, error) {
+	return faultsim.Run(p, trials, seed, faultsim.SingleFaultTrial(p))
 }
 
 // ExhaustiveSingleFault attempts recovery for every array cell; its
@@ -328,8 +330,8 @@ func ExhaustiveSingleFault(p *Placement) FaultCampaign {
 
 // MonteCarloMultiFault measures survival under k sequential faults
 // with partial reconfiguration between failures.
-func MonteCarloMultiFault(p *Placement, k, trials int, seed int64) FaultCampaign {
-	return faultsim.MultiFault(p, k, trials, seed)
+func MonteCarloMultiFault(p *Placement, k, trials int, seed int64) (FaultCampaign, error) {
+	return faultsim.Run(p, trials, seed, faultsim.MultiFaultTrial(p, k, false, core.Options{}))
 }
 
 // EstimateYield measures the fraction of chips usable when every array
@@ -337,8 +339,9 @@ func MonteCarloMultiFault(p *Placement, k, trials int, seed int64) FaultCampaign
 // defects by sequential partial reconfiguration; withFull adds full
 // re-placement (configured by opts) as a fallback.
 func EstimateYield(p *Placement, defectProb float64, trials int, seed int64,
-	withFull bool, opts PlacerOptions) FaultCampaign {
-	return faultsim.Yield(p, defectProb, trials, seed, withFull, opts)
+	withFull bool, opts PlacerOptions) (FaultCampaign, error) {
+	return faultsim.Run(p, trials, seed,
+		faultsim.DefectYieldTrial(p, defect.Uniform{Prob: defectProb}, withFull, opts))
 }
 
 // RunCampaign executes a fault-injection campaign across a worker

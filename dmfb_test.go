@@ -184,13 +184,29 @@ func TestFacadeFaultCampaigns(t *testing.T) {
 	if math.Abs(ex.SurvivalRate()-ex.PredictedFTI) > 1e-12 {
 		t.Error("exhaustive campaign does not match FTI")
 	}
-	mc := MonteCarloSingleFault(p, 800, 1)
+	mc, err := MonteCarloSingleFault(p, 800, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(mc.SurvivalRate()-mc.PredictedFTI) > 0.1 {
 		t.Errorf("Monte-Carlo %.3f far from FTI %.3f", mc.SurvivalRate(), mc.PredictedFTI)
 	}
-	multi := MonteCarloMultiFault(p, 2, 200, 2)
+	multi, err := MonteCarloMultiFault(p, 2, 200, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if multi.SurvivalRate() > mc.SurvivalRate()+0.1 {
 		t.Error("two faults survive more often than one")
+	}
+	// An empty campaign is an error, not a panic.
+	if _, err := MonteCarloMultiFault(p, 2, 0, 1); err == nil {
+		t.Error("zero-trial multi-fault campaign accepted")
+	}
+	if _, err := MonteCarloSingleFault(p, -1, 1); err == nil {
+		t.Error("negative-trial single-fault campaign accepted")
+	}
+	if _, err := EstimateYield(p, 0.01, 0, 1, false, PlacerOptions{}); err == nil {
+		t.Error("zero-trial yield campaign accepted")
 	}
 }
 
@@ -288,7 +304,10 @@ func TestFacadeExtensions(t *testing.T) {
 			t.Error("full reconfiguration covers the dead cell")
 		}
 	}
-	y := EstimateYield(p, 0.01, 40, 1, false, light)
+	y, err := EstimateYield(p, 0.01, 40, 1, false, light)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if y.Trials != 40 {
 		t.Error("yield campaign wrong size")
 	}
@@ -298,8 +317,14 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 
 	// Multi-fault with full fallback never loses to partial-only.
-	mfPartial := MonteCarloMultiFault(p, 2, 60, 4)
-	mfFull := faultsim.MultiFaultFull(p, 2, 60, 4, light)
+	mfPartial, err := MonteCarloMultiFault(p, 2, 60, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mfFull, err := faultsim.Run(p, 60, 4, faultsim.MultiFaultTrial(p, 2, true, light))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mfFull.Survived < mfPartial.Survived {
 		t.Error("full fallback below partial-only")
 	}

@@ -45,9 +45,18 @@ func main() {
 	fmt.Printf("%-22s %8s %12s %12s %10s %10s\n",
 		"design", "cells", "FTI", "MC(1 fault)", "MC(2)", "MC(3)")
 	for _, d := range designs {
-		single := dmfb.MonteCarloSingleFault(d.p, 20000, 7)
-		two := dmfb.MonteCarloMultiFault(d.p, 2, 4000, 7)
-		three := dmfb.MonteCarloMultiFault(d.p, 3, 4000, 7)
+		single, err := dmfb.MonteCarloSingleFault(d.p, 20000, 7)
+		if err != nil {
+			log.Fatal(err)
+		}
+		two, err := dmfb.MonteCarloMultiFault(d.p, 2, 4000, 7)
+		if err != nil {
+			log.Fatal(err)
+		}
+		three, err := dmfb.MonteCarloMultiFault(d.p, 3, 4000, 7)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-22s %8d %12.4f %12.4f %10.4f %10.4f\n",
 			d.label, d.p.ArrayCells(), single.PredictedFTI,
 			single.SurvivalRate(), two.SurvivalRate(), three.SurvivalRate())

@@ -49,7 +49,10 @@ func main() {
 	} {
 		fmt.Printf("%-28s", d.label)
 		for _, q := range densities {
-			y := dmfb.EstimateYield(d.p, q, trials, 11, false, light)
+			y, err := dmfb.EstimateYield(d.p, q, trials, 11, false, light)
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("%10.3f", y.SurvivalRate())
 		}
 		fmt.Println()
@@ -63,7 +66,10 @@ func main() {
 	} {
 		fmt.Printf("%-28s", d.label)
 		for _, q := range densities {
-			y := dmfb.EstimateYield(d.p, q, trials, 11, true, light)
+			y, err := dmfb.EstimateYield(d.p, q, trials, 11, true, light)
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("%10.3f", y.SurvivalRate())
 		}
 		fmt.Println()

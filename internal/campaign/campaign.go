@@ -12,12 +12,6 @@
 // cursor, completed trials stream to an append-only JSONL checkpoint,
 // and cancellation (context or per-trial timeout) is honoured between
 // and — cooperatively — within trials.
-//
-// The legacy sequential entry points of internal/faultsim predate this
-// engine and drew all trials from one shared RNG stream; they are kept
-// bit-identical via Config.SharedRNG, which pins the campaign to one
-// worker and threads a single stream through the trials in index
-// order. New campaigns should never set it.
 package campaign
 
 import (
@@ -48,8 +42,7 @@ type Trial struct {
 	// seed.
 	Seed int64
 	// RNG is the trial's private random stream, already positioned at
-	// its start. In SharedRNG mode it is the campaign-wide stream
-	// instead (and trials run strictly in index order).
+	// its start.
 	RNG *rand.Rand
 	// Tracer is the campaign's tracer (nil when tracing is disabled)
 	// and Span the id of this trial's "campaign.trial" span. Trial
@@ -99,8 +92,7 @@ type Config struct {
 	// checkpointing.
 	Checkpoint string
 	// Resume replays completed trials from the checkpoint file instead
-	// of re-running them. Requires Checkpoint; incompatible with
-	// SharedRNG (a shared stream cannot skip trials).
+	// of re-running them. Requires Checkpoint.
 	Resume bool
 	// Fingerprint identifies the campaign configuration beyond
 	// (Name, Seed, Trials) — typically ConfigFingerprint over the
@@ -110,11 +102,6 @@ type Config struct {
 	// different configuration. Empty disables the check against files
 	// that predate fingerprints.
 	Fingerprint string
-	// SharedRNG runs all trials in index order on one worker, sharing
-	// a single legacy math/rand stream seeded with Seed. It exists so
-	// the pre-engine sequential campaigns in internal/faultsim stay
-	// bit-identical; new campaigns should never set it.
-	SharedRNG bool
 	// Metrics, if non-nil, receives campaign.* counters and the
 	// campaign.trial_ms histogram.
 	Metrics *telemetry.Registry
@@ -177,12 +164,32 @@ type Report struct {
 	Resumed int
 }
 
-// trialResult is one slot of the in-memory result table.
-type trialResult struct {
-	done     bool
-	survived bool
-	value    float64
-	errMsg   string
+// slot is one entry of a result table: a trial's result once done.
+type slot struct {
+	done bool
+	res  TrialResult
+}
+
+// completed returns the done slots' results in index order.
+func completed(table []slot) []TrialResult {
+	out := make([]TrialResult, 0, len(table))
+	for _, s := range table {
+		if s.done {
+			out = append(out, s.res)
+		}
+	}
+	return out
+}
+
+// validate checks what every campaign entry point requires.
+func validate(cfg Config, fn TrialFunc) error {
+	if fn == nil {
+		return fmt.Errorf("campaign: nil trial function")
+	}
+	if cfg.Trials <= 0 {
+		return fmt.Errorf("campaign: need at least one trial, got %d", cfg.Trials)
+	}
+	return nil
 }
 
 // Run executes the campaign and returns its report. The error is
@@ -191,34 +198,17 @@ type trialResult struct {
 // partial Report still describes the completed trials, and the
 // checkpoint — if any — holds them for a later Resume).
 func Run(ctx context.Context, cfg Config, fn TrialFunc) (Report, error) {
-	if fn == nil {
-		return Report{}, fmt.Errorf("campaign: nil trial function")
-	}
-	if cfg.Trials <= 0 {
-		return Report{}, fmt.Errorf("campaign: need at least one trial, got %d", cfg.Trials)
+	if err := validate(cfg, fn); err != nil {
+		return Report{}, err
 	}
 	if cfg.Resume && cfg.Checkpoint == "" {
 		return Report{}, fmt.Errorf("campaign: Resume requires a Checkpoint path")
-	}
-	if cfg.Resume && cfg.SharedRNG {
-		return Report{}, fmt.Errorf("campaign: SharedRNG campaigns cannot resume (the stream cannot skip trials)")
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SharedRNG || workers > cfg.Trials {
-		if cfg.SharedRNG {
-			workers = 1
-		} else {
-			workers = cfg.Trials
-		}
 	}
 
 	start := time.Now()
 	span := cfg.Tracer.Start("campaign.run")
 
-	results := make([]trialResult, cfg.Trials)
+	table := make([]slot, cfg.Trials)
 	resumed := 0
 	hdr := checkpointHeader{V: checkpointVersion, Campaign: cfg.Name, Seed: cfg.Seed,
 		Trials: cfg.Trials, Config: cfg.Fingerprint}
@@ -228,7 +218,7 @@ func Run(ctx context.Context, cfg Config, fn TrialFunc) (Report, error) {
 			return Report{}, err
 		}
 		for idx, line := range done {
-			results[idx] = trialResult{done: true, survived: line.Survived, value: line.Value, errMsg: line.Err}
+			table[idx] = slot{done: true, res: line}
 			resumed++
 		}
 		cfg.Tracker.noteResumed(resumed)
@@ -243,123 +233,28 @@ func Run(ctx context.Context, cfg Config, fn TrialFunc) (Report, error) {
 	}
 
 	var (
-		mu        sync.Mutex
-		completed = resumed
+		count     = resumed
 		durations []float64
 		writeErr  error
 	)
-	finish := func(idx int, out Outcome, elapsed time.Duration) {
-		errMsg := ""
-		if out.Err != nil {
-			errMsg = out.Err.Error()
-		}
-		line := checkpointLine{Trial: idx, Survived: out.Survived && out.Err == nil, Value: out.Value, Err: errMsg}
-		var werr error
+	workers := runTrials(ctx, cfg, fn, 0, table, span.ID(), func(r TrialResult, ms float64) {
 		if cw != nil {
-			werr = cw.record(line)
+			if err := cw.record(r); err != nil && writeErr == nil {
+				writeErr = err
+			}
 		}
-		ms := float64(elapsed.Microseconds()) / 1000
-		cfg.Metrics.Counter("campaign.trials").Inc()
-		if line.Survived {
-			cfg.Metrics.Counter("campaign.trials_survived").Inc()
-		}
-		if errMsg != "" {
-			cfg.Metrics.Counter("campaign.trial_errors").Inc()
-		}
-		cfg.Metrics.Histogram("campaign.trial_ms", telemetry.LatencyBuckets...).Observe(ms)
-		cfg.Tracker.observe(line.Survived, errMsg != "", line.Value)
-
-		mu.Lock()
-		results[idx] = trialResult{done: true, survived: line.Survived, value: line.Value, errMsg: errMsg}
-		completed++
+		count++
 		durations = append(durations, ms)
-		if werr != nil && writeErr == nil {
-			writeErr = werr
-		}
 		if cfg.Progress != nil {
-			cfg.Progress(completed, cfg.Trials)
+			cfg.Progress(count, cfg.Trials)
 		}
-		mu.Unlock()
-	}
-
-	safeFn := panicSafe(cfg.Name, fn)
-	runOne := func(ctx context.Context, t Trial) {
-		tsp := cfg.Tracer.StartChild("campaign.trial", span.ID())
-		t.Tracer = cfg.Tracer
-		t.Span = tsp.ID()
-		t0 := time.Now()
-		out := execTrial(ctx, cfg.TrialTimeout, safeFn, t)
-		if cerr := ctx.Err(); cerr != nil && errors.Is(out.Err, cerr) {
-			// The campaign was cancelled while this trial was in
-			// flight: the outcome reflects the kill, not the trial.
-			// Leave the slot incomplete (and out of the checkpoint) so
-			// a resume re-runs the trial instead of replaying a
-			// phantom error — the resumed summary must be
-			// bit-identical to an uninterrupted run.
-			tsp.End(telemetry.Fields{"trial": t.Index, "cancelled": true})
-			return
-		}
-		tsp.End(telemetry.Fields{
-			"trial":    t.Index,
-			"survived": out.Survived && out.Err == nil,
-			"value":    out.Value,
-			"errored":  out.Err != nil,
-		})
-		finish(t.Index, out, time.Since(t0))
-	}
-
-	if cfg.SharedRNG {
-		// Legacy mode: one worker, one stream, strict index order.
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		for i := 0; i < cfg.Trials && ctx.Err() == nil; i++ {
-			runOne(ctx, Trial{Index: i, Seed: cfg.Seed, RNG: rng})
-		}
-	} else {
-		// Chunked dispatch: workers claim contiguous trial ranges from
-		// an atomic cursor, so per-trial scheduling overhead stays far
-		// below the cost of a trial even for microsecond-scale trials.
-		chunk := cfg.Trials / (workers * 8)
-		if chunk < 1 {
-			chunk = 1
-		}
-		if chunk > 256 {
-			chunk = 256
-		}
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					lo := int(cursor.Add(int64(chunk))) - chunk
-					if lo >= cfg.Trials {
-						return
-					}
-					hi := lo + chunk
-					if hi > cfg.Trials {
-						hi = cfg.Trials
-					}
-					for i := lo; i < hi; i++ {
-						if results[i].done { // replayed from checkpoint
-							continue
-						}
-						if ctx.Err() != nil {
-							return
-						}
-						runOne(ctx, Trial{Index: i, Seed: DeriveSeed(cfg.Seed, uint64(i)), RNG: TrialRNG(cfg.Seed, i)})
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	rep := Report{Workers: workers, Elapsed: time.Since(start), Resumed: resumed}
 	if len(durations) > 0 {
 		rep.TrialMS = stats.Describe(durations)
 	}
-	rep.Summary = summarize(cfg, results)
+	rep.Summary = Summarize(cfg.Name, cfg.Seed, completed(table))
 	span.End(telemetry.Fields{
 		"campaign": cfg.Name,
 		"trials":   rep.Summary.Trials,
@@ -375,6 +270,99 @@ func Run(ctx context.Context, cfg Config, fn TrialFunc) (Report, error) {
 			rep.Summary.Trials, cfg.Trials, err)
 	}
 	return rep, nil
+}
+
+// runTrials is the engine's one worker loop, shared by Run and
+// RunRange. It executes trials [lo, lo+len(table)) of cfg, skipping
+// those whose slot is already done (replayed from a checkpoint).
+// Workers claim contiguous chunks of trials from an atomic cursor, so
+// per-trial scheduling overhead stays far below the cost of a trial
+// even for microsecond-scale trials. Each completed trial fills its
+// slot and, when onDone is non-nil, is passed to it with its wall time
+// in milliseconds; both happen under one lock. It returns the
+// realised pool size.
+func runTrials(ctx context.Context, cfg Config, fn TrialFunc, lo int, table []slot,
+	parent telemetry.SpanID, onDone func(r TrialResult, ms float64)) int {
+	n := len(table)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	chunk := min(max(n/(workers*8), 1), 256)
+
+	safeFn := panicSafe(cfg.Name, fn)
+	var (
+		mu     sync.Mutex
+		cursor atomic.Int64
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				o := int(cursor.Add(int64(chunk))) - chunk
+				if o >= n {
+					return
+				}
+				for end := min(o+chunk, n); o < end; o++ {
+					if table[o].done {
+						continue
+					}
+					if ctx.Err() != nil {
+						return
+					}
+					i := lo + o
+					tsp := cfg.Tracer.StartChild("campaign.trial", parent)
+					t := Trial{Index: i, Seed: DeriveSeed(cfg.Seed, uint64(i)), RNG: TrialRNG(cfg.Seed, i),
+						Tracer: cfg.Tracer, Span: tsp.ID()}
+					t0 := time.Now()
+					out := execTrial(ctx, cfg.TrialTimeout, safeFn, t)
+					if cerr := ctx.Err(); cerr != nil && errors.Is(out.Err, cerr) {
+						// The campaign was cancelled while this trial was
+						// in flight: the outcome reflects the kill, not
+						// the trial. Leave the slot empty (and out of any
+						// checkpoint) so a resume or a re-issued range
+						// re-runs the trial instead of replaying a
+						// phantom error — the result must be
+						// bit-identical to an uninterrupted run.
+						tsp.End(telemetry.Fields{"trial": i, "cancelled": true})
+						return
+					}
+					ms := float64(time.Since(t0).Microseconds()) / 1000
+					r := TrialResult{Trial: i, Survived: out.Survived && out.Err == nil, Value: out.Value}
+					if out.Err != nil {
+						r.Err = out.Err.Error()
+					}
+					tsp.End(telemetry.Fields{
+						"trial":    i,
+						"survived": r.Survived,
+						"value":    r.Value,
+						"errored":  out.Err != nil,
+					})
+					cfg.Metrics.Counter("campaign.trials").Inc()
+					if r.Survived {
+						cfg.Metrics.Counter("campaign.trials_survived").Inc()
+					}
+					if r.Err != "" {
+						cfg.Metrics.Counter("campaign.trial_errors").Inc()
+					}
+					cfg.Metrics.Histogram("campaign.trial_ms", telemetry.LatencyBuckets...).Observe(ms)
+					cfg.Tracker.observe(r.Survived, r.Err != "", r.Value)
+
+					mu.Lock()
+					table[o] = slot{done: true, res: r}
+					if onDone != nil {
+						onDone(r, ms)
+					}
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return workers
 }
 
 // panicSafe wraps a trial function so a panicking trial is recorded as
@@ -419,21 +407,6 @@ func execTrial(ctx context.Context, timeout time.Duration, fn TrialFunc, t Trial
 		}
 		return Outcome{Err: fmt.Errorf("campaign: trial %d timed out after %v", t.Index, timeout)}
 	}
-}
-
-// summarize folds the result table, in trial-index order, into the
-// deterministic Summary. Incomplete trials (cancelled run) are
-// excluded from every aggregate.
-func summarize(cfg Config, results []trialResult) Summary {
-	rs := make([]TrialResult, 0, len(results))
-	for i := range results {
-		r := &results[i]
-		if !r.done {
-			continue
-		}
-		rs = append(rs, TrialResult{Trial: i, Survived: r.survived, Value: r.value, Err: r.errMsg})
-	}
-	return Summarize(cfg.Name, cfg.Seed, rs)
 }
 
 // Summarize is the canonical merge: it folds completed-trial results —
@@ -482,121 +455,26 @@ func Summarize(name string, seed int64, results []TrialResult) Summary {
 // any partition of [0, cfg.Trials) through Summarize reproduces
 // Run's summary byte for byte.
 //
-// Checkpointing, Resume and SharedRNG are whole-campaign concerns and
-// are rejected here; Metrics, Tracer, Tracker, Progress and
-// TrialTimeout apply as in Run. On cancellation the completed prefix
-// of results is returned along with the context error — partial
-// results are valid and may still be reported upstream.
+// Checkpointing and Resume are whole-campaign concerns and are
+// rejected here, and Progress is not called; Metrics, Tracer, Tracker
+// and TrialTimeout apply as in Run. On cancellation the completed
+// trials are returned along with the context error — partial results
+// are valid and may still be reported upstream.
 func RunRange(ctx context.Context, cfg Config, fn TrialFunc, lo, hi int) ([]TrialResult, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("campaign: nil trial function")
-	}
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("campaign: need at least one trial, got %d", cfg.Trials)
+	if err := validate(cfg, fn); err != nil {
+		return nil, err
 	}
 	if lo < 0 || hi > cfg.Trials || lo >= hi {
 		return nil, fmt.Errorf("campaign: range [%d,%d) outside campaign of %d trials", lo, hi, cfg.Trials)
 	}
-	if cfg.SharedRNG {
-		return nil, fmt.Errorf("campaign: shared-stream campaigns cannot run as ranges")
-	}
 	if cfg.Checkpoint != "" || cfg.Resume {
 		return nil, fmt.Errorf("campaign: RunRange does not checkpoint; record results upstream")
 	}
-	n := hi - lo
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 
 	span := cfg.Tracer.Start("campaign.range")
-	type slot struct {
-		done bool
-		res  TrialResult
-	}
-	results := make([]slot, n)
-	var mu sync.Mutex
-	safeFn := panicSafe(cfg.Name, fn)
-	record := func(out Outcome, t Trial) {
-		errMsg := ""
-		if out.Err != nil {
-			errMsg = out.Err.Error()
-		}
-		res := TrialResult{Trial: t.Index, Survived: out.Survived && out.Err == nil, Value: out.Value, Err: errMsg}
-		cfg.Metrics.Counter("campaign.trials").Inc()
-		if res.Survived {
-			cfg.Metrics.Counter("campaign.trials_survived").Inc()
-		}
-		if errMsg != "" {
-			cfg.Metrics.Counter("campaign.trial_errors").Inc()
-		}
-		cfg.Tracker.observe(res.Survived, errMsg != "", res.Value)
-		mu.Lock()
-		results[t.Index-lo] = slot{done: true, res: res}
-		mu.Unlock()
-	}
-
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > 256 {
-		chunk = 256
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				o := int(cursor.Add(int64(chunk))) - chunk
-				if o >= n {
-					return
-				}
-				end := o + chunk
-				if end > n {
-					end = n
-				}
-				for i := lo + o; i < lo+end; i++ {
-					if ctx.Err() != nil {
-						return
-					}
-					t := Trial{Index: i, Seed: DeriveSeed(cfg.Seed, uint64(i)), RNG: TrialRNG(cfg.Seed, i)}
-					tsp := cfg.Tracer.StartChild("campaign.trial", span.ID())
-					t.Tracer = cfg.Tracer
-					t.Span = tsp.ID()
-					out := execTrial(ctx, cfg.TrialTimeout, safeFn, t)
-					if cerr := ctx.Err(); cerr != nil && errors.Is(out.Err, cerr) {
-						// Cancelled in flight: the outcome reflects the
-						// kill, not the trial — leave the slot empty so
-						// the range is re-runnable without a phantom
-						// error, exactly as Run does.
-						tsp.End(telemetry.Fields{"trial": i, "cancelled": true})
-						return
-					}
-					tsp.End(telemetry.Fields{
-						"trial":    i,
-						"survived": out.Survived && out.Err == nil,
-						"value":    out.Value,
-						"errored":  out.Err != nil,
-					})
-					record(out, t)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	out := make([]TrialResult, 0, n)
-	for i := range results {
-		if results[i].done {
-			out = append(out, results[i].res)
-		}
-	}
+	table := make([]slot, hi-lo)
+	runTrials(ctx, cfg, fn, lo, table, span.ID(), nil)
+	out := completed(table)
 	span.End(telemetry.Fields{"campaign": cfg.Name, "lo": lo, "hi": hi, "completed": len(out)})
 	if err := ctx.Err(); err != nil {
 		return out, fmt.Errorf("campaign: range [%d,%d) interrupted after %d trials: %w", lo, hi, len(out), err)

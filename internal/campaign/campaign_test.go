@@ -15,6 +15,23 @@ import (
 	"dmfb/internal/telemetry"
 )
 
+// entryPoints runs a whole campaign through Run and through one
+// full-width RunRange merged by Summarize, so tests of the shared
+// worker loop (panics, timeouts, in-flight cancellation) cover both.
+var entryPoints = []struct {
+	name string
+	run  func(ctx context.Context, cfg Config, fn TrialFunc) (Summary, error)
+}{
+	{"Run", func(ctx context.Context, cfg Config, fn TrialFunc) (Summary, error) {
+		rep, err := Run(ctx, cfg, fn)
+		return rep.Summary, err
+	}},
+	{"RunRange", func(ctx context.Context, cfg Config, fn TrialFunc) (Summary, error) {
+		rs, err := RunRange(ctx, cfg, fn, 0, cfg.Trials)
+		return Summarize(cfg.Name, cfg.Seed, rs), err
+	}},
+}
+
 // coinTrial is a deterministic pseudo-workload: survival and value are
 // pure functions of the trial's RNG stream.
 func coinTrial(_ context.Context, t Trial) Outcome {
@@ -32,9 +49,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(ctx, Config{Trials: 1, Resume: true}, coinTrial); err == nil {
 		t.Error("Resume without Checkpoint accepted")
-	}
-	if _, err := Run(ctx, Config{Trials: 1, Resume: true, Checkpoint: "x", SharedRNG: true}, coinTrial); err == nil {
-		t.Error("Resume with SharedRNG accepted")
 	}
 }
 
@@ -85,48 +99,25 @@ func TestRunErrorsCounted(t *testing.T) {
 	}
 }
 
-func TestSharedRNGModeIsSequential(t *testing.T) {
-	var maxInFlight, inFlight, order atomic.Int32
-	lastIdx := -1
-	ok := true
-	rep, err := Run(context.Background(), Config{Trials: 64, Seed: 3, SharedRNG: true, Workers: 8},
-		func(_ context.Context, tr Trial) Outcome {
-			if n := inFlight.Add(1); n > maxInFlight.Load() {
-				maxInFlight.Store(n)
-			}
-			if tr.Index != lastIdx+1 {
-				ok = false
-			}
-			lastIdx = tr.Index
-			order.Add(1)
-			inFlight.Add(-1)
-			return Outcome{Survived: tr.RNG.Intn(2) == 0}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Workers != 1 || maxInFlight.Load() != 1 || !ok {
-		t.Errorf("shared mode ran concurrently: workers=%d maxInFlight=%d inOrder=%v",
-			rep.Workers, maxInFlight.Load(), ok)
-	}
-}
-
 func TestPerTrialTimeout(t *testing.T) {
-	rep, err := Run(context.Background(), Config{Trials: 8, Seed: 1, TrialTimeout: 20 * time.Millisecond},
-		func(ctx context.Context, tr Trial) Outcome {
-			if tr.Index == 3 {
-				<-ctx.Done() // a hung trial, released by the timeout
-				time.Sleep(time.Millisecond)
-				return Outcome{Survived: true}
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			s, err := ep.run(context.Background(), Config{Trials: 8, Seed: 1, TrialTimeout: 20 * time.Millisecond},
+				func(ctx context.Context, tr Trial) Outcome {
+					if tr.Index == 3 {
+						<-ctx.Done() // a hung trial, released by the timeout
+						time.Sleep(time.Millisecond)
+						return Outcome{Survived: true}
+					}
+					return Outcome{Survived: true}
+				})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return Outcome{Survived: true}
+			if s.Errors != 1 || s.Survived != 7 {
+				t.Errorf("errors=%d survived=%d, want 1 timeout and 7 survivals", s.Errors, s.Survived)
+			}
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Summary.Errors != 1 || rep.Summary.Survived != 7 {
-		t.Errorf("errors=%d survived=%d, want 1 timeout and 7 survivals",
-			rep.Summary.Errors, rep.Summary.Survived)
 	}
 }
 
@@ -233,20 +224,24 @@ func TestResumeToleratesTornTail(t *testing.T) {
 }
 
 func TestMetricsWired(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	if _, err := Run(context.Background(),
-		Config{Trials: 50, Seed: 1, Metrics: reg}, coinTrial); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Counter("campaign.trials").Value(); n != 50 {
-		t.Errorf("campaign.trials = %d, want 50", n)
-	}
-	if n := reg.Histogram("campaign.trial_ms").Count(); n != 50 {
-		t.Errorf("campaign.trial_ms count = %d, want 50", n)
-	}
-	surv := reg.Counter("campaign.trials_survived").Value()
-	if surv <= 0 || surv > 50 {
-		t.Errorf("campaign.trials_survived = %d", surv)
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			if _, err := ep.run(context.Background(),
+				Config{Trials: 50, Seed: 1, Metrics: reg}, coinTrial); err != nil {
+				t.Fatal(err)
+			}
+			if n := reg.Counter("campaign.trials").Value(); n != 50 {
+				t.Errorf("campaign.trials = %d, want 50", n)
+			}
+			if n := reg.Histogram("campaign.trial_ms").Count(); n != 50 {
+				t.Errorf("campaign.trial_ms count = %d, want 50", n)
+			}
+			surv := reg.Counter("campaign.trials_survived").Value()
+			if surv <= 0 || surv > 50 {
+				t.Errorf("campaign.trials_survived = %d", surv)
+			}
+		})
 	}
 }
 

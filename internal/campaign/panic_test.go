@@ -17,22 +17,25 @@ func panickyTrial(_ context.Context, t Trial) Outcome {
 }
 
 func TestPanickingTrialRecordedAsError(t *testing.T) {
-	rep, err := Run(context.Background(), Config{
-		Name: "panic-regression", Trials: 30, Workers: 4, Seed: 7,
-	}, panickyTrial)
-	if err != nil {
-		t.Fatalf("campaign must survive panicking trials, got %v", err)
-	}
-	s := rep.Summary
-	if s.Trials != 30 {
-		t.Fatalf("trials = %d, want 30", s.Trials)
-	}
-	if want := 10; s.Errors != want { // indices 0,3,...,27
-		t.Fatalf("errors = %d, want %d", s.Errors, want)
-	}
-	// Survivors: even, not divisible by 3 -> 2,4,8,10,14,16,20,22,26,28.
-	if want := 10; s.Survived != want {
-		t.Fatalf("survived = %d, want %d", s.Survived, want)
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			s, err := ep.run(context.Background(), Config{
+				Name: "panic-regression", Trials: 30, Workers: 4, Seed: 7,
+			}, panickyTrial)
+			if err != nil {
+				t.Fatalf("campaign must survive panicking trials, got %v", err)
+			}
+			if s.Trials != 30 {
+				t.Fatalf("trials = %d, want 30", s.Trials)
+			}
+			if want := 10; s.Errors != want { // indices 0,3,...,27
+				t.Fatalf("errors = %d, want %d", s.Errors, want)
+			}
+			// Survivors: even, not divisible by 3 -> 2,4,8,10,14,16,20,22,26,28.
+			if want := 10; s.Survived != want {
+				t.Fatalf("survived = %d, want %d", s.Survived, want)
+			}
+		})
 	}
 }
 

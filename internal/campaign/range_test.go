@@ -131,7 +131,6 @@ func TestRunRangeRejects(t *testing.T) {
 		{"inverted range", base, 6, 2},
 		{"beyond trials", base, 0, 11},
 		{"negative lo", base, -1, 4},
-		{"shared rng", Config{Name: "r", Trials: 10, Seed: 1, SharedRNG: true}, 0, 10},
 		{"checkpoint", Config{Name: "r", Trials: 10, Seed: 1, Checkpoint: "x.jsonl"}, 0, 10},
 	}
 	for _, tc := range cases {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dmfb/internal/campaign"
 	"dmfb/internal/core"
 	"dmfb/internal/geom"
 	"dmfb/internal/pcr"
@@ -24,8 +25,28 @@ func spaced() *place.Placement {
 	return p
 }
 
+// mustRun is Run for tests: a campaign the engine rejects is fatal.
+func mustRun(t *testing.T, p *place.Placement, trials int, seed int64, fn campaign.TrialFunc) Summary {
+	t.Helper()
+	s, err := Run(p, trials, seed, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestRunRejectsEmptyCampaign(t *testing.T) {
+	p := spaced()
+	for _, trials := range []int{0, -3} {
+		if _, err := Run(p, trials, 1, SingleFaultTrial(p)); err == nil {
+			t.Errorf("Run accepted %d trials", trials)
+		}
+	}
+}
+
 func TestExhaustiveMatchesFTIExactly(t *testing.T) {
-	placements := []*place.Placement{spaced()}
+	// An empty placement sweeps zero cells instead of failing.
+	placements := []*place.Placement{spaced(), place.New(nil)}
 	// Add the PCR area-minimal and fault-tolerant placements.
 	prob := core.FromSchedule(pcr.MustSchedule())
 	s1, _, err := core.AnnealArea(prob, core.Options{Seed: 2, ItersPerModule: 120, WindowPatience: 4})
@@ -46,7 +67,7 @@ func TestExhaustiveMatchesFTIExactly(t *testing.T) {
 
 func TestSingleFaultConvergesToFTI(t *testing.T) {
 	p := spaced()
-	s := SingleFault(p, 4000, 1)
+	s := mustRun(t, p, 4000, 1, SingleFaultTrial(p))
 	if math.Abs(s.SurvivalRate()-s.PredictedFTI) > 0.05 {
 		t.Errorf("Monte-Carlo %.4f too far from FTI %.4f", s.SurvivalRate(), s.PredictedFTI)
 	}
@@ -57,8 +78,8 @@ func TestSingleFaultConvergesToFTI(t *testing.T) {
 
 func TestSingleFaultDeterministicPerSeed(t *testing.T) {
 	p := spaced()
-	a := SingleFault(p, 500, 7)
-	b := SingleFault(p, 500, 7)
+	a := mustRun(t, p, 500, 7, SingleFaultTrial(p))
+	b := mustRun(t, p, 500, 7, SingleFaultTrial(p))
 	if a != b {
 		t.Error("same seed, different campaign results")
 	}
@@ -68,7 +89,7 @@ func TestMultiFaultDegradesMonotonically(t *testing.T) {
 	p := spaced()
 	prev := 1.1
 	for _, k := range []int{1, 3, 6} {
-		s := MultiFault(p, k, 400, 3)
+		s := mustRun(t, p, 400, 3, MultiFaultTrial(p, k, false, core.Options{}))
 		rate := s.SurvivalRate()
 		if rate > prev+0.05 { // sampling tolerance
 			t.Errorf("survival increased with more faults: k=%d rate=%.3f prev=%.3f", k, rate, prev)
@@ -76,7 +97,7 @@ func TestMultiFaultDegradesMonotonically(t *testing.T) {
 		prev = rate
 	}
 	// Absurd k: zero trials survive (cannot even place k faults).
-	s := MultiFault(p, 10000, 10, 1)
+	s := mustRun(t, p, 10, 1, MultiFaultTrial(p, 10000, false, core.Options{}))
 	if s.Survived != 0 {
 		t.Error("k > cells should survive nothing")
 	}
@@ -84,15 +105,15 @@ func TestMultiFaultDegradesMonotonically(t *testing.T) {
 
 func TestMultiFaultSingleEqualsMonteCarloSingle(t *testing.T) {
 	p := spaced()
-	mf := MultiFault(p, 1, 3000, 11)
+	mf := mustRun(t, p, 3000, 11, MultiFaultTrial(p, 1, false, core.Options{}))
 	if math.Abs(mf.SurvivalRate()-mf.PredictedFTI) > 0.05 {
-		t.Errorf("MultiFault(k=1) %.4f far from FTI %.4f", mf.SurvivalRate(), mf.PredictedFTI)
+		t.Errorf("MultiFaultTrial(k=1) survival %.4f far from FTI %.4f", mf.SurvivalRate(), mf.PredictedFTI)
 	}
 }
 
 func TestConfidenceIntervalCoversFTI(t *testing.T) {
 	p := spaced()
-	s := SingleFault(p, 2000, 3)
+	s := mustRun(t, p, 2000, 3, SingleFaultTrial(p))
 	lo, hi := s.ConfidenceInterval95()
 	if s.PredictedFTI < lo || s.PredictedFTI > hi {
 		t.Errorf("FTI %.4f outside 95%% interval [%.4f, %.4f]", s.PredictedFTI, lo, hi)

@@ -22,8 +22,8 @@ func TestFullReconfigurationBeatsPartial(t *testing.T) {
 	}
 	p := res.Final
 	const k, trials = 2, 40
-	partial := MultiFault(p, k, trials, 5)
-	full := MultiFaultFull(p, k, trials, 5, lightOpts(1))
+	partial := mustRun(t, p, trials, 5, MultiFaultTrial(p, k, false, core.Options{}))
+	full := mustRun(t, p, trials, 5, MultiFaultTrial(p, k, true, lightOpts(1)))
 	if full.Survived < partial.Survived {
 		t.Errorf("full fallback survived %d < partial-only %d", full.Survived, partial.Survived)
 	}
@@ -45,8 +45,8 @@ func TestFullFallbackOnMinimalPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	const trials = 30
-	partial := MultiFault(p, 1, trials, 7)
-	full := MultiFaultFull(p, 1, trials, 7, lightOpts(2))
+	partial := mustRun(t, p, trials, 7, MultiFaultTrial(p, 1, false, core.Options{}))
+	full := mustRun(t, p, trials, 7, MultiFaultTrial(p, 1, true, lightOpts(2)))
 	if full.SurvivalRate() < partial.SurvivalRate() {
 		t.Errorf("full fallback (%.3f) below partial-only (%.3f)",
 			full.SurvivalRate(), partial.SurvivalRate())

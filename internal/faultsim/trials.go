@@ -14,14 +14,10 @@ import (
 	"dmfb/internal/sim"
 )
 
-// Campaign-native trial functions. These are the parallel-deterministic
-// presets: every random draw comes from the trial's private stream
-// (campaign.TrialRNG) and every nested seed derives from the trial seed
-// (campaign.DeriveSeed), so a campaign's aggregate is bit-identical at
-// any worker count and across checkpoint resumes. The sequential
-// entry points (SingleFault, MultiFault, ...) predate the engine and
-// keep their historical shared-stream draw order instead; use these
-// constructors for anything new.
+// Campaign trial functions: every random draw comes from the trial's
+// private stream (campaign.TrialRNG) and every nested seed derives
+// from the trial seed (campaign.DeriveSeed), so a campaign's aggregate
+// is bit-identical at any worker count and across checkpoint resumes.
 
 // SingleFaultTrial returns the trial function of the uniform
 // single-fault campaign on p: each trial draws one uniform array cell
@@ -104,22 +100,13 @@ func MultiFaultTrial(p *place.Placement, k int, withFull bool, opts core.Options
 	}
 }
 
-// YieldTrial returns the trial function of the uniform defect-density
-// yield campaign on p: every array cell fails independently with
-// probability defectProb and the chip is usable if the configuration
-// absorbs all its defects, with full re-placement as a fallback when
-// withFull is set. Value is the number of defects on the die. It is
-// DefectYieldTrial under the uniform model, draw-for-draw identical to
-// its historical per-cell scan-order stream.
-func YieldTrial(p *place.Placement, defectProb float64, withFull bool, opts core.Options) campaign.TrialFunc {
-	return DefectYieldTrial(p, defect.Uniform{Prob: defectProb}, withFull, opts)
-}
-
-// DefectYieldTrial generalizes YieldTrial to any defect model: each
-// trial draws one die's defect map from gen on the trial's private
-// RNG stream and attempts to absorb the defects one at a time by
-// partial reconfiguration, with full re-placement as a fallback when
-// withFull is set. Value is the number of defects on the die.
+// DefectYieldTrial returns the trial function of the defect-map yield
+// campaign on p: each trial draws one die's defect map from gen on the
+// trial's private RNG stream (defect.Uniform{Prob: q} fails every
+// cell independently with probability q) and the chip is usable if
+// the configuration absorbs all its defects one at a time by partial
+// reconfiguration, with full re-placement as a fallback when withFull
+// is set. Value is the number of defects on the die.
 func DefectYieldTrial(p *place.Placement, gen defect.Generator, withFull bool, opts core.Options) campaign.TrialFunc {
 	array := p.BoundingBox()
 	return func(ctx context.Context, t campaign.Trial) campaign.Outcome {

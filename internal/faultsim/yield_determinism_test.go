@@ -16,9 +16,7 @@ import (
 
 // The determinism contract extended to defect-map yield campaigns: a
 // 512-trial clustered-defect yield campaign produces byte-identical
-// aggregated JSON at every worker count and across a kill/resume, and
-// the uniform defect generator is draw-for-draw identical to the
-// historical YieldTrial stream.
+// aggregated JSON at every worker count and across a kill/resume.
 
 func clusteredGen() defect.Generator {
 	return defect.Clustered{Prob: 0.04, ClusterSize: 4, Radius: 2}
@@ -94,32 +92,6 @@ func TestYieldDeterminismKillAndResume(t *testing.T) {
 	b, _ := resumed.Summary.MarshalDeterministic()
 	if string(a) != string(b) {
 		t.Errorf("killed-and-resumed yield campaign differs from uninterrupted run:\n%s\nvs\n%s", b, a)
-	}
-}
-
-// TestUniformDelegationIsBitIdentical pins YieldTrial to
-// DefectYieldTrial under the uniform model: both constructors must
-// aggregate to the same bytes, so the generalization cannot have
-// changed any recorded uniform campaign.
-func TestUniformDelegationIsBitIdentical(t *testing.T) {
-	p := tightPlacement(t)
-	const q = 0.05
-	legacy := YieldTrial(p, q, false, core.Options{})
-	general := DefectYieldTrial(p, defect.Uniform{Prob: q}, false, core.Options{})
-
-	cfg := campaign.Config{Name: "yield-delegate", Trials: 256, Seed: 9}
-	a, err := campaign.Run(context.Background(), cfg, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := campaign.Run(context.Background(), cfg, general)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ja, _ := a.Summary.MarshalDeterministic()
-	jb, _ := b.Summary.MarshalDeterministic()
-	if string(ja) != string(jb) {
-		t.Errorf("YieldTrial and uniform DefectYieldTrial diverge:\n%s\nvs\n%s", ja, jb)
 	}
 }
 

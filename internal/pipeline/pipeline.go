@@ -508,8 +508,11 @@ func (req *Request) runFTI(res *Result) error {
 	}
 	if n := req.FTI.MonteCarlo; n > 0 {
 		done := req.stage("montecarlo")
-		mc := faultsim.SingleFault(res.Placement, n, req.FTI.Seed)
+		mc, err := faultsim.Run(res.Placement, n, req.FTI.Seed, faultsim.SingleFaultTrial(res.Placement))
 		done()
+		if err != nil {
+			return &StageError{StageFTI, err}
+		}
 		res.MonteCarlo = &mc
 	}
 	return nil

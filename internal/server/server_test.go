@@ -207,6 +207,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/compile", `{"assay":"pcr","iters_per_module":-1}`, http.StatusBadRequest, "place"},
 		{"/v1/compile", `{"assay":"pcr","bogus_field":1}`, http.StatusBadRequest, ""},
 		{"/v1/compile", `{"assay":"pcr","recovery":"l1"}`, http.StatusBadRequest, ""},
+		{"/v1/compile", `{"assay":"pcr","montecarlo":-3}`, http.StatusBadRequest, "fti"},
+		{"/v1/compile", `{"assay":"pcr","montecarlo":2000000}`, http.StatusBadRequest, "fti"},
 		{"/v1/simulate", `{"assay":"pcr","recovery":"yolo"}`, http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
