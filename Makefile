@@ -60,8 +60,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDefectMap$$' -fuzztime $(FUZZTIME) ./internal/defect/
 
 # bench measures the annealing inner loop (clone-and-recompute vs the
-# incremental move kernel), one end-to-end fault-tolerant PCR
-# placement, the fault-injection campaign's worker scaling (the same
+# incremental move kernel), whole stage-2 runs per proposal
+# (BenchmarkLTSARun, ns/move, which includes the moves rejected on
+# their cost bound), one end-to-end fault-tolerant PCR placement, the fault-injection campaign's worker scaling (the same
 # seeded campaign at 1 and CAMPAIGN_WORKERS workers; summaries must be
 # identical, wall-clock speedup is recorded), and the recovery ladder's
 # completion gain: the same RECOVERY_TRIALS-trial seeded single-fault
@@ -84,6 +85,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkStage|BenchmarkActiveDuring' \
 		-benchtime 200000x -benchmem ./internal/core/ ./internal/place/ \
 		| tee bench_go.out
+	$(GO) test -run '^$$' -bench '^BenchmarkLTSARun$$' -benchtime 5x -benchmem \
+		./internal/core/ | tee -a bench_go.out
 	$(GO) run ./cmd/dmfb-bench -exp fig8 -json bench_exp.json
 	$(GO) run ./cmd/dmfb-bench -exp multistart -starts $(MULTISTART_STARTS) \
 		-json bench_multistart.json

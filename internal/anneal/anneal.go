@@ -67,7 +67,10 @@ type Result[S any] struct {
 	Best     S
 	BestCost float64
 	Levels   []Level
-	// Evaluations is the total number of cost evaluations performed.
+	// Evaluations counts the initial cost plus one per proposal. A
+	// proposal counts whether it was settled by its Bound alone or
+	// priced exactly by Delta, so the figure is independent of how
+	// tight the bound is.
 	Evaluations int
 }
 
@@ -89,7 +92,7 @@ type Progress struct {
 	Kind        ProgressKind
 	Level       Level
 	BestCost    float64
-	Evaluations int // cost evaluations so far, including the initial state
+	Evaluations int // Result.Evaluations so far
 }
 
 // Observer receives progress notifications during RunMoves: one

@@ -7,18 +7,20 @@ import (
 )
 
 // cloneProblem is the clone-and-recompute adapter: a move is the
-// whole candidate state proposed by neighbor, Delta re-derives its
-// full cost, Commit adopts it and Revert drops it.
+// whole candidate state proposed by neighbor, Bound re-derives its
+// full cost and returns the exact change, Delta repeats it, Commit
+// adopts the state and Revert drops it.
 func cloneProblem[S any](init S, cost func(S) float64, neighbor func(cur S, T float64, rng *rand.Rand) S) MoveProblem[S, S] {
 	cur, curCost := init, cost(init)
 	var nextCost float64
 	return MoveProblem[S, S]{
 		Cost:    func() float64 { return curCost },
 		Propose: func(T float64, rng *rand.Rand) S { return neighbor(cur, T, rng) },
-		Delta: func(next S) float64 {
+		Bound: func(next S) float64 {
 			nextCost = cost(next)
 			return nextCost - curCost
 		},
+		Delta:    func(S) float64 { return nextCost - curCost },
 		Commit:   func(next S) { cur, curCost = next, nextCost },
 		Revert:   func(S) {},
 		Snapshot: func() S { return cur },

@@ -8,28 +8,37 @@ import (
 
 // MoveProblem bundles the callbacks that define an annealing run.
 // Instead of cloning the whole state and re-deriving its cost on every
-// proposal, the annealer asks the problem for a small move value, the
-// exact cost change that move would cause, and an in-place commit or
-// revert.
+// proposal, the annealer asks the problem for a small move value, a
+// cheap lower bound on the cost change that move would cause, the
+// exact cost change when the bound cannot settle the Metropolis test,
+// and an in-place commit or revert.
 //
 // The protocol per inner-loop iteration is strictly sequential:
 //
 //	m := Propose(T, rng)   // generate a move; no observable mutation
-//	dC := Delta(m)         // stage m and return its exact cost change
+//	lb := Bound(m)         // stage m partly; lb ≤ the exact cost change
+//	dC := Delta(m)         // only if lb cannot reject: finish staging, exact change
 //	Commit(m) or Revert(m) // exactly one of the two, immediately
 //
-// Delta may mutate internal caches speculatively (that is the whole
-// point — computing a fault-tolerance delta requires applying the
-// move to the incremental structures), but the pair Delta+Revert must
-// restore the state exactly, and Delta+Commit must leave it exactly as
-// if the move had been applied from scratch. Cost must return the
-// exact cost of the current committed state in O(1); after a Commit it
-// must equal the pre-move cost plus the value Delta returned, computed
-// from the problem's own books rather than by floating-point
-// accumulation, so that long runs cannot drift.
+// Commit always follows Delta; Revert may follow Bound alone (a move
+// rejected on its bound) or Bound+Delta, and must restore the state
+// exactly either way. Bound and Delta may mutate internal caches
+// speculatively (that is the whole point — computing a fault-tolerance
+// delta requires applying the move to the incremental structures),
+// and Bound+Delta+Commit must leave the state exactly as if the move
+// had been applied from scratch. Cost must return the exact cost of
+// the current committed state in O(1); after a Commit it must equal
+// the pre-move cost plus the value Delta returned, computed from the
+// problem's own books rather than by floating-point accumulation, so
+// that long runs cannot drift.
+//
+// A looser bound never changes a run's outcome, only how often Delta
+// is skipped: RunMoves makes the same decisions with the same RNG
+// draws for any valid bound, down to one that always returns −Inf.
 //
 // S is the snapshot type used for best-state tracking; M is the move
-// value, which should be small (it is passed by value).
+// value, which should be small (it is passed by value) or a pointer
+// into a buffer the problem reuses from one proposal to the next.
 type MoveProblem[S, M any] struct {
 	// Cost returns the exact cost of the current committed state.
 	// Called once before the first proposal and once after every
@@ -38,12 +47,18 @@ type MoveProblem[S, M any] struct {
 	// Propose generates a move at temperature T. It must not change
 	// the observable state.
 	Propose func(T float64, rng *rand.Rand) M
-	// Delta stages m and returns the exact cost change Commit(m)
-	// would make permanent.
+	// Bound stages m far enough to return a lower bound on the cost
+	// change Delta(m) would return. It is required: a problem with no
+	// cheap bound returns its exact change here and makes Delta
+	// reuse it.
+	Bound func(m M) float64
+	// Delta completes the staging Bound began and returns the exact
+	// cost change Commit(m) would make permanent.
 	Delta func(m M) float64
 	// Commit finalises the staged move.
 	Commit func(m M)
-	// Revert undoes the staged move exactly.
+	// Revert undoes the staged move exactly, after Bound alone or
+	// after Bound and Delta.
 	Revert func(m M)
 	// Snapshot captures the current state for best-state tracking.
 	// Called on every strict best-cost improvement; it must return a
@@ -59,8 +74,28 @@ type MoveProblem[S, M any] struct {
 	Observer Observer
 }
 
+// boundSlack widens the bound's Metropolis threshold before RunMoves
+// rejects a move without calling Delta. The skip must never reject a
+// move the exact test would accept: u ≥ exp(−lb/T)·(1+ε) must imply
+// u ≥ exp(−ΔC/T) whenever lb ≤ ΔC. −ΔC/T ≤ −lb/T holds in floating
+// point (correctly rounded division is monotone), but math.Exp is
+// only accurate to within one ulp, not monotone, so the two
+// thresholds can come out up to two ulps (≈4.4e-16 relative) the
+// wrong way round. ε = 1e-12 covers that, and the rounding of the
+// product, with a margin of over a thousand, while giving up the skip
+// on only a 1e-12 sliver of the draws. Where exp(−lb/T) is subnormal
+// the relative argument fails, but both thresholds are then below
+// 2⁻¹⁰²¹ while a nonzero u is at least 2⁻⁶³; u = 0 is never skipped.
+const boundSlack = 1e-12
+
 // RunMoves executes simulated annealing over a move-based problem and
-// returns the best snapshot encountered. It panics on an invalid
+// returns the best snapshot encountered. Each proposal is first
+// priced by Bound; when lb ≥ 0 the uniform draw the Metropolis test
+// needs anyway is taken at once, and a draw that fails even the
+// bound's threshold rejects the move without Delta. Otherwise the
+// move is priced exactly and decided as plain Metropolis. The RNG is
+// consumed at the same points, and every decision comes out the same,
+// as a run that called Delta on every proposal. It panics on an invalid
 // schedule (callers validate the schedule they build) and requires a
 // non-nil rng for reproducibility.
 func RunMoves[S, M any](p MoveProblem[S, M], sched Schedule, rng *rand.Rand) Result[S] {
@@ -86,10 +121,28 @@ func RunMoves[S, M any](p MoveProblem[S, M], sched Schedule, rng *rand.Rand) Res
 		levelStart := time.Now()
 		for i := 0; i < sched.Iters; i++ {
 			m := p.Propose(T, rng)
-			dC := p.Delta(m)
+			lb := p.Bound(m)
 			res.Evaluations++
 			l.Proposed++
-			if dC < 0 || rng.Float64() < math.Exp(-dC/T) {
+			var dC float64
+			accept := false
+			if lb >= 0 {
+				// dC ≥ lb ≥ 0, so the Metropolis test draws u whatever
+				// dC turns out to be: draw it now, and reject without
+				// Delta when u already fails the bound's threshold.
+				u := rng.Float64()
+				if e := math.Exp(-lb / T); u == 0 || u < e*(1+boundSlack) {
+					dC = p.Delta(m)
+					if dC != lb { // an exact bound has its threshold already
+						e = math.Exp(-dC / T)
+					}
+					accept = u < e
+				}
+			} else {
+				dC = p.Delta(m)
+				accept = dC < 0 || rng.Float64() < math.Exp(-dC/T)
+			}
+			if accept {
 				p.Commit(m)
 				curCost = p.Cost()
 				l.Accepted++

@@ -1,7 +1,9 @@
 package anneal
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -55,6 +57,10 @@ func TestRunMovesMatchesRun(t *testing.T) {
 		Propose: func(T float64, rng *rand.Rand) vecMove {
 			return proposeDims(len(cur), T, rng)
 		},
+		Bound: func(m vecMove) float64 {
+			v := cur[m.idx]
+			return float64((v+m.delta)*(v+m.delta) - v*v)
+		},
 		Delta: func(m vecMove) float64 {
 			v := cur[m.idx]
 			return float64((v+m.delta)*(v+m.delta) - v*v)
@@ -64,7 +70,7 @@ func TestRunMovesMatchesRun(t *testing.T) {
 			sum += (v+m.delta)*(v+m.delta) - v*v
 			cur[m.idx] = v + m.delta
 		},
-		Revert:   func(vecMove) {}, // Delta staged nothing to undo
+		Revert:   func(vecMove) {}, // Bound and Delta staged nothing to undo
 		Snapshot: func() intVec { return append(intVec(nil), cur...) },
 	}
 	moveRes := RunMoves(moveProb, sched, rand.New(rand.NewSource(17)))
@@ -95,6 +101,7 @@ func TestRunMovesPanicsOnBadInput(t *testing.T) {
 	ok := MoveProblem[int, int]{
 		Cost:     func() float64 { return 0 },
 		Propose:  func(float64, *rand.Rand) int { return 0 },
+		Bound:    func(int) float64 { return 0 },
 		Delta:    func(int) float64 { return 0 },
 		Commit:   func(int) {},
 		Revert:   func(int) {},
@@ -114,4 +121,69 @@ func TestRunMovesPanicsOnBadInput(t *testing.T) {
 	mustPanic("nil rng", func() {
 		RunMoves(ok, Schedule{T0: 10, Alpha: 0.5, Iters: 1}, nil)
 	})
+}
+
+// TestBoundNeverChangesRun runs one problem with a tight Bound (the
+// exact change), a deliberately loose one and a useless one (−Inf,
+// which prices every proposal with Delta) and asserts the three runs
+// are indistinguishable: same Result, same per-level bookkeeping, and
+// the RNG left at the same position.
+func TestBoundNeverChangesRun(t *testing.T) {
+	sched := Schedule{T0: 50, Alpha: 0.8, Iters: 300, MaxLevels: 40}
+	run := func(bound func(exact float64) float64) (res Result[intVec], next int64, deltas int) {
+		cur := intVec{9, -7, 4, 12, -3}
+		sum := sumSquares(cur)
+		// A non-integer scale keeps the Metropolis thresholds off
+		// round numbers.
+		const scale = 0.37
+		exact := func(m vecMove) float64 {
+			v := cur[m.idx]
+			return scale * float64((v+m.delta)*(v+m.delta)-v*v)
+		}
+		p := MoveProblem[intVec, vecMove]{
+			Cost: func() float64 { return scale * float64(sum) },
+			Propose: func(T float64, rng *rand.Rand) vecMove {
+				step := 1 + int(T/10)
+				return vecMove{idx: rng.Intn(len(cur)), delta: rng.Intn(2*step+1) - step}
+			},
+			Bound: func(m vecMove) float64 { return bound(exact(m)) },
+			Delta: func(m vecMove) float64 { deltas++; return exact(m) },
+			Commit: func(m vecMove) {
+				v := cur[m.idx]
+				sum += (v+m.delta)*(v+m.delta) - v*v
+				cur[m.idx] = v + m.delta
+			},
+			Revert:   func(vecMove) {},
+			Snapshot: func() intVec { return append(intVec(nil), cur...) },
+		}
+		rng := rand.New(rand.NewSource(17))
+		res = RunMoves(p, sched, rng)
+		for i := range res.Levels {
+			res.Levels[i].Duration = 0 // wall clock
+		}
+		return res, rng.Int63(), deltas
+	}
+
+	want, wantNext, all := run(func(float64) float64 { return math.Inf(-1) })
+	for _, c := range []struct {
+		name  string
+		bound func(exact float64) float64
+	}{
+		{"tight", func(dC float64) float64 { return dC }},
+		{"loose", func(dC float64) float64 { return dC - 0.5*math.Abs(dC) - 1 }},
+	} {
+		got, next, deltas := run(c.bound)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s bound changed the result:\n got %+v\nwant %+v", c.name, got, want)
+		}
+		if next != wantNext {
+			t.Errorf("%s bound left the RNG elsewhere: next draw %d, want %d", c.name, next, wantNext)
+		}
+		if deltas >= all {
+			t.Errorf("%s bound skipped no Delta: %d calls, unbounded %d", c.name, deltas, all)
+		}
+	}
+	if all != want.Evaluations-1 {
+		t.Errorf("unbounded run called Delta %d times for %d proposals", all, want.Evaluations-1)
+	}
 }

@@ -50,6 +50,7 @@ func BenchmarkStage2IterMove(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := k.Propose(5, rng)
+		_ = k.Bound(m)
 		_ = k.Delta(m)
 		k.Revert(m)
 	}
@@ -79,7 +80,34 @@ func BenchmarkStage1IterMove(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := k.Propose(50, rng)
+		_ = k.Bound(m)
 		_ = k.Delta(m)
 		k.Revert(m)
 	}
+}
+
+// BenchmarkLTSARun times one whole stage-2 run (LTSA at β = 30, the
+// middle of Table 2) per iteration from a fixed stage-1 placement, so
+// moves rejected on their bound, full FTI rebuilds after bounding-box
+// changes and commits all weigh in as they do in a real placement.
+// ns/move is the wall time per proposal. The name deliberately avoids
+// the BenchmarkStage prefix, which make bench runs at 200000x.
+func BenchmarkLTSARun(b *testing.B) {
+	prob := FromSchedule(pcr.MustSchedule())
+	o := Options{Seed: 1}
+	start, _, err := AnnealArea(prob, o)
+	if err != nil {
+		b.Fatalf("stage 1: %v", err)
+	}
+	moves := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st, err := AnnealFaultTolerance(start, prob, o, FTOptions{Beta: 30})
+		if err != nil {
+			b.Fatalf("stage 2: %v", err)
+		}
+		moves += st.Evaluations - 1 // one initial cost per run
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moves), "ns/move")
 }

@@ -414,16 +414,9 @@ func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
 	span := max(prob.MaxW, prob.MaxH)
 
 	k := newMoveKernel(initialPlacement(prob), prob, o, 0, false, false)
-	problem := anneal.MoveProblem[*place.Placement, kernelMove]{
-		Cost:     k.Cost,
-		Propose:  k.Propose,
-		Delta:    k.Delta,
-		Commit:   k.Commit,
-		Revert:   k.Revert,
-		Snapshot: k.Snapshot,
-		Stop:     windowStop(o, span, o.WindowPatience),
-		Observer: o.Observer,
-	}
+	problem := kernelProblem(k)
+	problem.Stop = windowStop(o, span, o.WindowPatience)
+	problem.Observer = o.Observer
 	res := anneal.RunMoves(problem, sched, rng)
 	k.flushMetrics(o.Metrics, "area")
 
@@ -500,6 +493,14 @@ func (f FTOptions) withDefaults() FTOptions {
 // AnnealFaultTolerance runs stage 2 (LTSA) from a stage-1 placement:
 // single-module displacement only, fault tolerance index in the cost.
 func AnnealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft FTOptions) (*place.Placement, Stats, error) {
+	return annealFaultTolerance(start, prob, opts, ft, kernelProblem)
+}
+
+// annealFaultTolerance is AnnealFaultTolerance with the kernel's
+// annealing problem built by build, which tests replace to run the
+// stage without its cost bound.
+func annealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft FTOptions,
+	build func(*moveKernel) anneal.MoveProblem[*place.Placement, *kernelMove]) (*place.Placement, Stats, error) {
 	o := opts.withDefaults()
 	f := ft.withDefaults()
 	if start == nil {
@@ -537,19 +538,12 @@ func AnnealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft
 		// Single displacement only; the FTI term is priced by the
 		// incremental per-module cache.
 		k := newMoveKernel(start.Clone(), prob2, o, f.Beta, true, true)
-		problem := anneal.MoveProblem[*place.Placement, kernelMove]{
-			Cost:     k.Cost,
-			Propose:  k.Propose,
-			Delta:    k.Delta,
-			Commit:   k.Commit,
-			Revert:   k.Revert,
-			Snapshot: k.Snapshot,
-			Stop: anneal.StopAny(
-				windowStop(o, span, o.WindowPatience),
-				anneal.StopBelow(o.Alpha/1000*f.T0),
-			),
-			Observer: o.Observer,
-		}
+		problem := build(k)
+		problem.Stop = anneal.StopAny(
+			windowStop(o, span, o.WindowPatience),
+			anneal.StopBelow(o.Alpha/1000*f.T0),
+		)
+		problem.Observer = o.Observer
 		res := anneal.RunMoves(problem, sched, rng)
 		k.flushMetrics(o.Metrics, "ft")
 		stats.Levels += len(res.Levels)

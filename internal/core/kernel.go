@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 
+	"dmfb/internal/anneal"
 	"dmfb/internal/fti"
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
@@ -13,6 +14,9 @@ import (
 // module relocations (one for the displacement families, two for the
 // interchange families), each carrying its exact inverse so a rejected
 // move is undone in place instead of discarding a cloned placement.
+// The kernel proposes every move into one buffer it owns (the
+// annealer's protocol finishes a move before proposing the next), so
+// the moves travel by pointer and are never copied.
 type kernelMove struct {
 	n      int // 1 or 2 relocations
 	idx    [2]int
@@ -29,6 +33,7 @@ type kernelCounters struct {
 	committed int64 // moves committed (accepted)
 	reverted  int64 // moves reverted (rejected)
 	deltaEval int64 // incremental (delta) cost evaluations
+	boundRej  int64 // moves rejected on their bound, without a delta
 	scratch   int64 // from-scratch cost constructions
 }
 
@@ -51,9 +56,11 @@ type moveKernel struct {
 
 	cost    float64 // committed cost
 	pending float64 // staged cost, adopted by Commit
+	priced  bool    // Delta ran on the staged move
 
-	dirty    []int  // scratch: modules invalidated by the staged move
-	dirtyIn  []bool // scratch: dedup marks, index-aligned with modules
+	move     kernelMove // buffer Propose fills
+	dirty    []int      // scratch: modules invalidated by the staged move
+	dirtyIn  []bool     // scratch: dedup marks, index-aligned with modules
 	counters kernelCounters
 }
 
@@ -78,6 +85,20 @@ func newMoveKernel(p *place.Placement, prob Problem, o Options, beta float64, us
 	return k
 }
 
+// kernelProblem wires k into the annealer's move protocol; Stop and
+// Observer are left to the caller.
+func kernelProblem(k *moveKernel) anneal.MoveProblem[*place.Placement, *kernelMove] {
+	return anneal.MoveProblem[*place.Placement, *kernelMove]{
+		Cost:     k.Cost,
+		Propose:  k.Propose,
+		Bound:    k.Bound,
+		Delta:    k.Delta,
+		Commit:   k.Commit,
+		Revert:   k.Revert,
+		Snapshot: k.Snapshot,
+	}
+}
+
 // Cost returns the committed cost in O(1).
 func (k *moveKernel) Cost() float64 { return k.cost }
 
@@ -89,12 +110,18 @@ func (k *moveKernel) Snapshot() *place.Placement { return k.st.P.Clone() }
 // operation order as the clone-and-recompute reference cost
 // (reference_test.go), so the floats are bit-identical.
 func (k *moveKernel) costNow() float64 {
+	c := k.areaCost()
+	if k.useFTI && k.st.Overlap() == 0 {
+		c -= k.beta * (float64(k.inc.Covered()) / float64(k.inc.Total()))
+	}
+	return c
+}
+
+// areaCost is costNow up to, and without, its FTI term.
+func (k *moveKernel) areaCost() float64 {
 	c := float64(k.st.ArrayCells()) + k.o.OverlapPenalty*float64(k.st.Overlap())
 	if len(k.prob.Obstacles) > 0 {
 		c += k.o.OverlapPenalty * float64(k.hits)
-	}
-	if k.useFTI && k.st.Overlap() == 0 {
-		c -= k.beta * (float64(k.inc.Covered()) / float64(k.inc.Total()))
 	}
 	return c
 }
@@ -102,7 +129,7 @@ func (k *moveKernel) costNow() float64 {
 // Propose generates a Section 4(b) move. It consumes the RNG in
 // exactly the order the clone-and-recompute reference placer
 // (reference_test.go) does, so seeded runs match it.
-func (k *moveKernel) Propose(T float64, rng *rand.Rand) kernelMove {
+func (k *moveKernel) Propose(T float64, rng *rand.Rand) *kernelMove {
 	p := k.st.P
 	n := len(p.Modules)
 	span := k.prob.MaxW
@@ -111,7 +138,8 @@ func (k *moveKernel) Propose(T float64, rng *rand.Rand) kernelMove {
 	}
 	w := window(T, k.o.WindowT0, span)
 
-	var m kernelMove
+	m := &k.move
+	*m = kernelMove{}
 	if k.singleOnly || n < 2 || rng.Float64() < k.o.PSingle {
 		// Move types (i)/(ii): displace one module within the window,
 		// possibly changing its orientation.
@@ -164,29 +192,40 @@ func sizeOf(m place.Module, rot bool) geom.Size {
 	return m.Size
 }
 
-// Delta stages m — mutating the placement, the incremental state and
-// the FTI caches — and returns the exact cost change.
-func (k *moveKernel) Delta(m kernelMove) float64 {
+// Bound stages m in the placement — overlap, bounding box, obstacle
+// hits — and returns a lower bound on its cost change: the exact
+// change with the FTI term at its best value, every cell covered.
+// Since covered/total ≤ 1 and float rounding is monotone,
+// β·(covered/total) ≤ β holds after rounding too, so the bound is
+// sound in floating point. It is exact when the move creates overlap
+// (the cost then ignores the FTI) and in stage 1.
+func (k *moveKernel) Bound(m *kernelMove) float64 {
 	for t := 0; t < m.n; t++ {
-		i := m.idx[t]
-		if len(k.prob.Obstacles) > 0 {
-			k.hits -= coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
-		}
-		k.st.MoveModule(i, m.newPos[t], m.newRot[t])
-		if len(k.prob.Obstacles) > 0 {
-			k.hits += coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
-		}
+		k.relocate(m.idx[t], m.newPos[t], m.newRot[t])
 	}
+	k.priced = false
+	k.pending = k.areaCost()
+	lb := k.pending
+	if k.useFTI && k.st.Overlap() == 0 {
+		lb -= max(k.beta, 0)
+	}
+	return lb - k.cost
+}
+
+// Delta completes the staging Bound began — applying the move to the
+// FTI caches in stage 2 — and returns the exact cost change.
+func (k *moveKernel) Delta(m *kernelMove) float64 {
 	if k.useFTI {
 		k.inc.Apply(k.st.BoundingBox(), k.dirtySet(m))
+		k.pending = k.costNow()
 	}
-	k.pending = k.costNow()
+	k.priced = true
 	k.counters.deltaEval++
 	return k.pending - k.cost
 }
 
 // Commit finalises the staged move.
-func (k *moveKernel) Commit(m kernelMove) {
+func (k *moveKernel) Commit(m *kernelMove) {
 	if k.useFTI {
 		k.inc.Commit()
 	}
@@ -194,27 +233,34 @@ func (k *moveKernel) Commit(m kernelMove) {
 	k.counters.committed++
 }
 
-// Revert undoes the staged move exactly.
-func (k *moveKernel) Revert(m kernelMove) {
-	if k.useFTI {
+// Revert undoes the staged move exactly, whether or not Delta ran.
+func (k *moveKernel) Revert(m *kernelMove) {
+	if !k.priced {
+		k.counters.boundRej++
+	} else if k.useFTI {
 		k.inc.Revert()
 	}
 	for t := m.n - 1; t >= 0; t-- {
-		i := m.idx[t]
-		if len(k.prob.Obstacles) > 0 {
-			k.hits -= coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
-		}
-		k.st.MoveModule(i, m.oldPos[t], m.oldRot[t])
-		if len(k.prob.Obstacles) > 0 {
-			k.hits += coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
-		}
+		k.relocate(m.idx[t], m.oldPos[t], m.oldRot[t])
 	}
 	k.counters.reverted++
 }
 
+// relocate moves module i in the placement state and keeps the
+// obstacle-hit count in step.
+func (k *moveKernel) relocate(i int, pos geom.Point, rot bool) {
+	if len(k.prob.Obstacles) > 0 {
+		k.hits -= coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
+	}
+	k.st.MoveModule(i, pos, rot)
+	if len(k.prob.Obstacles) > 0 {
+		k.hits += coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
+	}
+}
+
 // dirtySet returns the deduplicated FTI-invalidation set of m: the
 // moved modules plus their span-conflict neighbours.
-func (k *moveKernel) dirtySet(m kernelMove) []int {
+func (k *moveKernel) dirtySet(m *kernelMove) []int {
 	k.dirty = k.dirty[:0]
 	add := func(i int) {
 		if !k.dirtyIn[i] {
@@ -256,6 +302,7 @@ func (k *moveKernel) flushMetrics(reg *telemetry.Registry, stage string) {
 	reg.Counter("place." + stage + ".moves_committed").Add(c.committed)
 	reg.Counter("place." + stage + ".moves_reverted").Add(c.reverted)
 	reg.Counter("place." + stage + ".delta_evals").Add(c.deltaEval)
+	reg.Counter("place." + stage + ".bound_rejects").Add(c.boundRej)
 	reg.Counter("place." + stage + ".scratch_evals").Add(c.scratch)
 	if k.inc != nil {
 		evals, hits := k.inc.Stats()

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"dmfb/internal/anneal"
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
 )
@@ -35,10 +37,13 @@ func samePlacement(a, b *place.Placement) bool {
 // clone-based neighbor function from identically seeded RNGs and
 // asserts, move for move:
 //
-//   - Propose consumes the RNG exactly as neighbor did (the staged
-//     placements coincide);
+//   - Propose consumes the RNG exactly as neighbor did (the placements
+//     Bound stages coincide);
+//   - Bound is a lower bound on the exact cost change, and equal to it
+//     when the move creates overlap or the kernel has no FTI term;
 //   - Delta's staged cost equals the from-scratch cost bit for bit;
-//   - Revert restores the placement and cost exactly.
+//   - Revert restores the placement and cost exactly, and a Revert
+//     after Bound alone leaves the FTI evaluator untouched.
 func runKernelDifferential(t *testing.T, prob Problem, o Options, beta float64, useFTI, singleOnly bool, seed int64, moves int) {
 	t.Helper()
 	o = o.withDefaults()
@@ -59,29 +64,58 @@ func runKernelDifferential(t *testing.T, prob Problem, o Options, beta float64, 
 		T = 5 // LTSA regime
 	}
 	for mv := 0; mv < moves; mv++ {
+		var covered int
+		var array geom.Rect
+		var evals, hits int64
+		if k.inc != nil {
+			covered, array = k.inc.Covered(), k.inc.Array()
+			evals, hits = k.inc.Stats()
+		}
 		m := k.Propose(T, rngK)
 		next := neighbor(cur, prob, o, T, rngN, singleOnly)
-		dC := k.Delta(m)
+		lb := k.Bound(m)
 
 		if !samePlacement(k.st.P, next) {
 			t.Fatalf("move %d: kernel staged placement diverged from neighbor()", mv)
 		}
 		want := scratchCost(next, prob, o, beta, useFTI)
-		if k.pending != want {
-			t.Fatalf("move %d: staged cost = %v, scratch %v", mv, k.pending, want)
+		exact := want - curCost
+		if !(lb <= exact) {
+			t.Fatalf("move %d: bound %v above exact delta %v", mv, lb, exact)
 		}
-		if dC != want-curCost {
-			t.Fatalf("move %d: delta = %v, scratch %v", mv, dC, want-curCost)
+		if (next.OverlapCells() > 0 || !useFTI) && lb != exact {
+			t.Fatalf("move %d: bound %v, want exact %v (overlap %d, useFTI %v)",
+				mv, lb, exact, next.OverlapCells(), useFTI)
 		}
 
-		if rngD.Intn(2) == 0 {
-			k.Commit(m)
-			cur = next
-			curCost = want
-		} else {
+		if d := rngD.Intn(4); d == 0 { // rejected on the bound: no Delta
 			k.Revert(m)
 			if !samePlacement(k.st.P, cur) {
-				t.Fatalf("move %d: revert did not restore the placement", mv)
+				t.Fatalf("move %d: revert after bound did not restore the placement", mv)
+			}
+			if k.inc != nil {
+				e, h := k.inc.Stats()
+				if k.inc.Covered() != covered || k.inc.Array() != array || e != evals || h != hits {
+					t.Fatalf("move %d: bound and revert touched the FTI evaluator", mv)
+				}
+			}
+		} else {
+			dC := k.Delta(m)
+			if k.pending != want {
+				t.Fatalf("move %d: staged cost = %v, scratch %v", mv, k.pending, want)
+			}
+			if dC != exact {
+				t.Fatalf("move %d: delta = %v, scratch %v", mv, dC, exact)
+			}
+			if d%2 == 0 {
+				k.Revert(m)
+				if !samePlacement(k.st.P, cur) {
+					t.Fatalf("move %d: revert did not restore the placement", mv)
+				}
+			} else {
+				k.Commit(m)
+				cur = next
+				curCost = want
 			}
 		}
 		if k.Cost() != curCost {
@@ -134,5 +168,47 @@ func TestKernelDifferentialFTI(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		prob := kernelTestProblem(rng, 4+rng.Intn(4))
 		runKernelDifferential(t, prob, Options{}, 30, true, true, int64(round)*13+5, 2500)
+	}
+}
+
+// unboundedProblem is kernelProblem with the cost bound disabled:
+// Bound still stages the move but returns −Inf, so RunMoves prices
+// every proposal with Delta.
+func unboundedProblem(k *moveKernel) anneal.MoveProblem[*place.Placement, *kernelMove] {
+	p := kernelProblem(k)
+	p.Bound = func(m *kernelMove) float64 {
+		k.Bound(m)
+		return math.Inf(-1)
+	}
+	return p
+}
+
+// TestStage2BoundMatchesUnbounded pins the bound's exactness end to
+// end: across stage-1 seeds and the Table 2 β range, stage 2 with the
+// bound returns the same placement, level count, evaluation count and
+// final cost as stage 2 pricing every proposal exactly.
+func TestStage2BoundMatchesUnbounded(t *testing.T) {
+	prob := pcrProblem()
+	for _, seed := range []int64{1, 2, 3} {
+		opts := lightOptions(seed)
+		s1, _, err := AnnealArea(prob, opts)
+		if err != nil {
+			t.Fatalf("seed %d: stage 1: %v", seed, err)
+		}
+		for beta := 10.0; beta <= 60; beta += 10 {
+			ft := FTOptions{Beta: beta}
+			got, gotSt, err := AnnealFaultTolerance(s1, prob, opts, ft)
+			if err != nil {
+				t.Fatalf("seed %d β=%v: %v", seed, beta, err)
+			}
+			want, wantSt, err := annealFaultTolerance(s1, prob, opts, ft, unboundedProblem)
+			if err != nil {
+				t.Fatalf("seed %d β=%v unbounded: %v", seed, beta, err)
+			}
+			if got.String() != want.String() || gotSt != wantSt {
+				t.Errorf("seed %d β=%v: bounded run %+v\n%s\nunbounded %+v\n%s",
+					seed, beta, gotSt, got, wantSt, want)
+			}
+		}
 	}
 }

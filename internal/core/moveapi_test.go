@@ -128,8 +128,8 @@ func TestKernelMetricsPublished(t *testing.T) {
 	for _, name := range []string{
 		"place.area.moves_proposed", "place.area.moves_committed",
 		"place.area.moves_reverted", "place.area.delta_evals",
-		"place.ft.moves_proposed", "place.fti.module_evals",
-		"place.fti.cache_hits",
+		"place.ft.moves_proposed", "place.ft.bound_rejects",
+		"place.fti.module_evals", "place.fti.cache_hits",
 	} {
 		v, ok := snap.Counters[name]
 		if !ok {
@@ -151,5 +151,13 @@ func TestKernelMetricsPublished(t *testing.T) {
 	rev := snap.Counters["place.area.moves_reverted"]
 	if comm+rev != prop {
 		t.Errorf("committed %d + reverted %d != proposed %d", comm, rev, prop)
+	}
+	// Every proposal is settled either on its bound or by a delta.
+	for _, stage := range []string{"area", "ft"} {
+		c := func(name string) int64 { return snap.Counters["place."+stage+"."+name] }
+		if c("bound_rejects")+c("delta_evals") != c("moves_proposed") {
+			t.Errorf("%s: bound_rejects %d + delta_evals %d != moves_proposed %d",
+				stage, c("bound_rejects"), c("delta_evals"), c("moves_proposed"))
+		}
 	}
 }

@@ -330,29 +330,6 @@ func (inc *Incremental) FTI() float64 {
 // hits/(evals+hits).
 func (inc *Incremental) Stats() (evals, hits int64) { return inc.evals, inc.hits }
 
-// AffectedBy returns the modules whose analysis a move of the listed
-// modules invalidates: the moved modules plus their span-overlap
-// neighbours, deduplicated. This is the dirty set to pass to Apply
-// (when the array is unchanged — Apply rebuilds everything anyway when
-// it moves).
-func (inc *Incremental) AffectedBy(moved ...int) []int {
-	seen := make(map[int]bool, 4)
-	var out []int
-	add := func(i int) {
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
-	for _, i := range moved {
-		add(i)
-		for _, j := range inc.adj[i] {
-			add(j)
-		}
-	}
-	return out
-}
-
 // Apply re-evaluates the placement after a mutation: the placement
 // must already reflect the move, array must be its new bounding box,
 // and dirty must contain (at least) every module whose inputs changed,

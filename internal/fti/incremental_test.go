@@ -26,6 +26,29 @@ func randomPlacement(rng *rand.Rand, n int) *place.Placement {
 	return p
 }
 
+// affectedBy returns the modules whose analysis a move of the listed
+// modules invalidates: the moved modules plus their span-overlap
+// neighbours, deduplicated. This is the dirty set to pass to Apply
+// (when the array is unchanged — Apply rebuilds everything anyway when
+// it moves).
+func affectedBy(inc *Incremental, moved ...int) []int {
+	seen := make(map[int]bool, 4)
+	var out []int
+	add := func(i int) {
+		if !seen[i] {
+			seen[i] = true
+			out = append(out, i)
+		}
+	}
+	for _, i := range moved {
+		add(i)
+		for _, j := range inc.adj[i] {
+			add(j)
+		}
+	}
+	return out
+}
+
 // checkAgainstScratch asserts the incremental evaluator's covered
 // count, array, and per-cell knockouts exactly match ComputeOn.
 func checkAgainstScratch(t *testing.T, tag string, inc *Incremental, p *place.Placement) {
@@ -75,7 +98,7 @@ func TestIncrementalDifferential(t *testing.T) {
 			p.Pos[i] = geom.Point{X: rng.Intn(10), Y: rng.Intn(10)}
 			p.Rot[i] = rng.Intn(2) == 0
 
-			inc.Apply(p.BoundingBox(), inc.AffectedBy(i))
+			inc.Apply(p.BoundingBox(), affectedBy(inc, i))
 			if rng.Intn(2) == 0 {
 				inc.Commit()
 				checkAgainstScratch(t, "commit", inc, p)
@@ -104,7 +127,7 @@ func TestIncrementalPairMoves(t *testing.T) {
 		oi, oj := p.Pos[i], p.Pos[j]
 		p.Pos[i], p.Pos[j] = oj, oi
 
-		inc.Apply(p.BoundingBox(), inc.AffectedBy(i, j))
+		inc.Apply(p.BoundingBox(), affectedBy(inc, i, j))
 		if rng.Intn(3) == 0 {
 			p.Pos[i], p.Pos[j] = oi, oj
 			inc.Revert()
@@ -141,7 +164,7 @@ func TestIncrementalCacheHits(t *testing.T) {
 
 	// Move C (no span conflicts): dirty set is {C} alone.
 	p.Pos[2] = geom.Point{X: 5, Y: 5}
-	inc.Apply(p.BoundingBox(), inc.AffectedBy(2))
+	inc.Apply(p.BoundingBox(), affectedBy(inc, 2))
 	inc.Commit()
 	checkAgainstScratch(t, "moveC", inc, p)
 	evals1, hits1 := inc.Stats()
@@ -155,7 +178,7 @@ func TestIncrementalCacheHits(t *testing.T) {
 	// Move A (conflicts with B): dirty set is {A, B}. A keeps x=0 so
 	// the bounding box stays pinned and no full rebuild triggers.
 	p.Pos[0] = geom.Point{X: 0, Y: 1}
-	inc.Apply(p.BoundingBox(), inc.AffectedBy(0))
+	inc.Apply(p.BoundingBox(), affectedBy(inc, 0))
 	inc.Commit()
 	checkAgainstScratch(t, "moveA", inc, p)
 	evals2, _ := inc.Stats()
@@ -176,7 +199,7 @@ func TestIncrementalArrayChangeRevert(t *testing.T) {
 		oldPos := p.Pos[i]
 		// Large jumps force frequent bounding-box changes.
 		p.Pos[i] = geom.Point{X: rng.Intn(20), Y: rng.Intn(20)}
-		inc.Apply(p.BoundingBox(), inc.AffectedBy(i))
+		inc.Apply(p.BoundingBox(), affectedBy(inc, i))
 		if rng.Intn(2) == 0 {
 			p.Pos[i] = oldPos
 			inc.Revert()

@@ -34,6 +34,7 @@ type benchmark struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerMove   float64 `json:"ns_per_move,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
@@ -50,6 +51,13 @@ type report struct {
 	Stage1Speedup    float64         `json:"stage1_speedup,omitempty"`
 	Experiments      json.RawMessage `json:"experiments,omitempty"`
 	ExperimentSource string          `json:"experiment_source,omitempty"`
+
+	// LTSARunNsPerMove is the wall time per proposal of a whole
+	// stage-2 run (BenchmarkLTSARun), the figure the per-iteration
+	// Stage2IterMove micro-benchmark understates: it adds rebuilds
+	// after bounding-box changes and commits, and subtracts the moves
+	// rejected on their cost bound.
+	LTSARunNsPerMove float64 `json:"ltsa_run_ns_per_move,omitempty"`
 
 	// Campaign scaling: the same fault-injection campaign run at 1
 	// worker and at N workers (dmfb-campaign -json). Speedup is
@@ -247,8 +255,9 @@ func yieldCurve(runs []expRun, path string) []yieldPoint {
 // benchLine matches one line of `go test -bench -benchmem` output, e.g.
 //
 //	BenchmarkStage2IterMove-8   300000   743.2 ns/op   49 B/op   0 allocs/op
+//	BenchmarkLTSARun-8   5   371664612 ns/op   5309 ns/move   12204297 B/op   117953 allocs/op
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) ns/move)?(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
 func main() {
 	goOut := flag.String("go", "", "`file` holding raw go test -bench output")
@@ -286,8 +295,11 @@ func main() {
 		b.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
 		b.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
 		if m[4] != "" {
-			b.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-			b.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+			b.NsPerMove, _ = strconv.ParseFloat(m[4], 64)
+		}
+		if m[5] != "" {
+			b.BytesPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+			b.AllocsPerOp, _ = strconv.ParseInt(m[6], 10, 64)
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)
 		switch b.Name {
@@ -299,6 +311,8 @@ func main() {
 			rep.Stage1CloneNs = b.NsPerOp
 		case "BenchmarkStage1IterMove":
 			rep.Stage1MoveNs = b.NsPerOp
+		case "BenchmarkLTSARun":
+			rep.LTSARunNsPerMove = b.NsPerMove
 		}
 	}
 	if len(rep.Benchmarks) == 0 {
