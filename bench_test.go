@@ -149,8 +149,9 @@ func BenchmarkFigure7AnnealingPlacement(b *testing.B) {
 	b.ReportMetric(AreaMM2(cells), "area_mm2")
 }
 
-// BenchmarkFTIFastAlgorithm is the Section 5.3 MER-based FTI
-// computation on the area-minimal placement. Paper: 1.7 s on a
+// BenchmarkFTIFastAlgorithm is the Section 5.3 FTI computation (the
+// site-intersection form of its MER test) on the area-minimal
+// placement. Paper: 1.7 s on a
 // Pentium III; the metric reports the measured FTI.
 func BenchmarkFTIFastAlgorithm(b *testing.B) {
 	fixtures(b)
@@ -163,7 +164,8 @@ func BenchmarkFTIFastAlgorithm(b *testing.B) {
 
 // BenchmarkFTIExhaustiveOracle is the brute-force relocation search
 // the fast algorithm is validated against — the speedup between the
-// two benches is the payoff of the maximal-empty-rectangle technique.
+// two benches is the payoff of pricing a module once instead of
+// searching per faulty cell.
 func BenchmarkFTIExhaustiveOracle(b *testing.B) {
 	fixtures(b)
 	var f float64

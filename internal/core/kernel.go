@@ -308,6 +308,7 @@ func (k *moveKernel) flushMetrics(reg *telemetry.Registry, stage string) {
 		evals, hits := k.inc.Stats()
 		reg.Counter("place.fti.module_evals").Add(evals)
 		reg.Counter("place.fti.cache_hits").Add(hits)
+		reg.Counter("place." + stage + ".rebuilds").Add(k.inc.Rebuilds())
 		if evals+hits > 0 {
 			reg.Gauge("place.fti.cache_hit_rate").Set(float64(hits) / float64(evals+hits))
 		}

@@ -152,6 +152,11 @@ func TestKernelMetricsPublished(t *testing.T) {
 	if comm+rev != prop {
 		t.Errorf("committed %d + reverted %d != proposed %d", comm, rev, prop)
 	}
+	// Only FTI-priced proposals can change the array and force a
+	// rebuild, and stage 2 at β = 20 meets at least one.
+	if rb, de := snap.Counters["place.ft.rebuilds"], snap.Counters["place.ft.delta_evals"]; rb <= 0 || rb > de {
+		t.Errorf("place.ft.rebuilds = %d, want in (0, delta_evals = %d]", rb, de)
+	}
 	// Every proposal is settled either on its bound or by a delta.
 	for _, stage := range []string{"area", "ft"} {
 		c := func(name string) int64 { return snap.Counters["place."+stage+"."+name] }

@@ -5,13 +5,17 @@
 // The paper's fast fault-tolerance-index algorithm (Section 5.3) mines
 // MERs with the staircase technique of Edmonds et al.; relocating a
 // faulty module succeeds exactly when some MER can accommodate the
-// module's footprint. This package implements an equivalent
-// linear-sweep enumeration: rows are scanned bottom-to-top while a
-// per-column free-run histogram is maintained, and a monotone stack —
-// the staircase of partially overlapping empty rectangles sharing a
-// corner cell — yields every width-maximal, height-tight rectangle.
-// Rectangles that could still grow upward are deferred to a later row,
-// so each MER is reported exactly once. Total cost is O(W·H + #MER).
+// module's footprint. The reconfiguration planner picks its target
+// site from these MERs; the FTI kernel answers the same yes/no
+// question by intersecting free sites instead (see package fti).
+//
+// This package implements an equivalent linear-sweep enumeration:
+// rows are scanned bottom-to-top while a per-column free-run histogram
+// is maintained, and a monotone stack — the staircase of partially
+// overlapping empty rectangles sharing a corner cell — yields every
+// width-maximal, height-tight rectangle. Rectangles that could still
+// grow upward are deferred to a later row, so each MER is reported
+// exactly once. Total cost is O(W·H + #MER).
 package emptyrect
 
 import (
@@ -23,119 +27,21 @@ import (
 
 // Maximal returns all maximal empty rectangles of g. The result is
 // sorted by (Y, X, W, H) so output is deterministic. The slice is nil
-// when the grid is fully occupied.
+// when the grid is fully occupied. The rows of the grid are consumed
+// through the bit-packed word API, never per-cell reads.
 func Maximal(g *grid.Grid) []geom.Rect {
-	return AppendMaximal(nil, g)
-}
-
-// AppendMaximal appends every maximal empty rectangle of g to dst and
-// returns the extended slice. Ordering matches Maximal: the appended
-// region is sorted by (Y, X, W, H).
-func AppendMaximal(dst []geom.Rect, g *grid.Grid) []geom.Rect {
-	var m Miner
-	base := len(dst)
-	out := m.AppendMaximal(dst, g)
-	sortRects(out[base:])
-	return out
-}
-
-// Miner enumerates maximal empty rectangles with reusable scan
-// buffers, so hot loops (the incremental FTI kernel re-mines MERs on
-// every annealing move) run allocation-free. The rows of the grid are
-// consumed through the bit-packed word API, never per-cell reads.
-//
-// A Miner is also incremental: it keeps a word snapshot of the last
-// grid it mined plus per-row caches (the up histogram after each row
-// and the rectangles whose top edge lies on each row). When asked to
-// mine again it diffs the new grid against the snapshot, replays the
-// cached emissions for every row strictly below the first dirtied row,
-// and resumes the staircase scan one row earlier (the dirtied row also
-// invalidates the blocked-above test of the row beneath it). A move
-// that perturbs one module therefore re-scans only the rows it
-// touched. Output is identical — same rectangles, same order — to a
-// from-scratch mine of the same grid.
-//
-// The zero value is ready to use; a Miner must not be shared between
-// goroutines.
-type Miner struct {
-	up        []int // free-run length ending at the current row
-	occPrefix []int // prefix of occupied cells in the row above
-	stack     []minerBar
-
-	snapW, snapH int           // dimensions the caches describe; 0 = none
-	snap         []uint64      // word copy of the last grid mined
-	upAt         []int         // h×w: up histogram after processing each row
-	emitted      [][]geom.Rect // emitted[y]: MERs whose top edge is row y
-}
-
-type minerBar struct{ start, h int }
-
-// Reset drops the incremental caches, forcing the next AppendMaximal
-// to mine from scratch. Mining stays correct without ever calling
-// Reset — the diff finds every change — but callers that know the next
-// grid is unrelated can drop the snapshot early.
-func (mn *Miner) Reset() { mn.snapW, mn.snapH = 0, 0 }
-
-// AppendMaximal appends every maximal empty rectangle of g to dst and
-// returns the extended slice. Unlike the package-level function, the
-// appended rectangles are in unspecified order — callers that need
-// determinism across runs must sort, but set-valued consumers (the
-// relocatability tests) should skip that cost. (In the current
-// implementation the order is in fact reproducible for a given grid —
-// row-major by top edge — whether the mine ran incrementally or from
-// scratch; only the sorted contract is guaranteed.)
-func (mn *Miner) AppendMaximal(dst []geom.Rect, g *grid.Grid) []geom.Rect {
 	w, h, wpr := g.W(), g.H(), g.WordsPerRow()
 	words := g.Words()
-	out := dst
+	var out []geom.Rect
+	up := make([]int, w)          // free-run length ending at the current row
+	occPrefix := make([]int, w+1) // prefix of occupied cells in the row above
+	stack := make([]minerBar, 0, w+1)
 
-	// Diff against the snapshot: y0 is the first row to (re)scan.
-	y0 := 0
-	if w == mn.snapW && h == mn.snapH {
-		dirty := -1
-		for i, wd := range words {
-			if wd != mn.snap[i] {
-				dirty = i / wpr
-				break
-			}
-		}
-		if dirty < 0 {
-			for y := 0; y < h; y++ {
-				out = append(out, mn.emitted[y]...)
-			}
-			return out
-		}
-		// Row dirty-1 saw row dirty in its blocked-above test, so its
-		// emissions are stale too; everything below is reusable.
-		y0 = dirty - 1
-		if y0 < 0 {
-			y0 = 0
-		}
-	} else {
-		mn.sizeCaches(w, h, wpr)
-	}
-
-	up := mn.up[:w]
-	if y0 == 0 {
-		for i := range up {
-			up[i] = 0
-		}
-	} else {
-		copy(up, mn.upAt[(y0-1)*w:y0*w])
-	}
-	for y := 0; y < y0; y++ {
-		out = append(out, mn.emitted[y]...)
-	}
-	occPrefix := mn.occPrefix[:w+1]
-
-	for y := y0; y < h; y++ {
+	for y := 0; y < h; y++ {
 		row := words[y*wpr : (y+1)*wpr]
 		for wi, word := range row {
 			base := wi * wordBits
-			n := w - base
-			if n > wordBits {
-				n = wordBits
-			}
+			n := min(w-base, wordBits)
 			if word == 0 {
 				for c := 0; c < n; c++ {
 					up[base+c]++
@@ -156,13 +62,9 @@ func (mn *Miner) AppendMaximal(dst []geom.Rect, g *grid.Grid) []geom.Rect {
 		if !topRow {
 			above := words[(y+1)*wpr : (y+2)*wpr]
 			s := 0
-			occPrefix[0] = 0
 			for wi, word := range above {
 				base := wi * wordBits
-				n := w - base
-				if n > wordBits {
-					n = wordBits
-				}
+				n := min(w-base, wordBits)
 				for c := 0; c < n; c++ {
 					s += int(word>>uint(c)) & 1
 					occPrefix[base+c+1] = s
@@ -170,8 +72,7 @@ func (mn *Miner) AppendMaximal(dst []geom.Rect, g *grid.Grid) []geom.Rect {
 			}
 		}
 
-		em := mn.emitted[y][:0]
-		stack := mn.stack[:0]
+		stack = stack[:0]
 		for x := 0; x <= w; x++ {
 			cur := -1 // sentinel flushes the stack at the right edge
 			if x < w {
@@ -183,7 +84,7 @@ func (mn *Miner) AppendMaximal(dst []geom.Rect, g *grid.Grid) []geom.Rect {
 				stack = stack[:len(stack)-1]
 				// Maximal only if blocked above (inclusive span b.start..x-1).
 				if b.h > 0 && (topRow || occPrefix[x]-occPrefix[b.start] > 0) {
-					em = append(em, geom.Rect{X: b.start, Y: y - b.h + 1, W: x - b.start, H: b.h})
+					out = append(out, geom.Rect{X: b.start, Y: y - b.h + 1, W: x - b.start, H: b.h})
 				}
 				start = b.start
 			}
@@ -191,44 +92,16 @@ func (mn *Miner) AppendMaximal(dst []geom.Rect, g *grid.Grid) []geom.Rect {
 				stack = append(stack, minerBar{start, cur})
 			}
 		}
-		mn.stack = stack[:0]
-		mn.emitted[y] = em
-		out = append(out, em...)
-		copy(mn.upAt[y*w:(y+1)*w], up)
 	}
-
-	mn.snap = mn.snap[:wpr*h]
-	copy(mn.snap, words)
-	mn.snapW, mn.snapH = w, h
+	sortRects(out)
 	return out
 }
+
+type minerBar struct{ start, h int }
 
 // wordBits mirrors the grid package's word size; RowWords documents
 // the bit layout (bit x%64 of word x/64 is cell x).
 const wordBits = 64
-
-// sizeCaches (re)shapes the scan buffers and incremental caches for a
-// w×h grid and invalidates the snapshot.
-func (mn *Miner) sizeCaches(w, h, wpr int) {
-	if cap(mn.up) < w {
-		mn.up = make([]int, w)
-		mn.occPrefix = make([]int, w+1)
-		mn.stack = make([]minerBar, 0, w+1)
-	}
-	if cap(mn.snap) < wpr*h {
-		mn.snap = make([]uint64, wpr*h)
-	}
-	if cap(mn.upAt) < w*h {
-		mn.upAt = make([]int, w*h)
-	}
-	if cap(mn.emitted) < h {
-		em := make([][]geom.Rect, h)
-		copy(em, mn.emitted)
-		mn.emitted = em
-	}
-	mn.emitted = mn.emitted[:h]
-	mn.snapW, mn.snapH = 0, 0
-}
 
 // MaximalBrute is an exhaustive oracle used by the test suite and by
 // the fault-tolerance-index cross-checks: it examines every rectangle
@@ -269,20 +142,6 @@ func isMaximal(g *grid.Grid, r geom.Rect) bool {
 		}
 	}
 	return true
-}
-
-// AccommodatesAvoiding reports whether a module footprint s can be
-// placed inside some rectangle without covering the cell avoid. This
-// is the relocation feasibility test for a faulty cell that lies within
-// the module's own (temporarily freed) region: the new site must not
-// reuse the faulty cell. The check is arithmetic — no grid scan.
-func AccommodatesAvoiding(rects []geom.Rect, s geom.Size, avoid geom.Point) bool {
-	for _, r := range rects {
-		if fitsAvoiding(r, s, avoid) || (!s.IsSquare() && fitsAvoiding(r, s.Transpose(), avoid)) {
-			return true
-		}
-	}
-	return false
 }
 
 // fitsAvoiding reports whether footprint s (fixed orientation) has at

@@ -171,8 +171,23 @@ func TestEveryFreeCellCovered(t *testing.T) {
 	}
 }
 
+// accommodatesAvoiding reports whether a module footprint s can be
+// placed inside some rectangle without covering the cell avoid, in
+// either orientation: the MER form of the relocation test, which
+// BestFitAvoiding must agree with.
+func accommodatesAvoiding(rects []geom.Rect, s geom.Size, avoid geom.Point) bool {
+	for _, r := range rects {
+		for _, o := range orientations(s) {
+			if fitsAvoiding(r, o, avoid) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestAccommodates checks plain fit (in either orientation) through
-// AccommodatesAvoiding with the avoided cell outside every rectangle.
+// accommodatesAvoiding with the avoided cell outside every rectangle.
 func TestAccommodates(t *testing.T) {
 	rects := []geom.Rect{{X: 0, Y: 0, W: 3, H: 5}, {X: 4, Y: 4, W: 2, H: 2}}
 	outside := geom.Point{X: -1, Y: -1}
@@ -188,12 +203,12 @@ func TestAccommodates(t *testing.T) {
 		{geom.Size{W: 3, H: 4}, true},
 	}
 	for _, c := range cases {
-		if got := AccommodatesAvoiding(rects, c.s, outside); got != c.want {
-			t.Errorf("AccommodatesAvoiding(%v) = %v, want %v", c.s, got, c.want)
+		if got := accommodatesAvoiding(rects, c.s, outside); got != c.want {
+			t.Errorf("accommodatesAvoiding(%v) = %v, want %v", c.s, got, c.want)
 		}
 	}
-	if AccommodatesAvoiding(nil, geom.Size{W: 1, H: 1}, outside) {
-		t.Error("AccommodatesAvoiding(nil) = true")
+	if accommodatesAvoiding(nil, geom.Size{W: 1, H: 1}, outside) {
+		t.Error("accommodatesAvoiding(nil) = true")
 	}
 }
 
@@ -201,18 +216,18 @@ func TestAccommodatesAvoiding(t *testing.T) {
 	// One 3x3 MER; a 3x3 module fits only exactly, so any cell of the
 	// MER is unavoidable; a 2x2 module can always dodge one cell.
 	rects := []geom.Rect{{X: 2, Y: 2, W: 3, H: 3}}
-	if AccommodatesAvoiding(rects, geom.Size{W: 3, H: 3}, geom.Point{X: 3, Y: 3}) {
+	if accommodatesAvoiding(rects, geom.Size{W: 3, H: 3}, geom.Point{X: 3, Y: 3}) {
 		t.Error("exact-fit module cannot avoid an interior cell")
 	}
-	if !AccommodatesAvoiding(rects, geom.Size{W: 3, H: 3}, geom.Point{X: 0, Y: 0}) {
+	if !accommodatesAvoiding(rects, geom.Size{W: 3, H: 3}, geom.Point{X: 0, Y: 0}) {
 		t.Error("cell outside MER should not block")
 	}
 	// Every 2x2 placement inside a 3x3 covers the centre cell.
-	if AccommodatesAvoiding(rects, geom.Size{W: 2, H: 2}, geom.Point{X: 3, Y: 3}) {
+	if accommodatesAvoiding(rects, geom.Size{W: 2, H: 2}, geom.Point{X: 3, Y: 3}) {
 		t.Error("2x2 in 3x3 cannot avoid the centre cell")
 	}
 	// A corner, however, can be dodged.
-	if !AccommodatesAvoiding(rects, geom.Size{W: 2, H: 2}, geom.Point{X: 2, Y: 2}) {
+	if !accommodatesAvoiding(rects, geom.Size{W: 2, H: 2}, geom.Point{X: 2, Y: 2}) {
 		t.Error("2x2 in 3x3 should avoid a corner")
 	}
 	// 2x3 in 3x3 avoiding centre: origins (2,2),(3,2) for 2x3 — both
@@ -220,16 +235,16 @@ func TestAccommodatesAvoiding(t *testing.T) {
 	// origin (2,2): covers x 2-3, y 2-4 -> covers (3,3). origin (3,2):
 	// x 3-4 -> covers. Rotated 3x2: origins (2,2),(2,3): y 2-3 / 3-4,
 	// x 2-4 -> both cover (3,3). So impossible.
-	if AccommodatesAvoiding(rects, geom.Size{W: 2, H: 3}, geom.Point{X: 3, Y: 3}) {
+	if accommodatesAvoiding(rects, geom.Size{W: 2, H: 3}, geom.Point{X: 3, Y: 3}) {
 		t.Error("2x3 in 3x3 cannot avoid the centre cell")
 	}
 	// But avoiding a corner is possible.
-	if !AccommodatesAvoiding(rects, geom.Size{W: 2, H: 3}, geom.Point{X: 2, Y: 2}) {
+	if !accommodatesAvoiding(rects, geom.Size{W: 2, H: 3}, geom.Point{X: 2, Y: 2}) {
 		t.Error("2x3 in 3x3 should avoid a corner")
 	}
 }
 
-// Property: AccommodatesAvoiding agrees with explicit placement search.
+// Property: accommodatesAvoiding agrees with explicit placement search.
 func TestAccommodatesAvoidingProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 2000; trial++ {
@@ -242,9 +257,9 @@ func TestAccommodatesAvoidingProperty(t *testing.T) {
 				want = true
 			}
 		}
-		got := AccommodatesAvoiding([]geom.Rect{r}, s, avoid)
+		got := accommodatesAvoiding([]geom.Rect{r}, s, avoid)
 		if got != want {
-			t.Fatalf("AccommodatesAvoiding(%v, %v, %v) = %v, want %v", r, s, avoid, got, want)
+			t.Fatalf("accommodatesAvoiding(%v, %v, %v) = %v, want %v", r, s, avoid, got, want)
 		}
 	}
 }
@@ -307,7 +322,7 @@ func BenchmarkMaximalBrute16x16(b *testing.B) {
 
 // Property: BestFitAvoiding returns a free placement of the footprint
 // that does not cover the avoided cell, and reports failure exactly
-// when AccommodatesAvoiding does.
+// when accommodatesAvoiding does.
 func TestBestFitConsistencyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 300; trial++ {
@@ -319,8 +334,8 @@ func TestBestFitConsistencyProperty(t *testing.T) {
 		s := geom.Size{W: 1 + rng.Intn(4), H: 1 + rng.Intn(4)}
 		avoid := geom.Point{X: rng.Intn(g.W()+2) - 1, Y: rng.Intn(g.H()+2) - 1}
 		placed, ok := BestFitAvoiding(mers, s, avoid)
-		if ok != AccommodatesAvoiding(mers, s, avoid) {
-			t.Fatalf("BestFitAvoiding ok=%v disagrees with AccommodatesAvoiding", ok)
+		if ok != accommodatesAvoiding(mers, s, avoid) {
+			t.Fatalf("BestFitAvoiding ok=%v disagrees with accommodatesAvoiding", ok)
 		}
 		if !ok {
 			continue
@@ -331,47 +346,5 @@ func TestBestFitConsistencyProperty(t *testing.T) {
 		if !g.RectFree(placed) || placed.Contains(avoid) {
 			t.Fatalf("BestFitAvoiding placement %v not free or covers %v in\n%s", placed, avoid, g)
 		}
-	}
-}
-
-// TestMinerIncrementalReuse drives one Miner through a long sequence
-// of localized grid mutations — the access pattern of the incremental
-// FTI kernel, where each annealing move dirties a handful of rows —
-// and checks every re-mine against a from-scratch enumeration,
-// including the order of emission. Dimension changes and no-op
-// re-mines of an unchanged grid are mixed in to cover the snapshot
-// reset and full-replay paths.
-func TestMinerIncrementalReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var mn Miner
-	g := grid.New(10, 13)
-	check := func(step int) {
-		t.Helper()
-		got := mn.AppendMaximal(nil, g)
-		var fresh Miner
-		want := fresh.AppendMaximal(nil, g)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: incremental found %d MERs, scratch %d\ngrid:\n%s", step, len(got), len(want), g)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("step %d MER %d: incremental %v, scratch %v\ngrid:\n%s", step, i, got[i], want[i], g)
-			}
-		}
-	}
-	check(-1)
-	for step := 0; step < 600; step++ {
-		switch rng.Intn(20) {
-		case 0: // resize: caches must reset
-			g.Resize(1+rng.Intn(14), 1+rng.Intn(14))
-		case 1: // unchanged grid: pure cache replay
-		default:
-			r := geom.Rect{
-				X: rng.Intn(g.W()), Y: rng.Intn(g.H()),
-				W: 1 + rng.Intn(4), H: 1 + rng.Intn(3),
-			}
-			g.SetRect(r, rng.Intn(2) == 0)
-		}
-		check(step)
 	}
 }

@@ -11,9 +11,9 @@ import (
 // the exhaustive MaximalBrute oracle on arbitrary small grids, and
 // asserts the structural invariants every mined rectangle must hold:
 // in-bounds, entirely free, and maximal (not extensible in any
-// direction). The miner is the inner loop of both the FTI kernel and
-// the recovery planner, so a divergence here silently corrupts every
-// result downstream.
+// direction). The miner feeds the recovery planner's choice of
+// relocation site, so a divergence here silently corrupts every
+// reconfiguration downstream.
 
 // fuzzGrid decodes bytes into an occupancy grid of at most 12x12
 // cells: two dimension bytes, then one bit per cell taken from the
@@ -43,11 +43,9 @@ func FuzzMiner(f *testing.F) {
 	f.Add([]byte{12, 12, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55,
 		0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55})
 	f.Add([]byte{3, 12, 0x01, 0x10, 0x04, 0x40, 0x02})
-	var mn Miner
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzGrid(data)
-		got := mn.AppendMaximal(nil, g)
-		sortRects(got)
+		got := Maximal(g)
 		want := MaximalBrute(g)
 		if len(got) != len(want) {
 			t.Fatalf("miner found %d MERs, oracle %d\ngrid:\n%s\nminer: %v\noracle: %v",
@@ -66,17 +64,6 @@ func FuzzMiner(f *testing.F) {
 			}
 			if !isMaximal(g, r) {
 				t.Fatalf("rect %v is not maximal\ngrid:\n%s", r, g)
-			}
-		}
-		// The stateless package-level path must agree with the reusable
-		// miner (it is the same scan plus a sort).
-		pkg := Maximal(g)
-		if len(pkg) != len(got) {
-			t.Fatalf("Maximal found %d MERs, Miner %d", len(pkg), len(got))
-		}
-		for i := range pkg {
-			if pkg[i] != got[i] {
-				t.Fatalf("Maximal[%d] = %v, Miner %v", i, pkg[i], got[i])
 			}
 		}
 	})

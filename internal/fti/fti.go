@@ -1,6 +1,5 @@
 // Package fti computes the paper's fault tolerance index (Section 5.2)
-// and the underlying per-cell C-coverage, using the fast
-// maximal-empty-rectangle procedure of Section 5.3.
+// and the underlying per-cell C-coverage.
 //
 // For a configuration C on an m×n array, a cell is C-covered if
 //
@@ -20,12 +19,25 @@
 // such a cell is covered only if every one of those modules is
 // relocatable within its own time slice (obstacles are the modules
 // whose spans overlap the failing module's span).
+//
+// Section 5.3 answers "can M avoid faulty cell c?" by mining the
+// maximal empty rectangles (MERs) of M's configuration and testing
+// each cell against each MER. This package uses an equivalent
+// site-intersection kernel. Every free site for M (a placement of
+// M's footprint on free cells, in either orientation) lies in some
+// MER, and every placement of the footprint inside a MER is a free
+// site, so "some MER accommodates M avoiding c" holds exactly when
+// some free site misses c, that is, when c is not in the intersection
+// of all free sites. Sites are axis-aligned rectangles, so that
+// intersection is one rectangle, computed by a word-parallel scan of
+// the occupancy rows, and M's uncovered cells are M's rectangle
+// intersected with it.
 package fti
 
 import (
 	"fmt"
+	"math/bits"
 
-	"dmfb/internal/emptyrect"
 	"dmfb/internal/geom"
 	"dmfb/internal/grid"
 	"dmfb/internal/place"
@@ -79,10 +91,10 @@ func Compute(p *place.Placement) Result {
 //
 // The procedure follows Section 5.3: for each module M, the
 // configuration during M's operation is encoded as a 0/1 matrix with M
-// temporarily removed, the maximal empty rectangles of that matrix are
-// enumerated once, and every cell of M is then tested arithmetically —
-// the relocation site must accommodate M's footprint while avoiding
-// the faulty cell (which the paper models by marking it as a 1).
+// temporarily removed, and the cells of M that every free site of M's
+// footprint covers (the faulty cell, which the paper marks as a 1,
+// would block every site) are knocked out. See the package comment
+// for why this matches the paper's MER test.
 func ComputeOn(p *place.Placement, array geom.Rect) Result {
 	res := Result{
 		Array:             array,
@@ -97,15 +109,15 @@ func ComputeOn(p *place.Placement, array geom.Rect) Result {
 	}
 
 	var scratch *moduleEval
-	var uncov []int32
 	for mi := range p.Modules {
 		if scratch == nil {
 			scratch = newModuleEval(array)
 		}
-		var relocatable bool
-		uncov, relocatable = scratch.eval(p, mi, uncov[:0])
-		for _, c := range uncov {
-			res.CoveredMap[c] = false
+		bad, relocatable := scratch.evalWith(p, mi)
+		for y := bad.Y; y < bad.MaxY(); y++ {
+			for x := bad.X; x < bad.MaxX(); x++ {
+				res.CoveredMap[y*array.W+x] = false
+			}
 		}
 		res.ModuleRelocatable[mi] = relocatable
 	}
@@ -119,54 +131,121 @@ func ComputeOn(p *place.Placement, array geom.Rect) Result {
 }
 
 // moduleEval holds the reusable scratch buffers of the per-module
-// relocatability test: the occupancy grid of the array and the MER
-// list mined from it. One instance serves any number of evaluations on
-// the same array size.
+// relocatability test: the occupancy grid of the array and one row of
+// words for the band scan. One instance serves any number of
+// evaluations on the same array size.
 type moduleEval struct {
 	array geom.Rect
 	g     *grid.Grid
-	miner emptyrect.Miner
-	mers  []geom.Rect
+	band  []uint64
 }
 
 func newModuleEval(array geom.Rect) *moduleEval {
 	return &moduleEval{array: array, g: grid.New(array.W, array.H)}
 }
 
-// eval runs the Section 5.3 per-module procedure for module mi: encode
-// the configuration during mi's time span with mi removed, mine the
-// maximal empty rectangles once, and test each of mi's cells
-// arithmetically. It appends the array-local indices of mi's cells
-// that defeat relocation to dst and reports whether any cell of mi is
-// relocatable.
-func (e *moduleEval) eval(p *place.Placement, mi int, dst []int32) ([]int32, bool) {
-	return e.evalWith(p, mi, dst, &e.miner)
-}
-
-// evalWith is eval with an explicit miner, so callers that evaluate
-// many modules repeatedly (the incremental FTI kernel) can keep one
-// miner per module: the miner's grid snapshot then diffs against the
-// same module's previous configuration and re-mines only the rows the
-// last move dirtied.
-func (e *moduleEval) evalWith(p *place.Placement, mi int, dst []int32, mn *emptyrect.Miner) ([]int32, bool) {
+// evalWith runs the per-module procedure for module mi: encode the
+// configuration during mi's time span with mi removed, then intersect
+// every free site of mi's footprint, in either orientation, with mi's
+// own cells. A cell of mi is uncovered exactly when every site
+// contains it, and the intersection of axis-aligned rectangles is a
+// rectangle, so the result is one rectangle: bad, mi's uncovered
+// cells in array-local coordinates (empty when all are covered;
+// all of mi's cells when no site exists). It reports whether any cell
+// of mi is relocatable.
+func (e *moduleEval) evalWith(p *place.Placement, mi int) (geom.Rect, bool) {
 	m := p.Modules[mi]
 	// Occupancy during M's time span with M removed. Any module whose
 	// span overlaps M's is an obstacle somewhere during M's operation.
 	p.FillOccupancyDuring(e.g, e.array, m.Span, mi)
-	e.mers = mn.AppendMaximal(e.mers[:0], e.g)
-	cells := p.Rect(mi).Intersect(e.array)
-	anyRelocatable := false
-	for y := cells.Y; y < cells.MaxY(); y++ {
-		for x := cells.X; x < cells.MaxX(); x++ {
-			local := geom.Point{X: x - e.array.X, Y: y - e.array.Y}
-			if emptyrect.AccommodatesAvoiding(e.mers, m.Size, local) {
-				anyRelocatable = true
-				continue
+	cells := p.Rect(mi).Intersect(e.array).Translate(-e.array.X, -e.array.Y)
+	if cells.Empty() {
+		return geom.Rect{}, false
+	}
+	bad := e.intersectSites(cells, m.Size)
+	if !bad.Empty() && !m.Size.IsSquare() {
+		bad = e.intersectSites(bad, m.Size.Transpose())
+	}
+	return bad, bad.Cells() < cells.Cells()
+}
+
+// intersectSites intersects bad with every free w×h site of the
+// occupancy grid and returns the result, stopping as soon as it is
+// empty (the intersection only shrinks). Each row band [y, y+h) is
+// scanned as words: OR the band's rows, invert within the width, then
+// AND the free mask with itself shifted right until bit x is set
+// exactly when the site with origin x is free. The band's sites then
+// intersect to [hi, lo+w) × [y, y+h), where lo and hi are the lowest
+// and highest origins.
+func (e *moduleEval) intersectSites(bad geom.Rect, s geom.Size) geom.Rect {
+	g := e.g
+	gw, gh, wpr := g.W(), g.H(), g.WordsPerRow()
+	if s.W > gw || s.H > gh {
+		return bad
+	}
+	if cap(e.band) < wpr {
+		e.band = make([]uint64, wpr)
+	}
+	band := e.band[:wpr]
+	words := g.Words()
+	for y := 0; y+s.H <= gh; y++ {
+		copy(band, words[y*wpr:(y+1)*wpr])
+		for r := y + 1; r < y+s.H; r++ {
+			row := words[r*wpr : (r+1)*wpr]
+			for i := range band {
+				band[i] |= row[i]
 			}
-			dst = append(dst, int32(local.Y*e.array.W+local.X))
+		}
+		for i := range band {
+			band[i] = ^band[i]
+		}
+		if tail := gw % 64; tail != 0 {
+			band[wpr-1] &= 1<<uint(tail) - 1
+		}
+		for k := 1; k < s.W; {
+			sh := min(k, s.W-k)
+			shiftAndRight(band, sh)
+			k += sh
+		}
+		lo, hi := -1, -1
+		for i, w := range band {
+			if w != 0 {
+				if lo < 0 {
+					lo = i*64 + bits.TrailingZeros64(w)
+				}
+				hi = i*64 + 63 - bits.LeadingZeros64(w)
+			}
+		}
+		if lo < 0 {
+			continue // no site in this band
+		}
+		bad = bad.Intersect(geom.Rect{X: hi, Y: y, W: lo + s.W - hi, H: s.H})
+		if bad.Empty() {
+			return geom.Rect{}
 		}
 	}
-	return dst, anyRelocatable
+	return bad
+}
+
+// shiftAndRight sets f &= f >> sh over a multi-word little-endian bit
+// row (bit x%64 of word x/64 is cell x). Ascending word order makes
+// the in-place update safe: word i reads only words i and above.
+func shiftAndRight(f []uint64, sh int) {
+	if len(f) == 1 {
+		f[0] &= f[0] >> uint(sh)
+		return
+	}
+	q, r := sh/64, uint(sh%64)
+	for i := range f {
+		var v uint64
+		if i+q < len(f) {
+			v = f[i+q] >> r
+			if r != 0 && i+q+1 < len(f) {
+				v |= f[i+q+1] << (64 - r)
+			}
+		}
+		f[i] &= v
+	}
 }
 
 // ComputeBrute is an exhaustive oracle for the test suite: for every

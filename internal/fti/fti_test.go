@@ -168,8 +168,8 @@ func TestEmptyPlacementOnArray(t *testing.T) {
 	}
 }
 
-// Property: the fast MER-based computation agrees exactly with the
-// brute-force relocation search on random placements.
+// Property: the fast site-intersection computation agrees exactly
+// with the brute-force relocation search on random placements.
 func TestFastMatchesBruteProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 150; trial++ {

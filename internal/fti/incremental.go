@@ -3,7 +3,6 @@ package fti
 import (
 	"fmt"
 
-	"dmfb/internal/emptyrect"
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
 )
@@ -17,7 +16,7 @@ import (
 // depends only on the array, j's own rectangle, and the rectangles of
 // the modules active during j's span (its span-overlap neighbours).
 // Moving module i therefore invalidates exactly {i} ∪ adj(i); every
-// other module's knocked-out cell set is reused verbatim. When the
+// other module's knocked-out rectangle is reused verbatim. When the
 // array (the placement's bounding box) changes, every module's
 // analysis is over a different matrix and the whole cache is rebuilt.
 //
@@ -46,9 +45,9 @@ type Incremental struct {
 	adj [][]int // span-overlap adjacency, index-aligned with modules
 
 	array     geom.Rect
-	knock     []int32   // per-cell knockout counters, array-local
-	uncovered [][]int32 // per-module knocked-out cell indices
-	reloc     []bool    // per-module relocatability
+	knock     []int32     // per-cell knockout counters, array-local
+	uncovered []geom.Rect // per-module knocked-out cells, array-local
+	reloc     []bool      // per-module relocatability
 	covered   int
 
 	// Staged speculation (one level deep).
@@ -57,30 +56,25 @@ type Incremental struct {
 	savedArray geom.Rect
 	savedCover int
 	savedKnock []int32
-	savedUncov [][]int32
+	savedUncov []geom.Rect
 	savedReloc []bool
 	dirty      []int // modules re-evaluated by the staged Apply
 
 	// Spare buffers recycled across full rebuilds.
 	spareKnock []int32
-	spareUncov [][]int32
+	spareUncov []geom.Rect
 	spareReloc []bool
 
-	// Per-module memo of the pure analysis function. Values are
-	// immutable once stored; uncovered[mi] and savedUncov alias them.
+	// Per-module memo of the pure analysis function.
 	memo   []*memoTable
 	memoOK []bool // adjacency degree fits the key; coordinates checked per key
 	keyBuf [maxKeyWords]uint64
 
 	scratch *moduleEval
-	// miners[mi] is module mi's empty-rectangle miner. Each keeps a
-	// snapshot of the grid it last mined — module mi's occupancy matrix
-	// — so a memo-missing re-evaluation re-mines only the rows the move
-	// actually dirtied instead of the whole array.
-	miners []emptyrect.Miner
 
-	evals int64 // per-module evaluations performed
-	hits  int64 // per-module evaluations avoided by the caches
+	evals    int64 // per-module evaluations performed
+	hits     int64 // per-module evaluations avoided by the caches
+	rebuilds int64 // Apply calls that changed the array
 }
 
 // A memo key captures every input of one module's relocatability
@@ -90,7 +84,7 @@ type Incremental struct {
 // immutable, so positions and orientations are the whole story). The
 // run length is fixed per module at 2+degree, bounded by maxKeyWords.
 type memoVal struct {
-	uncovered []int32
+	uncovered geom.Rect
 	reloc     bool
 }
 
@@ -208,7 +202,6 @@ func (t *memoTable) grow() {
 // reset drops every entry, keeping the allocated capacity.
 func (t *memoTable) reset() {
 	clear(t.hashes)
-	clear(t.vals) // release the []int32 values to the GC
 	t.n = 0
 }
 
@@ -259,9 +252,8 @@ func (inc *Incremental) memoKeyFor(mi int) ([]uint64, bool) {
 }
 
 // evalModule returns module mi's analysis for the current array and
-// placement, consulting the memo first. Returned slices are memo-owned
-// and must not be mutated.
-func (inc *Incremental) evalModule(mi int) ([]int32, bool) {
+// placement, consulting the memo first.
+func (inc *Incremental) evalModule(mi int) (geom.Rect, bool) {
 	if inc.memoOK[mi] {
 		if key, ok := inc.memoKeyFor(mi); ok {
 			t := inc.memo[mi]
@@ -271,7 +263,7 @@ func (inc *Incremental) evalModule(mi int) ([]int32, bool) {
 				return v.uncovered, v.reloc
 			}
 			inc.evals++
-			u, r := inc.scratch.evalWith(inc.p, mi, nil, &inc.miners[mi])
+			u, r := inc.scratch.evalWith(inc.p, mi)
 			if t.n >= memoCapPerModule {
 				t.reset()
 			}
@@ -280,7 +272,7 @@ func (inc *Incremental) evalModule(mi int) ([]int32, bool) {
 		}
 	}
 	inc.evals++
-	return inc.scratch.evalWith(inc.p, mi, nil, &inc.miners[mi])
+	return inc.scratch.evalWith(inc.p, mi)
 }
 
 // NewIncremental builds the incremental evaluator for p on its current
@@ -289,11 +281,10 @@ func NewIncremental(p *place.Placement) *Incremental {
 	inc := &Incremental{
 		p:         p,
 		adj:       place.ConflictAdjacency(p.Modules),
-		uncovered: make([][]int32, len(p.Modules)),
+		uncovered: make([]geom.Rect, len(p.Modules)),
 		reloc:     make([]bool, len(p.Modules)),
 		memo:      make([]*memoTable, len(p.Modules)),
 		memoOK:    make([]bool, len(p.Modules)),
-		miners:    make([]emptyrect.Miner, len(p.Modules)),
 	}
 	for i := range p.Modules {
 		if kw := len(inc.adj[i]) + 2; kw <= maxKeyWords {
@@ -330,6 +321,10 @@ func (inc *Incremental) FTI() float64 {
 // hits/(evals+hits).
 func (inc *Incremental) Stats() (evals, hits int64) { return inc.evals, inc.hits }
 
+// Rebuilds reports how many Apply calls changed the array and so
+// re-evaluated every module (through the memo).
+func (inc *Incremental) Rebuilds() int64 { return inc.rebuilds }
+
 // Apply re-evaluates the placement after a mutation: the placement
 // must already reflect the move, array must be its new bounding box,
 // and dirty must contain (at least) every module whose inputs changed,
@@ -344,6 +339,7 @@ func (inc *Incremental) Apply(array geom.Rect, dirty []int) {
 		// The matrix every module is analysed on changed: full rebuild,
 		// with the old state saved aside wholesale.
 		inc.fullSwap = true
+		inc.rebuilds++
 		inc.savedArray = inc.array
 		inc.savedCover = inc.covered
 		inc.savedKnock = inc.knock
@@ -353,7 +349,7 @@ func (inc *Incremental) Apply(array geom.Rect, dirty []int) {
 		inc.uncovered = inc.spareUncov
 		inc.reloc = inc.spareReloc
 		if inc.uncovered == nil {
-			inc.uncovered = make([][]int32, len(inc.p.Modules))
+			inc.uncovered = make([]geom.Rect, len(inc.p.Modules))
 			inc.reloc = make([]bool, len(inc.p.Modules))
 		}
 		inc.rebuild(array)
@@ -366,7 +362,7 @@ func (inc *Incremental) Apply(array geom.Rect, dirty []int) {
 	}
 	inc.dirty = append(inc.dirty[:0], dirty...)
 	if inc.savedUncov == nil {
-		inc.savedUncov = make([][]int32, 0, 8)
+		inc.savedUncov = make([]geom.Rect, 0, 8)
 		inc.savedReloc = make([]bool, 0, 8)
 	}
 	inc.savedUncov = inc.savedUncov[:0]
@@ -454,7 +450,7 @@ func (inc *Incremental) rebuild(array geom.Rect) {
 		}
 	} else {
 		for mi := range inc.uncovered {
-			inc.uncovered[mi] = nil
+			inc.uncovered[mi] = geom.Rect{}
 			inc.reloc[mi] = false
 		}
 	}
@@ -474,20 +470,28 @@ func (inc *Incremental) ensureScratch() {
 	inc.scratch.array = inc.array
 }
 
-func (inc *Incremental) knockAdd(cells []int32) {
-	for _, c := range cells {
-		if inc.knock[c] == 0 {
-			inc.covered--
+// knockAdd and knockRemove walk the rows of an array-local rectangle
+// of knocked-out cells, keeping covered in step with the counters.
+func (inc *Incremental) knockAdd(r geom.Rect) {
+	for y := r.Y; y < r.MaxY(); y++ {
+		row := inc.knock[y*inc.array.W+r.X : y*inc.array.W+r.MaxX()]
+		for c := range row {
+			if row[c] == 0 {
+				inc.covered--
+			}
+			row[c]++
 		}
-		inc.knock[c]++
 	}
 }
 
-func (inc *Incremental) knockRemove(cells []int32) {
-	for _, c := range cells {
-		inc.knock[c]--
-		if inc.knock[c] == 0 {
-			inc.covered++
+func (inc *Incremental) knockRemove(r geom.Rect) {
+	for y := r.Y; y < r.MaxY(); y++ {
+		row := inc.knock[y*inc.array.W+r.X : y*inc.array.W+r.MaxX()]
+		for c := range row {
+			row[c]--
+			if row[c] == 0 {
+				inc.covered++
+			}
 		}
 	}
 }

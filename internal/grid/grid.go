@@ -7,8 +7,8 @@
 // The matrix is bit-packed: each row is a run of 64-cell words, so
 // the hot geometric predicates — RectFree, SetRect, CountOccupied —
 // are word operations (mask tests, popcounts) instead of per-cell
-// byte loads. Scanline consumers (the maximal-empty-rectangle miner)
-// read rows through RowWords.
+// byte loads. Scanline consumers (the maximal-empty-rectangle miner
+// and the FTI site scan) read rows as words through Words.
 package grid
 
 import (
