@@ -59,11 +59,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLadder$$' -fuzztime $(FUZZTIME) ./internal/recovery/
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkMerge$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzDefectMap$$' -fuzztime $(FUZZTIME) ./internal/defect/
+	$(GO) test -run '^$$' -fuzz '^FuzzStateMoves$$' -fuzztime $(FUZZTIME) ./internal/place/
 
 # bench measures the annealing inner loop (clone-and-recompute vs the
 # incremental move kernel), whole stage-2 runs per proposal
 # (BenchmarkLTSARun, ns/move, which includes the moves rejected on
-# their cost bound), one end-to-end fault-tolerant PCR placement, the fault-injection campaign's worker scaling (the same
+# their cost bound), whole stage-1 runs on the 4×4 in-vitro assay per
+# proposal (BenchmarkAreaRun, ns/move), one end-to-end fault-tolerant
+# PCR placement, the fault-injection campaign's worker scaling (the same
 # seeded campaign at 1 and CAMPAIGN_WORKERS workers; summaries must be
 # identical, wall-clock speedup is recorded), and the recovery ladder's
 # completion gain: the same RECOVERY_TRIALS-trial seeded single-fault
@@ -87,6 +90,8 @@ bench:
 		-benchtime 200000x -benchmem ./internal/core/ ./internal/place/ \
 		| tee bench_go.out
 	$(GO) test -run '^$$' -bench '^BenchmarkLTSARun$$' -benchtime 5x -benchmem \
+		./internal/core/ | tee -a bench_go.out
+	$(GO) test -run '^$$' -bench '^BenchmarkAreaRun$$' -benchtime 3x -benchmem \
 		./internal/core/ | tee -a bench_go.out
 	$(GO) run ./cmd/dmfb-bench -exp fig8 -json bench_exp.json
 	$(GO) run ./cmd/dmfb-bench -exp multistart -starts $(MULTISTART_STARTS) \

@@ -51,16 +51,12 @@ type Problem struct {
 }
 
 // obstacleHits counts (module, obstacle) incidences — the full-
-// reconfiguration analogue of the forbidden-overlap penalty.
+// reconfiguration analogue of the forbidden-overlap penalty. It sums
+// the same per-module count the move kernel keeps in step.
 func (p Problem) obstacleHits(pl *place.Placement) int {
 	n := 0
 	for i := range pl.Modules {
-		r := pl.Rect(i)
-		for _, o := range p.Obstacles {
-			if r.Contains(o) {
-				n++
-			}
-		}
+		n += coversObstacleCount(p.Obstacles, pl.Rect(i))
 	}
 	return n
 }

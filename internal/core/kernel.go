@@ -155,7 +155,7 @@ func (k *moveKernel) Propose(T float64, rng *rand.Rand) *kernelMove {
 		dy := rng.Intn(2*w+1) - w
 		m.newRot[0] = rot
 		m.newPos[0] = clampPos(m.oldPos[0].Add(geom.Point{X: dx, Y: dy}),
-			sizeOf(p.Modules[i], rot), k.prob)
+			p.Modules[i].Oriented(rot), k.prob)
 	} else {
 		// Move types (iii)/(iv): interchange a pair, possibly rotating
 		// one of the two.
@@ -178,18 +178,11 @@ func (k *moveKernel) Propose(T float64, rng *rand.Rand) *kernelMove {
 				m.newRot[t] = !m.newRot[t]
 			}
 		}
-		m.newPos[0] = clampPos(m.oldPos[1], sizeOf(p.Modules[i], m.newRot[0]), k.prob)
-		m.newPos[1] = clampPos(m.oldPos[0], sizeOf(p.Modules[j], m.newRot[1]), k.prob)
+		m.newPos[0] = clampPos(m.oldPos[1], p.Modules[i].Oriented(m.newRot[0]), k.prob)
+		m.newPos[1] = clampPos(m.oldPos[0], p.Modules[j].Oriented(m.newRot[1]), k.prob)
 	}
 	k.counters.proposed++
 	return m
-}
-
-func sizeOf(m place.Module, rot bool) geom.Size {
-	if rot {
-		return m.Size.Transpose()
-	}
-	return m.Size
 }
 
 // Bound stages m in the placement — overlap, bounding box, obstacle
@@ -250,11 +243,11 @@ func (k *moveKernel) Revert(m *kernelMove) {
 // obstacle-hit count in step.
 func (k *moveKernel) relocate(i int, pos geom.Point, rot bool) {
 	if len(k.prob.Obstacles) > 0 {
-		k.hits -= coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
+		k.hits -= coversObstacleCount(k.prob.Obstacles, k.st.Rect(i))
 	}
 	k.st.MoveModule(i, pos, rot)
 	if len(k.prob.Obstacles) > 0 {
-		k.hits += coversObstacleCount(k.prob.Obstacles, k.st.P.Rect(i))
+		k.hits += coversObstacleCount(k.prob.Obstacles, k.st.Rect(i))
 	}
 }
 

@@ -27,6 +27,14 @@ type Module struct {
 	Span geom.Interval // operation interval fixed by synthesis
 }
 
+// Oriented returns m's footprint, transposed when rot is set.
+func (m Module) Oriented(rot bool) geom.Size {
+	if rot {
+		return m.Size.Transpose()
+	}
+	return m.Size
+}
+
 // FromSchedule extracts the placement problem from a synthesis result:
 // one module per scheduled reconfigurable operation, in op-ID order.
 func FromSchedule(s *schedule.Schedule) []Module {
@@ -127,12 +135,7 @@ func (p *Placement) Clone() *Placement {
 }
 
 // Size returns module i's footprint in its current orientation.
-func (p *Placement) Size(i int) geom.Size {
-	if p.Rot[i] {
-		return p.Modules[i].Size.Transpose()
-	}
-	return p.Modules[i].Size
-}
+func (p *Placement) Size(i int) geom.Size { return p.Modules[i].Oriented(p.Rot[i]) }
 
 // Rect returns module i's occupied rectangle.
 func (p *Placement) Rect(i int) geom.Rect {

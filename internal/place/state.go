@@ -24,9 +24,11 @@ func ConflictAdjacency(mods []Module) [][]int {
 // quantities, so a simulated-annealing move can be priced in O(degree)
 // instead of rescanning every module and conflict pair:
 //
+//   - each module's rectangle (Placement.Rect) is cached, so a move
+//     reads its neighbours' rectangles instead of rebuilding them;
 //   - the forbidden-overlap cell count (Placement.OverlapCells) is
-//     kept as a running sum, adjusted per move over the moved module's
-//     conflict adjacency list;
+//     kept as a running sum, adjusted per move by one pass over the
+//     moved module's conflict adjacency list;
 //   - the bounding box (Placement.BoundingBox) is maintained from
 //     per-coordinate occupancy counts of module edges, so boundary
 //     shrinks are found by a short scan instead of a full pass.
@@ -37,8 +39,9 @@ func ConflictAdjacency(mods []Module) [][]int {
 // sequences). Mutate the placement only through MoveModule; positions
 // must stay non-negative.
 type State struct {
-	P   *Placement
-	adj [][]int // conflict adjacency lists, index-aligned with modules
+	P     *Placement
+	adj   [][]int     // conflict adjacency lists, index-aligned with modules
+	rects []geom.Rect // P.Rect(i) per module, kept in step by MoveModule
 
 	overlap int
 
@@ -55,10 +58,11 @@ type State struct {
 // coordinate (the annealing placers clamp positions to the core area,
 // so a negative position is a caller bug).
 func NewState(p *Placement) *State {
-	s := &State{P: p, adj: ConflictAdjacency(p.Modules)}
+	s := &State{P: p, adj: ConflictAdjacency(p.Modules), rects: make([]geom.Rect, len(p.Modules))}
 	maxX, maxY := 1, 1
 	for i := range p.Modules {
 		r := p.Rect(i)
+		s.rects[i] = r
 		if r.X < 0 || r.Y < 0 {
 			panic(fmt.Sprintf("place: module %s at negative position %v",
 				p.Modules[i].Name, r.Origin()))
@@ -70,8 +74,7 @@ func NewState(p *Placement) *State {
 	s.hiX = make([]int, maxX+1)
 	s.loY = make([]int, maxY+1)
 	s.hiY = make([]int, maxY+1)
-	for i := range p.Modules {
-		r := p.Rect(i)
+	for _, r := range s.rects {
 		s.loX[r.X]++
 		s.hiX[r.MaxX()]++
 		s.loY[r.Y]++
@@ -97,31 +100,45 @@ func (s *State) ArrayCells() int { return s.bbox.Cells() }
 // Adjacent returns module i's conflict adjacency list (do not mutate).
 func (s *State) Adjacent(i int) []int { return s.adj[i] }
 
-// MoveModule relocates module i to pos with orientation rot, updating
-// the cached overlap count and bounding box in O(degree + boundary
-// scan). Calling it again with the previous position and orientation
-// reverts the move exactly — the incremental quantities are integers,
-// so there is no drift.
-func (s *State) MoveModule(i int, pos geom.Point, rot bool) {
-	p := s.P
-	old := p.Rect(i)
-	for _, j := range s.adj[i] {
-		s.overlap -= old.Intersect(p.Rect(j)).Cells()
-	}
-	s.dropEdges(old)
+// Rect returns module i's cached rectangle; it equals P.Rect(i).
+func (s *State) Rect(i int) geom.Rect { return s.rects[i] }
 
-	p.Pos[i] = pos
-	p.Rot[i] = rot
-	now := p.Rect(i)
+// MoveModule relocates module i to pos with orientation rot, updating
+// the cached rectangle, overlap count and bounding box in O(degree +
+// boundary scan). The overlap change is priced in one pass over the
+// conflict adjacency, from cached rectangles and without branches.
+// Calling it again with the previous position and orientation reverts
+// the move exactly — the incremental quantities are integers, so
+// there is no drift.
+func (s *State) MoveModule(i int, pos geom.Point, rot bool) {
+	now := geom.RectAt(pos, s.P.Modules[i].Oriented(rot))
 	if now.X < 0 || now.Y < 0 {
 		panic(fmt.Sprintf("place: module %s moved to negative position %v",
-			p.Modules[i].Name, pos))
+			s.P.Modules[i].Name, pos))
 	}
-	s.addEdges(now)
+	old := s.rects[i]
+	d := 0
 	for _, j := range s.adj[i] {
-		s.overlap += now.Intersect(p.Rect(j)).Cells()
+		r := s.rects[j]
+		d += overlapCells(now, r) - overlapCells(old, r)
 	}
+	s.overlap += d
+
+	s.rects[i] = now
+	s.P.Pos[i] = pos
+	s.P.Rot[i] = rot
+	s.dropEdges(old)
+	s.addEdges(now)
 	s.refitBBox(old, now)
+}
+
+// overlapCells returns the cell count of a ∩ b, as
+// a.Intersect(b).Cells() does, without building the intersection:
+// each axis contributes max(min(ends) − max(starts), 0).
+func overlapCells(a, b geom.Rect) int {
+	w := max(min(a.X+a.W, b.X+b.W)-max(a.X, b.X), 0)
+	h := max(min(a.Y+a.H, b.Y+b.H)-max(a.Y, b.Y), 0)
+	return w * h
 }
 
 // dropEdges removes a rectangle's edge contributions.

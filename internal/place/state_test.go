@@ -1,6 +1,7 @@
 package place
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,65 +22,176 @@ func randomModules(rng *rand.Rand, n int) []Module {
 	return mods
 }
 
+// denseModules returns n modules whose spans all start in [0,12) and
+// last 6–15 steps, so most pairs conflict — the regime of the in-vitro
+// assays, where a module has a dozen or more span conflicts.
+func denseModules(rng *rand.Rand, n int) []Module {
+	mods := make([]Module, n)
+	for i := range mods {
+		start := rng.Intn(12)
+		mods[i] = Module{
+			ID:   i,
+			Name: "D",
+			Size: geom.Size{W: 1 + rng.Intn(5), H: 1 + rng.Intn(5)},
+			Span: geom.Interval{Start: start, End: start + 6 + rng.Intn(10)},
+		}
+	}
+	return mods
+}
+
+// checkState asserts that every cached quantity of s equals its
+// from-scratch value on p: overlap, bounding box, array cells and
+// each module's rectangle.
+func checkState(t *testing.T, ctx string, s *State, p *Placement) {
+	t.Helper()
+	if got, want := s.Overlap(), p.OverlapCells(); got != want {
+		t.Fatalf("%s: overlap = %d, scratch %d", ctx, got, want)
+	}
+	if got, want := s.BoundingBox(), p.BoundingBox(); got != want {
+		t.Fatalf("%s: bbox = %v, scratch %v", ctx, got, want)
+	}
+	if got, want := s.ArrayCells(), p.ArrayCells(); got != want {
+		t.Fatalf("%s: cells = %d, scratch %d", ctx, got, want)
+	}
+	for i := range p.Modules {
+		if got, want := s.Rect(i), p.Rect(i); got != want {
+			t.Fatalf("%s: Rect(%d) = %v, scratch %v", ctx, i, got, want)
+		}
+	}
+}
+
 // TestStateDifferential drives State through long random move
 // sequences and asserts, at every step, that the incrementally
-// maintained overlap count and bounding box exactly equal the
-// from-scratch values.
+// maintained overlap count, bounding box and module rectangles exactly
+// equal the from-scratch values. Sparse rounds use 3–10 modules;
+// dense rounds use 32 modules with a mean conflict degree of at least
+// 12, as in the in-vitro assays.
 func TestStateDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const rounds = 20
-	const movesPerRound = 600 // 20 × 600 = 12000 checked moves
+	const sparseRounds, denseRounds = 20, 6
+	const movesPerRound = 600 // 26 × 600 = 15600 checked moves
 
-	for round := 0; round < rounds; round++ {
-		mods := randomModules(rng, 3+rng.Intn(8))
+	for round := 0; round < sparseRounds+denseRounds; round++ {
+		var mods []Module
+		if round < sparseRounds {
+			mods = randomModules(rng, 3+rng.Intn(8))
+		} else {
+			mods = denseModules(rng, 32)
+			if deg := 2 * len(ConflictPairs(mods)) / len(mods); deg < 12 {
+				t.Fatalf("round %d: dense modules have mean degree %d, want ≥ 12", round, deg)
+			}
+		}
 		p := New(mods)
 		for i := range mods {
 			p.Pos[i] = geom.Point{X: rng.Intn(12), Y: rng.Intn(12)}
 			p.Rot[i] = rng.Intn(2) == 0
 		}
 		s := NewState(p)
+		checkState(t, fmt.Sprintf("round %d start", round), s, p)
 
 		for mv := 0; mv < movesPerRound; mv++ {
 			i := rng.Intn(len(mods))
 			s.MoveModule(i, geom.Point{X: rng.Intn(14), Y: rng.Intn(14)}, rng.Intn(2) == 0)
-
-			if got, want := s.Overlap(), p.OverlapCells(); got != want {
-				t.Fatalf("round %d move %d: overlap = %d, scratch %d", round, mv, got, want)
-			}
-			if got, want := s.BoundingBox(), p.BoundingBox(); got != want {
-				t.Fatalf("round %d move %d: bbox = %v, scratch %v", round, mv, got, want)
-			}
-			if got, want := s.ArrayCells(), p.ArrayCells(); got != want {
-				t.Fatalf("round %d move %d: cells = %d, scratch %d", round, mv, got, want)
-			}
+			checkState(t, fmt.Sprintf("round %d move %d", round, mv), s, p)
 		}
 	}
 }
 
 // TestStateMoveRevert checks that re-issuing a move with the previous
-// position and orientation restores the incremental quantities exactly.
+// position and orientation restores the incremental quantities
+// exactly, on a sparse and on a dense conflict set.
 func TestStateMoveRevert(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	mods := randomModules(rng, 6)
-	p := New(mods)
-	for i := range mods {
-		p.Pos[i] = geom.Point{X: rng.Intn(10), Y: rng.Intn(10)}
-	}
-	s := NewState(p)
+	for _, mods := range [][]Module{randomModules(rng, 6), denseModules(rng, 32)} {
+		p := New(mods)
+		for i := range mods {
+			p.Pos[i] = geom.Point{X: rng.Intn(10), Y: rng.Intn(10)}
+		}
+		s := NewState(p)
 
-	for mv := 0; mv < 2000; mv++ {
-		i := rng.Intn(len(mods))
-		oldPos, oldRot := p.Pos[i], p.Rot[i]
-		wantOverlap, wantBB := s.Overlap(), s.BoundingBox()
+		for mv := 0; mv < 2000; mv++ {
+			i := rng.Intn(len(mods))
+			oldPos, oldRot := p.Pos[i], p.Rot[i]
+			wantOverlap, wantBB := s.Overlap(), s.BoundingBox()
 
-		s.MoveModule(i, geom.Point{X: rng.Intn(14), Y: rng.Intn(14)}, rng.Intn(2) == 0)
-		s.MoveModule(i, oldPos, oldRot)
+			s.MoveModule(i, geom.Point{X: rng.Intn(14), Y: rng.Intn(14)}, rng.Intn(2) == 0)
+			s.MoveModule(i, oldPos, oldRot)
 
-		if s.Overlap() != wantOverlap || s.BoundingBox() != wantBB {
-			t.Fatalf("move %d: revert drifted: overlap %d→%d bbox %v→%v",
-				mv, wantOverlap, s.Overlap(), wantBB, s.BoundingBox())
+			if s.Overlap() != wantOverlap || s.BoundingBox() != wantBB {
+				t.Fatalf("%d modules, move %d: revert drifted: overlap %d→%d bbox %v→%v",
+					len(mods), mv, wantOverlap, s.Overlap(), wantBB, s.BoundingBox())
+			}
+			checkState(t, fmt.Sprintf("%d modules, move %d", len(mods), mv), s, p)
 		}
 	}
+}
+
+// FuzzStateMoves decodes bytes into 1–12 modules and a sequence of
+// moves, some immediately reverted, and checks every cached quantity
+// of State against the from-scratch values after each step. The first
+// byte is the module count; six bytes per module follow (width,
+// height, x, y, span start, span length with the rotation in its top
+// bit); then three bytes per step (module index with the revert flag
+// in its top bit, x with the rotation in its top bit, y). Missing
+// bytes read as zero, so every prefix decodes.
+func FuzzStateMoves(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 0, 0, 0, 4, 0, 5, 5})
+	f.Add([]byte{2, 3, 3, 0, 0, 0, 5, 2, 2, 1, 1, 2, 0x85, 0, 7, 0x83, 1, 0x81, 0, 0})
+	f.Add([]byte{12,
+		5, 5, 0, 0, 0, 9, 4, 2, 3, 3, 1, 0x88, 1, 1, 15, 15, 7, 7,
+		2, 6, 8, 0, 0, 3, 6, 2, 4, 9, 2, 8, 3, 3, 3, 3, 5, 0x85,
+		1, 4, 10, 10, 6, 6, 4, 1, 2, 12, 7, 3, 5, 5, 0, 1, 1, 8,
+		6, 6, 11, 2, 0, 5, 2, 2, 13, 13, 3, 0x83, 3, 4, 0, 9, 4, 4,
+		0x80, 20, 20, 1, 0x80, 0, 0x8b, 3, 3, 5, 9, 19, 11, 0, 0, 0x86, 0x92, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) int {
+			if i < len(data) {
+				return int(data[i])
+			}
+			return 0
+		}
+		mods := make([]Module, 1+at(0)%12)
+		for i := range mods {
+			b := 1 + 6*i
+			st := at(b+4) % 8
+			mods[i] = Module{
+				ID:   i,
+				Name: "F",
+				Size: geom.Size{W: 1 + at(b)%6, H: 1 + at(b+1)%6},
+				Span: geom.Interval{Start: st, End: st + 1 + at(b+5)%8},
+			}
+		}
+		p := New(mods)
+		for i := range mods {
+			b := 1 + 6*i
+			p.Pos[i] = geom.Point{X: at(b+2) % 20, Y: at(b+3) % 20}
+			p.Rot[i] = at(b+5)&0x80 != 0
+		}
+		s := NewState(p)
+		checkState(t, "start", s, p)
+
+		for b := 1 + 6*len(mods); b < len(data); b += 3 {
+			op, x := at(b), at(b+1)
+			i := op % len(mods)
+			pos, rot := geom.Point{X: (x & 0x7f) % 20, Y: at(b+2) % 20}, x&0x80 != 0
+			if op&0x80 == 0 {
+				s.MoveModule(i, pos, rot)
+				checkState(t, fmt.Sprintf("byte %d: move", b), s, p)
+				continue
+			}
+			oldPos, oldRot := p.Pos[i], p.Rot[i]
+			wantOverlap, wantBB := s.Overlap(), s.BoundingBox()
+			s.MoveModule(i, pos, rot)
+			checkState(t, fmt.Sprintf("byte %d: move", b), s, p)
+			s.MoveModule(i, oldPos, oldRot)
+			if s.Overlap() != wantOverlap || s.BoundingBox() != wantBB {
+				t.Fatalf("byte %d: revert drifted: overlap %d→%d bbox %v→%v",
+					b, wantOverlap, s.Overlap(), wantBB, s.BoundingBox())
+			}
+			checkState(t, fmt.Sprintf("byte %d: revert", b), s, p)
+		}
+	})
 }
 
 func TestConflictAdjacency(t *testing.T) {
