@@ -60,12 +60,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkMerge$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzDefectMap$$' -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateMoves$$' -fuzztime $(FUZZTIME) ./internal/place/
+	$(GO) test -run '^$$' -fuzz '^FuzzRouteTree$$' -fuzztime $(FUZZTIME) ./internal/router/
 
 # bench measures the annealing inner loop (clone-and-recompute vs the
 # incremental move kernel), whole stage-2 runs per proposal
 # (BenchmarkLTSARun, ns/move, which includes the moves rejected on
 # their cost bound), whole stage-1 runs on the 4×4 in-vitro assay per
-# proposal (BenchmarkAreaRun, ns/move), one end-to-end fault-tolerant
+# proposal (BenchmarkAreaRun, ns/move), one fault-free ladder run of
+# the chip simulator on the assay-campaign chip (BenchmarkSimRun,
+# recorded as sim_run_ns), one end-to-end fault-tolerant
 # PCR placement, the fault-injection campaign's worker scaling (the same
 # seeded campaign at 1 and CAMPAIGN_WORKERS workers; summaries must be
 # identical, wall-clock speedup is recorded), and the recovery ladder's
@@ -93,6 +96,8 @@ bench:
 		./internal/core/ | tee -a bench_go.out
 	$(GO) test -run '^$$' -bench '^BenchmarkAreaRun$$' -benchtime 3x -benchmem \
 		./internal/core/ | tee -a bench_go.out
+	$(GO) test -run '^$$' -bench '^BenchmarkSimRun$$' -benchtime 2000x -benchmem \
+		./internal/sim/ | tee -a bench_go.out
 	$(GO) run ./cmd/dmfb-bench -exp fig8 -json bench_exp.json
 	$(GO) run ./cmd/dmfb-bench -exp multistart -starts $(MULTISTART_STARTS) \
 		-json bench_multistart.json

@@ -130,6 +130,26 @@ func TestCLIGoldenCampaign(t *testing.T) {
 	compareGolden(t, "campaign_summary.golden", string(stable)+"\n", update)
 }
 
+// TestCLIGoldenAssayCampaign pins the deterministic summary of an
+// end-to-end assay campaign: every trial runs the whole schedule on the
+// chip simulator under the recovery ladder, with transient faults.
+func TestCLIGoldenAssayCampaign(t *testing.T) {
+	bin := buildCLI(t)
+	update := os.Getenv("DMFB_UPDATE_GOLDEN") != ""
+	sumPath := filepath.Join(t.TempDir(), "summary.json")
+	cmd := exec.Command(filepath.Join(bin, "dmfb-campaign"),
+		"-mode", "assay", "-recovery", "ladder", "-transient", "0.15",
+		"-trials", "300", "-seed", "7", "-quiet", "-summary", sumPath)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("dmfb-campaign: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(sumPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "campaign_assay_summary.golden", string(raw), update)
+}
+
 func compareGolden(t *testing.T, name, got string, update bool) {
 	t.Helper()
 	path := filepath.Join("testdata", "cli_golden", name)

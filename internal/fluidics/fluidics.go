@@ -23,8 +23,9 @@
 package fluidics
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dmfb/internal/geom"
 	"dmfb/internal/grid"
@@ -155,19 +156,44 @@ type Droplet struct {
 // State tracks the droplets present on a chip and enforces the
 // fluidic constraints on every mutation.
 type State struct {
-	chip     *Chip
-	droplets map[int]*Droplet
-	occ      map[geom.Point]int // cell -> droplet ID
+	chip *Chip
+	// droplets is kept in ID order: IDs are issued increasing and new
+	// droplets are appended, so no mutation needs to re-sort.
+	droplets []Droplet
 	nextID   int
 	moves    int // total single-cell transport operations performed
 }
 
 // NewState returns an empty droplet state for the chip.
 func NewState(chip *Chip) *State {
-	return &State{
-		chip:     chip,
-		droplets: make(map[int]*Droplet),
-		occ:      make(map[geom.Point]int),
+	return &State{chip: chip}
+}
+
+// find returns the index of droplet id in s.droplets, or -1.
+func (s *State) find(id int) int {
+	i, ok := slices.BinarySearchFunc(s.droplets, id, func(d Droplet, id int) int {
+		return cmp.Compare(d.ID, id)
+	})
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// get returns a pointer to droplet id's entry, valid until the next
+// insertion or removal.
+func (s *State) get(id int) (*Droplet, bool) {
+	i := s.find(id)
+	if i < 0 {
+		return nil, false
+	}
+	return &s.droplets[i], true
+}
+
+// remove deletes droplet id's entry, keeping ID order.
+func (s *State) remove(id int) {
+	if i := s.find(id); i >= 0 {
+		s.droplets = slices.Delete(s.droplets, i, i+1)
 	}
 }
 
@@ -180,7 +206,7 @@ func (s *State) Moves() int { return s.moves }
 
 // Droplet returns the droplet with the given ID.
 func (s *State) Droplet(id int) (*Droplet, bool) {
-	d, ok := s.droplets[id]
+	d, ok := s.get(id)
 	if !ok {
 		return nil, false
 	}
@@ -190,12 +216,7 @@ func (s *State) Droplet(id int) (*Droplet, bool) {
 
 // Droplets returns snapshots of all droplets, sorted by ID.
 func (s *State) Droplets() []Droplet {
-	out := make([]Droplet, 0, len(s.droplets))
-	for _, d := range s.droplets {
-		out = append(out, *d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append(make([]Droplet, 0, len(s.droplets)), s.droplets...)
 }
 
 // Count returns the number of droplets on the array.
@@ -203,11 +224,12 @@ func (s *State) Count() int { return len(s.droplets) }
 
 // At returns the droplet occupying cell p, if any.
 func (s *State) At(p geom.Point) (*Droplet, bool) {
-	id, ok := s.occ[p]
-	if !ok {
-		return nil, false
+	for _, d := range s.droplets {
+		if d.Pos == p {
+			return &d, true
+		}
 	}
-	return s.Droplet(id)
+	return nil, false
 }
 
 // chebyshev returns the L∞ distance, the metric of the merge
@@ -231,15 +253,8 @@ func chebyshev(a, b geom.Point) int {
 // violating the static constraint against every current droplet except
 // the listed IDs.
 func (s *State) SeparationOK(p geom.Point, except ...int) bool {
-	skip := map[int]bool{}
-	for _, id := range except {
-		skip[id] = true
-	}
-	for id, d := range s.droplets {
-		if skip[id] {
-			continue
-		}
-		if chebyshev(p, d.Pos) < 2 {
+	for _, d := range s.droplets {
+		if chebyshev(p, d.Pos) < 2 && !slices.Contains(except, d.ID) {
 			return false
 		}
 	}
@@ -259,11 +274,10 @@ func (s *State) Dispense(fluid string, p geom.Point) (Droplet, error) {
 	if !s.SeparationOK(p) {
 		return Droplet{}, fmt.Errorf("fluidics: dispense at %v violates droplet separation", p)
 	}
-	d := &Droplet{ID: s.nextID, Pos: p, Fluid: fluid, Volume: 1}
+	d := Droplet{ID: s.nextID, Pos: p, Fluid: fluid, Volume: 1}
 	s.nextID++
-	s.droplets[d.ID] = d
-	s.occ[p] = d.ID
-	return *d, nil
+	s.droplets = append(s.droplets, d)
+	return d, nil
 }
 
 // Move transports droplet id one cell to the orthogonally adjacent
@@ -272,7 +286,7 @@ func (s *State) Dispense(fluid string, p geom.Point) (Droplet, error) {
 // violate the separation constraint against a droplet it is not
 // allowed to merge with.
 func (s *State) Move(id int, to geom.Point) error {
-	d, ok := s.droplets[id]
+	d, ok := s.get(id)
 	if !ok {
 		return fmt.Errorf("fluidics: unknown droplet %d", id)
 	}
@@ -288,9 +302,7 @@ func (s *State) Move(id int, to geom.Point) error {
 	if !s.SeparationOK(to, id) {
 		return fmt.Errorf("fluidics: droplet %d move to %v violates separation", id, to)
 	}
-	delete(s.occ, d.Pos)
 	d.Pos = to
-	s.occ[to] = id
 	s.moves++
 	return nil
 }
@@ -300,11 +312,11 @@ func (s *State) Move(id int, to geom.Point) error {
 // waived against the partner only (coalescing with it is the intent),
 // but still enforced against every other droplet.
 func (s *State) MoveToMerge(id, partner int, to geom.Point) error {
-	d, ok := s.droplets[id]
+	d, ok := s.get(id)
 	if !ok {
 		return fmt.Errorf("fluidics: unknown droplet %d", id)
 	}
-	if _, ok := s.droplets[partner]; !ok {
+	if s.find(partner) < 0 {
 		return fmt.Errorf("fluidics: unknown merge partner %d", partner)
 	}
 	if d.Pos.Manhattan(to) != 1 {
@@ -319,9 +331,7 @@ func (s *State) MoveToMerge(id, partner int, to geom.Point) error {
 	if !s.SeparationOK(to, id, partner) {
 		return fmt.Errorf("fluidics: droplet %d approach to %v violates separation", id, to)
 	}
-	delete(s.occ, d.Pos)
 	d.Pos = to
-	s.occ[to] = id
 	s.moves++
 	return nil
 }
@@ -330,7 +340,7 @@ func (s *State) MoveToMerge(id, partner int, to geom.Point) error {
 // be the droplet's current position. On error the droplet remains at
 // the last cell reached.
 func (s *State) FollowPath(id int, path []geom.Point) error {
-	d, ok := s.droplets[id]
+	d, ok := s.get(id)
 	if !ok {
 		return fmt.Errorf("fluidics: unknown droplet %d", id)
 	}
@@ -353,11 +363,11 @@ func (s *State) FollowPath(id int, path []geom.Point) error {
 // adjacent). The merged droplet keeps a's ID, sits at a's position,
 // sums the volumes and concatenates the fluid labels.
 func (s *State) Merge(a, b int) (Droplet, error) {
-	da, ok := s.droplets[a]
+	da, ok := s.get(a)
 	if !ok {
 		return Droplet{}, fmt.Errorf("fluidics: unknown droplet %d", a)
 	}
-	db, ok := s.droplets[b]
+	db, ok := s.get(b)
 	if !ok {
 		return Droplet{}, fmt.Errorf("fluidics: unknown droplet %d", b)
 	}
@@ -370,10 +380,10 @@ func (s *State) Merge(a, b int) (Droplet, error) {
 	}
 	da.Volume += db.Volume
 	da.Fluid = da.Fluid + "+" + db.Fluid
-	delete(s.occ, db.Pos)
-	delete(s.droplets, b)
+	merged := *da
+	s.remove(b)
 	s.moves++ // the coalescing transport step
-	return *da, nil
+	return merged, nil
 }
 
 // Split divides droplet id into two unit droplets placed at the two
@@ -382,7 +392,7 @@ func (s *State) Merge(a, b int) (Droplet, error) {
 // axis). Both target cells must be healthy, free and separated.
 // The original droplet must have at least 2 volume units.
 func (s *State) Split(id int, horizontal bool) (Droplet, Droplet, error) {
-	d, ok := s.droplets[id]
+	d, ok := s.get(id)
 	if !ok {
 		return Droplet{}, Droplet{}, fmt.Errorf("fluidics: unknown droplet %d", id)
 	}
@@ -407,28 +417,21 @@ func (s *State) Split(id int, horizontal bool) (Droplet, Droplet, error) {
 		}
 	}
 	half := d.Volume / 2
-	delete(s.occ, d.Pos)
-	delete(s.droplets, id)
-	d1 := &Droplet{ID: s.nextID, Pos: p1, Fluid: d.Fluid, Volume: half}
-	s.nextID++
-	d2 := &Droplet{ID: s.nextID, Pos: p2, Fluid: d.Fluid, Volume: half}
-	s.nextID++
-	s.droplets[d1.ID] = d1
-	s.droplets[d2.ID] = d2
-	s.occ[p1] = d1.ID
-	s.occ[p2] = d2.ID
+	d1 := Droplet{ID: s.nextID, Pos: p1, Fluid: d.Fluid, Volume: half}
+	d2 := Droplet{ID: s.nextID + 1, Pos: p2, Fluid: d.Fluid, Volume: half}
+	s.nextID += 2
+	s.remove(id)
+	s.droplets = append(s.droplets, d1, d2)
 	s.moves += 2
-	return *d1, *d2, nil
+	return d1, d2, nil
 }
 
 // Remove takes droplet id off the array (output to waste/collection).
 func (s *State) Remove(id int) error {
-	d, ok := s.droplets[id]
-	if !ok {
+	if s.find(id) < 0 {
 		return fmt.Errorf("fluidics: unknown droplet %d", id)
 	}
-	delete(s.occ, d.Pos)
-	delete(s.droplets, id)
+	s.remove(id)
 	return nil
 }
 
@@ -438,7 +441,7 @@ func (s *State) Remove(id int) error {
 // during partial reconfiguration in tests; the simulator itself routes
 // properly.
 func (s *State) Teleport(id int, to geom.Point) error {
-	d, ok := s.droplets[id]
+	d, ok := s.get(id)
 	if !ok {
 		return fmt.Errorf("fluidics: unknown droplet %d", id)
 	}
@@ -448,8 +451,6 @@ func (s *State) Teleport(id int, to geom.Point) error {
 	if !s.SeparationOK(to, id) {
 		return fmt.Errorf("fluidics: teleport target %v violates separation", to)
 	}
-	delete(s.occ, d.Pos)
 	d.Pos = to
-	s.occ[to] = id
 	return nil
 }

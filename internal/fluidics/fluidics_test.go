@@ -1,6 +1,8 @@
 package fluidics
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -303,5 +305,91 @@ func TestDropletsSnapshotIsolation(t *testing.T) {
 	ds[0].Pos = geom.Point{X: 3, Y: 3}
 	if got, _ := s.Droplet(ds[0].ID); got.Pos == (geom.Point{X: 3, Y: 3}) {
 		t.Error("Droplets exposes internal state")
+	}
+}
+
+// TestStateKeepsIDOrder runs random dispense, move, split, merge and
+// remove sequences against a map model: Droplets must come out in
+// strictly increasing ID order without re-sorting, and every lookup
+// (Droplet, At) must agree with the model.
+func TestStateKeepsIDOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	merges, splits := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		chip := NewChip(9, 9)
+		s := NewState(chip)
+		model := map[int]Droplet{}
+		cell := func() geom.Point { return geom.Point{X: rng.Intn(9), Y: rng.Intn(9)} }
+		for step := 0; step < 60; step++ {
+			ids := make([]int, 0, len(model))
+			for id := range model {
+				ids = append(ids, id)
+			}
+			sort.Ints(ids)
+			pick := func() int { return ids[rng.Intn(len(ids))] }
+			switch op := rng.Intn(5); {
+			case op == 0 || len(ids) == 0:
+				if d, err := s.Dispense("f", cell()); err == nil {
+					model[d.ID] = d
+				}
+			case op == 1:
+				id := pick()
+				to := model[id].Pos.Neighbors4()[rng.Intn(4)]
+				if s.Move(id, to) == nil {
+					d := model[id]
+					d.Pos = to
+					model[id] = d
+				}
+			case op == 2:
+				id := pick()
+				if d1, d2, err := s.Split(id, rng.Intn(2) == 0); err == nil {
+					delete(model, id)
+					model[d1.ID], model[d2.ID] = d1, d2
+					splits++
+				}
+			case op == 3 && len(ids) > 1:
+				a, b := pick(), pick()
+				db := model[b]
+				for _, to := range db.Pos.Neighbors4() {
+					if a != b && chebyshev(to, model[a].Pos) == 1 && s.MoveToMerge(b, a, to) == nil {
+						db.Pos = to
+						model[b] = db
+						break
+					}
+				}
+				if m, err := s.Merge(a, b); err == nil {
+					delete(model, b)
+					model[a] = m
+					merges++
+				}
+			case op == 4:
+				id := pick()
+				if err := s.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, id)
+			}
+			ds := s.Droplets()
+			if len(ds) != len(model) || s.Count() != len(model) {
+				t.Fatalf("trial %d step %d: %d droplets, model has %d", trial, step, len(ds), len(model))
+			}
+			for i, d := range ds {
+				if i > 0 && ds[i-1].ID >= d.ID {
+					t.Fatalf("trial %d step %d: Droplets out of ID order: %v", trial, step, ds)
+				}
+				if d != model[d.ID] {
+					t.Fatalf("trial %d step %d: droplet %+v, model %+v", trial, step, d, model[d.ID])
+				}
+				if got, ok := s.Droplet(d.ID); !ok || *got != d {
+					t.Fatalf("trial %d step %d: Droplet(%d) = %+v, %v", trial, step, d.ID, got, ok)
+				}
+				if got, ok := s.At(d.Pos); !ok || got.ID != d.ID {
+					t.Fatalf("trial %d step %d: At(%v) = %+v, %v", trial, step, d.Pos, got, ok)
+				}
+			}
+		}
+	}
+	if merges == 0 || splits == 0 {
+		t.Fatalf("sequences made %d merges and %d splits; both must occur", merges, splits)
 	}
 }

@@ -39,61 +39,9 @@ type Request struct {
 // or an error when no path exists. The path's first element is From
 // and its last is To; consecutive elements are orthogonally adjacent.
 func Route(chip *fluidics.Chip, req Request) ([]geom.Point, error) {
-	path, err := routeBFS(chip, req)
-	if reg := instrumented(); reg != nil {
-		if err != nil {
-			reg.Counter("router.route_failures").Inc()
-		} else {
-			reg.Counter("router.routes").Inc()
-			reg.Histogram("router.path_len", telemetry.PathLenBuckets...).
-				Observe(float64(Steps(path)))
-		}
-	}
-	return path, err
-}
-
-// routeBFS is the uninstrumented breadth-first search behind Route.
-func routeBFS(chip *fluidics.Chip, req Request) ([]geom.Point, error) {
-	w, h := chip.W(), chip.H()
-	if !chip.In(req.From) || !chip.In(req.To) {
-		return nil, fmt.Errorf("router: endpoints %v -> %v outside %dx%d array",
-			req.From, req.To, w, h)
-	}
-	blocked := buildBlocked(chip, req)
-	if blocked[idx(req.From, w)] && req.From != req.To {
-		return nil, fmt.Errorf("router: source %v is blocked", req.From)
-	}
-	if blocked[idx(req.To, w)] {
-		return nil, fmt.Errorf("router: target %v is blocked", req.To)
-	}
-	if req.From == req.To {
-		return []geom.Point{req.From}, nil
-	}
-
-	prev := make([]geom.Point, w*h)
-	seen := make([]bool, w*h)
-	queue := []geom.Point{req.From}
-	seen[idx(req.From, w)] = true
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range cur.Neighbors4() {
-			if !chip.In(nb) {
-				continue
-			}
-			i := idx(nb, w)
-			if seen[i] || blocked[i] {
-				continue
-			}
-			seen[i] = true
-			prev[i] = cur
-			if nb == req.To {
-				return reconstruct(req.From, req.To, prev, w), nil
-			}
-			queue = append(queue, nb)
-		}
-	}
-	return nil, fmt.Errorf("router: no path %v -> %v", req.From, req.To)
+	var t Tree
+	t.Reset(chip, req)
+	return t.PathTo(req.To)
 }
 
 // Steps returns the number of control steps a path takes (cells moved).
@@ -107,39 +55,146 @@ func Steps(path []geom.Point) int {
 // Reachable returns all cells reachable from origin under the same
 // admissibility rules, including origin itself (if unblocked).
 func Reachable(chip *fluidics.Chip, req Request) []geom.Point {
-	w := chip.W()
-	blocked := buildBlocked(chip, req)
-	if !chip.In(req.From) || blocked[idx(req.From, w)] {
+	var t Tree
+	t.Reset(chip, req)
+	return t.Reached()
+}
+
+// Tree is the breadth-first search tree of one routing request, grown
+// lazily from req.From. Within one request the obstacle set is fixed,
+// and a BFS from a fixed source gives every cell the same parent
+// whether it stops early or runs on, so one tree answers every
+// candidate target of a routing decision exactly as separate Route
+// calls would. Its buffers are reused across Reset; a Tree is not safe
+// for concurrent use.
+type Tree struct {
+	chip    *fluidics.Chip
+	from    geom.Point
+	w       int
+	blocked []bool
+	seen    []bool
+	prev    []geom.Point // parent of each seen cell
+	queue   []geom.Point // every seen cell in discovery order
+	head    int          // queue[:head] have been expanded
+}
+
+// Reset starts a new tree for req on chip; req.To is ignored. Slices
+// returned by Reached are overwritten.
+func (t *Tree) Reset(chip *fluidics.Chip, req Request) {
+	n := chip.W() * chip.H()
+	t.chip, t.from, t.w = chip, req.From, chip.W()
+	t.blocked = resetBools(t.blocked, n)
+	t.seen = resetBools(t.seen, n)
+	if cap(t.prev) < n {
+		t.prev = make([]geom.Point, n)
+		t.queue = make([]geom.Point, 0, n)
+	}
+	t.prev = t.prev[:n]
+	t.queue, t.head = t.queue[:0], 0
+	fillBlocked(t.blocked, chip, req)
+	if chip.In(req.From) && !t.blocked[idx(req.From, t.w)] {
+		t.seen[idx(req.From, t.w)] = true
+		t.queue = append(t.queue, req.From)
+	}
+}
+
+func resetBools(b []bool, n int) []bool {
+	if cap(b) < n {
+		return make([]bool, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// PathTo returns exactly what Route returns for the tree's request with
+// To set to to, and counts it in the router metrics the same way.
+func (t *Tree) PathTo(to geom.Point) ([]geom.Point, error) {
+	path, err := t.pathTo(to)
+	if reg := instrumented(); reg != nil {
+		if err != nil {
+			reg.Counter("router.route_failures").Inc()
+		} else {
+			reg.Counter("router.routes").Inc()
+			reg.Histogram("router.path_len", telemetry.PathLenBuckets...).
+				Observe(float64(Steps(path)))
+		}
+	}
+	return path, err
+}
+
+func (t *Tree) pathTo(to geom.Point) ([]geom.Point, error) {
+	from, w := t.from, t.w
+	if !t.chip.In(from) || !t.chip.In(to) {
+		return nil, fmt.Errorf("router: endpoints %v -> %v outside %dx%d array",
+			from, to, w, t.chip.H())
+	}
+	if t.blocked[idx(from, w)] && from != to {
+		return nil, fmt.Errorf("router: source %v is blocked", from)
+	}
+	if t.blocked[idx(to, w)] {
+		return nil, fmt.Errorf("router: target %v is blocked", to)
+	}
+	if from == to {
+		return []geom.Point{from}, nil
+	}
+	target := idx(to, w)
+	t.grow(target)
+	if !t.seen[target] {
+		return nil, fmt.Errorf("router: no path %v -> %v", from, to)
+	}
+	n := 1
+	for cur := to; cur != from; cur = t.prev[idx(cur, w)] {
+		if n++; n > len(t.queue) {
+			panic("router: search tree parent chain does not reach the source")
+		}
+	}
+	path := make([]geom.Point, n)
+	for cur, i := to, n-1; i >= 0; i-- {
+		path[i] = cur
+		cur = t.prev[idx(cur, w)]
+	}
+	return path, nil
+}
+
+// Reached returns every cell reachable from the source, the source
+// first, in discovery order — exactly Reachable's list. The slice is
+// the tree's own and is overwritten by the next Reset.
+func (t *Tree) Reached() []geom.Point {
+	t.grow(-1)
+	if len(t.queue) == 0 {
 		return nil
 	}
-	seen := make([]bool, w*chip.H())
-	seen[idx(req.From, w)] = true
-	queue := []geom.Point{req.From}
-	out := []geom.Point{req.From}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	return t.queue
+}
+
+// grow expands the tree in BFS order until cell index target has been
+// discovered (never, for a negative target) or the frontier is empty.
+func (t *Tree) grow(target int) {
+	w := t.w
+	for t.head < len(t.queue) && (target < 0 || !t.seen[target]) {
+		cur := t.queue[t.head]
+		t.head++
 		for _, nb := range cur.Neighbors4() {
-			if !chip.In(nb) {
+			if !t.chip.In(nb) {
 				continue
 			}
 			i := idx(nb, w)
-			if seen[i] || blocked[i] {
+			if t.seen[i] || t.blocked[i] {
 				continue
 			}
-			seen[i] = true
-			out = append(out, nb)
-			queue = append(queue, nb)
+			t.seen[i] = true
+			t.prev[i] = cur
+			t.queue = append(t.queue, nb)
 		}
 	}
-	return out
 }
 
 func idx(p geom.Point, w int) int { return p.Y*w + p.X }
 
-func buildBlocked(chip *fluidics.Chip, req Request) []bool {
+// fillBlocked marks the obstacle cells of req in a cleared w×h buffer.
+func fillBlocked(blocked []bool, chip *fluidics.Chip, req Request) {
 	w, h := chip.W(), chip.H()
-	blocked := make([]bool, w*h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			p := geom.Point{X: x, Y: y}
@@ -172,17 +227,4 @@ func buildBlocked(chip *fluidics.Chip, req Request) []bool {
 			blocked[idx(p, w)] = true
 		}
 	}
-	return blocked
-}
-
-func reconstruct(from, to geom.Point, prev []geom.Point, w int) []geom.Point {
-	var rev []geom.Point
-	for cur := to; cur != from; cur = prev[idx(cur, w)] {
-		rev = append(rev, cur)
-	}
-	rev = append(rev, from)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

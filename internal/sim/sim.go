@@ -26,6 +26,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -245,6 +246,9 @@ type simulator struct {
 	// span is the id of this run's "sim.run" trace span; event
 	// records nest under it.
 	span telemetry.SpanID
+	// tree is the routing search of the current droplet decision: each
+	// decision resets it once and asks it for every candidate target.
+	tree router.Tree
 }
 
 // ArrayCell converts placed-array coordinates (as used by placements
@@ -394,45 +398,33 @@ func (sim *simulator) moduleCenter(mi int) geom.Point {
 	return geom.Point{X: r.X + (r.W-1)/2, Y: r.Y + (r.H-1)/2}
 }
 
-// boundIndex maps op IDs to placement module indices.
-func (sim *simulator) boundIndex() map[int]int {
-	m := make(map[int]int)
-	for i, it := range sim.sched.BoundItems() {
-		m[it.Op.ID] = i
-	}
-	return m
-}
-
 // activeRects returns the chip-coordinate rectangles of modules active
-// at second t, excluding the given op IDs.
+// at second t, excluding the given op IDs, in module-index order.
 func (sim *simulator) activeRects(t int, excludeOps ...int) []geom.Rect {
-	skip := map[int]bool{}
-	for _, e := range excludeOps {
-		skip[e] = true
-	}
 	var out []geom.Rect
-	for i, it := range sim.sched.BoundItems() {
-		if skip[it.Op.ID] || sim.abandoned[it.Op.ID] || !it.Span.Contains(t) {
+	mi := 0 // placement module index: bound items in op-ID order
+	for _, it := range sim.sched.Items {
+		if !it.Bound {
 			continue
 		}
-		out = append(out, sim.moduleRect(i))
+		if it.Span.Contains(t) && !sim.abandoned[it.Op.ID] && !slices.Contains(excludeOps, it.Op.ID) {
+			out = append(out, sim.moduleRect(mi))
+		}
+		mi++
 	}
 	return out
 }
 
-// otherDroplets returns positions of all droplets except the listed IDs.
-func (sim *simulator) otherDroplets(except ...int) []geom.Point {
-	skip := map[int]bool{}
-	for _, id := range except {
-		skip[id] = true
-	}
-	var out []geom.Point
+// resetTree roots the run's routing tree at droplet id's cell from,
+// with keepOut and every other droplet's halo as obstacles.
+func (sim *simulator) resetTree(id int, from geom.Point, keepOut []geom.Rect) {
+	var avoid []geom.Point
 	for _, d := range sim.state.Droplets() {
-		if !skip[d.ID] {
-			out = append(out, d.Pos)
+		if d.ID != id {
+			avoid = append(avoid, d.Pos)
 		}
 	}
-	return out
+	sim.tree.Reset(sim.chip, router.Request{From: from, KeepOut: keepOut, AvoidDroplets: avoid})
 }
 
 func (sim *simulator) log(t int, kind, format string, args ...any) {
@@ -644,9 +636,13 @@ func (sim *simulator) adoptPlan(t int, plan *recovery.Plan) error {
 
 // processEnds completes operations whose span ends at t.
 func (sim *simulator) processEnds(t int) error {
-	bi := sim.boundIndex()
+	mi := -1 // placement module index of it
 	for _, it := range sim.sched.Items {
-		if !it.Bound || it.Span.End != t || it.Span.Empty() || sim.abandoned[it.Op.ID] {
+		if !it.Bound {
+			continue
+		}
+		mi++
+		if it.Span.End != t || it.Span.Empty() || sim.abandoned[it.Op.ID] {
 			continue
 		}
 		op := it.Op
@@ -666,7 +662,7 @@ func (sim *simulator) processEnds(t int) error {
 		} else {
 			sim.products[op.ID] = []int{id}
 		}
-		sim.log(t, "op-end", "%s done in module %v", op.Name, sim.moduleRect(bi[op.ID]))
+		sim.log(t, "op-end", "%s done in module %v", op.Name, sim.moduleRect(mi))
 	}
 	return nil
 }
@@ -674,8 +670,11 @@ func (sim *simulator) processEnds(t int) error {
 // processStarts launches operations whose span starts at t, in op-ID
 // order. Boundary ops (dispense handled lazily, output immediately).
 func (sim *simulator) processStarts(t int) error {
-	bi := sim.boundIndex()
+	mi := -1 // placement module index of the last bound item seen
 	for _, it := range sim.sched.Items {
+		if it.Bound {
+			mi++
+		}
 		if it.Span.Start != t || sim.abandoned[it.Op.ID] {
 			continue
 		}
@@ -692,7 +691,7 @@ func (sim *simulator) processStarts(t int) error {
 			if it.Span.Empty() {
 				continue
 			}
-			if err := sim.startModuleOp(t, op.ID, bi[op.ID]); err != nil {
+			if err := sim.startModuleOp(t, op.ID, mi); err != nil {
 				return err
 			}
 		}
@@ -784,12 +783,8 @@ func (sim *simulator) routeDroplet(t, id int, target geom.Point, ownOp int) erro
 	if !ok {
 		return fmt.Errorf("unknown droplet %d", id)
 	}
-	path, err := router.Route(sim.chip, router.Request{
-		From:          d.Pos,
-		To:            target,
-		KeepOut:       sim.activeRects(t, ownOp),
-		AvoidDroplets: sim.otherDroplets(id),
-	})
+	sim.resetTree(id, d.Pos, sim.activeRects(t, ownOp))
+	path, err := sim.tree.PathTo(target)
 	if err != nil {
 		return err
 	}
@@ -839,9 +834,9 @@ func (sim *simulator) mergeInto(t, into, id, ownOp int, center geom.Point) error
 		sim.trace(t, "merge", "droplet %d into %d at %v", id, into, center)
 		return nil
 	}
-	keepOut := sim.activeRects(t, ownOp)
-	avoid := sim.otherDroplets(id)
-
+	// One search tree serves every staging cell: nothing moves until a
+	// route is taken.
+	sim.resetTree(id, d.Pos, sim.activeRects(t, ownOp))
 	var approaches []geom.Point
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
@@ -861,9 +856,7 @@ func (sim *simulator) mergeInto(t, into, id, ownOp int, center geom.Point) error
 			if chebyshev(s, center) != 2 || !sim.chip.In(s) || sim.chip.IsFaulty(s) {
 				continue
 			}
-			path, err := router.Route(sim.chip, router.Request{
-				From: d.Pos, To: s, KeepOut: keepOut, AvoidDroplets: avoid,
-			})
+			path, err := sim.tree.PathTo(s)
 			if err != nil {
 				continue
 			}
@@ -931,13 +924,14 @@ func (sim *simulator) parkDroplet(t, id, starterOp int) error {
 			crossKeepOut = append(crossKeepOut, r)
 		}
 	}
-	crossable := router.Request{
-		From:          d.Pos,
-		KeepOut:       crossKeepOut,
-		AvoidDroplets: sim.otherDroplets(id),
-	}
+	// The candidate cells and the routes to them come from one search
+	// tree, rooted where the droplet is.
+	from := d.Pos
+	sim.resetTree(id, from, crossKeepOut)
 	allRects := sim.activeRects(t)
-	for _, cell := range router.Reachable(sim.chip, crossable) {
+	cells := sim.tree.Reached()
+	for i := 0; i < len(cells); i++ {
+		cell := cells[i]
 		inModule := false
 		for _, r := range allRects {
 			if r.Contains(cell) {
@@ -948,26 +942,26 @@ func (sim *simulator) parkDroplet(t, id, starterOp int) error {
 		if inModule || !sim.state.SeparationOK(cell, id) {
 			continue
 		}
-		if err := sim.routeViaRequest(id, cell, crossable); err == nil {
+		path, err := sim.tree.PathTo(cell)
+		if err != nil {
+			continue
+		}
+		err = sim.state.FollowPath(id, path)
+		if err == nil {
 			sim.trace(t, "park", "droplet %d parked at %v", id, cell)
 			return nil
 		}
+		// A refused step leaves the droplet part-way along the path:
+		// later candidates are routed from where it stopped, on a tree
+		// regrown there (cells is copied first, as the regrow reuses
+		// the slice Reached returned).
+		if cur, ok := sim.state.Droplet(id); ok && cur.Pos != from {
+			from = cur.Pos
+			cells = slices.Clone(cells)
+			sim.resetTree(id, from, crossKeepOut)
+		}
 	}
 	return fmt.Errorf("no parking cell reachable from %v", d.Pos)
-}
-
-func (sim *simulator) routeViaRequest(id int, to geom.Point, req router.Request) error {
-	d, ok := sim.state.Droplet(id)
-	if !ok {
-		return fmt.Errorf("droplet %d not on array", id)
-	}
-	req.From = d.Pos
-	req.To = to
-	path, err := router.Route(sim.chip, req)
-	if err != nil {
-		return err
-	}
-	return sim.state.FollowPath(id, path)
 }
 
 // outputOp routes the input droplet to a collection port and removes
@@ -1001,12 +995,9 @@ func (sim *simulator) collectDroplet(t, id int) {
 	}
 	// Best effort: route to the first reachable port for transport
 	// accounting; removal happens regardless.
+	sim.resetTree(id, d.Pos, sim.activeRects(t))
 	for _, port := range sim.ports {
-		path, err := router.Route(sim.chip, router.Request{
-			From: d.Pos, To: port,
-			KeepOut:       sim.activeRects(t),
-			AvoidDroplets: sim.otherDroplets(id),
-		})
+		path, err := sim.tree.PathTo(port)
 		if err == nil {
 			if ferr := sim.state.FollowPath(id, path); ferr != nil {
 				// The droplet is removed below regardless; a refused

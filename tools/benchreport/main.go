@@ -66,6 +66,12 @@ type report struct {
 	// where overlap pricing over dense span conflicts dominates.
 	AreaRunNsPerMove float64 `json:"area_run_ns_per_move,omitempty"`
 
+	// SimRunNs is the wall time of one fault-free run of the PCR
+	// schedule on the assay-campaign chip under the recovery ladder
+	// (BenchmarkSimRun): the simulator's own cost in a campaign trial
+	// that needs no recovery.
+	SimRunNs float64 `json:"sim_run_ns,omitempty"`
+
 	// Campaign scaling: the same fault-injection campaign run at 1
 	// worker and at N workers (dmfb-campaign -json). Speedup is
 	// wall-clock 1-worker / N-worker; the summaries must be identical
@@ -322,6 +328,8 @@ func main() {
 			rep.LTSARunNsPerMove = b.NsPerMove
 		case "BenchmarkAreaRun":
 			rep.AreaRunNsPerMove = b.NsPerMove
+		case "BenchmarkSimRun":
+			rep.SimRunNs = b.NsPerOp
 		}
 	}
 	if len(rep.Benchmarks) == 0 {
