@@ -1,12 +1,8 @@
 GO ?= go
 FUZZTIME ?= 10s
-CAMPAIGN_TRIALS ?= 10000
-CAMPAIGN_WORKERS ?= 8
 RECOVERY_TRIALS ?= 512
-SERVE_REQUESTS ?= 100
-MULTISTART_STARTS ?= 4
 
-.PHONY: all build test race vet fmtcheck errcheck loc fuzz bench benchquick serve-smoke dispatch-smoke yield-smoke ci clean
+.PHONY: all build test race vet fmtcheck errcheck loc fuzz bench benchquick perfbench-check serve-smoke dispatch-smoke yield-smoke ci clean
 
 all: build
 
@@ -61,6 +57,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDefectMap$$' -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateMoves$$' -fuzztime $(FUZZTIME) ./internal/place/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteTree$$' -fuzztime $(FUZZTIME) ./internal/router/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPlacement$$' -fuzztime $(FUZZTIME) ./internal/format/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSchedule$$' -fuzztime $(FUZZTIME) ./internal/format/
 
 # bench measures the annealing inner loop (clone-and-recompute vs the
 # incremental move kernel), whole stage-2 runs per proposal
@@ -69,17 +67,11 @@ fuzz:
 # proposal (BenchmarkAreaRun, ns/move), one fault-free ladder run of
 # the chip simulator on the assay-campaign chip (BenchmarkSimRun,
 # recorded as sim_run_ns), one end-to-end fault-tolerant
-# PCR placement, the fault-injection campaign's worker scaling (the same
-# seeded campaign at 1 and CAMPAIGN_WORKERS workers; summaries must be
-# identical, wall-clock speedup is recorded), and the recovery ladder's
-# completion gain: the same RECOVERY_TRIALS-trial seeded single-fault
-# assay campaign under L1-only recovery and under the full ladder
-# (benchreport refuses the report unless the ladder strictly improves
-# completion with zero errored trials). The multistart experiment runs
-# the same MULTISTART_STARTS-start derived-seed search serially and in
-# parallel: benchreport refuses the report unless the winners are
-# byte-identical, and records the wall-clock speedup plus the
-# time-to-target-FTI. The yieldsweep experiment runs the seeded
+# PCR placement, and the recovery ladder's completion gain: the same
+# RECOVERY_TRIALS-trial seeded single-fault assay campaign under
+# L1-only recovery and under the full ladder (benchreport refuses the
+# report unless the ladder strictly improves completion with zero
+# errored trials). The yieldsweep experiment runs the seeded
 # 512-trial clustered-defect yield campaign at spare budgets 0, 2 and
 # 4 (benchreport refuses the report unless the yield-vs-area curve
 # has at least three points with strictly increasing area and the
@@ -87,7 +79,8 @@ fuzz:
 # the fresh report against the committed one: a stage-2 ns/op
 # regression beyond timer noise, any fig8 FTI/area regression, or a
 # yield drop at any spare budget at the pinned defect density refuses
-# the report. Assembles BENCH_place.json at the repo root.
+# the report. Assembles BENCH_place.json at the repo root. Fault
+# campaigns and server load are timed end to end by perfbench/.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkStage|BenchmarkActiveDuring' \
 		-benchtime 200000x -benchmem ./internal/core/ ./internal/place/ \
@@ -99,32 +92,27 @@ bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkSimRun$$' -benchtime 2000x -benchmem \
 		./internal/sim/ | tee -a bench_go.out
 	$(GO) run ./cmd/dmfb-bench -exp fig8 -json bench_exp.json
-	$(GO) run ./cmd/dmfb-bench -exp multistart -starts $(MULTISTART_STARTS) \
-		-json bench_multistart.json
-	$(GO) run ./cmd/dmfb-campaign -trials $(CAMPAIGN_TRIALS) -k 3 -workers 1 \
-		-quiet -json bench_campaign1.json
-	$(GO) run ./cmd/dmfb-campaign -trials $(CAMPAIGN_TRIALS) -k 3 -workers $(CAMPAIGN_WORKERS) \
-		-quiet -json bench_campaignN.json
 	$(GO) run ./cmd/dmfb-campaign -mode assay -k 1 -recovery l1 \
 		-trials $(RECOVERY_TRIALS) -seed 5 -quiet -json bench_assay_l1.json
 	$(GO) run ./cmd/dmfb-campaign -mode assay -k 1 -recovery ladder \
 		-trials $(RECOVERY_TRIALS) -seed 5 -quiet -json bench_assay_ladder.json
-	$(GO) run ./cmd/dmfb-server -addr 127.0.0.1:0 -replay $(SERVE_REQUESTS) \
-		-json bench_serve.json
 	$(GO) run ./cmd/dmfb-bench -exp yieldsweep -json bench_yield.json
 	$(GO) run ./tools/benchreport -go bench_go.out -exp bench_exp.json \
-		-campaign1 bench_campaign1.json -campaignN bench_campaignN.json \
 		-assay-l1 bench_assay_l1.json -assay-ladder bench_assay_ladder.json \
-		-serve bench_serve.json -multistart bench_multistart.json \
 		-yield bench_yield.json \
 		-prev BENCH_place.json \
 		-out BENCH_place.json
-	rm -f bench_go.out bench_exp.json bench_campaign1.json bench_campaignN.json \
-		bench_assay_l1.json bench_assay_ladder.json bench_serve.json \
-		bench_multistart.json bench_yield.json
+	rm -f bench_go.out bench_exp.json bench_assay_l1.json \
+		bench_assay_ladder.json bench_yield.json
 
 benchquick:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
+
+# perfbench-check vets and tests the benchmark module (perfbench/, a
+# separate Go module that imports the internal packages), so a change
+# that breaks the benchmark fails CI even when the root tests pass.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # serve-smoke boots the real dmfb-server binary on a free port,
 # compiles the same assay twice over HTTP and asserts the second
@@ -166,7 +154,7 @@ yield-smoke:
 	echo "yield-smoke: ok (clustered summaries byte-identical at 1 and 4 workers)"; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
-ci: vet build test race fmtcheck errcheck
+ci: vet build test race fmtcheck errcheck perfbench-check
 
 clean:
 	$(GO) clean ./...

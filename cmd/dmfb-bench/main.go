@@ -8,19 +8,18 @@
 //	dmfb-bench                 # all experiments
 //	dmfb-bench -exp table2     # one experiment:
 //	                           # table1 fig5 fig6 baseline fig7 fti fig8 table2
-//	                           # reconfig montecarlo multistart yieldsweep
+//	                           # reconfig montecarlo yieldsweep
+//	dmfb-bench -exp fig8 -starts 4   # best of 4 derived-seed starts
 //	dmfb-bench -exp table1 -json results.json
 //	dmfb-bench -trace trace.jsonl -metrics metrics.json -profile prof/
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"dmfb"
@@ -77,7 +76,6 @@ func run(exp, jsonOut string) int {
 		{"table2", table2},
 		{"reconfig", reconfigExp},
 		{"montecarlo", monteCarlo},
-		{"multistart", multistart},
 		{"yieldsweep", yieldsweep},
 	}
 	var results []expResult
@@ -354,81 +352,6 @@ func reconfigExp() []measurement {
 	}
 	fmt.Println("no covered module cell found")
 	return nil
-}
-
-// multistart measures the deterministic parallel multi-start search
-// (extension): the same N-start derived-seed twostage search run with
-// a 1-worker cap and with one worker per CPU must pick byte-identical
-// winners, and the wall-clock ratio of the two runs is the multi-start
-// speedup. The single-start run sets the target FTI; the parallel
-// run's wall-clock is the time-to-target when its winner meets it.
-// Telemetry sinks are deliberately left off: the starts anneal
-// concurrently and per-move observer traffic would dominate timing.
-func multistart() []measurement {
-	starts := search.Starts
-	if starts <= 1 {
-		starts = 4
-	}
-	cpus := runtime.NumCPU()
-	fmt.Printf("Multi-start annealing: best of %d derived-seed starts on %d CPU(s), beta=30\n", starts, cpus)
-
-	run := func(s dmfb.SearchOptions) (pipeline.Result, float64) {
-		t0 := time.Now()
-		res, err := pipeline.Run(context.Background(), pipeline.Request{
-			Tool:  "dmfb-bench",
-			Synth: &pipeline.SynthSpec{Assay: "pcr"},
-			Place: &pipeline.PlaceSpec{
-				Placer:  "twostage",
-				Options: dmfb.PlacerOptions{Seed: *seed, Search: s},
-				FT:      dmfb.FTOptions{Beta: 30},
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return res, float64(time.Since(t0).Microseconds()) / 1000
-	}
-
-	single, singleMS := run(dmfb.SearchOptions{})
-	target := dmfb.ComputeFTI(single.Placement).FTI()
-
-	serial, serialMS := run(dmfb.SearchOptions{Starts: starts, Workers: 1})
-	par, parMS := run(dmfb.SearchOptions{Starts: starts})
-
-	identical := 0.0
-	if bytes.Equal(must(dmfb.MarshalPlacement(serial.Placement)),
-		must(dmfb.MarshalPlacement(par.Placement))) {
-		identical = 1
-	}
-	winner := dmfb.ComputeFTI(par.Placement).FTI()
-	speedup := 0.0
-	if parMS > 0 {
-		speedup = serialMS / parMS
-	}
-	toTarget := 0.0
-	if winner >= target {
-		toTarget = parMS
-	}
-
-	fmt.Printf("single start:        %8.1f ms, FTI %.4f (target)\n", singleMS, target)
-	fmt.Printf("%d starts, 1 worker: %8.1f ms\n", starts, serialMS)
-	fmt.Printf("%d starts, %d worker(s): %.1f ms, FTI %.4f (winner: start %d), speedup %.2fx\n",
-		starts, cpus, parMS, winner, par.TwoStage.Start, speedup)
-	fmt.Printf("winners byte-identical across worker counts: %v\n", identical == 1)
-
-	return []measurement{
-		{Name: "starts", Measured: float64(starts)},
-		{Name: "cpus", Measured: float64(cpus)},
-		{Name: "single_start_ms", Measured: singleMS, Unit: "ms"},
-		{Name: "serial_ms", Measured: serialMS, Unit: "ms"},
-		{Name: "parallel_ms", Measured: parMS, Unit: "ms"},
-		{Name: "multistart_speedup", Measured: speedup, Unit: "x"},
-		{Name: "winner_identical", Measured: identical, Paper: 1},
-		{Name: "target_fti", Measured: dmfb.Round4(target)},
-		{Name: "winner_fti", Measured: dmfb.Round4(winner)},
-		{Name: "to_target_fti_ms", Measured: toTarget, Unit: "ms"},
-	}
 }
 
 // yieldsweep measures the yield-vs-area trade-off of space redundancy

@@ -10,23 +10,18 @@
 //
 //	dmfb-server -addr :8080
 //	dmfb-server -addr 127.0.0.1:0 -workers 4 -queue 16
-//	dmfb-server -replay 100 -json serve.json   # self-benchmark, then exit
 //
 //	curl -s localhost:8080/v1/compile -d '{"assay":"pcr","seed":1}'
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -42,8 +37,6 @@ func main() {
 		queue   = flag.Int("queue", 0, "waiting requests beyond -workers before 429 (0 = default, negative = none)")
 		cacheMB = flag.Int("cache-mb", 64, "placement cache budget in MiB")
 		drainT  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-		replay  = flag.Int("replay", 0, "serve a mixed `n`-request benchmark against itself, report and exit")
-		jsonOut = flag.String("json", "", "write replay results to `file` (with -replay)")
 	)
 	os.Exit(cliflags.Main("dmfb-server", func(ts *cliflags.Session) int {
 		reg := ts.Metrics
@@ -67,26 +60,6 @@ func main() {
 		go func() { errc <- hs.Serve(ln) }()
 		fmt.Fprintf(os.Stderr, "dmfb-server: listening on http://%s\n", ln.Addr())
 
-		shutdown := func() int {
-			ctx, cancel := context.WithTimeout(context.Background(), *drainT)
-			defer cancel()
-			if err := srv.Drain(ctx); err != nil {
-				fmt.Fprintln(os.Stderr, "dmfb-server: drain:", err)
-			}
-			if err := hs.Shutdown(ctx); err != nil {
-				return ts.Fail(err)
-			}
-			return 0
-		}
-
-		if *replay > 0 {
-			code := runReplay(ln.Addr().String(), *replay, *workers, *jsonOut)
-			if sc := shutdown(); code == 0 {
-				code = sc
-			}
-			return code
-		}
-
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		select {
@@ -96,85 +69,14 @@ func main() {
 		}
 		stop() // a second signal kills the process the default way
 		fmt.Fprintln(os.Stderr, "dmfb-server: draining")
-		return shutdown()
+		dctx, cancel := context.WithTimeout(context.Background(), *drainT)
+		defer cancel()
+		if err := srv.Drain(dctx); err != nil {
+			fmt.Fprintln(os.Stderr, "dmfb-server: drain:", err)
+		}
+		if err := hs.Shutdown(dctx); err != nil {
+			return ts.Fail(err)
+		}
+		return 0
 	}))
-}
-
-// replayResult is the -json record of a -replay run; benchreport folds
-// it into BENCH_place.json as the server-throughput row.
-type replayResult struct {
-	Requests     int     `json:"requests"`
-	Workers      int     `json:"workers"`
-	ElapsedMS    float64 `json:"elapsed_ms"`
-	RPS          float64 `json:"rps"`
-	CacheHits    int     `json:"cache_hits"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-}
-
-// replayBodies is the mixed workload: two PCR placements at different
-// seeds, a fault-tolerant PCR placement and an in-vitro placement.
-// Cycling through them makes the steady-state cache hit rate exactly
-// (n - 4) / n, so the replay doubles as a cache acceptance check.
-var replayBodies = []string{
-	`{"assay":"pcr","placer":"sa","seed":1}`,
-	`{"assay":"pcr","placer":"twostage","seed":1,"beta":30}`,
-	`{"assay":"invitro","samples":2,"assays":2,"seed":2}`,
-	`{"assay":"pcr","placer":"sa","seed":2}`,
-}
-
-// runReplay fires n sequential compile requests at the server's own
-// listener and reports throughput and cache behaviour.
-func runReplay(base string, n, workers int, jsonOut string) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	client := &http.Client{Timeout: 5 * time.Minute}
-	hits := 0
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		resp, err := client.Post("http://"+base+"/v1/compile", "application/json",
-			strings.NewReader(replayBodies[i%len(replayBodies)]))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmfb-server: replay:", err)
-			return 1
-		}
-		body, _ := io.ReadAll(resp.Body)
-		if err := resp.Body.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "dmfb-server: replay:", err)
-			return 1
-		}
-		if resp.StatusCode != http.StatusOK {
-			fmt.Fprintf(os.Stderr, "dmfb-server: replay request %d: %s: %s",
-				i, resp.Status, body)
-			return 1
-		}
-		if resp.Header.Get("X-Dmfb-Cache") == "hit" {
-			hits++
-		}
-	}
-	elapsed := time.Since(start)
-
-	r := replayResult{
-		Requests:     n,
-		Workers:      workers,
-		ElapsedMS:    float64(elapsed.Microseconds()) / 1000,
-		CacheHits:    hits,
-		CacheHitRate: float64(hits) / float64(n),
-	}
-	if elapsed > 0 {
-		r.RPS = float64(n) / elapsed.Seconds()
-	}
-	fmt.Printf("replay: %d requests in %.1fms (%.1f req/s), %d cache hits (rate %.2f)\n",
-		r.Requests, r.ElapsedMS, r.RPS, r.CacheHits, r.CacheHitRate)
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmfb-server:", err)
-			return 1
-		}
-	}
-	return 0
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dmfb/internal/campaign"
+	"dmfb/internal/fti"
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
 	"dmfb/internal/reconfig"
@@ -201,4 +202,44 @@ func TestRecoveryMatchesBruteForceOracle(t *testing.T) {
 		t.Fatalf("%d/%d pairs disagree with the brute-force oracle", mismatches, pairs)
 	}
 	t.Logf("verified %d (placement, fault) pairs against the oracle", pairs)
+}
+
+// TestExhaustiveSurvivalEqualsCoveredOnRandomPlacements is the
+// metamorphic form of the paper's definition: on any valid placement,
+// sweeping one fault over every array cell survives on exactly the
+// cells fti.Compute reports C-covered, so the two counts agree without
+// any oracle. The placements are seeded random non-overlapping sets of
+// 1–5 modules up to 4×4, at origins 0..7 with random rotation and
+// spans.
+func TestExhaustiveSurvivalEqualsCoveredOnRandomPlacements(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	checked := 0
+	for checked < 400 {
+		n := 1 + rng.Intn(5)
+		mods := make([]place.Module, n)
+		for i := range mods {
+			start := rng.Intn(8)
+			mods[i] = place.Module{
+				ID:   i,
+				Name: "R",
+				Size: geom.Size{W: 1 + rng.Intn(4), H: 1 + rng.Intn(4)},
+				Span: geom.Interval{Start: start, End: start + 1 + rng.Intn(6)},
+			}
+		}
+		p := place.New(mods)
+		for i := range mods {
+			p.Rot[i] = rng.Intn(2) == 0
+			p.Pos[i] = geom.Point{X: rng.Intn(8), Y: rng.Intn(8)}
+		}
+		if p.Validate() != nil {
+			continue
+		}
+		checked++
+		r := fti.Compute(p)
+		s := ExhaustiveSingleFault(p)
+		if s.Survived != r.Covered || s.Trials != r.Total {
+			t.Fatalf("placement %d: exhaustive survived %d/%d, FTI covers %d/%d\n%s",
+				checked, s.Survived, s.Trials, r.Covered, r.Total, p)
+		}
+	}
 }

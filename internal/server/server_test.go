@@ -31,51 +31,72 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (*http.Response,
 	return resp, b
 }
 
-// TestCompileCacheByteIdentity is the ISSUE acceptance test: a cached
-// POST /v1/compile response must be byte-identical to the uncached
-// one and be served without re-running the annealer, verified by the
-// placer-invocation counter.
+// TestCompileCacheByteIdentity: a cached POST /v1/compile response
+// must be byte-identical to the uncached one and be served without
+// re-running the annealer, verified by the placer-invocation counter.
+// Four distinct bodies (two SA seeds, a two-stage and an in-vitro
+// placement) are cycled twice through one server: each misses exactly
+// once and then hits, so n requests give n-4 hits, and no two bodies
+// share a cache key.
 func TestCompileCacheByteIdentity(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := New(Options{Workers: 2, Metrics: reg})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const body = `{"assay":"pcr","placer":"sa","seed":1}`
-	resp1, b1 := post(t, ts, "/v1/compile", body)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("first compile: %d %s", resp1.StatusCode, b1)
+	bodies := []string{
+		`{"assay":"pcr","placer":"sa","seed":1}`,
+		`{"assay":"pcr","placer":"twostage","seed":1,"beta":30}`,
+		`{"assay":"invitro","samples":2,"assays":2,"seed":2}`,
+		`{"assay":"pcr","placer":"sa","seed":2}`,
 	}
-	if h := resp1.Header.Get("X-Dmfb-Cache"); h != "miss" {
-		t.Errorf("first compile X-Dmfb-Cache = %q, want miss", h)
+	first := make([][]byte, len(bodies))
+	keys := make(map[string]int)
+	hits := 0
+	for i := 0; i < 2*len(bodies); i++ {
+		k := i % len(bodies)
+		resp, b := post(t, ts, "/v1/compile", bodies[k])
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, resp.StatusCode, b)
+		}
+		want, runs := "miss", int64(i+1)
+		if i >= len(bodies) {
+			want, runs = "hit", int64(len(bodies))
+		}
+		got := resp.Header.Get("X-Dmfb-Cache")
+		if got != want {
+			t.Errorf("request %d (body %d): X-Dmfb-Cache = %q, want %q", i, k, got, want)
+		}
+		if got == "hit" {
+			hits++
+		}
+		if n := reg.Counter("pipeline.placer_runs").Value(); n != runs {
+			t.Errorf("placer_runs after request %d = %d, want %d", i, n, runs)
+		}
+		if i >= len(bodies) {
+			if !bytes.Equal(b, first[k]) {
+				t.Errorf("body %d: cached response differs from fresh response:\n%s\nvs\n%s", k, b, first[k])
+			}
+			continue
+		}
+		first[k] = b
+		var cr CompileResponse
+		if err := json.Unmarshal(b, &cr); err != nil {
+			t.Fatal(err)
+		}
+		// Every PCR placement has C-covered cells; the in-vitro
+		// area-minimal one may have none.
+		if cr.FTI < 0 || cr.FTI > 1 || (cr.Assay == "pcr" && cr.FTI == 0) ||
+			cr.ArrayCells <= 0 || len(cr.Placement) == 0 || cr.CacheKey == "" {
+			t.Errorf("body %d: implausible compile response: %+v", k, cr)
+		}
+		if j, dup := keys[cr.CacheKey]; dup {
+			t.Errorf("bodies %d and %d share cache key %q", j, k, cr.CacheKey)
+		}
+		keys[cr.CacheKey] = k
 	}
-	if n := reg.Counter("pipeline.placer_runs").Value(); n != 1 {
-		t.Fatalf("placer_runs after first compile = %d, want 1", n)
-	}
-
-	resp2, b2 := post(t, ts, "/v1/compile", body)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("second compile: %d %s", resp2.StatusCode, b2)
-	}
-	if h := resp2.Header.Get("X-Dmfb-Cache"); h != "hit" {
-		t.Errorf("second compile X-Dmfb-Cache = %q, want hit", h)
-	}
-	if n := reg.Counter("pipeline.placer_runs").Value(); n != 1 {
-		t.Errorf("placer_runs after cached compile = %d, want still 1 (annealer re-ran)", n)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Errorf("cached response differs from fresh response:\n%s\nvs\n%s", b1, b2)
-	}
-
-	var cr CompileResponse
-	if err := json.Unmarshal(b1, &cr); err != nil {
-		t.Fatal(err)
-	}
-	if cr.FTI <= 0 || cr.ArrayCells <= 0 || len(cr.Placement) == 0 {
-		t.Errorf("implausible compile response: %+v", cr)
-	}
-	if cr.CacheKey == "" {
-		t.Error("compile response has no cache key")
+	if want := len(bodies); hits != want {
+		t.Errorf("%d cache hits on %d requests, want %d", hits, 2*len(bodies), want)
 	}
 }
 

@@ -434,12 +434,6 @@ func (sim *simulator) log(t int, kind, format string, args ...any) {
 	sim.opts.Metrics.Counter("sim.events").Inc()
 }
 
-func (sim *simulator) trace(t int, kind, format string, args ...any) {
-	if sim.opts.Trace {
-		sim.log(t, kind, format, args...)
-	}
-}
-
 func (sim *simulator) fail(t int, reason string) Result {
 	sim.res.Completed = false
 	sim.res.Outcome = OutcomeFailed
@@ -608,7 +602,9 @@ func (sim *simulator) adoptPlan(t int, plan *recovery.Plan) error {
 		if did, ok := sim.inModule[id]; ok {
 			sim.state.Remove(did)
 			delete(sim.inModule, id)
-			sim.trace(t, "abandon", "droplet %d of %s discarded", did, name)
+			if sim.opts.Trace {
+				sim.log(t, "abandon", "droplet %d of %s discarded", did, name)
+			}
 		}
 	}
 	// Re-home the droplets of modules that are running right now and
@@ -764,7 +760,9 @@ func (sim *simulator) dispense(t int, fluid string, consumerOp int) (int, error)
 			continue // occupied or separation-blocked; try next port
 		}
 		sim.nextPort = (sim.nextPort + try + 1) % len(sim.ports)
-		sim.trace(t, "dispense", "%s at port %v (droplet %d)", fluid, port, d.ID)
+		if sim.opts.Trace {
+			sim.log(t, "dispense", "%s at port %v (droplet %d)", fluid, port, d.ID)
+		}
 		return d.ID, nil
 	}
 	return 0, fmt.Errorf("no free dispense port for %s", fluid)
@@ -793,7 +791,9 @@ func (sim *simulator) routeDroplet(t, id int, target geom.Point, ownOp int) erro
 	}
 	sim.opts.Metrics.Histogram("sim.route_steps", telemetry.PathLenBuckets...).
 		Observe(float64(router.Steps(path)))
-	sim.trace(t, "route", "droplet %d %v -> %v (%d steps)", id, path[0], target, router.Steps(path))
+	if sim.opts.Trace {
+		sim.log(t, "route", "droplet %d %v -> %v (%d steps)", id, path[0], target, router.Steps(path))
+	}
 	return nil
 }
 
@@ -831,7 +831,9 @@ func (sim *simulator) mergeInto(t, into, id, ownOp int, center geom.Point) error
 		if _, err := sim.state.Merge(into, id); err != nil {
 			return err
 		}
-		sim.trace(t, "merge", "droplet %d into %d at %v", id, into, center)
+		if sim.opts.Trace {
+			sim.log(t, "merge", "droplet %d into %d at %v", id, into, center)
+		}
 		return nil
 	}
 	// One search tree serves every staging cell: nothing moves until a
@@ -869,8 +871,10 @@ func (sim *simulator) mergeInto(t, into, id, ownOp int, center geom.Point) error
 			if _, err := sim.state.Merge(into, id); err != nil {
 				return err
 			}
-			sim.trace(t, "merge", "droplet %d into %d via %v->%v (%d steps)",
-				id, into, s, a, router.Steps(path)+1)
+			if sim.opts.Trace {
+				sim.log(t, "merge", "droplet %d into %d via %v->%v (%d steps)",
+					id, into, s, a, router.Steps(path)+1)
+			}
 			return nil
 		}
 	}
@@ -948,7 +952,9 @@ func (sim *simulator) parkDroplet(t, id, starterOp int) error {
 		}
 		err = sim.state.FollowPath(id, path)
 		if err == nil {
-			sim.trace(t, "park", "droplet %d parked at %v", id, cell)
+			if sim.opts.Trace {
+				sim.log(t, "park", "droplet %d parked at %v", id, cell)
+			}
 			return nil
 		}
 		// A refused step leaves the droplet part-way along the path:
@@ -1002,7 +1008,9 @@ func (sim *simulator) collectDroplet(t, id int) {
 			if ferr := sim.state.FollowPath(id, path); ferr != nil {
 				// The droplet is removed below regardless; a refused
 				// final hop only loses transport accounting.
-				sim.trace(t, "collect", "droplet %d stopped short of port %v: %v", id, port, ferr)
+				if sim.opts.Trace {
+					sim.log(t, "collect", "droplet %d stopped short of port %v: %v", id, port, ferr)
+				}
 			}
 			break
 		}

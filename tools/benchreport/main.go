@@ -13,11 +13,10 @@
 // Stage2IterMove pair. That ratio is informational and no check gates
 // it: both sides price the FTI with the same site-intersection kernel,
 // so it shows only what the move kernel saves besides the FTI.
-// -multistart folds in the deterministic parallel multi-start search
-// measurements (refused unless the winners are byte-identical across
-// worker counts), and -prev refuses the report outright when the
-// stage-2 kernel or the seeded fig8 experiment regresses against a
-// previous report.
+// -assay-l1/-assay-ladder, -yield and -prev refuse a report whose
+// recovery ladder no longer beats L1, whose yield curve stops paying
+// for its spares, or that regresses against a previous report. Fault
+// campaigns and server load are timed by the perfbench module.
 package main
 
 import (
@@ -72,17 +71,6 @@ type report struct {
 	// that needs no recovery.
 	SimRunNs float64 `json:"sim_run_ns,omitempty"`
 
-	// Campaign scaling: the same fault-injection campaign run at 1
-	// worker and at N workers (dmfb-campaign -json). Speedup is
-	// wall-clock 1-worker / N-worker; the summaries must be identical
-	// or the report is refused.
-	CampaignTrials    int     `json:"campaign_trials,omitempty"`
-	CampaignWorkers   int     `json:"campaign_workers,omitempty"`
-	Campaign1MS       float64 `json:"campaign_1worker_ms,omitempty"`
-	CampaignNMS       float64 `json:"campaign_nworker_ms,omitempty"`
-	CampaignSpeedup   float64 `json:"campaign_speedup,omitempty"`
-	CampaignIdentical bool    `json:"campaign_summaries_identical,omitempty"`
-
 	// Recovery ladder: the same seeded single-fault assay campaign
 	// simulated under L1-only recovery and under the full escalation
 	// ladder (dmfb-campaign -mode assay -json). The report is refused
@@ -92,26 +80,6 @@ type report struct {
 	SurvivalL1     float64 `json:"survival_l1,omitempty"`
 	SurvivalLadder float64 `json:"survival_ladder,omitempty"`
 	SurvivalGain   float64 `json:"survival_gain,omitempty"`
-
-	// Multi-start annealing: the same N-start derived-seed twostage
-	// search run with a 1-worker cap and with one worker per CPU
-	// (dmfb-bench -exp multistart). The winners must be byte-identical
-	// — the report is refused otherwise — and the wall-clock ratio is
-	// the multi-start speedup. The single-start run's FTI is the
-	// target; to-target is the parallel run's wall-clock when its
-	// winner meets the target (0 = not reached). On fewer than 4 CPUs
-	// the speedup is ~1 by construction, so the ≥2x refusal only
-	// applies when the recording machine has 4 or more.
-	MultistartStarts          int     `json:"multistart_starts,omitempty"`
-	MultistartCPUs            int     `json:"multistart_cpus,omitempty"`
-	MultistartSingleMS        float64 `json:"multistart_single_ms,omitempty"`
-	MultistartSerialMS        float64 `json:"multistart_serial_ms,omitempty"`
-	MultistartParallelMS      float64 `json:"multistart_parallel_ms,omitempty"`
-	MultistartSpeedup         float64 `json:"multistart_speedup,omitempty"`
-	MultistartWinnerIdentical bool    `json:"multistart_winner_identical,omitempty"`
-	MultistartTargetFTI       float64 `json:"multistart_target_fti,omitempty"`
-	MultistartWinnerFTI       float64 `json:"multistart_winner_fti,omitempty"`
-	ToTargetFTIMS             float64 `json:"wallclock_to_target_fti_ms,omitempty"`
 
 	// Yield vs area under space redundancy: the pinned clustered-defect
 	// yield campaign run at increasing spare-line budgets (dmfb-bench
@@ -124,16 +92,6 @@ type report struct {
 	YieldDefectProb float64      `json:"yield_defect_prob,omitempty"`
 	YieldTrials     int          `json:"yield_trials,omitempty"`
 	YieldCurve      []yieldPoint `json:"yield_curve,omitempty"`
-
-	// Server throughput: dmfb-server -replay against its own listener
-	// (mixed PCR/in-vitro compile requests through the placement
-	// cache). The report is refused unless the hit rate matches the
-	// replay mix's steady state, since a cold cache would overstate
-	// annealing cost and a leaky fingerprint would overstate hit rate.
-	ServeRequests     int     `json:"serve_requests,omitempty"`
-	ServeRPS          float64 `json:"serve_rps,omitempty"`
-	ServeCacheHits    int     `json:"serve_cache_hits,omitempty"`
-	ServeCacheHitRate float64 `json:"serve_cache_hit_rate,omitempty"`
 }
 
 // yieldPoint is one spare-budget point of the yield-vs-area curve.
@@ -148,8 +106,6 @@ type yieldPoint struct {
 type campaignRun struct {
 	Summary      json.RawMessage `json:"summary"`
 	RecoveryMode string          `json:"recovery_mode"`
-	Workers      int             `json:"workers"`
-	ElapsedMS    float64         `json:"elapsed_ms"`
 }
 
 // summarySlice is the slice of campaign.Summary the report needs.
@@ -275,13 +231,9 @@ var benchLine = regexp.MustCompile(
 func main() {
 	goOut := flag.String("go", "", "`file` holding raw go test -bench output")
 	expJSON := flag.String("exp", "", "`file` holding dmfb-bench -json output (optional)")
-	camp1 := flag.String("campaign1", "", "`file` holding dmfb-campaign -json output at 1 worker (optional)")
-	campN := flag.String("campaignN", "", "`file` holding dmfb-campaign -json output at N workers (optional)")
 	assayL1 := flag.String("assay-l1", "", "`file` holding dmfb-campaign -mode assay -recovery l1 -json output (optional)")
 	assayLadder := flag.String("assay-ladder", "", "`file` holding dmfb-campaign -mode assay -recovery ladder -json output (optional)")
-	serveJSON := flag.String("serve", "", "`file` holding dmfb-server -replay -json output (optional)")
 	yieldJSON := flag.String("yield", "", "`file` holding dmfb-bench -exp yieldsweep -json output (optional)")
-	multistartJSON := flag.String("multistart", "", "`file` holding dmfb-bench -exp multistart -json output (optional)")
 	prev := flag.String("prev", "", "previous report `file`; refuse stage-2 ns/op or fig8 regressions against it (skipped with a warning when unreadable)")
 	out := flag.String("out", "BENCH_place.json", "output `file`")
 	flag.Parse()
@@ -354,29 +306,6 @@ func main() {
 		rep.ExperimentSource = "dmfb-bench -json"
 	}
 
-	if (*camp1 == "") != (*campN == "") {
-		fatal(fmt.Errorf("-campaign1 and -campaignN must be given together"))
-	}
-	if *camp1 != "" {
-		c1, cn := readCampaign(*camp1), readCampaign(*campN)
-		rep.CampaignIdentical = string(c1.Summary) == string(cn.Summary)
-		if !rep.CampaignIdentical {
-			fatal(fmt.Errorf("campaign summaries differ between %d and %d workers — determinism broken",
-				c1.Workers, cn.Workers))
-		}
-		var s struct {
-			Trials int `json:"trials"`
-		}
-		_ = json.Unmarshal(c1.Summary, &s)
-		rep.CampaignTrials = s.Trials
-		rep.CampaignWorkers = cn.Workers
-		rep.Campaign1MS = round2(c1.ElapsedMS)
-		rep.CampaignNMS = round2(cn.ElapsedMS)
-		if cn.ElapsedMS > 0 {
-			rep.CampaignSpeedup = round2(c1.ElapsedMS / cn.ElapsedMS)
-		}
-	}
-
 	if (*assayL1 == "") != (*assayLadder == "") {
 		fatal(fmt.Errorf("-assay-l1 and -assay-ladder must be given together"))
 	}
@@ -401,43 +330,6 @@ func main() {
 		rep.SurvivalL1 = s1.SurvivalRate
 		rep.SurvivalLadder = sl.SurvivalRate
 		rep.SurvivalGain = round2(sl.SurvivalRate - s1.SurvivalRate)
-	}
-
-	if *multistartJSON != "" {
-		raw, err := os.ReadFile(*multistartJSON)
-		if err != nil {
-			fatal(err)
-		}
-		runs := readExpRuns(*multistartJSON, raw)
-		get := func(name string) float64 {
-			v, ok := measure(runs, "multistart", name)
-			if !ok {
-				fatal(fmt.Errorf("%s: multistart experiment has no %q measurement", *multistartJSON, name))
-			}
-			return v
-		}
-		identical := get("winner_identical") == 1
-		if !identical {
-			fatal(fmt.Errorf("multi-start winners differ across worker counts — determinism broken"))
-		}
-		rep.MultistartStarts = int(get("starts"))
-		rep.MultistartCPUs = int(get("cpus"))
-		rep.MultistartSingleMS = round2(get("single_start_ms"))
-		rep.MultistartSerialMS = round2(get("serial_ms"))
-		rep.MultistartParallelMS = round2(get("parallel_ms"))
-		rep.MultistartSpeedup = round2(get("multistart_speedup"))
-		rep.MultistartWinnerIdentical = identical
-		rep.MultistartTargetFTI = get("target_fti")
-		rep.MultistartWinnerFTI = get("winner_fti")
-		rep.ToTargetFTIMS = round2(get("to_target_fti_ms"))
-		if rep.MultistartCPUs >= 4 && rep.MultistartSpeedup < 2 {
-			fatal(fmt.Errorf("multi-start speedup %.2fx on %d CPUs, want >= 2x",
-				rep.MultistartSpeedup, rep.MultistartCPUs))
-		}
-		if rep.MultistartWinnerFTI < rep.MultistartTargetFTI {
-			fatal(fmt.Errorf("multi-start winner FTI %.4f below single-start target %.4f — best-of selection regressed",
-				rep.MultistartWinnerFTI, rep.MultistartTargetFTI))
-		}
 	}
 
 	if *yieldJSON != "" {
@@ -471,33 +363,6 @@ func main() {
 		}
 	}
 
-	if *serveJSON != "" {
-		raw, err := os.ReadFile(*serveJSON)
-		if err != nil {
-			fatal(err)
-		}
-		var sr struct {
-			Requests     int     `json:"requests"`
-			RPS          float64 `json:"rps"`
-			CacheHits    int     `json:"cache_hits"`
-			CacheHitRate float64 `json:"cache_hit_rate"`
-		}
-		if err := json.Unmarshal(raw, &sr); err != nil {
-			fatal(fmt.Errorf("%s: %w", *serveJSON, err))
-		}
-		// The replay cycles 4 distinct requests from a cold cache, so
-		// exactly 4 misses are expected; anything else means the cache
-		// broke and the throughput number is not comparable.
-		if want := sr.Requests - 4; sr.Requests >= 8 && sr.CacheHits != want {
-			fatal(fmt.Errorf("serve replay: %d cache hits on %d requests, want %d — placement cache misbehaving",
-				sr.CacheHits, sr.Requests, want))
-		}
-		rep.ServeRequests = sr.Requests
-		rep.ServeRPS = round2(sr.RPS)
-		rep.ServeCacheHits = sr.CacheHits
-		rep.ServeCacheHitRate = sr.CacheHitRate
-	}
-
 	if *prev != "" {
 		checkRegression(*prev, rep)
 	}
@@ -513,18 +378,8 @@ func main() {
 	if rep.Stage2Speedup > 0 {
 		fmt.Printf(", stage-2 speedup %.2fx", rep.Stage2Speedup)
 	}
-	if rep.CampaignSpeedup > 0 {
-		fmt.Printf(", campaign %d-worker speedup %.2fx", rep.CampaignWorkers, rep.CampaignSpeedup)
-	}
-	if rep.MultistartStarts > 0 {
-		fmt.Printf(", %d-start multi-start speedup %.2fx on %d CPU(s)",
-			rep.MultistartStarts, rep.MultistartSpeedup, rep.MultistartCPUs)
-	}
 	if rep.RecoveryTrials > 0 {
 		fmt.Printf(", assay survival %.4f (l1) -> %.4f (ladder)", rep.SurvivalL1, rep.SurvivalLadder)
-	}
-	if rep.ServeRequests > 0 {
-		fmt.Printf(", serve %.1f req/s at %.2f hit rate", rep.ServeRPS, rep.ServeCacheHitRate)
 	}
 	if len(rep.YieldCurve) > 0 {
 		first, last := rep.YieldCurve[0], rep.YieldCurve[len(rep.YieldCurve)-1]
