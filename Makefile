@@ -51,9 +51,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime $(FUZZTIME) ./internal/reconfig/
 	$(GO) test -run '^$$' -fuzz '^FuzzMiner$$' -fuzztime $(FUZZTIME) ./internal/emptyrect/
 	$(GO) test -run '^$$' -fuzz '^FuzzFTI$$' -fuzztime $(FUZZTIME) ./internal/fti/
+	$(GO) test -run '^$$' -fuzz '^FuzzIncremental$$' -fuzztime $(FUZZTIME) ./internal/fti/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowWords$$' -fuzztime $(FUZZTIME) ./internal/grid/
 	$(GO) test -run '^$$' -fuzz '^FuzzLadder$$' -fuzztime $(FUZZTIME) ./internal/recovery/
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkMerge$$' -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzDefectMap$$' -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateMoves$$' -fuzztime $(FUZZTIME) ./internal/place/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteTree$$' -fuzztime $(FUZZTIME) ./internal/router/

@@ -108,12 +108,13 @@ func ComputeOn(p *place.Placement, array geom.Rect) Result {
 		res.CoveredMap[i] = true
 	}
 
-	var scratch *moduleEval
+	var e *moduleEval
+	adj := place.ConflictAdjacency(p.Modules)
 	for mi := range p.Modules {
-		if scratch == nil {
-			scratch = newModuleEval(array)
+		if e == nil {
+			e = newModuleEval(array)
 		}
-		bad, relocatable := scratch.evalWith(p, mi)
+		bad, relocatable := e.eval(p, adj[mi], mi)
 		for y := bad.Y; y < bad.MaxY(); y++ {
 			for x := bad.X; x < bad.MaxX(); x++ {
 				res.CoveredMap[y*array.W+x] = false
@@ -131,9 +132,9 @@ func ComputeOn(p *place.Placement, array geom.Rect) Result {
 }
 
 // moduleEval holds the reusable scratch buffers of the per-module
-// relocatability test: the occupancy grid of the array and one row of
-// words for the band scan. One instance serves any number of
-// evaluations on the same array size.
+// relocatability test: the occupancy grid of the array and, for rows
+// wider than one word, one row of words for the band scan. One
+// instance serves any number of evaluations on the same array size.
 type moduleEval struct {
 	array geom.Rect
 	g     *grid.Grid
@@ -144,7 +145,8 @@ func newModuleEval(array geom.Rect) *moduleEval {
 	return &moduleEval{array: array, g: grid.New(array.W, array.H)}
 }
 
-// evalWith runs the per-module procedure for module mi: encode the
+// eval runs the per-module procedure for module mi, whose span-overlap
+// neighbours (place.ConflictAdjacency) are adj: encode the
 // configuration during mi's time span with mi removed, then intersect
 // every free site of mi's footprint, in either orientation, with mi's
 // own cells. A cell of mi is uncovered exactly when every site
@@ -153,14 +155,17 @@ func newModuleEval(array geom.Rect) *moduleEval {
 // cells in array-local coordinates (empty when all are covered;
 // all of mi's cells when no site exists). It reports whether any cell
 // of mi is relocatable.
-func (e *moduleEval) evalWith(p *place.Placement, mi int) (geom.Rect, bool) {
+func (e *moduleEval) eval(p *place.Placement, adj []int, mi int) (geom.Rect, bool) {
 	m := p.Modules[mi]
-	// Occupancy during M's time span with M removed. Any module whose
-	// span overlaps M's is an obstacle somewhere during M's operation.
-	p.FillOccupancyDuring(e.g, e.array, m.Span, mi)
 	cells := p.Rect(mi).Intersect(e.array).Translate(-e.array.X, -e.array.Y)
 	if cells.Empty() {
 		return geom.Rect{}, false
+	}
+	// Occupancy during M's time span with M removed: exactly the
+	// modules whose spans overlap M's, which are M's neighbours.
+	e.g.Clear()
+	for _, j := range adj {
+		e.g.SetRect(p.Rect(j).Translate(-e.array.X, -e.array.Y), true)
 	}
 	bad := e.intersectSites(cells, m.Size)
 	if !bad.Empty() && !m.Size.IsSquare() {
@@ -183,11 +188,39 @@ func (e *moduleEval) intersectSites(bad geom.Rect, s geom.Size) geom.Rect {
 	if s.W > gw || s.H > gh {
 		return bad
 	}
+	words := g.Words()
+	if wpr == 1 {
+		// Rows of one word (arrays up to 64 wide, every benchmark
+		// array): the band lives in a register, with no band buffer
+		// and no word loops. This pays on the Table 2 sweep, where the
+		// word-loop scan below is measurably slower on one-word rows.
+		row := ^uint64(0) >> uint(64-gw) // the row's cells
+		for y := 0; y+s.H <= gh; y++ {
+			v := words[y]
+			for _, w := range words[y+1 : y+s.H] {
+				v |= w
+			}
+			f := ^v & row
+			for k := 1; k < s.W; {
+				sh := min(k, s.W-k)
+				f &= f >> uint(sh)
+				k += sh
+			}
+			if f == 0 {
+				continue
+			}
+			lo, hi := bits.TrailingZeros64(f), 63-bits.LeadingZeros64(f)
+			bad = bad.Intersect(geom.Rect{X: hi, Y: y, W: lo + s.W - hi, H: s.H})
+			if bad.Empty() {
+				return geom.Rect{}
+			}
+		}
+		return bad
+	}
 	if cap(e.band) < wpr {
 		e.band = make([]uint64, wpr)
 	}
 	band := e.band[:wpr]
-	words := g.Words()
 	for y := 0; y+s.H <= gh; y++ {
 		copy(band, words[y*wpr:(y+1)*wpr])
 		for r := y + 1; r < y+s.H; r++ {
@@ -231,10 +264,6 @@ func (e *moduleEval) intersectSites(bad geom.Rect, s geom.Size) geom.Rect {
 // row (bit x%64 of word x/64 is cell x). Ascending word order makes
 // the in-place update safe: word i reads only words i and above.
 func shiftAndRight(f []uint64, sh int) {
-	if len(f) == 1 {
-		f[0] &= f[0] >> uint(sh)
-		return
-	}
 	q, r := sh/64, uint(sh%64)
 	for i := range f {
 		var v uint64

@@ -32,14 +32,16 @@ import (
 // then call Revert — the previous analysis is reinstated from the
 // saved entries without re-evaluating anything).
 //
-// On top of the dirty-set reuse sits a per-module memo table: module
-// j's analysis is a pure function of (array, j's rectangle, the
+// On top of the dirty-set reuse sits a per-module memo: module j's
+// analysis is a pure function of (array, j's rectangle, the
 // rectangles of j's span-overlap neighbours), so its result is cached
 // under that exact key and never needs invalidation. Low-temperature
-// annealing revisits the same few configurations over and over —
-// rejected proposals displace a module by a cell and bounce back — so
-// after warm-up most dirty-set re-evaluations and most full rebuilds
-// (bounding-box changes) are pure lookups.
+// annealing revisits configurations — a rejected proposal displaces a
+// module by a cell and bounces back, and a bounding-box change that is
+// reverted restores an array seen before — so a share of dirty-set
+// re-evaluations and full rebuilds are lookups. The memo is
+// direct-mapped with a fixed number of slots per module: a colliding
+// key overwrites the slot, which costs at most a repeated evaluation.
 type Incremental struct {
 	p   *place.Placement
 	adj [][]int // span-overlap adjacency, index-aligned with modules
@@ -66,7 +68,7 @@ type Incremental struct {
 	spareReloc []bool
 
 	// Per-module memo of the pure analysis function.
-	memo   []*memoTable
+	memo   []memoTable
 	memoOK []bool // adjacency degree fits the key; coordinates checked per key
 	keyBuf [maxKeyWords]uint64
 
@@ -83,58 +85,64 @@ type Incremental struct {
 // word per span-overlap neighbour (footprints and spans are
 // immutable, so positions and orientations are the whole story). The
 // run length is fixed per module at 2+degree, bounded by maxKeyWords.
+//
+// A memo value is one module's analysis: the uncovered rectangle in
+// 16-bit fields and the relocatability bit. The rectangle is
+// array-local and memoKeyFor only accepts arrays whose fields fit 16
+// signed bits, so the fields always fit. Ten bytes keep a module's
+// sparse table compact: a 40-byte geom.Rect and bool measurably slowed
+// a loop that revisits the same keys (BenchmarkStage2IterMove).
 type memoVal struct {
-	uncovered geom.Rect
-	reloc     bool
+	x, y, w, h int16
+	reloc      bool
+}
+
+func newMemoVal(u geom.Rect, reloc bool) memoVal {
+	return memoVal{int16(u.X), int16(u.Y), int16(u.W), int16(u.H), reloc}
+}
+
+func (v memoVal) uncovered() geom.Rect {
+	return geom.Rect{X: int(v.x), Y: int(v.y), W: int(v.w), H: int(v.h)}
 }
 
 // maxKeyWords bounds the memo key length: one array word, one own
 // configuration, up to 12 neighbours.
 const maxKeyWords = 14
 
-// memoCapPerModule bounds each module's memo; when exceeded the table
-// is dropped and rebuilt (exactness is unaffected — it is a cache of a
-// pure function).
-const memoCapPerModule = 4096
+// memoSlots is the number of slots in each module's memo, a power of
+// two. Most misses in a stage-2 run are configurations never seen
+// before, not evictions, so a larger table buys few hits for its
+// memory; at 1024 slots, keys that a tight loop of rejected moves keeps
+// revisiting already shared slots and evicted each other.
+const memoSlots = 2048
 
-// memoTable is an open-addressed, linear-probing hash table
-// specialised for the memo: keys are compared word-for-word in place
-// and hashed with a two-round multiply-xor mix, which profiles far
-// cheaper on the annealer's hot path than the runtime map's generic
-// treatment of a large fixed-size struct key (no 112-byte copies, no
-// AES hashing of padding slots past the module's actual degree).
-// Entries are never deleted, so probe chains have no tombstones.
+// memoTable is a direct-mapped cache of one module's analysis: a key
+// lives only in the slot its hash selects, and storing a key
+// overwrites whatever the slot held. Lookups compare the whole key, so
+// a collision can only cost an evaluation, never return another key's
+// value. An unused slot's key words are all zero, which no real key
+// matches (packCfg sets bit 63 of word 1).
 type memoTable struct {
-	keyWords int      // words per key: 2 + adjacency degree
-	mask     uint64   // len(hashes)-1; size is a power of two
-	n        int      // live entries
-	hashes   []uint64 // 0 marks an empty slot (hashKey never returns 0)
-	keys     []uint64 // slot i holds keys[i*keyWords : (i+1)*keyWords]
-	vals     []memoVal
+	keyWords int       // words per key: 2 + adjacency degree
+	keys     []uint64  // slot i holds keys[i*keyWords : (i+1)*keyWords]
+	vals     []memoVal // index-aligned with the slots
 }
 
-func newMemoTable(keyWords int) *memoTable {
-	const initSlots = 32
-	return &memoTable{
+func newMemoTable(keyWords int) memoTable {
+	return memoTable{
 		keyWords: keyWords,
-		mask:     initSlots - 1,
-		hashes:   make([]uint64, initSlots),
-		keys:     make([]uint64, initSlots*keyWords),
-		vals:     make([]memoVal, initSlots),
+		keys:     make([]uint64, memoSlots*keyWords),
+		vals:     make([]memoVal, memoSlots),
 	}
 }
 
-// hashKey mixes the key words splitmix64-style; the result is never 0
-// so 0 can mark empty slots.
+// hashKey mixes the key words splitmix64-style.
 func hashKey(key []uint64) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, w := range key {
 		h ^= w
 		h *= 0xBF58476D1CE4E5B9
 		h ^= h >> 29
-	}
-	if h == 0 {
-		h = 1
 	}
 	return h
 }
@@ -148,61 +156,21 @@ func equalKey(a, b []uint64) bool {
 	return true
 }
 
-func (t *memoTable) lookup(key []uint64, h uint64) (memoVal, bool) {
-	i := h & t.mask
-	for {
-		hv := t.hashes[i]
-		if hv == 0 {
-			return memoVal{}, false
-		}
-		if hv == h && equalKey(t.keys[int(i)*t.keyWords:(int(i)+1)*t.keyWords], key) {
-			return t.vals[i], true
-		}
-		i = (i + 1) & t.mask
+// lookup returns the slot key maps to and, when the slot holds key,
+// the cached value.
+func (t *memoTable) lookup(key []uint64) (slot int, v memoVal, hit bool) {
+	slot = int(hashKey(key) & (memoSlots - 1))
+	if equalKey(t.keys[slot*t.keyWords:(slot+1)*t.keyWords], key) {
+		return slot, t.vals[slot], true
 	}
+	return slot, memoVal{}, false
 }
 
-// insert adds a key known to be absent, growing at 3/4 load.
-func (t *memoTable) insert(key []uint64, h uint64, v memoVal) {
-	if 4*(t.n+1) > 3*len(t.hashes) {
-		t.grow()
-	}
-	i := h & t.mask
-	for t.hashes[i] != 0 {
-		i = (i + 1) & t.mask
-	}
-	t.hashes[i] = h
-	copy(t.keys[int(i)*t.keyWords:(int(i)+1)*t.keyWords], key)
-	t.vals[i] = v
-	t.n++
-}
-
-// grow doubles the table, re-slotting entries by their stored hashes.
-func (t *memoTable) grow() {
-	oldHashes, oldKeys, oldVals := t.hashes, t.keys, t.vals
-	slots := 2 * len(oldHashes)
-	t.mask = uint64(slots - 1)
-	t.hashes = make([]uint64, slots)
-	t.keys = make([]uint64, slots*t.keyWords)
-	t.vals = make([]memoVal, slots)
-	for j, h := range oldHashes {
-		if h == 0 {
-			continue
-		}
-		i := h & t.mask
-		for t.hashes[i] != 0 {
-			i = (i + 1) & t.mask
-		}
-		t.hashes[i] = h
-		copy(t.keys[int(i)*t.keyWords:(int(i)+1)*t.keyWords], oldKeys[j*t.keyWords:(j+1)*t.keyWords])
-		t.vals[i] = oldVals[j]
-	}
-}
-
-// reset drops every entry, keeping the allocated capacity.
-func (t *memoTable) reset() {
-	clear(t.hashes)
-	t.n = 0
+// store caches v under key in key's slot (as returned by lookup),
+// evicting whatever key the slot held.
+func (t *memoTable) store(slot int, key []uint64, v memoVal) {
+	copy(t.keys[slot*t.keyWords:(slot+1)*t.keyWords], key)
+	t.vals[slot] = v
 }
 
 // packCfg encodes module i's position and orientation. Bit 63 marks
@@ -256,23 +224,20 @@ func (inc *Incremental) memoKeyFor(mi int) ([]uint64, bool) {
 func (inc *Incremental) evalModule(mi int) (geom.Rect, bool) {
 	if inc.memoOK[mi] {
 		if key, ok := inc.memoKeyFor(mi); ok {
-			t := inc.memo[mi]
-			h := hashKey(key)
-			if v, hit := t.lookup(key, h); hit {
+			t := &inc.memo[mi]
+			slot, v, hit := t.lookup(key)
+			if hit {
 				inc.hits++
-				return v.uncovered, v.reloc
+				return v.uncovered(), v.reloc
 			}
 			inc.evals++
-			u, r := inc.scratch.evalWith(inc.p, mi)
-			if t.n >= memoCapPerModule {
-				t.reset()
-			}
-			t.insert(key, h, memoVal{u, r})
+			u, r := inc.scratch.eval(inc.p, inc.adj[mi], mi)
+			t.store(slot, key, newMemoVal(u, r))
 			return u, r
 		}
 	}
 	inc.evals++
-	return inc.scratch.evalWith(inc.p, mi)
+	return inc.scratch.eval(inc.p, inc.adj[mi], mi)
 }
 
 // NewIncremental builds the incremental evaluator for p on its current
@@ -283,7 +248,7 @@ func NewIncremental(p *place.Placement) *Incremental {
 		adj:       place.ConflictAdjacency(p.Modules),
 		uncovered: make([]geom.Rect, len(p.Modules)),
 		reloc:     make([]bool, len(p.Modules)),
-		memo:      make([]*memoTable, len(p.Modules)),
+		memo:      make([]memoTable, len(p.Modules)),
 		memoOK:    make([]bool, len(p.Modules)),
 	}
 	for i := range p.Modules {
@@ -322,7 +287,7 @@ func (inc *Incremental) FTI() float64 {
 func (inc *Incremental) Stats() (evals, hits int64) { return inc.evals, inc.hits }
 
 // Rebuilds reports how many Apply calls changed the array and so
-// re-evaluated every module (through the memo).
+// priced every module again (from the memo where it holds the key).
 func (inc *Incremental) Rebuilds() int64 { return inc.rebuilds }
 
 // Apply re-evaluates the placement after a mutation: the placement
@@ -368,11 +333,17 @@ func (inc *Incremental) Apply(array geom.Rect, dirty []int) {
 	inc.savedUncov = inc.savedUncov[:0]
 	inc.savedReloc = inc.savedReloc[:0]
 	for _, mi := range dirty {
-		inc.savedUncov = append(inc.savedUncov, inc.uncovered[mi])
+		old := inc.uncovered[mi]
+		inc.savedUncov = append(inc.savedUncov, old)
 		inc.savedReloc = append(inc.savedReloc, inc.reloc[mi])
-		inc.knockRemove(inc.uncovered[mi])
-		inc.uncovered[mi], inc.reloc[mi] = inc.evalModule(mi)
-		inc.knockAdd(inc.uncovered[mi])
+		u, r := inc.evalModule(mi)
+		// Most re-priced modules keep their rectangle; removing and
+		// re-adding it would leave the counters as they are.
+		if u != old {
+			inc.knockRemove(old)
+			inc.knockAdd(u)
+		}
+		inc.uncovered[mi], inc.reloc[mi] = u, r
 	}
 	inc.hits += int64(len(inc.p.Modules) - len(dirty))
 }
@@ -416,8 +387,10 @@ func (inc *Incremental) Revert() {
 	}
 	for i := len(inc.dirty) - 1; i >= 0; i-- {
 		mi := inc.dirty[i]
-		inc.knockRemove(inc.uncovered[mi])
-		inc.knockAdd(inc.savedUncov[i])
+		if inc.uncovered[mi] != inc.savedUncov[i] {
+			inc.knockRemove(inc.uncovered[mi])
+			inc.knockAdd(inc.savedUncov[i])
+		}
 		inc.uncovered[mi] = inc.savedUncov[i]
 		inc.reloc[mi] = inc.savedReloc[i]
 	}
