@@ -88,6 +88,46 @@ type MoveProblem[S, M any] struct {
 // 2⁻¹⁰²¹ while a nonzero u is at least 2⁻⁶³; u = 0 is never skipped.
 const boundSlack = 1e-12
 
+// expMemoSize is the number of integral cost changes, 0 through
+// expMemoSize−1, whose Metropolis threshold a run memoises per
+// temperature level. Stage-1 costs are integers (cells plus penalties
+// per overlap and obstacle cell), so nearly every stage-1 change a
+// move is priced at falls in the table.
+const expMemoSize = 512
+
+// expMemo returns the Metropolis threshold exp(−x/T) of one
+// temperature level, computing math.Exp once per integral x in
+// [0, expMemoSize) and directly for any other x. A memoised value is
+// math.Exp's own for that x, so decisions are bit-identical to calling
+// math.Exp every time (±0 both give exp(−0) = exp(0) = 1).
+type expMemo struct {
+	T float64
+	v [expMemoSize]float64 // exp(−i/T), or −1 where not yet computed
+}
+
+// reset empties the table for temperature T.
+func (e *expMemo) reset(T float64) {
+	e.T = T
+	for i := range e.v {
+		e.v[i] = -1
+	}
+}
+
+// exp returns math.Exp(−x/T) for the level's T.
+func (e *expMemo) exp(x float64) float64 {
+	if x >= 0 && x < expMemoSize {
+		if i := int(x); float64(i) == x {
+			if v := e.v[i]; v >= 0 {
+				return v
+			}
+			v := math.Exp(-x / e.T)
+			e.v[i] = v
+			return v
+		}
+	}
+	return math.Exp(-x / e.T)
+}
+
 // RunMoves executes simulated annealing over a move-based problem and
 // returns the best snapshot encountered. Each proposal is first
 // priced by Bound; when lb ≥ 0 the uniform draw the Metropolis test
@@ -95,9 +135,10 @@ const boundSlack = 1e-12
 // bound's threshold rejects the move without Delta. Otherwise the
 // move is priced exactly and decided as plain Metropolis. The RNG is
 // consumed at the same points, and every decision comes out the same,
-// as a run that called Delta on every proposal. It panics on an invalid
-// schedule (callers validate the schedule they build) and requires a
-// non-nil rng for reproducibility.
+// as a run that called Delta on every proposal; within a level each
+// integral threshold exp(−x/T) is computed once (expMemo). It panics
+// on an invalid schedule (callers validate the schedule they build)
+// and requires a non-nil rng for reproducibility.
 func RunMoves[S, M any](p MoveProblem[S, M], sched Schedule, rng *rand.Rand) Result[S] {
 	if err := sched.Validate(); err != nil {
 		panic(err)
@@ -115,10 +156,12 @@ func RunMoves[S, M any](p MoveProblem[S, M], sched Schedule, rng *rand.Rand) Res
 	bestCost := curCost
 	res := Result[S]{Evaluations: 1}
 
+	var thresh expMemo
 	T := sched.T0
 	for level := 0; level < maxLevels; level++ {
 		l := Level{Index: level, T: T}
 		levelStart := time.Now()
+		thresh.reset(T)
 		for i := 0; i < sched.Iters; i++ {
 			m := p.Propose(T, rng)
 			lb := p.Bound(m)
@@ -131,16 +174,16 @@ func RunMoves[S, M any](p MoveProblem[S, M], sched Schedule, rng *rand.Rand) Res
 				// dC turns out to be: draw it now, and reject without
 				// Delta when u already fails the bound's threshold.
 				u := rng.Float64()
-				if e := math.Exp(-lb / T); u == 0 || u < e*(1+boundSlack) {
+				if e := thresh.exp(lb); u == 0 || u < e*(1+boundSlack) {
 					dC = p.Delta(m)
 					if dC != lb { // an exact bound has its threshold already
-						e = math.Exp(-dC / T)
+						e = thresh.exp(dC)
 					}
 					accept = u < e
 				}
 			} else {
 				dC = p.Delta(m)
-				accept = dC < 0 || rng.Float64() < math.Exp(-dC/T)
+				accept = dC < 0 || rng.Float64() < thresh.exp(dC)
 			}
 			if accept {
 				p.Commit(m)

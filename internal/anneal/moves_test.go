@@ -187,3 +187,26 @@ func TestBoundNeverChangesRun(t *testing.T) {
 		t.Errorf("unbounded run called Delta %d times for %d proposals", all, want.Evaluations-1)
 	}
 }
+
+// TestExpMemoExact checks that the per-level threshold memo returns
+// math.Exp(−x/T) bit for bit across level changes: for integral x in
+// and past the table, non-integral and negative x, and for 0 and −0,
+// each asked twice so both the computing and the memoised path run.
+func TestExpMemoExact(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), 1, 2, 20, 21, 40, 255, 511,
+		expMemoSize, expMemoSize + 1, 1e6, math.Inf(1),
+		0.5, 1.25, 19.999999999999996, 511.5, -1, -20, -0.75}
+	var e expMemo
+	for _, T := range []float64{10000, 9000, 81.2, 3.7, 1, 0.37, 1e-3, 1e-300, 9000} {
+		e.reset(T)
+		for pass := 0; pass < 2; pass++ {
+			for _, x := range xs {
+				got, want := e.exp(x), math.Exp(-x/T)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("T=%g pass %d: exp(%g) = %v (%#x), math.Exp gives %v (%#x)",
+						T, pass, x, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}

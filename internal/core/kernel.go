@@ -12,18 +12,18 @@ import (
 
 // kernelMove is one Section 4(b) perturbation in move form: up to two
 // module relocations (one for the displacement families, two for the
-// interchange families), each carrying its exact inverse so a rejected
-// move is undone in place instead of discarding a cloned placement.
-// The kernel proposes every move into one buffer it owns (the
-// annealer's protocol finishes a move before proposing the next), so
-// the moves travel by pointer and are never copied.
+// interchange families). A rejected move is undone in place from the
+// journal Bound opens (place.State's, plus the obstacle-hit counts
+// saved here) instead of discarding a cloned placement. The kernel
+// proposes every move into one buffer it owns (the annealer's protocol
+// finishes a move before proposing the next), so the moves travel by
+// pointer and are never copied.
 type kernelMove struct {
-	n      int // 1 or 2 relocations
-	idx    [2]int
-	oldPos [2]geom.Point
-	newPos [2]geom.Point
-	oldRot [2]bool
-	newRot [2]bool
+	n       int // 1 or 2 relocations
+	idx     [2]int
+	newPos  [2]geom.Point
+	newRot  [2]bool
+	oldHits [2]int // each moved module's obstacle hits before Bound
 }
 
 // kernelCounters tallies the incremental kernel's work for the
@@ -39,8 +39,8 @@ type kernelCounters struct {
 
 // moveKernel prices the annealing placers' moves incrementally. It
 // owns a place.State (overlap + bounding box in O(degree) per move),
-// an optional fti.Incremental (stage 2 only), and a running obstacle-
-// hit count, and derives the cost from those integer quantities with
+// an optional fti.Incremental (stage 2 only), and running obstacle-
+// hit counts, and derives the cost from those integer quantities with
 // exactly the floating-point expression the clone-based placer used —
 // so a move-based run replays a clone-based run bit for bit.
 type moveKernel struct {
@@ -49,10 +49,16 @@ type moveKernel struct {
 	beta       float64
 	useFTI     bool
 	singleOnly bool
+	span       int    // core span the controlling window shrinks from
+	rotatable  []bool // per module: may a move rotate it
+	windowT    float64
+	windowW    int // window(windowT), 0 before the first Propose
 
-	st   *place.State
-	inc  *fti.Incremental
-	hits int // (module, obstacle) incidences, maintained per move
+	st      *place.State
+	inc     *fti.Incremental
+	hits    int   // (module, obstacle) incidences, maintained per move
+	modHits []int // hits per module; nil without obstacles
+	atHits  int   // hits before the staged move
 
 	cost    float64 // committed cost
 	pending float64 // staged cost, adopted by Commit
@@ -73,13 +79,24 @@ func newMoveKernel(p *place.Placement, prob Problem, o Options, beta float64, us
 		beta:       beta,
 		useFTI:     useFTI,
 		singleOnly: singleOnly,
+		span:       max(prob.MaxW, prob.MaxH),
+		rotatable:  make([]bool, len(p.Modules)),
 		st:         place.NewState(p),
 		dirtyIn:    make([]bool, len(p.Modules)),
+	}
+	for i, m := range p.Modules {
+		k.rotatable[i] = rotatable(m, prob)
 	}
 	if useFTI {
 		k.inc = fti.NewIncremental(p)
 	}
-	k.hits = prob.obstacleHits(p)
+	if len(prob.Obstacles) > 0 {
+		k.modHits = make([]int, len(p.Modules))
+		for i := range p.Modules {
+			k.modHits[i] = coversObstacleCount(prob.Obstacles, k.st.Rect(i))
+			k.hits += k.modHits[i]
+		}
+	}
 	k.cost = k.costNow()
 	k.counters.scratch++
 	return k
@@ -132,11 +149,10 @@ func (k *moveKernel) areaCost() float64 {
 func (k *moveKernel) Propose(T float64, rng *rand.Rand) *kernelMove {
 	p := k.st.P
 	n := len(p.Modules)
-	span := k.prob.MaxW
-	if k.prob.MaxH > span {
-		span = k.prob.MaxH
+	if T != k.windowT || k.windowW == 0 {
+		k.windowT, k.windowW = T, window(T, k.o.WindowT0, k.span)
 	}
-	w := window(T, k.o.WindowT0, span)
+	w := k.windowW
 
 	m := &k.move
 	*m = kernelMove{}
@@ -146,15 +162,14 @@ func (k *moveKernel) Propose(T float64, rng *rand.Rand) *kernelMove {
 		i := rng.Intn(n)
 		m.n = 1
 		m.idx[0] = i
-		m.oldPos[0], m.oldRot[0] = p.Pos[i], p.Rot[i]
-		rot := m.oldRot[0]
-		if rng.Intn(2) == 0 && rotatable(p.Modules[i], k.prob) {
+		rot := p.Rot[i]
+		if rng.Intn(2) == 0 && k.rotatable[i] {
 			rot = !rot
 		}
 		dx := rng.Intn(2*w+1) - w
 		dy := rng.Intn(2*w+1) - w
 		m.newRot[0] = rot
-		m.newPos[0] = clampPos(m.oldPos[0].Add(geom.Point{X: dx, Y: dy}),
+		m.newPos[0] = clampPos(p.Pos[i].Add(geom.Point{X: dx, Y: dy}),
 			p.Modules[i].Oriented(rot), k.prob)
 	} else {
 		// Move types (iii)/(iv): interchange a pair, possibly rotating
@@ -166,35 +181,35 @@ func (k *moveKernel) Propose(T float64, rng *rand.Rand) *kernelMove {
 		}
 		m.n = 2
 		m.idx[0], m.idx[1] = i, j
-		m.oldPos[0], m.oldRot[0] = p.Pos[i], p.Rot[i]
-		m.oldPos[1], m.oldRot[1] = p.Pos[j], p.Rot[j]
-		m.newRot[0], m.newRot[1] = m.oldRot[0], m.oldRot[1]
+		m.newRot[0], m.newRot[1] = p.Rot[i], p.Rot[j]
 		if rng.Intn(2) == 0 {
 			t := 0
 			if rng.Intn(2) == 0 {
 				t = 1
 			}
-			if rotatable(p.Modules[m.idx[t]], k.prob) {
+			if k.rotatable[m.idx[t]] {
 				m.newRot[t] = !m.newRot[t]
 			}
 		}
-		m.newPos[0] = clampPos(m.oldPos[1], p.Modules[i].Oriented(m.newRot[0]), k.prob)
-		m.newPos[1] = clampPos(m.oldPos[0], p.Modules[j].Oriented(m.newRot[1]), k.prob)
+		m.newPos[0] = clampPos(p.Pos[j], p.Modules[i].Oriented(m.newRot[0]), k.prob)
+		m.newPos[1] = clampPos(p.Pos[i], p.Modules[j].Oriented(m.newRot[1]), k.prob)
 	}
 	k.counters.proposed++
 	return m
 }
 
 // Bound stages m in the placement — overlap, bounding box, obstacle
-// hits — and returns a lower bound on its cost change: the exact
-// change with the FTI term at its best value, every cell covered.
-// Since covered/total ≤ 1 and float rounding is monotone,
-// β·(covered/total) ≤ β holds after rounding too, so the bound is
-// sound in floating point. It is exact when the move creates overlap
-// (the cost then ignores the FTI) and in stage 1.
+// hits — under a fresh undo journal, and returns a lower bound on its
+// cost change: the exact change with the FTI term at its best value,
+// every cell covered. Since covered/total ≤ 1 and float rounding is
+// monotone, β·(covered/total) ≤ β holds after rounding too, so the
+// bound is sound in floating point. It is exact when the move creates
+// overlap (the cost then ignores the FTI) and in stage 1.
 func (k *moveKernel) Bound(m *kernelMove) float64 {
+	k.st.Begin()
+	k.atHits = k.hits
 	for t := 0; t < m.n; t++ {
-		k.relocate(m.idx[t], m.newPos[t], m.newRot[t])
+		k.relocate(m, t)
 	}
 	k.priced = false
 	k.pending = k.areaCost()
@@ -222,32 +237,40 @@ func (k *moveKernel) Commit(m *kernelMove) {
 	if k.useFTI {
 		k.inc.Commit()
 	}
+	k.st.Commit()
 	k.cost = k.pending
 	k.counters.committed++
 }
 
-// Revert undoes the staged move exactly, whether or not Delta ran.
+// Revert undoes the staged move exactly, whether or not Delta ran,
+// from the journal Bound opened.
 func (k *moveKernel) Revert(m *kernelMove) {
 	if !k.priced {
 		k.counters.boundRej++
 	} else if k.useFTI {
 		k.inc.Revert()
 	}
-	for t := m.n - 1; t >= 0; t-- {
-		k.relocate(m.idx[t], m.oldPos[t], m.oldRot[t])
+	k.st.Rollback()
+	if k.modHits != nil {
+		for t := 0; t < m.n; t++ {
+			k.modHits[m.idx[t]] = m.oldHits[t]
+		}
+		k.hits = k.atHits
 	}
 	k.counters.reverted++
 }
 
-// relocate moves module i in the placement state and keeps the
-// obstacle-hit count in step.
-func (k *moveKernel) relocate(i int, pos geom.Point, rot bool) {
-	if len(k.prob.Obstacles) > 0 {
-		k.hits -= coversObstacleCount(k.prob.Obstacles, k.st.Rect(i))
-	}
-	k.st.MoveModule(i, pos, rot)
-	if len(k.prob.Obstacles) > 0 {
-		k.hits += coversObstacleCount(k.prob.Obstacles, k.st.Rect(i))
+// relocate applies m's t-th relocation to the placement state and
+// keeps the obstacle-hit counts in step, counting only the new
+// rectangle's obstacle cells.
+func (k *moveKernel) relocate(m *kernelMove, t int) {
+	i := m.idx[t]
+	k.st.MoveModule(i, m.newPos[t], m.newRot[t])
+	if k.modHits != nil {
+		h := coversObstacleCount(k.prob.Obstacles, k.st.Rect(i))
+		m.oldHits[t] = k.modHits[i]
+		k.hits += h - k.modHits[i]
+		k.modHits[i] = h
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dmfb/internal/geom"
-	"dmfb/internal/grid"
 )
 
 // TestAppendActiveDuringMatchesActiveDuring cross-checks the
@@ -51,38 +50,6 @@ func TestAppendActiveDuringZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("AppendActiveDuring allocated %.1f times per call, want 0", allocs)
 	}
-}
-
-// TestFillOccupancyDuringZeroAlloc asserts the grid-reusing occupancy
-// fill is allocation-free, and panics on a size mismatch.
-func TestFillOccupancyDuringZeroAlloc(t *testing.T) {
-	mods := make([]Module, 8)
-	for i := range mods {
-		mods[i] = Module{ID: i, Size: geom.Size{W: 2, H: 2},
-			Span: geom.Interval{Start: i, End: i + 3}}
-	}
-	p := New(mods)
-	for i := range mods {
-		p.Pos[i] = geom.Point{X: (i % 4) * 2, Y: (i / 4) * 2}
-	}
-	array := p.BoundingBox()
-	g := grid.New(array.W, array.H)
-
-	allocs := testing.AllocsPerRun(100, func() {
-		p.FillOccupancyDuring(g, array, geom.Interval{Start: 2, End: 6}, 3)
-	})
-	if allocs != 0 {
-		t.Errorf("FillOccupancyDuring allocated %.1f times per call, want 0", allocs)
-	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("FillOccupancyDuring accepted a mismatched grid")
-			}
-		}()
-		p.FillOccupancyDuring(grid.New(1, 1), array, geom.Interval{Start: 0, End: 1})
-	}()
 }
 
 // TestStringGolden pins the exact String rendering; the

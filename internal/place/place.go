@@ -247,26 +247,13 @@ func containsIdx(s []int, v int) bool {
 // grid cell (0,0).
 func (p *Placement) OccupancyDuring(array geom.Rect, iv geom.Interval, exclude ...int) *grid.Grid {
 	g := grid.New(array.W, array.H)
-	p.FillOccupancyDuring(g, array, iv, exclude...)
-	return g
-}
-
-// FillOccupancyDuring clears g and fills it with the occupancy of the
-// array during iv, exactly as OccupancyDuring, but into a caller-owned
-// grid so hot loops (incremental FTI, reconfiguration planning) can
-// reuse one buffer. g's dimensions must match the array's.
-func (p *Placement) FillOccupancyDuring(g *grid.Grid, array geom.Rect, iv geom.Interval, exclude ...int) {
-	if g.W() != array.W || g.H() != array.H {
-		panic(fmt.Sprintf("place: %dx%d grid cannot hold %dx%d array occupancy",
-			g.W(), g.H(), array.W, array.H))
-	}
-	g.Clear()
 	for i := range p.Modules {
 		if containsIdx(exclude, i) || !p.Modules[i].Span.Overlaps(iv) {
 			continue
 		}
 		g.SetRect(p.Rect(i).Translate(-array.X, -array.Y), true)
 	}
+	return g
 }
 
 // ModulesAt returns the indices of modules whose rectangle contains

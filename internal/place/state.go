@@ -8,14 +8,35 @@ import (
 
 // ConflictAdjacency returns, for each module, the indices of the
 // modules whose time spans overlap its own — the neighbours it must
-// never share cells with. This is ConflictPairs in adjacency-list
-// form, the shape the incremental cost kernel consumes.
+// never share cells with — in ascending order. It is ConflictPairs in
+// adjacency-list form, the shape the incremental cost kernel consumes,
+// built in two passes (degrees, then entries) over one backing array.
 func ConflictAdjacency(mods []Module) [][]int {
+	deg := make([]int, len(mods))
+	total := 0
+	for i := range mods {
+		for j := i + 1; j < len(mods); j++ {
+			if mods[i].Span.Overlaps(mods[j].Span) {
+				deg[i]++
+				deg[j]++
+				total += 2
+			}
+		}
+	}
 	adj := make([][]int, len(mods))
-	for _, pr := range ConflictPairs(mods) {
-		i, j := pr[0], pr[1]
-		adj[i] = append(adj[i], j)
-		adj[j] = append(adj[j], i)
+	backing := make([]int, total)
+	off := 0
+	for i, d := range deg {
+		adj[i] = backing[off : off : off+d]
+		off += d
+	}
+	for i := range mods {
+		for j := i + 1; j < len(mods); j++ {
+			if mods[i].Span.Overlaps(mods[j].Span) {
+				adj[i] = append(adj[i], j)
+				adj[j] = append(adj[j], i)
+			}
+		}
 	}
 	return adj
 }
@@ -31,13 +52,17 @@ func ConflictAdjacency(mods []Module) [][]int {
 //     moved module's conflict adjacency list;
 //   - the bounding box (Placement.BoundingBox) is maintained from
 //     per-coordinate occupancy counts of module edges, so boundary
-//     shrinks are found by a short scan instead of a full pass.
+//     shrinks are found by a short scan instead of a full pass;
+//   - between Begin and Rollback, a journal records each moved
+//     module's previous rectangle and orientation and the overlap and
+//     bounding box at Begin, so a rejected move is undone by restoring
+//     them, without pricing anything again.
 //
 // All bookkeeping is integer-exact: after any sequence of MoveModule
-// calls, Overlap and BoundingBox equal the from-scratch values bit for
-// bit (the differential tests assert this over long random move
-// sequences). Mutate the placement only through MoveModule; positions
-// must stay non-negative.
+// and Rollback calls, Overlap and BoundingBox equal the from-scratch
+// values bit for bit (the differential tests assert this over long
+// random move sequences). Mutate the placement only through
+// MoveModule and Rollback; positions must stay non-negative.
 type State struct {
 	P     *Placement
 	adj   [][]int     // conflict adjacency lists, index-aligned with modules
@@ -51,6 +76,21 @@ type State struct {
 	// between the extreme non-zero counts.
 	loX, hiX, loY, hiY []int
 	bbox               geom.Rect
+
+	// Undo journal, open from Begin to Commit or Rollback.
+	open      bool
+	journal   []undoEntry
+	atOverlap int       // overlap at Begin
+	atBBox    geom.Rect // bounding box at Begin
+}
+
+// undoEntry is one journaled relocation: the module and the rectangle
+// and orientation it had before the move (its position is the
+// rectangle's origin).
+type undoEntry struct {
+	i   int
+	r   geom.Rect
+	rot bool
 }
 
 // NewState builds the incremental view of p, deriving every cached
@@ -103,13 +143,44 @@ func (s *State) Adjacent(i int) []int { return s.adj[i] }
 // Rect returns module i's cached rectangle; it equals P.Rect(i).
 func (s *State) Rect(i int) geom.Rect { return s.rects[i] }
 
+// Begin opens the undo journal: the MoveModule calls up to the next
+// Commit or Rollback can be undone together by Rollback.
+func (s *State) Begin() {
+	s.open = true
+	s.journal = s.journal[:0]
+	s.atOverlap, s.atBBox = s.overlap, s.bbox
+}
+
+// Commit closes the undo journal, keeping the moves made since Begin.
+func (s *State) Commit() { s.open = false }
+
+// Rollback undoes every move made since Begin, newest first, and
+// closes the journal. It restores the journaled rectangles,
+// orientations, overlap count and bounding box and moves each module's
+// edge counts back; it prices no overlap and scans no boundary. It
+// panics if no journal is open.
+func (s *State) Rollback() {
+	if !s.open {
+		panic("place: Rollback without Begin")
+	}
+	for k := len(s.journal) - 1; k >= 0; k-- {
+		e := s.journal[k]
+		s.dropEdges(s.rects[e.i])
+		s.addEdges(e.r)
+		s.rects[e.i] = e.r
+		s.P.Pos[e.i] = e.r.Origin()
+		s.P.Rot[e.i] = e.rot
+	}
+	s.overlap, s.bbox = s.atOverlap, s.atBBox
+	s.open = false
+}
+
 // MoveModule relocates module i to pos with orientation rot, updating
 // the cached rectangle, overlap count and bounding box in O(degree +
-// boundary scan). The overlap change is priced in one pass over the
-// conflict adjacency, from cached rectangles and without branches.
-// Calling it again with the previous position and orientation reverts
-// the move exactly — the incremental quantities are integers, so
-// there is no drift.
+// boundary scan), and journals the previous rectangle and orientation
+// when a journal is open. The overlap change is priced in one pass
+// over the conflict adjacency, from cached rectangles and without
+// branches.
 func (s *State) MoveModule(i int, pos geom.Point, rot bool) {
 	now := geom.RectAt(pos, s.P.Modules[i].Oriented(rot))
 	if now.X < 0 || now.Y < 0 {
@@ -117,6 +188,9 @@ func (s *State) MoveModule(i int, pos geom.Point, rot bool) {
 			s.P.Modules[i].Name, pos))
 	}
 	old := s.rects[i]
+	if s.open {
+		s.journal = append(s.journal, undoEntry{i: i, r: old, rot: s.P.Rot[i]})
+	}
 	d := 0
 	for _, j := range s.adj[i] {
 		r := s.rects[j]

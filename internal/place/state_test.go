@@ -97,9 +97,9 @@ func TestStateDifferential(t *testing.T) {
 	}
 }
 
-// TestStateMoveRevert checks that re-issuing a move with the previous
-// position and orientation restores the incremental quantities
-// exactly, on a sparse and on a dense conflict set.
+// TestStateMoveRevert checks that Rollback undoes one or two staged
+// moves exactly, restoring the incremental quantities and the
+// placement, on a sparse and on a dense conflict set.
 func TestStateMoveRevert(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, mods := range [][]Module{randomModules(rng, 6), denseModules(rng, 32)} {
@@ -110,40 +110,77 @@ func TestStateMoveRevert(t *testing.T) {
 		s := NewState(p)
 
 		for mv := 0; mv < 2000; mv++ {
-			i := rng.Intn(len(mods))
-			oldPos, oldRot := p.Pos[i], p.Rot[i]
+			wantPos := append([]geom.Point(nil), p.Pos...)
+			wantRot := append([]bool(nil), p.Rot...)
 			wantOverlap, wantBB := s.Overlap(), s.BoundingBox()
 
-			s.MoveModule(i, geom.Point{X: rng.Intn(14), Y: rng.Intn(14)}, rng.Intn(2) == 0)
-			s.MoveModule(i, oldPos, oldRot)
+			s.Begin()
+			for range 1 + rng.Intn(2) {
+				s.MoveModule(rng.Intn(len(mods)),
+					geom.Point{X: rng.Intn(14), Y: rng.Intn(14)}, rng.Intn(2) == 0)
+			}
+			s.Rollback()
 
 			if s.Overlap() != wantOverlap || s.BoundingBox() != wantBB {
-				t.Fatalf("%d modules, move %d: revert drifted: overlap %d→%d bbox %v→%v",
+				t.Fatalf("%d modules, move %d: rollback drifted: overlap %d→%d bbox %v→%v",
 					len(mods), mv, wantOverlap, s.Overlap(), wantBB, s.BoundingBox())
 			}
+			checkPlacement(t, fmt.Sprintf("%d modules, move %d", len(mods), mv), p, wantPos, wantRot)
 			checkState(t, fmt.Sprintf("%d modules, move %d", len(mods), mv), s, p)
 		}
 	}
 }
 
+// checkPlacement asserts that p holds exactly the given positions and
+// orientations.
+func checkPlacement(t *testing.T, ctx string, p *Placement, pos []geom.Point, rot []bool) {
+	t.Helper()
+	for i := range p.Modules {
+		if p.Pos[i] != pos[i] || p.Rot[i] != rot[i] {
+			t.Fatalf("%s: module %d at %v rot %v, want %v rot %v",
+				ctx, i, p.Pos[i], p.Rot[i], pos[i], rot[i])
+		}
+	}
+}
+
+func TestStateRollbackWithoutBegin(t *testing.T) {
+	s := NewState(New(randomModules(rand.New(rand.NewSource(3)), 3)))
+	s.Begin()
+	s.Commit()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Rollback after Commit did not panic")
+		}
+	}()
+	s.Rollback()
+}
+
 // FuzzStateMoves decodes bytes into 1–12 modules and a sequence of
-// moves, some immediately reverted, and checks every cached quantity
-// of State against the from-scratch values after each step. The first
-// byte is the module count; six bytes per module follow (width,
-// height, x, y, span start, span length with the rotation in its top
-// bit); then three bytes per step (module index with the revert flag
-// in its top bit, x with the rotation in its top bit, y). Missing
-// bytes read as zero, so every prefix decodes.
+// steps, and checks every cached quantity of State against the
+// from-scratch values after each. The first byte is the module count;
+// six bytes per module follow (width, height, x, y, span start, span
+// length with the rotation in its top bit); then three bytes per
+// relocation: the module index in the low six bits, x with the
+// rotation in its top bit, y. A relocation byte with bit 7 clear is a
+// plain move. With bit 7 set the step opens the undo journal and
+// stages the relocation, plus the next three bytes' relocation when
+// bit 6 is also set; the top bit of the last y then commits the
+// staged moves, and otherwise they are rolled back and the placement
+// must be exactly as before. Missing bytes read as zero, so every
+// prefix decodes.
 func FuzzStateMoves(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 0, 0, 0, 4, 0, 5, 5})
 	f.Add([]byte{2, 3, 3, 0, 0, 0, 5, 2, 2, 1, 1, 2, 0x85, 0, 7, 0x83, 1, 0x81, 0, 0})
+	f.Add([]byte{3, 2, 2, 0, 0, 0, 6, 3, 1, 4, 4, 1, 5, 1, 3, 2, 2, 2, 4,
+		0xc0, 9, 9, 0x02, 0x81, 0, 0x81, 3, 0x84, 0xc1, 1, 1, 2, 0, 12})
 	f.Add([]byte{12,
 		5, 5, 0, 0, 0, 9, 4, 2, 3, 3, 1, 0x88, 1, 1, 15, 15, 7, 7,
 		2, 6, 8, 0, 0, 3, 6, 2, 4, 9, 2, 8, 3, 3, 3, 3, 5, 0x85,
 		1, 4, 10, 10, 6, 6, 4, 1, 2, 12, 7, 3, 5, 5, 0, 1, 1, 8,
 		6, 6, 11, 2, 0, 5, 2, 2, 13, 13, 3, 0x83, 3, 4, 0, 9, 4, 4,
-		0x80, 20, 20, 1, 0x80, 0, 0x8b, 3, 3, 5, 9, 19, 11, 0, 0, 0x86, 0x92, 17})
+		0x80, 20, 20, 1, 0x80, 0, 0x8b, 3, 3, 5, 9, 19, 11, 0, 0, 0x86, 0x92, 17,
+		0xc4, 0x90, 2, 0x07, 1, 18, 0xca, 5, 5, 3, 0x8e, 0x81})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		at := func(i int) int {
 			if i < len(data) {
@@ -171,25 +208,39 @@ func FuzzStateMoves(f *testing.F) {
 		s := NewState(p)
 		checkState(t, "start", s, p)
 
+		move := func(b int) {
+			x := at(b + 1)
+			s.MoveModule((at(b)&0x3f)%len(mods),
+				geom.Point{X: (x & 0x7f) % 20, Y: (at(b+2) & 0x7f) % 20}, x&0x80 != 0)
+			checkState(t, fmt.Sprintf("byte %d: move", b), s, p)
+		}
 		for b := 1 + 6*len(mods); b < len(data); b += 3 {
-			op, x := at(b), at(b+1)
-			i := op % len(mods)
-			pos, rot := geom.Point{X: (x & 0x7f) % 20, Y: at(b+2) % 20}, x&0x80 != 0
+			op := at(b)
 			if op&0x80 == 0 {
-				s.MoveModule(i, pos, rot)
-				checkState(t, fmt.Sprintf("byte %d: move", b), s, p)
+				move(b)
 				continue
 			}
-			oldPos, oldRot := p.Pos[i], p.Rot[i]
+			wantPos := append([]geom.Point(nil), p.Pos...)
+			wantRot := append([]bool(nil), p.Rot...)
 			wantOverlap, wantBB := s.Overlap(), s.BoundingBox()
-			s.MoveModule(i, pos, rot)
-			checkState(t, fmt.Sprintf("byte %d: move", b), s, p)
-			s.MoveModule(i, oldPos, oldRot)
+			s.Begin()
+			move(b)
+			if op&0x40 != 0 {
+				b += 3
+				move(b)
+			}
+			if at(b+2)&0x80 != 0 {
+				s.Commit()
+				checkState(t, fmt.Sprintf("byte %d: commit", b), s, p)
+				continue
+			}
+			s.Rollback()
 			if s.Overlap() != wantOverlap || s.BoundingBox() != wantBB {
-				t.Fatalf("byte %d: revert drifted: overlap %d→%d bbox %v→%v",
+				t.Fatalf("byte %d: rollback drifted: overlap %d→%d bbox %v→%v",
 					b, wantOverlap, s.Overlap(), wantBB, s.BoundingBox())
 			}
-			checkState(t, fmt.Sprintf("byte %d: revert", b), s, p)
+			checkPlacement(t, fmt.Sprintf("byte %d: rollback", b), p, wantPos, wantRot)
+			checkState(t, fmt.Sprintf("byte %d: rollback", b), s, p)
 		}
 	})
 }

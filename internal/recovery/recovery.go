@@ -288,9 +288,9 @@ func (l *Ladder) attempt(lv Level, st State) (*Plan, error) {
 // index order (bound schedule items in op-ID order).
 func moduleOps(s *schedule.Schedule) []int {
 	var out []int
-	for _, it := range s.BoundItems() {
-		if it.Bound {
-			out = append(out, it.Op.ID)
+	for i := range s.Items {
+		if s.Items[i].Bound {
+			out = append(out, s.Items[i].Op.ID)
 		}
 	}
 	return out

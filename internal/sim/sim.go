@@ -569,14 +569,22 @@ func (sim *simulator) injectFault(t int, f FaultInjection) error {
 // its events, discards the droplets of abandoned operations, and moves
 // the droplets of running modules whose site changed.
 func (sim *simulator) adoptPlan(t int, plan *recovery.Plan) error {
-	items := sim.sched.BoundItems()
 	// Sites of running modules before the swap, to detect moves.
 	oldRects := make(map[int]geom.Rect)
-	for i, it := range items {
+	mi := -1 // placement module index of it
+	for i := range sim.sched.Items {
+		it := &sim.sched.Items[i]
+		if !it.Bound {
+			continue
+		}
+		mi++
 		if it.Span.Contains(t) && !sim.abandoned[it.Op.ID] {
-			oldRects[i] = sim.placement.Rect(i)
+			oldRects[mi] = sim.placement.Rect(mi)
 		}
 	}
+	// Module names are their ops' names (setup checks it, and every
+	// plan re-places the same bound items).
+	mods := sim.placement.Modules
 	sim.placement = plan.Placement
 	if plan.Sched != sim.sched {
 		sim.sched = plan.Sched
@@ -585,11 +593,11 @@ func (sim *simulator) adoptPlan(t int, plan *recovery.Plan) error {
 	sim.res.Relocations = append(sim.res.Relocations, plan.Relocations...)
 	for _, rel := range plan.Relocations {
 		sim.log(t, "reconfig", "module %s relocated %v -> %v",
-			items[rel.Module].Op.Name, rel.From, rel.To)
+			mods[rel.Module].Name, rel.From, rel.To)
 	}
 	for _, d := range plan.Downgrades {
 		sim.log(t, "downgrade", "module %s re-hosted on %s %v, span %v -> %v",
-			items[d.Module].Op.Name, d.To.Name, d.To.Size, d.OldSpan, d.NewSpan)
+			mods[d.Module].Name, d.To.Name, d.To.Size, d.OldSpan, d.NewSpan)
 	}
 	if plan.Level == recovery.LevelDefragment {
 		sim.log(t, "reconfig", "defragmentation re-placed %d modules", len(plan.Placement.Modules))
@@ -613,16 +621,22 @@ func (sim *simulator) adoptPlan(t int, plan *recovery.Plan) error {
 	// started yet need nothing — their start event evicts and routes
 	// as usual. (A new site may legally overlap a module active now
 	// with a disjoint span.)
-	for i, it := range sim.sched.BoundItems() {
-		old, wasRunning := oldRects[i]
-		if !wasRunning || sim.abandoned[it.Op.ID] || sim.placement.Rect(i) == old {
+	mi = -1
+	for i := range sim.sched.Items {
+		it := &sim.sched.Items[i]
+		if !it.Bound {
 			continue
 		}
-		if err := sim.evictDroplets(t, sim.moduleRect(i), it.Op.ID); err != nil {
+		mi++
+		old, wasRunning := oldRects[mi]
+		if !wasRunning || sim.abandoned[it.Op.ID] || sim.placement.Rect(mi) == old {
+			continue
+		}
+		if err := sim.evictDroplets(t, sim.moduleRect(mi), it.Op.ID); err != nil {
 			return err
 		}
 		if id, ok := sim.inModule[it.Op.ID]; ok {
-			if err := sim.routeDroplet(t, id, sim.moduleCenter(i), it.Op.ID); err != nil {
+			if err := sim.routeDroplet(t, id, sim.moduleCenter(mi), it.Op.ID); err != nil {
 				return fmt.Errorf("re-routing droplet of %s: %v", it.Op.Name, err)
 			}
 		}
