@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteTree$$' -fuzztime $(FUZZTIME) ./internal/router/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPlacement$$' -fuzztime $(FUZZTIME) ./internal/format/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSchedule$$' -fuzztime $(FUZZTIME) ./internal/format/
+	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) ./internal/pcache/
 
 # bench measures the annealing inner loop (clone-and-recompute vs the
 # incremental move kernel), whole stage-2 runs per proposal

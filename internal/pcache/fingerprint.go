@@ -3,11 +3,11 @@
 // given (assay graph, module library, array size, placer, options,
 // seed), so a repeated synthesis of a common assay — PCR, a
 // multiplexed in-vitro panel — need not re-run the annealer: the
-// cache serves the previously computed placement bytes, which are
-// guaranteed byte-identical to a fresh run.
+// cache serves a copy of the previously computed placement, which
+// marshals byte-identically to a fresh run's.
 //
 // Keys are canonical SHA-256 fingerprints (see Fingerprint for the
-// canonicalization rules); values are the serialised placement plus
+// canonicalization rules); values are the placer's own placements plus
 // annealing stats, held under an LRU byte budget. All operations are
 // safe for concurrent use and every hit/miss/eviction is counted in
 // the telemetry registry (pcache.* metrics).
@@ -16,11 +16,11 @@ package pcache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
 	"sort"
+	"strconv"
 
 	"dmfb/internal/core"
+	"dmfb/internal/geom"
 	"dmfb/internal/modlib"
 	"dmfb/internal/schedule"
 )
@@ -68,17 +68,25 @@ type Input struct {
 //   - FT options participate only when the placer is "twostage".
 //   - The encoding is versioned ("pcache/v2"): change the encoding,
 //     bump the version, and every old key misses rather than aliasing.
+//
+// The lines are the ones fmt's %d/%q/%s/%t/%g verbs would print,
+// appended with strconv into one buffer and hashed once.
 func Fingerprint(in Input) Key {
-	h := sha256.New()
-	fmt.Fprintln(h, "dmfb pcache/v2")
-	fmt.Fprintf(h, "placer %s\n", in.Placer)
+	b := append(make([]byte, 0, 2048), "dmfb pcache/v2\nplacer "...)
+	b = append(append(b, in.Placer...), '\n')
 
 	if s := in.Schedule; s != nil {
-		fmt.Fprintf(h, "graph %q makespan=%d\n", s.Graph.Name, s.Makespan)
-		for _, op := range s.Graph.Ops() {
-			fmt.Fprintf(h, "op %d %q %s %q\n", op.ID, op.Name, op.Kind, op.Fluid)
+		b = appendQuote(append(b, "graph "...), s.Graph.Name)
+		b = appendInt(append(b, " makespan="...), s.Makespan, '\n')
+		for id := 0; id < s.Graph.NumOps(); id++ {
+			op := s.Graph.Op(id)
+			b = appendInt(append(b, "op "...), op.ID, ' ')
+			b = append(appendQuote(b, op.Name), ' ')
+			b = append(append(b, op.Kind.String()...), ' ')
+			b = append(appendQuote(b, op.Fluid), '\n')
 			for _, succ := range s.Graph.Succ(op.ID) {
-				fmt.Fprintf(h, "edge %d %d\n", op.ID, succ)
+				b = appendInt(append(b, "edge "...), op.ID, ' ')
+				b = appendInt(b, succ, '\n')
 			}
 		}
 		for i, it := range s.Items {
@@ -86,41 +94,88 @@ func Fingerprint(in Input) Key {
 			if it.Bound {
 				dev = it.Device.Name
 			}
-			fmt.Fprintf(h, "item %d [%d,%d) bound=%t dev=%q\n",
-				i, it.Span.Start, it.Span.End, it.Bound, dev)
+			b = appendSpan(appendInt(append(b, "item "...), i, ' '), it.Span)
+			b = strconv.AppendBool(append(b, " bound="...), it.Bound)
+			b = append(appendQuote(append(b, " dev="...), dev), '\n')
 		}
 	}
 	if in.Library != nil {
 		devs := in.Library.Devices()
 		sort.Slice(devs, func(a, b int) bool { return devs[a].Name < devs[b].Name })
 		for _, d := range devs {
-			fmt.Fprintf(h, "lib %q %s %dx%d %ds\n", d.Name, d.Kind, d.Size.W, d.Size.H, d.Duration)
+			b = append(appendQuote(append(b, "lib "...), d.Name), ' ')
+			b = append(append(b, d.Kind.String()...), ' ')
+			b = appendSize(b, d.Size, ' ')
+			b = append(appendInt(b, d.Duration, 's'), '\n')
 		}
 	}
 
-	fmt.Fprintf(h, "core %dx%d\n", in.Problem.MaxW, in.Problem.MaxH)
+	b = appendSize(append(b, "core "...), geom.Size{W: in.Problem.MaxW, H: in.Problem.MaxH}, '\n')
 	for _, m := range in.Problem.Modules {
-		fmt.Fprintf(h, "module %d %q %dx%d [%d,%d)\n",
-			m.ID, m.Name, m.Size.W, m.Size.H, m.Span.Start, m.Span.End)
+		b = appendInt(append(b, "module "...), m.ID, ' ')
+		b = append(appendQuote(b, m.Name), ' ')
+		b = appendSize(b, m.Size, ' ')
+		b = append(appendSpan(b, m.Span), '\n')
 	}
 	for _, o := range in.Problem.Obstacles {
-		fmt.Fprintf(h, "obstacle %d,%d\n", o.X, o.Y)
+		b = appendInt(append(b, "obstacle "...), o.X, ',')
+		b = appendInt(b, o.Y, '\n')
 	}
 
-	writeOptions(h, in.Options.Canonicalized())
+	b = appendOptions(b, in.Options.Canonicalized())
 	if in.Placer == "twostage" {
 		ft := in.FT.Canonicalized()
-		fmt.Fprintf(h, "ft beta=%g t0=%g margin=%d restarts=%d\n",
-			ft.Beta, ft.T0, ft.MarginCells, ft.Restarts)
+		b = appendFloat(append(b, "ft beta="...), ft.Beta, " t0=")
+		b = appendInt(appendFloat(b, ft.T0, " margin="), ft.MarginCells, ' ')
+		b = appendInt(append(b, "restarts="...), ft.Restarts, '\n')
 	}
-	return Key(hex.EncodeToString(h.Sum(nil)))
+	sum := sha256.Sum256(b)
+	return Key(hex.EncodeToString(sum[:]))
 }
 
-func writeOptions(w io.Writer, o core.Options) {
-	fmt.Fprintf(w, "opts seed=%d t0=%g alpha=%g iters=%d psingle=%g overlap=%g wt0=%g patience=%d\n",
-		o.Seed, o.T0, o.Alpha, o.ItersPerModule, o.PSingle,
-		o.OverlapPenalty, o.WindowT0, o.WindowPatience)
+func appendOptions(b []byte, o core.Options) []byte {
+	b = appendInt(append(b, "opts seed="...), o.Seed, ' ')
+	b = appendFloat(append(b, "t0="...), o.T0, " alpha=")
+	b = appendFloat(b, o.Alpha, " iters=")
+	b = appendInt(b, o.ItersPerModule, ' ')
+	b = appendFloat(append(b, "psingle="...), o.PSingle, " overlap=")
+	b = appendFloat(b, o.OverlapPenalty, " wt0=")
+	b = appendFloat(b, o.WindowT0, " patience=")
+	b = appendInt(b, o.WindowPatience, '\n')
 	// o.Search is already Normalized by Canonicalized: Starts ≥ 1 and
 	// Workers cleared, so the worker count can never split a key.
-	fmt.Fprintf(w, "search starts=%d seed=%d\n", o.Search.Starts, o.Search.Seed)
+	b = appendInt(append(b, "search starts="...), o.Search.Starts, ' ')
+	return appendInt(append(b, "seed="...), o.Search.Seed, '\n')
+}
+
+// appendQuote is strconv.AppendQuote (fmt's %q) with a fast path for
+// the printable-ASCII names every built-in assay uses.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] < ' ' || s[i] > '~' || s[i] == '"' || s[i] == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendInt appends v in decimal followed by sep (fmt's %d).
+func appendInt[T int | int64](b []byte, v T, sep byte) []byte {
+	return append(strconv.AppendInt(b, int64(v), 10), sep)
+}
+
+// appendFloat appends v as fmt's %g renders a float64 (shortest
+// round-trip 'g' form, "+Inf"/"-Inf"/"NaN"), followed by sep.
+func appendFloat(b []byte, v float64, sep string) []byte {
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), sep...)
+}
+
+// appendSize appends "WxH" followed by sep.
+func appendSize(b []byte, s geom.Size, sep byte) []byte {
+	return appendInt(appendInt(b, s.W, 'x'), s.H, sep)
+}
+
+// appendSpan appends the half-open "[start,end)".
+func appendSpan(b []byte, iv geom.Interval) []byte {
+	return appendInt(appendInt(append(b, '['), iv.Start, ','), iv.End, ')')
 }

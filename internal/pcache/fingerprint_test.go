@@ -1,6 +1,12 @@
 package pcache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"math"
+	"sort"
 	"testing"
 
 	"dmfb/internal/anneal"
@@ -10,6 +16,8 @@ import (
 	"dmfb/internal/invitro"
 	"dmfb/internal/modlib"
 	"dmfb/internal/pcr"
+	"dmfb/internal/place"
+	"dmfb/internal/schedule"
 )
 
 // Golden fingerprints for the paper's two reference assays. These pin
@@ -21,7 +29,7 @@ const (
 	goldenInvitroKey = Key("76949f143f3104c24b5119f8276d2ed3fc95a86f54419ad4f96442ceb835446d")
 )
 
-func pcrInput(t *testing.T) Input {
+func pcrInput(t testing.TB) Input {
 	t.Helper()
 	s, err := pcr.Schedule()
 	if err != nil {
@@ -36,7 +44,7 @@ func pcrInput(t *testing.T) Input {
 	}
 }
 
-func invitroInput(t *testing.T) Input {
+func invitroInput(t testing.TB) Input {
 	t.Helper()
 	s := invitro.MustSynthesize(2, 2, 0)
 	return Input{
@@ -165,4 +173,185 @@ func TestFingerprintMutations(t *testing.T) {
 		}
 		seen[key] = m.name
 	}
+}
+
+// BenchmarkFingerprint times one key of each reference assay, as the
+// server computes on every compile before it can look the cache up.
+func BenchmarkFingerprint(b *testing.B) {
+	ins := []Input{pcrInput(b), invitroInput(b)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keySink = Fingerprint(ins[i%2])
+	}
+}
+
+var keySink Key
+
+// fmtFingerprint is the reference encoder Fingerprint must match byte
+// for byte: the canonical lines written with fmt verbs straight into
+// the hash.
+func fmtFingerprint(in Input) Key {
+	h := sha256.New()
+	fmt.Fprintln(h, "dmfb pcache/v2")
+	fmt.Fprintf(h, "placer %s\n", in.Placer)
+
+	if s := in.Schedule; s != nil {
+		fmt.Fprintf(h, "graph %q makespan=%d\n", s.Graph.Name, s.Makespan)
+		for _, op := range s.Graph.Ops() {
+			fmt.Fprintf(h, "op %d %q %s %q\n", op.ID, op.Name, op.Kind, op.Fluid)
+			for _, succ := range s.Graph.Succ(op.ID) {
+				fmt.Fprintf(h, "edge %d %d\n", op.ID, succ)
+			}
+		}
+		for i, it := range s.Items {
+			dev := ""
+			if it.Bound {
+				dev = it.Device.Name
+			}
+			fmt.Fprintf(h, "item %d [%d,%d) bound=%t dev=%q\n",
+				i, it.Span.Start, it.Span.End, it.Bound, dev)
+		}
+	}
+	if in.Library != nil {
+		devs := in.Library.Devices()
+		sort.Slice(devs, func(a, b int) bool { return devs[a].Name < devs[b].Name })
+		for _, d := range devs {
+			fmt.Fprintf(h, "lib %q %s %dx%d %ds\n", d.Name, d.Kind, d.Size.W, d.Size.H, d.Duration)
+		}
+	}
+
+	fmt.Fprintf(h, "core %dx%d\n", in.Problem.MaxW, in.Problem.MaxH)
+	for _, m := range in.Problem.Modules {
+		fmt.Fprintf(h, "module %d %q %dx%d [%d,%d)\n",
+			m.ID, m.Name, m.Size.W, m.Size.H, m.Span.Start, m.Span.End)
+	}
+	for _, o := range in.Problem.Obstacles {
+		fmt.Fprintf(h, "obstacle %d,%d\n", o.X, o.Y)
+	}
+
+	fmtWriteOptions(h, in.Options.Canonicalized())
+	if in.Placer == "twostage" {
+		ft := in.FT.Canonicalized()
+		fmt.Fprintf(h, "ft beta=%g t0=%g margin=%d restarts=%d\n",
+			ft.Beta, ft.T0, ft.MarginCells, ft.Restarts)
+	}
+	return Key(hex.EncodeToString(h.Sum(nil)))
+}
+
+func fmtWriteOptions(w io.Writer, o core.Options) {
+	fmt.Fprintf(w, "opts seed=%d t0=%g alpha=%g iters=%d psingle=%g overlap=%g wt0=%g patience=%d\n",
+		o.Seed, o.T0, o.Alpha, o.ItersPerModule, o.PSingle,
+		o.OverlapPenalty, o.WindowT0, o.WindowPatience)
+	fmt.Fprintf(w, "search starts=%d seed=%d\n", o.Search.Starts, o.Search.Seed)
+}
+
+// TestFingerprintMatchesFmt: the strconv encoder hashes exactly the
+// lines the fmt reference writes, on the reference assays and on
+// inputs that exercise every line kind.
+func TestFingerprintMatchesFmt(t *testing.T) {
+	invitro3 := func(t testing.TB) Input {
+		s := invitro.MustSynthesize(3, 3, 0)
+		return Input{Schedule: s, Library: modlib.Table1(), Problem: core.FromSchedule(s),
+			Placer: "sa", Options: core.Options{Seed: 3}}
+	}
+	cases := []struct {
+		name string
+		in   func(testing.TB) Input
+	}{
+		{"pcr", pcrInput},
+		{"invitro_2x2_twostage", invitroInput},
+		{"invitro_3x3", invitro3},
+		{"pcr_twostage", func(t testing.TB) Input {
+			in := pcrInput(t)
+			in.Placer = "twostage"
+			in.FT = core.FTOptions{Beta: 40, T0: 2.5, MarginCells: 3, Restarts: 2}
+			return in
+		}},
+		{"obstacles", func(t testing.TB) Input {
+			in := pcrInput(t)
+			in.Problem.Obstacles = []geom.Point{{X: 1, Y: 2}, {X: 0, Y: 7}, {X: -3, Y: 11}}
+			return in
+		}},
+		{"library", func(t testing.TB) Input {
+			in := invitro3(t)
+			lib, err := modlib.NewLibrary(
+				modlib.Device{Name: "zeta \"quoted\"", Kind: assay.Detect, Size: geom.Size{W: 1, H: 1}, Duration: 30},
+				modlib.Device{Name: "alpha\tmixer", Kind: assay.Mix, Size: geom.Size{W: 2, H: 4}, Duration: 6},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.Library = lib
+			return in
+		}},
+		{"options", func(t testing.TB) Input {
+			in := invitroInput(t)
+			in.Options = core.Options{Seed: -1, T0: 5000.5, Alpha: 0.95, ItersPerModule: 123,
+				PSingle: 0.3, OverlapPenalty: 1e-9, WindowT0: 1e21, WindowPatience: 3,
+				Search: place.SearchOptions{Starts: 4, Seed: -7, Workers: 3}}
+			in.FT = core.FTOptions{Beta: 1.0 / 3, MarginCells: -2}
+			return in
+		}},
+		{"bare_problem", func(t testing.TB) Input {
+			in := pcrInput(t)
+			in.Schedule, in.Library = nil, nil
+			return in
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := tc.in(t)
+			if got, want := Fingerprint(in), fmtFingerprint(in); got != want {
+				t.Errorf("Fingerprint = %s, fmt reference = %s", got, want)
+			}
+		})
+	}
+}
+
+// FuzzFingerprint feeds names with quotes and invalid UTF-8, extreme
+// integers and non-finite or negative-zero options through both
+// encoders and requires equal keys.
+func FuzzFingerprint(f *testing.F) {
+	f.Add("M1", "sample", 2, int64(1), 3, 10000.0, 30.0, true)
+	f.Add(`he said "hi"\`, "\xff\xfe\x00", -1, int64(math.MinInt64), math.MaxInt, math.Inf(1), math.NaN(), false)
+	f.Add("\u2603\n", "", 99, int64(math.MaxInt64), math.MinInt, math.Inf(-1), math.Copysign(0, -1), true)
+	f.Add("", "\x80", 0, int64(-5), 0, 5e-324, 1.7976931348623157e308, false)
+	f.Fuzz(func(t *testing.T, name, fluid string, kind int, n int64, x int, f1, f2 float64, twostage bool) {
+		g := &assay.Graph{Name: name}
+		a := g.AddOp(name, assay.OpKind(kind), fluid)
+		b := g.AddOp(fluid, assay.Mix, name)
+		if err := g.AddEdge(a, b); err != nil {
+			t.Fatal(err)
+		}
+		span := geom.Interval{Start: x, End: int(n)}
+		size := geom.Size{W: x, H: int(n)}
+		s := &schedule.Schedule{Graph: g, Makespan: x, Items: []schedule.Item{
+			{Op: g.Op(a), Device: modlib.Device{Name: name, Kind: assay.OpKind(kind), Size: size}, Span: span, Bound: true},
+			{Op: g.Op(b), Device: modlib.Device{Name: fluid}, Span: span},
+		}}
+		in := Input{
+			Schedule: s,
+			Problem: core.Problem{MaxW: x, MaxH: int(n),
+				Modules:   []place.Module{{ID: x, Name: fluid, Size: size, Span: span}},
+				Obstacles: []geom.Point{{X: x, Y: int(n)}}},
+			Placer: name,
+			Options: core.Options{Seed: n, T0: f1, Alpha: f2, ItersPerModule: x, PSingle: -f1,
+				OverlapPenalty: f2, WindowT0: -f2, WindowPatience: -x,
+				Search: place.SearchOptions{Starts: x, Seed: -n}},
+			FT: core.FTOptions{Beta: f1, T0: f2, MarginCells: x, Restarts: int(n)},
+		}
+		if twostage {
+			in.Placer = "twostage"
+		}
+		if lib, err := modlib.NewLibrary(
+			modlib.Device{Name: name, Kind: assay.OpKind(kind), Size: geom.Size{W: 2, H: 3}, Duration: x},
+			modlib.Device{Name: fluid + "\x00", Kind: assay.Store, Size: geom.Size{W: 1, H: 1}, Duration: 1},
+		); err == nil {
+			in.Library = lib
+		}
+		if got, want := Fingerprint(in), fmtFingerprint(in); got != want {
+			t.Fatalf("Fingerprint = %s, fmt reference = %s", got, want)
+		}
+	})
 }

@@ -4,40 +4,53 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dmfb/internal/core"
+	"dmfb/internal/geom"
+	"dmfb/internal/place"
 	"dmfb/internal/telemetry"
 )
 
-// Entry is one cached placement result: the serialised artifacts, not
-// live structs, so a hit can be written straight to a response body and
-// is byte-identical to the bytes a fresh run would have produced.
+// Entry is one cached placement result: the placer's own placements,
+// so a hit costs a copy, not a parse. Put and Get each copy Pos and
+// Rot, so neither the caller that filled the entry nor one that reads
+// it can change what a later Get returns; Modules stays shared, being
+// immutable by contract.
 type Entry struct {
-	// Placement is format.MarshalPlacement output for the final
-	// placement.
-	Placement []byte
-	// Stage1 is the marshalled stage-1 placement of a two-stage run
-	// (nil for single-stage placers).
-	Stage1 []byte
+	// Placement is the final placement (never nil).
+	Placement *place.Placement
+	// Stage1 is the stage-1 placement of a two-stage run (nil for
+	// single-stage placers).
+	Stage1 *place.Placement
 	// Stats are the annealing statistics of the run that produced the
 	// entry.
 	Stats core.Stats
-	// FTI is the fault-tolerance index of the final placement, and
-	// Stage1FTI the stage-1 index (two-stage runs only).
-	FTI       float64
-	Stage1FTI float64
-	// ArrayMM2 is the stage-1 array area in mm² (two-stage runs only).
-	ArrayMM2 float64
 }
 
+// bytes estimates the heap an entry retains: the module list once (a
+// two-stage run's stage 1 shares it), each placement's Pos and Rot,
+// and a fixed overhead for the headers and the cached conflict pairs.
 func (e Entry) bytes() int {
-	return len(e.Placement) + len(e.Stage1) + 64 // struct overhead estimate
+	n := 256
+	for _, m := range e.Placement.Modules {
+		n += int(unsafe.Sizeof(m)) + len(m.Name)
+	}
+	for _, p := range [2]*place.Placement{e.Placement, e.Stage1} {
+		if p != nil {
+			n += len(p.Pos)*int(unsafe.Sizeof(geom.Point{})) + len(p.Rot)
+		}
+	}
+	return n
 }
 
-// clone deep-copies the byte slices so callers can't mutate cached data.
+// clone copies the placements' Pos and Rot so callers can't mutate
+// cached data.
 func (e Entry) clone() Entry {
-	e.Placement = append([]byte(nil), e.Placement...)
-	e.Stage1 = append([]byte(nil), e.Stage1...)
+	e.Placement = e.Placement.Clone()
+	if e.Stage1 != nil {
+		e.Stage1 = e.Stage1.Clone()
+	}
 	return e
 }
 
@@ -73,8 +86,8 @@ type cacheItem struct {
 // non-positive limit: enough for a few thousand placements.
 const DefaultMaxBytes = 64 << 20
 
-// New returns a cache holding at most maxBytes of serialised
-// placements (DefaultMaxBytes if maxBytes <= 0). The registry may be
+// New returns a cache holding at most maxBytes of estimated placement
+// heap (DefaultMaxBytes if maxBytes <= 0). The registry may be
 // nil; when set, the cache maintains pcache.hits / pcache.misses /
 // pcache.evictions counters and pcache.bytes / pcache.entries gauges.
 func New(maxBytes int, reg *telemetry.Registry) *Cache {
@@ -140,13 +153,6 @@ func (c *Cache) Put(key Key, entry Entry) {
 	}
 	c.reg.Gauge("pcache.bytes").Set(float64(c.bytes))
 	c.reg.Gauge("pcache.entries").Set(float64(len(c.items)))
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -8,8 +8,35 @@ import (
 
 	"dmfb/internal/core"
 	"dmfb/internal/format"
+	"dmfb/internal/geom"
+	"dmfb/internal/place"
 	"dmfb/internal/telemetry"
 )
+
+// testPlacement returns a placement of n modules with distinct
+// positions and alternating orientations.
+func testPlacement(n int) *place.Placement {
+	mods := make([]place.Module, n)
+	for i := range mods {
+		mods[i] = place.Module{ID: i, Name: fmt.Sprintf("M%d", i),
+			Size: geom.Size{W: 2, H: 3}, Span: geom.Interval{Start: i, End: i + 1}}
+	}
+	p := place.New(mods)
+	for i := range p.Pos {
+		p.Pos[i] = geom.Point{X: i, Y: 1}
+		p.Rot[i] = i%2 == 1
+	}
+	return p
+}
+
+func marshal(t *testing.T, p *place.Placement) []byte {
+	t.Helper()
+	raw, err := format.MarshalPlacement(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
 
 func TestCacheBasics(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -18,20 +45,20 @@ func TestCacheBasics(t *testing.T) {
 	if _, ok := c.Get("missing"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	e := Entry{Placement: []byte("placement-bytes"), FTI: 0.5}
+	e := Entry{Placement: testPlacement(3), Stats: core.Stats{Levels: 7, FinalCost: 0.5}}
 	c.Put("k1", e)
 	got, ok := c.Get("k1")
 	if !ok {
 		t.Fatal("miss after Put")
 	}
-	if !bytes.Equal(got.Placement, e.Placement) || got.FTI != e.FTI {
+	if got.Placement.String() != e.Placement.String() || got.Stats != e.Stats {
 		t.Fatalf("entry mismatch: %+v", got)
 	}
 
 	// Returned slices are copies: mutating one must not poison the cache.
-	got.Placement[0] = 'X'
+	got.Placement.Pos[0].X = 99
 	again, _ := c.Get("k1")
-	if again.Placement[0] == 'X' {
+	if again.Placement.Pos[0].X == 99 {
 		t.Fatal("Get returned an aliased slice")
 	}
 
@@ -48,14 +75,14 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	entrySize := Entry{Placement: make([]byte, 100)}.bytes()
+	entrySize := Entry{Placement: testPlacement(4)}.bytes()
 	c := New(3*entrySize, nil) // room for exactly three entries
 
 	for i := 0; i < 3; i++ {
-		c.Put(Key(fmt.Sprintf("k%d", i)), Entry{Placement: make([]byte, 100)})
+		c.Put(Key(fmt.Sprintf("k%d", i)), Entry{Placement: testPlacement(4)})
 	}
 	c.Get("k0") // refresh k0: k1 becomes least recently used
-	c.Put("k3", Entry{Placement: make([]byte, 100)})
+	c.Put("k3", Entry{Placement: testPlacement(4)})
 
 	if _, ok := c.Get("k1"); ok {
 		t.Error("k1 should have been evicted as LRU")
@@ -70,42 +97,43 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 
 	// An entry larger than the whole budget is refused outright.
-	c.Put("huge", Entry{Placement: make([]byte, 10*entrySize)})
+	huge := Entry{Placement: testPlacement(40)}
+	if huge.bytes() <= 3*entrySize {
+		t.Fatalf("huge entry (%d B) fits the %d B budget", huge.bytes(), 3*entrySize)
+	}
+	c.Put("huge", huge)
 	if _, ok := c.Get("huge"); ok {
 		t.Error("over-budget entry was cached")
 	}
 }
 
-// TestCacheByteIdentity is the layer-2 acceptance test: the bytes
-// served from cache are exactly the bytes a fresh placement run
-// produces.
+// TestCacheByteIdentity is the layer-2 acceptance test: the placement
+// served from cache marshals to exactly the bytes a fresh placement
+// run produces.
 func TestCacheByteIdentity(t *testing.T) {
 	in := pcrInput(t)
-	run := func() []byte {
+	run := func() *place.Placement {
 		p, _, err := core.AnnealArea(in.Problem, in.Options)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := format.MarshalPlacement(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+		return p
 	}
 
 	c := New(0, nil)
 	key := Fingerprint(in)
-	fresh := run()
-	c.Put(key, Entry{Placement: fresh})
+	p := run()
+	fresh := marshal(t, p)
+	c.Put(key, Entry{Placement: p})
 
 	cached, ok := c.Get(key)
 	if !ok {
 		t.Fatal("placement not found under its own fingerprint")
 	}
-	if !bytes.Equal(cached.Placement, fresh) {
+	if !bytes.Equal(marshal(t, cached.Placement), fresh) {
 		t.Fatal("cached placement differs from stored bytes")
 	}
-	if rerun := run(); !bytes.Equal(cached.Placement, rerun) {
+	if rerun := marshal(t, run()); !bytes.Equal(marshal(t, cached.Placement), rerun) {
 		t.Fatal("fresh re-run differs from cached placement — placer is nondeterministic")
 	}
 }
@@ -113,7 +141,8 @@ func TestCacheByteIdentity(t *testing.T) {
 // TestCacheConcurrent hammers the cache from many goroutines; run
 // under -race (make race / CI) this is the concurrency acceptance test.
 func TestCacheConcurrent(t *testing.T) {
-	entrySize := Entry{Placement: make([]byte, 64)}.bytes()
+	p := testPlacement(4)
+	entrySize := Entry{Placement: p}.bytes()
 	c := New(8*entrySize, telemetry.NewRegistry()) // small budget forces evictions
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -123,11 +152,10 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				key := Key(fmt.Sprintf("k%d", (g+i)%16))
 				if _, ok := c.Get(key); !ok {
-					c.Put(key, Entry{Placement: make([]byte, 64)})
+					c.Put(key, Entry{Placement: p})
 				}
 				if i%97 == 0 {
 					c.Stats()
-					c.Len()
 				}
 			}
 		}(g)
@@ -141,4 +169,37 @@ func TestCacheConcurrent(t *testing.T) {
 	if s.Entries > 8 || s.Bytes > 8*entrySize {
 		t.Errorf("budget exceeded: %+v", s)
 	}
+}
+
+// TestCacheEntriesAreCopies: mutating a Put argument or a Get result —
+// final placement or stage 1, position or orientation — never changes
+// what a later Get returns.
+func TestCacheEntriesAreCopies(t *testing.T) {
+	c := New(0, nil)
+	e := Entry{Placement: testPlacement(3), Stage1: testPlacement(3)}
+	want, want1 := marshal(t, e.Placement), marshal(t, e.Stage1)
+	check := func(when string) {
+		t.Helper()
+		got, ok := c.Get("k")
+		if !ok {
+			t.Fatalf("%s: miss", when)
+		}
+		if !bytes.Equal(marshal(t, got.Placement), want) || !bytes.Equal(marshal(t, got.Stage1), want1) {
+			t.Errorf("%s changed the cached entry", when)
+		}
+	}
+	mutate := func(e Entry) {
+		for _, p := range []*place.Placement{e.Placement, e.Stage1} {
+			p.Pos[0] = geom.Point{X: 42, Y: 42}
+			p.Rot[1] = !p.Rot[1]
+		}
+	}
+
+	c.Put("k", e)
+	mutate(e)
+	check("mutating the Put argument")
+
+	got, _ := c.Get("k")
+	mutate(got)
+	check("mutating a Get result")
 }

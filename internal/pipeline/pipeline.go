@@ -170,9 +170,9 @@ type Request struct {
 	Sim   *SimSpec
 
 	// Cache, when set, serves placements by content-addressed
-	// fingerprint: a hit skips the placer entirely and unmarshals the
-	// cached bytes, which are guaranteed byte-identical to a fresh
-	// run's marshalled placement.
+	// fingerprint: a hit skips the placer entirely and adopts a copy
+	// of the placement the miss produced, so it marshals
+	// byte-identically to a fresh run.
 	Cache *pcache.Cache
 
 	Tracer  *telemetry.Tracer
@@ -388,9 +388,7 @@ func (req *Request) runPlace(res *Result) error {
 			FT:       spec.FT,
 		})
 		if e, ok := req.Cache.Get(res.CacheKey); ok {
-			if err := req.adoptCached(res, e); err != nil {
-				return err
-			}
+			req.adoptCached(res, e)
 			spec.applySpares(res)
 			return nil
 		}
@@ -431,9 +429,7 @@ func (req *Request) runPlace(res *Result) error {
 	}
 
 	if req.Cache != nil {
-		if err := req.fillCache(res); err != nil {
-			return &StageError{StagePlace, err}
-		}
+		req.fillCache(res)
 	}
 	spec.applySpares(res)
 	return nil
@@ -449,45 +445,26 @@ func (spec *PlaceSpec) applySpares(res *Result) {
 	res.Placement = place.InsertSpares(res.Placement, cols, rows)
 }
 
-// adoptCached reconstructs the placement stage's result from a cache
-// entry: the stored bytes are unmarshalled, so downstream stages see
-// exactly the placement a fresh run would have produced.
-func (req *Request) adoptCached(res *Result, e pcache.Entry) error {
-	p, err := format.UnmarshalPlacement(e.Placement)
-	if err != nil {
-		return &StageError{StagePlace, fmt.Errorf("corrupt cache entry: %w", err)}
-	}
-	res.Placement = p
+// adoptCached takes the placement stage's result from a cache entry.
+// The entry holds the placer's own placements (copied by Get), so
+// downstream stages see exactly the placement a fresh run produced.
+func (req *Request) adoptCached(res *Result, e pcache.Entry) {
+	res.Placement = e.Placement
 	res.PlacerStats = e.Stats
 	res.CacheHit = true
-	if len(e.Stage1) > 0 {
-		s1, err := format.UnmarshalPlacement(e.Stage1)
-		if err != nil {
-			return &StageError{StagePlace, fmt.Errorf("corrupt cache entry: %w", err)}
-		}
-		res.TwoStage = &core.TwoStageResult{Stage1: s1, Final: p, Stage2Stats: res.PlacerStats}
+	if e.Stage1 != nil {
+		res.TwoStage = &core.TwoStageResult{Stage1: e.Stage1, Final: e.Placement, Stage2Stats: e.Stats}
 	}
-	return nil
 }
 
 // fillCache stores the freshly computed placement under its
 // fingerprint.
-func (req *Request) fillCache(res *Result) error {
-	raw, err := format.MarshalPlacement(res.Placement)
-	if err != nil {
-		return err
-	}
-	e := pcache.Entry{Placement: raw, Stats: res.PlacerStats}
+func (req *Request) fillCache(res *Result) {
+	e := pcache.Entry{Placement: res.Placement, Stats: res.PlacerStats}
 	if res.TwoStage != nil {
-		if e.Stage1, err = format.MarshalPlacement(res.TwoStage.Stage1); err != nil {
-			return err
-		}
-		e.Stage1FTI = fti.Compute(res.TwoStage.Stage1).FTI()
-		e.ArrayMM2 = modlib.AreaMM2(res.TwoStage.Stage1.ArrayCells())
+		e.Stage1 = res.TwoStage.Stage1
 	}
-	e.FTI = fti.Compute(res.Placement).FTI()
 	req.Cache.Put(res.CacheKey, e)
-	return nil
 }
 
 func (req *Request) runFTI(res *Result) error {

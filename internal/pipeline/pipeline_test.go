@@ -12,6 +12,7 @@ import (
 	"dmfb/internal/geom"
 	"dmfb/internal/pcache"
 	"dmfb/internal/pcr"
+	"dmfb/internal/place"
 	"dmfb/internal/router"
 	"dmfb/internal/sim"
 	"dmfb/internal/telemetry"
@@ -160,6 +161,64 @@ func TestRunCacheTwoStage(t *testing.T) {
 	}
 	if first.TwoStage.Stage1.String() != second.TwoStage.Stage1.String() {
 		t.Error("stage-1 placement did not survive the cache round-trip")
+	}
+}
+
+// TestRunCacheHitIsolated: a hit hands out its own copy of the cached
+// placements. A caller that mutates a miss's or a hit's placement, and
+// a Spares hit between two spare-free hits, leave every later hit
+// byte-identical to the miss.
+func TestRunCacheHitIsolated(t *testing.T) {
+	req := Request{
+		Synth: &SynthSpec{Assay: "pcr"},
+		Place: &PlaceSpec{Placer: "twostage", Options: core.Options{Seed: 1},
+			FT: core.FTOptions{Beta: 30}},
+		Cache: pcache.New(0, nil),
+	}
+	run := func(spares int) Result {
+		t.Helper()
+		r := req
+		spec := *req.Place
+		spec.Spares = spares
+		r.Place = &spec
+		res, err := Run(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	marshal := func(p *place.Placement) []byte {
+		t.Helper()
+		raw, err := format.MarshalPlacement(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	scramble := func(res Result) {
+		for _, p := range []*place.Placement{res.Placement, res.TwoStage.Stage1} {
+			for i := range p.Pos {
+				p.Pos[i].X += 3
+				p.Rot[i] = !p.Rot[i]
+			}
+		}
+	}
+
+	miss := run(0)
+	want, want1 := marshal(miss.Placement), marshal(miss.TwoStage.Stage1)
+	scramble(miss)
+	for i, spares := range []int{0, 2, 0} {
+		hit := run(spares)
+		if !hit.CacheHit {
+			t.Fatalf("run %d (spares %d) missed the cache", i, spares)
+		}
+		if !bytes.Equal(marshal(hit.TwoStage.Stage1), want1) {
+			t.Errorf("run %d (spares %d): stage-1 placement differs from the miss", i, spares)
+		}
+		if spares == 0 && !bytes.Equal(marshal(hit.Placement), want) {
+			t.Errorf("run %d: hit placement differs from the miss", i)
+		}
+		scramble(hit)
 	}
 }
 
