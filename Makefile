@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMiner$$' -fuzztime $(FUZZTIME) ./internal/emptyrect/
 	$(GO) test -run '^$$' -fuzz '^FuzzFTI$$' -fuzztime $(FUZZTIME) ./internal/fti/
 	$(GO) test -run '^$$' -fuzz '^FuzzIncremental$$' -fuzztime $(FUZZTIME) ./internal/fti/
+	$(GO) test -run '^$$' -fuzz '^FuzzSite$$' -fuzztime $(FUZZTIME) ./internal/fti/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowWords$$' -fuzztime $(FUZZTIME) ./internal/grid/
 	$(GO) test -run '^$$' -fuzz '^FuzzLadder$$' -fuzztime $(FUZZTIME) ./internal/recovery/
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkMerge$$' -fuzztime $(FUZZTIME) ./internal/campaign/

@@ -134,11 +134,15 @@ func (g *Graph) Ops() []Op {
 	return out
 }
 
-// Succ returns the successor IDs of op id (copy).
-func (g *Graph) Succ(id int) []int { return append([]int(nil), g.succ[id]...) }
+// Succ returns the successor IDs of op id as a read-only view of the
+// graph's own list: do not write its elements. Its capacity is clipped
+// to its length, so appending to it copies instead of growing the
+// graph's list.
+func (g *Graph) Succ(id int) []int { s := g.succ[id]; return s[:len(s):len(s)] }
 
-// Pred returns the predecessor IDs of op id (copy).
-func (g *Graph) Pred(id int) []int { return append([]int(nil), g.pred[id]...) }
+// Pred returns the predecessor IDs of op id, a read-only view like
+// Succ's.
+func (g *Graph) Pred(id int) []int { p := g.pred[id]; return p[:len(p):len(p)] }
 
 // Sources returns ops with no predecessors, in ID order.
 func (g *Graph) Sources() []int {

@@ -5,9 +5,11 @@
 // The paper's fast fault-tolerance-index algorithm (Section 5.3) mines
 // MERs with the staircase technique of Edmonds et al.; relocating a
 // faulty module succeeds exactly when some MER can accommodate the
-// module's footprint. The reconfiguration planner picks its target
-// site from these MERs; the FTI kernel answers the same yes/no
-// question by intersecting free sites instead (see package fti).
+// module's footprint. Production code no longer mines them: the FTI
+// intersects free sites, and the reconfiguration planner picks its
+// site from the same band scan (fti.Site). Maximal's one remaining
+// caller is the benchmark's MER replay (perfbench), which times this
+// miner as a layer of its own.
 //
 // This package implements an equivalent linear-sweep enumeration:
 // rows are scanned bottom-to-top while a per-column free-run histogram
@@ -102,126 +104,6 @@ type minerBar struct{ start, h int }
 // wordBits mirrors the grid package's word size; RowWords documents
 // the bit layout (bit x%64 of word x/64 is cell x).
 const wordBits = 64
-
-// MaximalBrute is an exhaustive oracle used by the test suite and by
-// the fault-tolerance-index cross-checks: it examines every rectangle
-// in the grid, keeps the free ones, and filters to those that cannot be
-// extended by one cell in any direction. O(W³·H³); use only on small
-// grids.
-func MaximalBrute(g *grid.Grid) []geom.Rect {
-	var out []geom.Rect
-	for y := 0; y < g.H(); y++ {
-		for x := 0; x < g.W(); x++ {
-			for hh := 1; y+hh <= g.H(); hh++ {
-				for ww := 1; x+ww <= g.W(); ww++ {
-					r := geom.Rect{X: x, Y: y, W: ww, H: hh}
-					if !g.RectFree(r) {
-						break // wider is not free either
-					}
-					if isMaximal(g, r) {
-						out = append(out, r)
-					}
-				}
-			}
-		}
-	}
-	sortRects(out)
-	return out
-}
-
-func isMaximal(g *grid.Grid, r geom.Rect) bool {
-	grow := []geom.Rect{
-		{X: r.X - 1, Y: r.Y, W: r.W + 1, H: r.H}, // left
-		{X: r.X, Y: r.Y, W: r.W + 1, H: r.H},     // right
-		{X: r.X, Y: r.Y - 1, W: r.W, H: r.H + 1}, // down
-		{X: r.X, Y: r.Y, W: r.W, H: r.H + 1},     // up
-	}
-	for _, e := range grow {
-		if g.RectFree(e) {
-			return false
-		}
-	}
-	return true
-}
-
-// fitsAvoiding reports whether footprint s (fixed orientation) has at
-// least one placement inside r that does not cover avoid.
-func fitsAvoiding(r geom.Rect, s geom.Size, avoid geom.Point) bool {
-	if !s.Fits(r.Size()) {
-		return false
-	}
-	if !r.Contains(avoid) {
-		return true // every placement avoids it
-	}
-	// Origins form the grid [r.X, r.X+r.W-s.W] × [r.Y, r.Y+r.H-s.H].
-	// Origins whose rectangle covers avoid satisfy
-	// origin.X ∈ [avoid.X-s.W+1, avoid.X] and likewise for Y.
-	totalX := r.W - s.W + 1
-	totalY := r.H - s.H + 1
-	covX := overlapLen(r.X, r.X+r.W-s.W, avoid.X-s.W+1, avoid.X)
-	covY := overlapLen(r.Y, r.Y+r.H-s.H, avoid.Y-s.H+1, avoid.Y)
-	return covX*covY < totalX*totalY
-}
-
-// overlapLen returns the size of the intersection of the inclusive
-// integer ranges [a0,a1] and [b0,b1].
-func overlapLen(a0, a1, b0, b1 int) int {
-	lo := max(a0, b0)
-	hi := min(a1, b1)
-	if hi < lo {
-		return 0
-	}
-	return hi - lo + 1
-}
-
-// BestFitAvoiding returns the placement rectangle for footprint s
-// (considering both orientations) inside the rectangle set that
-// minimises leftover area of the hosting MER, preferring the first in
-// sorted order on ties, under the constraint that the placement must
-// not cover the cell avoid. ok is false when no rectangle can host s
-// that way. The placement is anchored at the host origin when that
-// avoids the cell, otherwise shifted the minimum distance needed.
-func BestFitAvoiding(rects []geom.Rect, s geom.Size, avoid geom.Point) (placed geom.Rect, ok bool) {
-	bestWaste := int(^uint(0) >> 1)
-	for _, r := range rects {
-		for _, o := range orientations(s) {
-			if !fitsAvoiding(r, o, avoid) {
-				continue
-			}
-			waste := r.Cells() - o.Cells()
-			if waste >= bestWaste {
-				continue
-			}
-			if p, found := placeAvoiding(r, o, avoid); found {
-				bestWaste = waste
-				placed = p
-				ok = true
-			}
-		}
-	}
-	return placed, ok
-}
-
-// placeAvoiding scans candidate origins in (y, x) order and returns
-// the first placement of o inside r that does not cover avoid.
-func placeAvoiding(r geom.Rect, o geom.Size, avoid geom.Point) (geom.Rect, bool) {
-	for y := r.Y; y+o.H <= r.MaxY(); y++ {
-		for x := r.X; x+o.W <= r.MaxX(); x++ {
-			c := geom.Rect{X: x, Y: y, W: o.W, H: o.H}
-			if !c.Contains(avoid) {
-				return c, true
-			}
-		}
-	}
-	return geom.Rect{}, false
-}
-
-func orientations(s geom.Size) []geom.Size {
-	if s.IsSquare() {
-		return []geom.Size{s}
-	}
-	return []geom.Size{s, s.Transpose()}
-}
 
 func sortRects(rs []geom.Rect) {
 	sort.Slice(rs, func(i, j int) bool {

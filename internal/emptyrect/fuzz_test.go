@@ -8,12 +8,11 @@ import (
 )
 
 // FuzzMiner differentially fuzzes the linear-time MER miner against
-// the exhaustive MaximalBrute oracle on arbitrary small grids, and
+// the exhaustive maximalBrute oracle on arbitrary small grids, and
 // asserts the structural invariants every mined rectangle must hold:
 // in-bounds, entirely free, and maximal (not extensible in any
-// direction). The miner feeds the recovery planner's choice of
-// relocation site, so a divergence here silently corrupts every
-// reconfiguration downstream.
+// direction). The benchmark's MER replay times this miner, so a
+// divergence here would time a wrong answer.
 
 // fuzzGrid decodes bytes into an occupancy grid of at most 12x12
 // cells: two dimension bytes, then one bit per cell taken from the
@@ -46,7 +45,7 @@ func FuzzMiner(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzGrid(data)
 		got := Maximal(g)
-		want := MaximalBrute(g)
+		want := maximalBrute(g)
 		if len(got) != len(want) {
 			t.Fatalf("miner found %d MERs, oracle %d\ngrid:\n%s\nminer: %v\noracle: %v",
 				len(got), len(want), g, got, want)

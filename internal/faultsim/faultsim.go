@@ -19,9 +19,7 @@ import (
 
 	"dmfb/internal/campaign"
 	"dmfb/internal/fti"
-	"dmfb/internal/geom"
 	"dmfb/internal/place"
-	"dmfb/internal/reconfig"
 	"dmfb/internal/stats"
 )
 
@@ -81,19 +79,4 @@ func ExhaustiveSingleFault(p *place.Placement) Summary {
 		return Summary{PredictedFTI: fti.Compute(p).FTI()}
 	}
 	return s
-}
-
-// recoverWithObstacles relocates every module using cell, treating the
-// previously failed cells as additional obstacles, and applies the
-// relocations to cur.
-func recoverWithObstacles(cur *place.Placement, array geom.Rect, cell geom.Point, dead []geom.Point) bool {
-	var rels []reconfig.Relocation
-	for _, mi := range cur.ModulesAt(cell) {
-		rel, err := reconfig.PlanModule(cur, array, mi, cell, dead...)
-		if err != nil {
-			return false
-		}
-		rels = append(rels, rel)
-	}
-	return reconfig.Apply(cur, rels) == nil
 }

@@ -51,7 +51,9 @@ func pcrAreaPlacement(t *testing.T) *place.Placement {
 // campaign on two fixtures. Each value must hold at 1 and 4 workers:
 // a campaign's aggregate depends only on (constructor, trials, seed).
 // Drift means a constructor's draw order or recovery path changed — a
-// breaking change for every seeded experiment in EXPERIMENTS.md.
+// breaking change for every seeded experiment in EXPERIMENTS.md. The
+// multi and yield counts also pin fti.Site's choice of relocation
+// site, since later defects strike the relocated modules.
 func TestGoldenSequentialPresets(t *testing.T) {
 	light := core.Options{Seed: 3, ItersPerModule: 40, WindowPatience: 2}
 	uniform := defect.Uniform{Prob: 0.05}
@@ -69,7 +71,7 @@ func TestGoldenSequentialPresets(t *testing.T) {
 		},
 		{
 			name: "pcr-area", p: pcrAreaPlacement(t),
-			single: 208, multi: 63, multiFull: 20, yield: 21, yieldFull: 5,
+			single: 208, multi: 61, multiFull: 20, yield: 22, yieldFull: 5,
 			exhaustive: 60, exhaustiveTrials: 77, fti: 0.779221,
 		},
 	}

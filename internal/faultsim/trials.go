@@ -81,7 +81,7 @@ func MultiFaultTrial(p *place.Placement, k int, withFull bool, opts core.Options
 				j--
 				continue
 			}
-			if recoverWithObstacles(cur, array, cell, dead) {
+			if _, err := reconfig.Recover(cur, array, cell, dead...); err == nil {
 				dead = append(dead, cell)
 				continue
 			}
@@ -118,7 +118,7 @@ func DefectYieldTrial(p *place.Placement, gen defect.Generator, withFull bool, o
 			if err := ctx.Err(); err != nil {
 				return campaign.Outcome{Err: err}
 			}
-			if recoverWithObstacles(cur, array, cell, dead) {
+			if _, err := reconfig.Recover(cur, array, cell, dead...); err == nil {
 				dead = append(dead, cell)
 				continue
 			}

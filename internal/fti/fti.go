@@ -32,6 +32,11 @@
 // intersection is one rectangle, computed by a word-parallel scan of
 // the occupancy rows, and M's uncovered cells are M's rectangle
 // intersected with it.
+//
+// Site runs the same scan for the reconfiguration planner, which
+// needs one concrete site rather than the intersection: it picks the
+// free site bordering the fewest free cells. A relocation therefore
+// exists exactly when the FTI counts the faulty cell covered.
 package fti
 
 import (
@@ -109,7 +114,7 @@ func ComputeOn(p *place.Placement, array geom.Rect) Result {
 	}
 
 	var e *moduleEval
-	adj := place.ConflictAdjacency(p.Modules)
+	adj := p.Conflicts()
 	for mi := range p.Modules {
 		if e == nil {
 			e = newModuleEval(array)
@@ -146,7 +151,7 @@ func newModuleEval(array geom.Rect) *moduleEval {
 }
 
 // eval runs the per-module procedure for module mi, whose span-overlap
-// neighbours (place.ConflictAdjacency) are adj: encode the
+// neighbours (Placement.Conflicts) are adj: encode the
 // configuration during mi's time span with mi removed, then intersect
 // every free site of mi's footprint, in either orientation, with mi's
 // own cells. A cell of mi is uncovered exactly when every site
@@ -222,24 +227,7 @@ func (e *moduleEval) intersectSites(bad geom.Rect, s geom.Size) geom.Rect {
 	}
 	band := e.band[:wpr]
 	for y := 0; y+s.H <= gh; y++ {
-		copy(band, words[y*wpr:(y+1)*wpr])
-		for r := y + 1; r < y+s.H; r++ {
-			row := words[r*wpr : (r+1)*wpr]
-			for i := range band {
-				band[i] |= row[i]
-			}
-		}
-		for i := range band {
-			band[i] = ^band[i]
-		}
-		if tail := gw % 64; tail != 0 {
-			band[wpr-1] &= 1<<uint(tail) - 1
-		}
-		for k := 1; k < s.W; {
-			sh := min(k, s.W-k)
-			shiftAndRight(band, sh)
-			k += sh
-		}
+		bandSites(band, g, y, s)
 		lo, hi := -1, -1
 		for i, w := range band {
 			if w != 0 {
@@ -258,6 +246,33 @@ func (e *moduleEval) intersectSites(bad geom.Rect, s geom.Size) geom.Rect {
 		}
 	}
 	return bad
+}
+
+// bandSites sets band, which holds one row of g's words, to the
+// free-site mask of footprint s in the row band [y, y+s.H): bit x is
+// set exactly when the site with origin (x, y) is free. It ORs the
+// band's rows, inverts within the width, then ANDs the free mask with
+// itself shifted right until each set bit heads s.W free columns.
+func bandSites(band []uint64, g *grid.Grid, y int, s geom.Size) {
+	wpr, words := g.WordsPerRow(), g.Words()
+	copy(band, words[y*wpr:(y+1)*wpr])
+	for r := y + 1; r < y+s.H; r++ {
+		row := words[r*wpr : (r+1)*wpr]
+		for i := range band {
+			band[i] |= row[i]
+		}
+	}
+	for i := range band {
+		band[i] = ^band[i]
+	}
+	if tail := g.W() % 64; tail != 0 {
+		band[wpr-1] &= 1<<uint(tail) - 1
+	}
+	for k := 1; k < s.W; {
+		sh := min(k, s.W-k)
+		shiftAndRight(band, sh)
+		k += sh
+	}
 }
 
 // shiftAndRight sets f &= f >> sh over a multi-word little-endian bit

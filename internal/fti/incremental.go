@@ -245,7 +245,7 @@ func (inc *Incremental) evalModule(mi int) (geom.Rect, bool) {
 func NewIncremental(p *place.Placement) *Incremental {
 	inc := &Incremental{
 		p:         p,
-		adj:       place.ConflictAdjacency(p.Modules),
+		adj:       p.Conflicts(),
 		uncovered: make([]geom.Rect, len(p.Modules)),
 		reloc:     make([]bool, len(p.Modules)),
 		memo:      make([]memoTable, len(p.Modules)),

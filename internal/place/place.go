@@ -50,20 +50,6 @@ func FromSchedule(s *schedule.Schedule) []Module {
 	return out
 }
 
-// ConflictPairs returns the index pairs (i < j) of modules whose time
-// spans overlap and therefore must not share cells.
-func ConflictPairs(mods []Module) [][2]int {
-	var out [][2]int
-	for i := 0; i < len(mods); i++ {
-		for j := i + 1; j < len(mods); j++ {
-			if mods[i].Span.Overlaps(mods[j].Span) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}
-
 // SearchOptions configures multi-start annealing search: how many
 // independent starts to run, how wide to fan them out, and the base
 // seed the per-start seeds derive from. The struct is shared by every
@@ -110,7 +96,7 @@ type Placement struct {
 	Pos     []geom.Point // origin (bottom-left cell) per module
 	Rot     []bool       // true: footprint transposed (90° rotation)
 
-	conflicts [][2]int // cached ConflictPairs of Modules
+	conflicts [][]int // cached ConflictAdjacency of Modules
 }
 
 // New returns a placement with all modules at the origin, unrotated.
@@ -119,7 +105,7 @@ func New(mods []Module) *Placement {
 		Modules:   mods,
 		Pos:       make([]geom.Point, len(mods)),
 		Rot:       make([]bool, len(mods)),
-		conflicts: ConflictPairs(mods),
+		conflicts: ConflictAdjacency(mods),
 	}
 }
 
@@ -133,6 +119,11 @@ func (p *Placement) Clone() *Placement {
 	}
 	return c
 }
+
+// Conflicts returns the span-overlap adjacency lists of the modules
+// (ConflictAdjacency of Modules), built once by New and shared by
+// every clone. The lists are read-only.
+func (p *Placement) Conflicts() [][]int { return p.conflicts }
 
 // Size returns module i's footprint in its current orientation.
 func (p *Placement) Size(i int) geom.Size { return p.Modules[i].Oriented(p.Rot[i]) }
@@ -188,8 +179,12 @@ func (p *Placement) Utilization() float64 {
 // term of the annealer's cost function. Zero means feasible.
 func (p *Placement) OverlapCells() int {
 	total := 0
-	for _, pr := range p.conflicts {
-		total += p.Rect(pr[0]).Intersect(p.Rect(pr[1])).Cells()
+	for i, adj := range p.conflicts {
+		for _, j := range adj {
+			if j > i {
+				total += p.Rect(i).Intersect(p.Rect(j)).Cells()
+			}
+		}
 	}
 	return total
 }
@@ -288,12 +283,16 @@ func (p *Placement) Validate() error {
 		return fmt.Errorf("place: %d modules but %d positions / %d rotations",
 			len(p.Modules), len(p.Pos), len(p.Rot))
 	}
-	for _, pr := range p.conflicts {
-		i, j := pr[0], pr[1]
-		if ov := p.Rect(i).Intersect(p.Rect(j)); !ov.Empty() {
-			return fmt.Errorf("place: modules %s%v and %s%v overlap at %v during %v",
-				p.Modules[i].Name, p.Rect(i), p.Modules[j].Name, p.Rect(j),
-				ov, p.Modules[i].Span.Intersect(p.Modules[j].Span))
+	for i, adj := range p.conflicts {
+		for _, j := range adj {
+			if j < i {
+				continue
+			}
+			if ov := p.Rect(i).Intersect(p.Rect(j)); !ov.Empty() {
+				return fmt.Errorf("place: modules %s%v and %s%v overlap at %v during %v",
+					p.Modules[i].Name, p.Rect(i), p.Modules[j].Name, p.Rect(j),
+					ov, p.Modules[i].Span.Intersect(p.Modules[j].Span))
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -17,21 +18,23 @@ func twoModules() []Module {
 	}
 }
 
+// TestConflictPairs pins the conflict lists New caches: spans that
+// only touch do not conflict, each pair appears in both modules'
+// lists, and every clone shares the lists.
 func TestConflictPairs(t *testing.T) {
 	mods := []Module{
 		{ID: 0, Span: geom.Interval{Start: 0, End: 5}},
 		{ID: 1, Span: geom.Interval{Start: 5, End: 10}}, // back-to-back: no conflict
 		{ID: 2, Span: geom.Interval{Start: 4, End: 6}},  // conflicts both
 	}
-	got := ConflictPairs(mods)
-	want := [][2]int{{0, 2}, {1, 2}}
-	if len(got) != len(want) {
-		t.Fatalf("ConflictPairs = %v, want %v", got, want)
+	p := New(mods)
+	got := p.Conflicts()
+	want := [][]int{{2}, {2}, {0, 1}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Conflicts = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ConflictPairs = %v, want %v", got, want)
-		}
+	if c := p.Clone().Conflicts(); &c[0][0] != &got[0][0] {
+		t.Fatal("Clone rebuilt the conflict lists instead of sharing them")
 	}
 }
 
@@ -182,13 +185,14 @@ func TestFromSchedulePCR(t *testing.T) {
 		t.Errorf("total module cells = %d, want 130 (Table 1)", totalCells)
 	}
 	// The PCR conflict structure: M7 (last) conflicts with nothing.
-	pairs := ConflictPairs(mods)
-	for _, pr := range pairs {
-		if mods[pr[0]].Name == "M7" || mods[pr[1]].Name == "M7" {
-			t.Errorf("M7 should be conflict-free, got pair %v", pr)
+	edges := 0
+	for i, adj := range ConflictAdjacency(mods) {
+		if mods[i].Name == "M7" && len(adj) != 0 {
+			t.Errorf("M7 should be conflict-free, got neighbours %v", adj)
 		}
+		edges += len(adj)
 	}
-	if len(pairs) == 0 {
+	if edges == 0 {
 		t.Error("PCR should have conflicting modules")
 	}
 }

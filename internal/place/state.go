@@ -8,9 +8,10 @@ import (
 
 // ConflictAdjacency returns, for each module, the indices of the
 // modules whose time spans overlap its own — the neighbours it must
-// never share cells with — in ascending order. It is ConflictPairs in
-// adjacency-list form, the shape the incremental cost kernel consumes,
-// built in two passes (degrees, then entries) over one backing array.
+// never share cells with — in ascending order, built in two passes
+// (degrees, then entries) over one backing array. Placement caches it
+// (Conflicts) for its own overlap checks, the incremental cost kernel
+// and the FTI evaluators.
 func ConflictAdjacency(mods []Module) [][]int {
 	deg := make([]int, len(mods))
 	total := 0
@@ -98,7 +99,7 @@ type undoEntry struct {
 // coordinate (the annealing placers clamp positions to the core area,
 // so a negative position is a caller bug).
 func NewState(p *Placement) *State {
-	s := &State{P: p, adj: ConflictAdjacency(p.Modules), rects: make([]geom.Rect, len(p.Modules))}
+	s := &State{P: p, adj: p.Conflicts(), rects: make([]geom.Rect, len(p.Modules))}
 	maxX, maxY := 1, 1
 	for i := range p.Modules {
 		r := p.Rect(i)

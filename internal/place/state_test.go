@@ -77,7 +77,11 @@ func TestStateDifferential(t *testing.T) {
 			mods = randomModules(rng, 3+rng.Intn(8))
 		} else {
 			mods = denseModules(rng, 32)
-			if deg := 2 * len(ConflictPairs(mods)) / len(mods); deg < 12 {
+			edges := 0
+			for _, adj := range ConflictAdjacency(mods) {
+				edges += len(adj)
+			}
+			if deg := edges / len(mods); deg < 12 {
 				t.Fatalf("round %d: dense modules have mean degree %d, want ≥ 12", round, deg)
 			}
 		}

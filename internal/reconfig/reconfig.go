@@ -2,10 +2,10 @@
 // (Section 5.1): when a cell is detected faulty during field
 // operation, the module containing it is relocated to fault-free
 // unused cells by reprogramming control voltages, while the rest of
-// the configuration is left untouched. The relocation search is the
-// fast maximal-empty-rectangle procedure also used by the fault
-// tolerance index, so a placement's FTI exactly predicts which faults
-// this package can recover from.
+// the configuration is left untouched. The target site comes from
+// fti.Site, which scans the same free sites the fault tolerance index
+// intersects, so a placement's FTI exactly predicts which faults this
+// package can recover from.
 package reconfig
 
 import (
@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dmfb/internal/emptyrect"
+	"dmfb/internal/fti"
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
 	"dmfb/internal/telemetry"
@@ -62,9 +62,8 @@ func (r Relocation) Rotated() bool {
 // earlier fault is as dead as the new one, so relocation sites must
 // avoid them all, not just the newest cell.
 //
-// Each relocation is chosen best-fit: the accommodating maximal empty
-// rectangle wasting the fewest cells, with the module anchored inside
-// it so as to avoid the faulty cell.
+// Each relocation goes to the free site avoiding the faulty cell and
+// the obstacles that borders the fewest free cells (see fti.Site).
 func Plan(p *place.Placement, array geom.Rect, fault geom.Point, obstacles ...geom.Point) ([]Relocation, error) {
 	if !array.Contains(fault) {
 		return nil, fmt.Errorf("reconfig: fault %v outside array %v", fault, array)
@@ -108,13 +107,14 @@ func PlanModuleSized(p *place.Placement, array geom.Rect, mi int, size geom.Size
 		return Relocation{}, fmt.Errorf("reconfig: unknown module %d", mi)
 	}
 	m := p.Modules[mi]
+	// The obstacles and the faulty cell are as dead as any occupied
+	// cell, so every free site of g avoids them.
 	g := p.OccupancyDuring(array, m.Span, mi)
 	for _, o := range obstacles {
 		g.Set(geom.Point{X: o.X - array.X, Y: o.Y - array.Y}, true)
 	}
-	mers := emptyrect.Maximal(g)
-	local := geom.Point{X: fault.X - array.X, Y: fault.Y - array.Y}
-	to, ok := emptyrect.BestFitAvoiding(mers, size, local)
+	g.Set(geom.Point{X: fault.X - array.X, Y: fault.Y - array.Y}, true)
+	to, ok := fti.Site(g, size)
 	if reg != nil {
 		reg.Histogram("reconfig.plan_ms", telemetry.LatencyBuckets...).
 			Observe(float64(time.Since(start).Microseconds()) / 1000)

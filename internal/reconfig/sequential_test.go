@@ -16,22 +16,24 @@ func TestRecoverSequentialFaultsAvoidPrior(t *testing.T) {
 	p := place.New([]place.Module{mod(0, "M", 2, 2, 0, 10)})
 	array := geom.Rect{X: 0, Y: 0, W: 6, H: 2}
 
-	// Fault 1 hits the module at its initial site (0,0)-(2,2).
+	// Fault 1 hits the module at its initial site (0,0)-(2,2). The
+	// free sites are x = 2, 3, 4; x = 4 borders the fewest free cells
+	// (the array edge closes its right side).
 	f1 := geom.Point{X: 1, Y: 1}
 	rels1, err := Recover(p, array, f1)
 	if err != nil {
 		t.Fatalf("first recovery: %v", err)
 	}
-	want1 := geom.Rect{X: 2, Y: 0, W: 2, H: 2}
+	want1 := geom.Rect{X: 4, Y: 0, W: 2, H: 2}
 	if len(rels1) != 1 || rels1[0].To != want1 {
 		t.Fatalf("first relocation = %v, want single move to %v", rels1, want1)
 	}
 
 	// Fault 2 hits the relocated module. Without the first fault as an
-	// obstacle the planner picks the lowest-(y,x) site — which is the
-	// dead cell f1's neighbourhood. This pins the gap the variadic
-	// obstacle parameter closes.
-	f2 := geom.Point{X: 2, Y: 0}
+	// obstacle the planner picks the tightest site, x = 0 against the
+	// left edge — which covers the dead cell f1. This pins the gap the
+	// variadic obstacle parameter closes.
+	f2 := geom.Point{X: 4, Y: 0}
 	buggy, err := PlanModule(p, array, 0, f2)
 	if err != nil {
 		t.Fatalf("obstacle-less plan: %v", err)
@@ -44,7 +46,7 @@ func TestRecoverSequentialFaultsAvoidPrior(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second recovery: %v", err)
 	}
-	want2 := geom.Rect{X: 3, Y: 0, W: 2, H: 2}
+	want2 := geom.Rect{X: 2, Y: 0, W: 2, H: 2}
 	if len(rels2) != 1 || rels2[0].To != want2 {
 		t.Fatalf("second relocation = %v, want single move to %v", rels2, want2)
 	}
