@@ -290,8 +290,11 @@ func table2() []measurement {
 	fmt.Println("Table 2: solutions for different beta")
 	fmt.Println("(paper: area 141.75->222.75 mm2, FTI 0.2857->1.0 as beta goes 10->60)")
 	prob := dmfb.PlacementProblemOf(must(dmfb.PCRSchedule()))
-	pts, err := dmfb.BetaSweep(prob, placerOpts(),
-		dmfb.FTOptions{Restarts: 3}, []float64{10, 20, 30, 40, 50, 60})
+	// Three starts for stage 1 and for every β's LTSA, unless -starts
+	// asks for more.
+	opts := placerOpts()
+	opts.Search.Starts = max(opts.Search.Starts, 3)
+	pts, err := dmfb.BetaSweep(prob, opts, dmfb.FTOptions{}, []float64{10, 20, 30, 40, 50, 60})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -97,15 +97,17 @@ type (
 	// PlacementProblem is a module set plus the core area bounds.
 	PlacementProblem = core.Problem
 	// PlacerOptions configures the annealing placers; the zero value
-	// gives the paper's parameters (T0 = 10000, α = 0.9,
-	// N = 400 × #modules, p = 0.8).
+	// gives the paper's parameters (α = 0.9, N = 400 × #modules,
+	// p = 0.8; T0 = 10000 is fixed).
 	PlacerOptions = core.Options
 	// SearchOptions configures deterministic multi-start annealing
 	// (PlacerOptions.Search): Starts independent runs with splitmix64-
 	// derived seeds, fanned across at most Workers goroutines, winner
 	// byte-identical for a given seed at any worker count.
 	SearchOptions = place.SearchOptions
-	// FTOptions configures stage 2 of the fault-tolerant placer.
+	// FTOptions configures stage 2 of the fault-tolerant placer: the
+	// FTI weight β, its one free input. Multi-start stage-2 search
+	// rides in PlacerOptions.Search.
 	FTOptions = core.FTOptions
 	// PlacerStats reports annealing effort.
 	PlacerStats = core.Stats
@@ -208,7 +210,8 @@ func PlaceFaultTolerant(prob PlacementProblem, opts PlacerOptions, ft FTOptions)
 }
 
 // BetaSweep reruns the two-stage placer across β values, reproducing
-// the area/fault-tolerance trade-off of Table 2.
+// the area/fault-tolerance trade-off of Table 2. opts.Search fans out
+// the shared stage 1 and every β's stage 2 alike.
 func BetaSweep(prob PlacementProblem, opts PlacerOptions, ft FTOptions, betas []float64) ([]SweepPoint, error) {
 	return core.BetaSweep(prob, opts, ft, betas)
 }

@@ -20,8 +20,9 @@ func main() {
 	prob := dmfb.PlacementProblemOf(sched)
 
 	betas := []float64{10, 20, 30, 40, 50, 60}
-	points, err := dmfb.BetaSweep(prob, dmfb.PlacerOptions{Seed: 1},
-		dmfb.FTOptions{Restarts: 2}, betas)
+	points, err := dmfb.BetaSweep(prob,
+		dmfb.PlacerOptions{Seed: 1, Search: dmfb.SearchOptions{Starts: 2}},
+		dmfb.FTOptions{}, betas)
 	if err != nil {
 		log.Fatal(err)
 	}

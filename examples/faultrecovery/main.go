@@ -25,8 +25,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tolerant, err := dmfb.PlaceFaultTolerant(prob, dmfb.PlacerOptions{Seed: 1},
-		dmfb.FTOptions{Beta: 60, Restarts: 2})
+	tolerant, err := dmfb.PlaceFaultTolerant(prob,
+		dmfb.PlacerOptions{Seed: 1, Search: dmfb.SearchOptions{Starts: 2}},
+		dmfb.FTOptions{Beta: 60})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,8 +31,9 @@ func main() {
 		p     *dmfb.Placement
 	}{{"area-minimal", minimal}}
 	for _, beta := range []float64{20, 40, 60} {
-		two, err := dmfb.PlaceFaultTolerant(prob, dmfb.PlacerOptions{Seed: 1},
-			dmfb.FTOptions{Beta: beta, Restarts: 2})
+		two, err := dmfb.PlaceFaultTolerant(prob,
+			dmfb.PlacerOptions{Seed: 1, Search: dmfb.SearchOptions{Starts: 2}},
+			dmfb.FTOptions{Beta: beta})
 		if err != nil {
 			log.Fatal(err)
 		}

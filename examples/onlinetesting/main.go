@@ -20,8 +20,9 @@ func main() {
 		log.Fatal(err)
 	}
 	prob := dmfb.PlacementProblemOf(sched)
-	two, err := dmfb.PlaceFaultTolerant(prob, dmfb.PlacerOptions{Seed: 1},
-		dmfb.FTOptions{Beta: 60, Restarts: 2})
+	two, err := dmfb.PlaceFaultTolerant(prob,
+		dmfb.PlacerOptions{Seed: 1, Search: dmfb.SearchOptions{Starts: 2}},
+		dmfb.FTOptions{Beta: 60})
 	if err != nil {
 		log.Fatal(err)
 	}

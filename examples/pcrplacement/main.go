@@ -41,8 +41,9 @@ func main() {
 
 	// Section 6.2 / Figure 8: two-stage fault-tolerant placement.
 	// Paper: FTI 0.1270 -> 0.8052 for 22.2% more area.
-	two, err := dmfb.PlaceFaultTolerant(prob, dmfb.PlacerOptions{Seed: 1},
-		dmfb.FTOptions{Beta: 30, Restarts: 2})
+	two, err := dmfb.PlaceFaultTolerant(prob,
+		dmfb.PlacerOptions{Seed: 1, Search: dmfb.SearchOptions{Starts: 2}},
+		dmfb.FTOptions{Beta: 30})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,8 +3,10 @@ package campaign
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"sort"
 	"sync"
@@ -55,10 +57,6 @@ type TrialResult struct {
 	Err      string  `json:"err,omitempty"`
 }
 
-// checkpointLine predates the exported TrialResult; they are the same
-// record.
-type checkpointLine = TrialResult
-
 // ConfigFingerprint hashes the campaign-defining parameters (mode,
 // fault counts, placement seed, ...) into a short stable string for
 // Config.Fingerprint. Seed and trial count are pinned separately by
@@ -70,51 +68,81 @@ func ConfigFingerprint(parts ...any) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// loadCheckpoint reads a checkpoint file and returns the recorded
-// trial outcomes. A missing file is an empty checkpoint, not an
-// error; a header mismatch is.
-func loadCheckpoint(path string, want checkpointHeader) (map[int]checkpointLine, error) {
+// readCheckpoint reads the checkpoint file at path: its header (nil
+// for an empty file) and its trial records sorted by trial index, the
+// last record of a repeated trial winning. A line that does not parse
+// is skipped: a torn trailing line is expected after a kill, and
+// anything unparsable is simply not counted as completed.
+func readCheckpoint(path string) (*checkpointHeader, []TrialResult, error) {
 	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
 	if err != nil {
-		return nil, fmt.Errorf("campaign: open checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("campaign: open checkpoint: %w", err)
 	}
 	defer f.Close()
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	if !sc.Scan() {
-		return nil, nil // empty file: nothing recorded yet
+		return nil, nil, nil
 	}
 	var hdr checkpointHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint %s: corrupt header: %w", path, err)
+		return nil, nil, fmt.Errorf("campaign: checkpoint %s: corrupt header: %w", path, err)
 	}
-	if hdr.V != want.V || hdr.Campaign != want.Campaign || hdr.Seed != want.Seed ||
-		hdr.Trials != want.Trials || hdr.Config != want.Config {
+	byTrial := make(map[int]TrialResult)
+	for sc.Scan() {
+		var r TrialResult
+		if json.Unmarshal(sc.Bytes(), &r) == nil {
+			byTrial[r.Trial] = r
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, fmt.Errorf("campaign: read checkpoint: %w", err)
+	}
+	results := make([]TrialResult, 0, len(byTrial))
+	for _, r := range byTrial {
+		results = append(results, r)
+	}
+	sort.Slice(results, func(a, b int) bool { return results[a].Trial < results[b].Trial })
+	return &hdr, results, nil
+}
+
+// readLog reads a checkpoint file written under want: its recorded
+// trials in trial order. A missing or empty file records nothing and
+// is not an error; a header mismatch or a trial outside the header's
+// range is.
+func readLog(path string, want checkpointHeader) ([]TrialResult, error) {
+	hdr, results, err := readCheckpoint(path)
+	if errors.Is(err, fs.ErrNotExist) || err == nil && hdr == nil {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if *hdr != want {
 		return nil, fmt.Errorf(
 			"campaign: checkpoint %s was written by %s; refusing to resume %s",
 			path, hdr.identity(), want.identity())
 	}
-
-	done := make(map[int]checkpointLine)
-	for sc.Scan() {
-		var line checkpointLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			// A torn trailing line is expected after a kill; anything
-			// unparsable is simply not counted as completed.
-			continue
-		}
-		if line.Trial < 0 || line.Trial >= want.Trials {
+	for _, r := range results {
+		if r.Trial < 0 || r.Trial >= want.Trials {
 			return nil, fmt.Errorf("campaign: checkpoint %s: trial %d out of range [0,%d)",
-				path, line.Trial, want.Trials)
+				path, r.Trial, want.Trials)
 		}
-		done[line.Trial] = line
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("campaign: read checkpoint: %w", err)
+	return results, nil
+}
+
+// loadCheckpoint is readLog keyed by trial index, the form resume
+// fills its trial table from.
+func loadCheckpoint(path string, want checkpointHeader) (map[int]TrialResult, error) {
+	results, err := readLog(path, want)
+	if err != nil || results == nil {
+		return nil, err
+	}
+	done := make(map[int]TrialResult, len(results))
+	for _, r := range results {
+		done[r.Trial] = r
 	}
 	return done, nil
 }
@@ -148,41 +176,16 @@ type CheckpointInfo struct {
 // not replaying trials, only reporting them); a torn trailing line is
 // skipped as usual.
 func ReadCheckpoint(path string) (*CheckpointInfo, error) {
-	f, err := os.Open(path)
+	hdr, results, err := readCheckpoint(path)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: open checkpoint: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
+	if hdr == nil {
 		return nil, fmt.Errorf("campaign: checkpoint %s is empty", path)
 	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint %s: corrupt header: %w", path, err)
-	}
-	info := &CheckpointInfo{Campaign: hdr.Campaign, Seed: hdr.Seed, Trials: hdr.Trials}
-	lines := make(map[int]checkpointLine)
-	for sc.Scan() {
-		var line checkpointLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			continue // torn trailing line
-		}
-		lines[line.Trial] = line
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("campaign: read checkpoint: %w", err)
-	}
-	idx := make([]int, 0, len(lines))
-	for i := range lines {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	for _, i := range idx {
-		line := lines[i]
-		info.Done++
+	info := &CheckpointInfo{Campaign: hdr.Campaign, Seed: hdr.Seed, Trials: hdr.Trials,
+		Done: len(results), Results: results}
+	for _, line := range results {
 		if line.Survived {
 			info.Survived++
 		}
@@ -194,7 +197,6 @@ func ReadCheckpoint(path string) (*CheckpointInfo, error) {
 			info.ErrorCounts[line.Err]++
 		}
 		info.Values = append(info.Values, line.Value)
-		info.Results = append(info.Results, line)
 	}
 	return info, nil
 }
@@ -244,7 +246,7 @@ func (cw *checkpointWriter) writeJSON(v any) error {
 }
 
 // record appends one completed trial.
-func (cw *checkpointWriter) record(line checkpointLine) error {
+func (cw *checkpointWriter) record(line TrialResult) error {
 	return cw.writeJSON(line)
 }
 
@@ -306,18 +308,5 @@ func (l *ResultLog) Close() error { return l.cw.close() }
 // missing file is an empty log. An id mismatch is an error — results
 // from a different campaign must never be merged.
 func ReadResultLog(path string, id CheckpointID) ([]TrialResult, error) {
-	done, err := loadCheckpoint(path, id.header())
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, 0, len(done))
-	for i := range done {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	results := make([]TrialResult, 0, len(done))
-	for _, i := range idx {
-		results = append(results, done[i])
-	}
-	return results, nil
+	return readLog(path, id.header())
 }

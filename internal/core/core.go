@@ -110,24 +110,37 @@ func (p Problem) Validate() error {
 	return nil
 }
 
+// The annealer's fixed parameters. The paper sets each to one value
+// and no experiment varies them.
+const (
+	// areaT0 is stage 1's starting temperature (Section 4d).
+	areaT0 = 10000
+	// overlapPenalty is the cost per forbidden-overlap cell (and per
+	// obstacle cell covered) that drives infeasibility to zero
+	// (Section 4, cost metrics).
+	overlapPenalty = 20
+	// ltsaT0 is stage 2's starting temperature: low-temperature
+	// simulated annealing accepts small uphill moves only.
+	ltsaT0 = 5
+	// ltsaMargin widens the core area available to stage 2 beyond the
+	// stage-1 bounding box, so the placement can trade area for spare
+	// cells.
+	ltsaMargin = 6
+)
+
 // Options configures the annealing placers. Zero fields take the
 // paper's defaults via withDefaults.
 type Options struct {
 	Seed int64 // RNG seed; runs are deterministic per seed
 
-	// Annealing schedule (Section 4d): T0 = 10000, α = 0.9,
-	// N = 400 × #modules iterations per temperature.
-	T0             float64
+	// Annealing schedule (Section 4d): α = 0.9 and N = 400 × #modules
+	// iterations per temperature; T0 is fixed at 10000 (areaT0).
 	Alpha          float64
 	ItersPerModule int
 
 	// PSingle is the probability p of the single-module displacement
 	// family; 1−p selects pair interchange (Section 4b).
 	PSingle float64
-
-	// OverlapPenalty is the cost per forbidden-overlap cell that
-	// drives infeasibility to zero (Section 4, cost metrics).
-	OverlapPenalty float64
 
 	// WindowT0 is the temperature at which the controlling window
 	// (Section 4c) starts shrinking below the full core span; the
@@ -139,12 +152,13 @@ type Options struct {
 	// the paper's stopping criterion.
 	WindowPatience int
 
-	// Search configures deterministic multi-start annealing: AnnealArea
-	// and TwoStage fan out Search.Starts independent runs (splitmix64-
-	// derived per-start seeds, start 0 = the base seed) across at most
-	// Search.Workers goroutines and keep the lowest-cost result, with
-	// ties broken by lowest start index. The winner is byte-identical
-	// for a given seed at any worker count.
+	// Search configures deterministic multi-start annealing: AnnealArea,
+	// AnnealFaultTolerance and TwoStage fan out Search.Starts
+	// independent runs (splitmix64-derived per-start seeds, start 0 =
+	// the base seed) across at most Search.Workers goroutines and keep
+	// the lowest-cost result, with ties broken by lowest start index.
+	// The winner is byte-identical for a given seed at any worker
+	// count.
 	Search place.SearchOptions
 
 	// Observer, if non-nil, receives annealing progress notifications
@@ -164,9 +178,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.T0 == 0 {
-		o.T0 = 10000
-	}
 	if o.Alpha == 0 {
 		o.Alpha = 0.9
 	}
@@ -175,9 +186,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PSingle == 0 {
 		o.PSingle = 0.8
-	}
-	if o.OverlapPenalty == 0 {
-		o.OverlapPenalty = 20
 	}
 	if o.WindowT0 == 0 {
 		o.WindowT0 = 100
@@ -402,7 +410,7 @@ func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
 		return nil, Stats{}, err
 	}
 	o := opts.withDefaults()
-	sched := anneal.Schedule{T0: o.T0, Alpha: o.Alpha, Iters: o.ItersPerModule * len(prob.Modules)}
+	sched := anneal.Schedule{T0: areaT0, Alpha: o.Alpha, Iters: o.ItersPerModule * len(prob.Modules)}
 	if err := sched.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("core: %w", err)
 	}
@@ -452,53 +460,44 @@ func FullReconfigure(old *place.Placement, dead []geom.Point, opts Options) (*pl
 }
 
 // FTOptions configures stage 2 of the enhanced placement algorithm.
+// The LTSA's starting temperature (ltsaT0) and core margin
+// (ltsaMargin) are fixed, so β is its one free input.
 type FTOptions struct {
 	// Beta is the weight β of the fault tolerance term; area carries
 	// weight α = 1 (Section 6.2). Larger β buys fault tolerance with
 	// area.
 	Beta float64
-	// T0 is the LTSA starting temperature ("low-temperature simulated
-	// annealing": small uphill moves only). Default 5.
-	T0 float64
-	// MarginCells widens the core area available to stage 2 beyond the
-	// stage-1 bounding box, so the placement can trade area for spare
-	// cells. Default 6.
-	MarginCells int
-	// Restarts runs the LTSA refinement this many times with
-	// different seeds and keeps the lowest-cost result. Default 1.
-	Restarts int
-}
-
-// Canonicalized returns the stage-2 options with defaults filled in —
-// the form the placement cache fingerprints.
-func (f FTOptions) Canonicalized() FTOptions { return f.withDefaults() }
-
-func (f FTOptions) withDefaults() FTOptions {
-	if f.T0 == 0 {
-		f.T0 = 5
-	}
-	if f.MarginCells == 0 {
-		f.MarginCells = 6
-	}
-	if f.Restarts == 0 {
-		f.Restarts = 1
-	}
-	return f
 }
 
 // AnnealFaultTolerance runs stage 2 (LTSA) from a stage-1 placement:
 // single-module displacement only, fault tolerance index in the cost.
+// The run anneals with seed opts.Seed+1.
+//
+// With opts.Search.Starts > 1 it runs the same deterministic
+// multi-start search as AnnealArea, every start refining the given
+// stage-1 placement, and returns the winning start's placement and
+// stats; with Starts ≤ 1 Search is ignored.
 func AnnealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft FTOptions) (*place.Placement, Stats, error) {
+	if opts.Search.Starts > 1 {
+		type run struct {
+			p  *place.Placement
+			st Stats
+		}
+		r, err := multiStart(opts.Search, func(i int) (run, float64, error) {
+			p, st, err := AnnealFaultTolerance(start, prob, startOptions(opts, i), ft)
+			return run{p, st}, st.FinalCost, err
+		})
+		return r.p, r.st, err
+	}
 	return annealFaultTolerance(start, prob, opts, ft, kernelProblem)
 }
 
-// annealFaultTolerance is AnnealFaultTolerance with the kernel's
+// annealFaultTolerance is one seeded stage-2 run with the kernel's
 // annealing problem built by build, which tests replace to run the
 // stage without its cost bound.
 func annealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft FTOptions,
 	build func(*moveKernel) anneal.MoveProblem[*place.Placement, *kernelMove]) (*place.Placement, Stats, error) {
 	o := opts.withDefaults()
-	f := ft.withDefaults()
 	if start == nil {
 		return nil, Stats{}, fmt.Errorf("core: stage 2 requires a stage-1 placement")
 	}
@@ -509,8 +508,8 @@ func annealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft
 	// stage-1 result.
 	bb := start.BoundingBox()
 	prob2 := prob
-	prob2.MaxW = min(prob.MaxW+f.MarginCells, bb.W+2*f.MarginCells)
-	prob2.MaxH = min(prob.MaxH+f.MarginCells, bb.H+2*f.MarginCells)
+	prob2.MaxW = min(prob.MaxW+ltsaMargin, bb.W+2*ltsaMargin)
+	prob2.MaxH = min(prob.MaxH+ltsaMargin, bb.H+2*ltsaMargin)
 	if prob2.MaxW < prob.MaxW {
 		prob2.MaxW = prob.MaxW
 	}
@@ -518,45 +517,30 @@ func annealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft
 		prob2.MaxH = prob.MaxH
 	}
 	span := max(prob2.MaxW, prob2.MaxH)
-	sched := anneal.Schedule{T0: f.T0, Alpha: o.Alpha, Iters: o.ItersPerModule * len(prob.Modules)}
+	sched := anneal.Schedule{T0: ltsaT0, Alpha: o.Alpha, Iters: o.ItersPerModule * len(prob.Modules)}
 	if err := sched.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("core: stage 2: %w", err)
 	}
-	if f.Restarts < 1 {
-		return nil, Stats{}, fmt.Errorf("core: stage 2 needs at least one restart, got %d", f.Restarts)
-	}
 
-	var best *place.Placement
-	bestCost := 0.0
-	stats := Stats{}
-	for r := 0; r < f.Restarts; r++ {
-		rng := rand.New(rand.NewSource(o.Seed + 1 + int64(r)))
-		// Single displacement only; the FTI term is priced by the
-		// incremental per-module cache.
-		k := newMoveKernel(start.Clone(), prob2, o, f.Beta, true, true)
-		problem := build(k)
-		problem.Stop = anneal.StopAny(
-			windowStop(o, span, o.WindowPatience),
-			anneal.StopBelow(o.Alpha/1000*f.T0),
-		)
-		problem.Observer = o.Observer
-		res := anneal.RunMoves(problem, sched, rng)
-		k.flushMetrics(o.Metrics, "ft")
-		stats.Levels += len(res.Levels)
-		stats.Evaluations += res.Evaluations
-		if best == nil || res.BestCost < bestCost {
-			best = res.Best
-			bestCost = res.BestCost
-			stats.FinalCost = res.BestCost
-		}
-	}
+	rng := rand.New(rand.NewSource(o.Seed + 1))
+	// Single displacement only; the FTI term is priced by the
+	// incremental per-module cache.
+	k := newMoveKernel(start.Clone(), prob2, o, ft.Beta, true, true)
+	problem := build(k)
+	problem.Stop = anneal.StopAny(
+		windowStop(o, span, o.WindowPatience),
+		anneal.StopBelow(o.Alpha/1000*ltsaT0),
+	)
+	problem.Observer = o.Observer
+	res := anneal.RunMoves(problem, sched, rng)
+	k.flushMetrics(o.Metrics, "ft")
 
-	best = best.Clone()
+	best := res.Best.Clone()
 	best.Normalize()
 	if err := best.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("core: LTSA ended with forbidden overlap: %w", err)
 	}
-	return best, stats, nil
+	return best, Stats{Levels: len(res.Levels), Evaluations: res.Evaluations, FinalCost: res.BestCost}, nil
 }
 
 // TwoStageResult bundles the outcome of the enhanced placement
@@ -687,7 +671,9 @@ type SweepPoint struct {
 
 // BetaSweep reruns the two-stage algorithm for each β, reproducing the
 // area/fault-tolerance trade-off of Table 2. The stage-1 placement is
-// computed once and shared; ft.Beta is overridden per point.
+// computed once and shared; ft.Beta is overridden per point. With
+// opts.Search.Starts > 1 stage 1 and every point's stage 2 are
+// multi-start searches.
 func BetaSweep(prob Problem, opts Options, ft FTOptions, betas []float64) ([]SweepPoint, error) {
 	s1, _, err := AnnealArea(prob, opts)
 	if err != nil {

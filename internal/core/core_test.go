@@ -105,7 +105,7 @@ func TestInitialPlacementFeasible(t *testing.T) {
 func TestWindowShrinksWithTemperature(t *testing.T) {
 	o := Options{}.withDefaults()
 	span := 17
-	if got := window(o.T0, o.WindowT0, span); got != span {
+	if got := window(areaT0, o.WindowT0, span); got != span {
 		t.Errorf("window at T0 = %d, want full span %d", got, span)
 	}
 	if got := window(o.WindowT0/2, o.WindowT0, span); got >= span || got < 1 {
@@ -302,17 +302,19 @@ func TestAnnealRejectsInvalidSchedule(t *testing.T) {
 	if _, _, err := AnnealFaultTolerance(s1, prob, bad, FTOptions{Beta: 30}); err == nil {
 		t.Error("AnnealFaultTolerance accepted ItersPerModule -1")
 	}
-	if _, _, err := AnnealFaultTolerance(s1, prob, lightOptions(1), FTOptions{Beta: 30, Restarts: -1}); err == nil {
-		t.Error("AnnealFaultTolerance accepted Restarts -1")
-	}
 }
 
-// TestDefaultMatchesPaper pins the zero Options to the paper's
-// Section 4(d) schedule: T0 = 10000, α = 0.9, Na = 400 per module.
+// TestDefaultMatchesPaper pins the zero Options and the fixed
+// constants to the paper's Section 4(d) schedule (T0 = 10000,
+// α = 0.9, Na = 400 per module) and to the stage-2 LTSA settings.
 func TestDefaultMatchesPaper(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.T0 != 10000 || o.Alpha != 0.9 || o.ItersPerModule != 400 {
+	if areaT0 != 10000 || o.Alpha != 0.9 || o.ItersPerModule != 400 {
 		t.Errorf("defaults = T0 %v alpha %v iters/module %d, want 10000, 0.9, 400",
-			o.T0, o.Alpha, o.ItersPerModule)
+			areaT0, o.Alpha, o.ItersPerModule)
+	}
+	if overlapPenalty != 20 || ltsaT0 != 5 || ltsaMargin != 6 {
+		t.Errorf("overlap penalty %v, LTSA T0 %v, LTSA margin %v; want 20, 5, 6",
+			overlapPenalty, ltsaT0, ltsaMargin)
 	}
 }

@@ -106,8 +106,8 @@ func TestGoldenTwoStage(t *testing.T) {
 		}
 	})
 
-	t.Run("beta30_restarts2_seed3", func(t *testing.T) {
-		res, err := core.TwoStage(prob, goldenOptions(3), core.FTOptions{Beta: 30, Restarts: 2})
+	t.Run("beta30_seed3", func(t *testing.T) {
+		res, err := core.TwoStage(prob, goldenOptions(3), core.FTOptions{Beta: 30})
 		if err != nil {
 			t.Fatalf("TwoStage: %v", err)
 		}

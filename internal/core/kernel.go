@@ -136,9 +136,9 @@ func (k *moveKernel) costNow() float64 {
 
 // areaCost is costNow up to, and without, its FTI term.
 func (k *moveKernel) areaCost() float64 {
-	c := float64(k.st.ArrayCells()) + k.o.OverlapPenalty*float64(k.st.Overlap())
+	c := float64(k.st.ArrayCells()) + overlapPenalty*float64(k.st.Overlap())
 	if len(k.prob.Obstacles) > 0 {
-		c += k.o.OverlapPenalty * float64(k.hits)
+		c += overlapPenalty * float64(k.hits)
 	}
 	return c
 }

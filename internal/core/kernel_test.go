@@ -17,9 +17,9 @@ func scratchCost(p *place.Placement, prob Problem, o Options, beta float64, useF
 	if useFTI {
 		return ftCost(p, prob, o, beta)
 	}
-	c := float64(p.ArrayCells()) + o.OverlapPenalty*float64(p.OverlapCells())
+	c := float64(p.ArrayCells()) + overlapPenalty*float64(p.OverlapCells())
 	if len(prob.Obstacles) > 0 {
-		c += o.OverlapPenalty * float64(prob.obstacleHits(p))
+		c += overlapPenalty * float64(prob.obstacleHits(p))
 	}
 	return c
 }
@@ -59,9 +59,9 @@ func runKernelDifferential(t *testing.T, prob Problem, o Options, beta float64, 
 		t.Fatalf("initial cost = %v, scratch %v", k.Cost(), curCost)
 	}
 
-	T := o.T0
+	T := float64(areaT0)
 	if useFTI {
-		T = 5 // LTSA regime
+		T = ltsaT0 // LTSA regime
 	}
 	for mv := 0; mv < moves; mv++ {
 		var covered int
@@ -128,7 +128,7 @@ func runKernelDifferential(t *testing.T, prob Problem, o Options, beta float64, 
 		if mv%50 == 49 {
 			T *= 0.95
 			if T < 0.05 {
-				T = o.T0
+				T = areaT0
 			}
 		}
 	}

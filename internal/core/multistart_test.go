@@ -108,6 +108,92 @@ func TestMultiStartSingleBackCompat(t *testing.T) {
 	}
 }
 
+// stage1For is the stage-1 placement the stage-2 multi-start tests
+// refine.
+func stage1For(t *testing.T, prob Problem, seed int64) *place.Placement {
+	t.Helper()
+	s1, _, err := AnnealArea(prob, multiStartOptions(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s1
+}
+
+// TestMultiStartStage2ByteIdenticalAcrossWorkers pins the stage-2
+// fan-out: three LTSA starts from one stage-1 placement pick the same
+// winner, placement and stats, at 1, 4 and GOMAXPROCS workers; that
+// winner is the argmin (ties to the lowest index) of the standalone
+// per-start runs; and the shared stage-1 placement is left as it was.
+// At seed 4 the winner is start 2, so returning start 0 fails.
+func TestMultiStartStage2ByteIdenticalAcrossWorkers(t *testing.T) {
+	prob := pcrProblem()
+	s1 := stage1For(t, prob, 4)
+	before := s1.Clone()
+	ft := FTOptions{Beta: 50}
+	base := multiStartOptions(4)
+	base.Search = place.SearchOptions{Starts: 3}
+
+	var want *place.Placement
+	var wantStats Stats
+	winner := -1
+	for i := 0; i < base.Search.Starts; i++ {
+		p, st, err := AnnealFaultTolerance(s1, prob, startOptions(base, i), ft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil || st.FinalCost < wantStats.FinalCost {
+			want, wantStats, winner = p, st, i
+		}
+	}
+	if winner == 0 {
+		t.Fatal("start 0 wins at this seed; pick one where another start does")
+	}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		o := base
+		o.Search.Workers = workers
+		p, st, err := AnnealFaultTolerance(s1, prob, o, ft)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(p, want) || st != wantStats {
+			t.Fatalf("workers=%d: winner is not the best standalone start (%d):\n%s%+v\nvs\n%s%+v",
+				workers, winner, p, st, want, wantStats)
+		}
+	}
+	if !reflect.DeepEqual(s1, before) {
+		t.Fatal("the fan-out mutated the shared stage-1 placement")
+	}
+}
+
+// TestMultiStartStage2SingleBackCompat pins that a zero Search and
+// Starts 1 (with or without extra workers) run the plain seeded LTSA
+// bit for bit.
+func TestMultiStartStage2SingleBackCompat(t *testing.T) {
+	prob := pcrProblem()
+	s1 := stage1For(t, prob, 7)
+	ft := FTOptions{Beta: 50}
+	plain, plainStats, err := annealFaultTolerance(s1, prob, multiStartOptions(7), ft, kernelProblem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []place.SearchOptions{
+		{},
+		{Starts: 1},
+		{Starts: 1, Workers: 8},
+		{Workers: 2},
+	} {
+		o := multiStartOptions(7)
+		o.Search = s
+		p, st, err := AnnealFaultTolerance(s1, prob, o, ft)
+		if err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		if !reflect.DeepEqual(p, plain) || st != plainStats {
+			t.Fatalf("%+v: diverged from the plain single-start run", s)
+		}
+	}
+}
+
 // TestMultiStartSeedOverride pins that Search.Seed replaces the base
 // seed of the whole start family.
 func TestMultiStartSeedOverride(t *testing.T) {

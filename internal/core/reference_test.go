@@ -64,9 +64,9 @@ func neighbor(cur *place.Placement, prob Problem, o Options, T float64, rng *ran
 // fault-tolerance term is the index so that β expresses how many cells
 // of area one unit of FTI is worth.
 func ftCost(p *place.Placement, prob Problem, o Options, beta float64) float64 {
-	c := float64(p.ArrayCells()) + o.OverlapPenalty*float64(p.OverlapCells())
+	c := float64(p.ArrayCells()) + overlapPenalty*float64(p.OverlapCells())
 	if len(prob.Obstacles) > 0 {
-		c += o.OverlapPenalty * float64(prob.obstacleHits(p))
+		c += overlapPenalty * float64(prob.obstacleHits(p))
 	}
 	if p.Valid() {
 		c -= beta * fti.Compute(p).FTI()

@@ -66,13 +66,13 @@ type Input struct {
 //     override only; Workers is a concurrency cap that never changes
 //     the result, so it must never split (or alias) a key.
 //   - FT options participate only when the placer is "twostage".
-//   - The encoding is versioned ("pcache/v2"): change the encoding,
+//   - The encoding is versioned ("pcache/v3"): change the encoding,
 //     bump the version, and every old key misses rather than aliasing.
 //
 // The lines are the ones fmt's %d/%q/%s/%t/%g verbs would print,
 // appended with strconv into one buffer and hashed once.
 func Fingerprint(in Input) Key {
-	b := append(make([]byte, 0, 2048), "dmfb pcache/v2\nplacer "...)
+	b := append(make([]byte, 0, 2048), "dmfb pcache/v3\nplacer "...)
 	b = append(append(b, in.Placer...), '\n')
 
 	if s := in.Schedule; s != nil {
@@ -124,10 +124,7 @@ func Fingerprint(in Input) Key {
 
 	b = appendOptions(b, in.Options.Canonicalized())
 	if in.Placer == "twostage" {
-		ft := in.FT.Canonicalized()
-		b = appendFloat(append(b, "ft beta="...), ft.Beta, " t0=")
-		b = appendInt(appendFloat(b, ft.T0, " margin="), ft.MarginCells, ' ')
-		b = appendInt(append(b, "restarts="...), ft.Restarts, '\n')
+		b = appendFloat(append(b, "ft beta="...), in.FT.Beta, "\n")
 	}
 	sum := sha256.Sum256(b)
 	return Key(hex.EncodeToString(sum[:]))
@@ -135,11 +132,9 @@ func Fingerprint(in Input) Key {
 
 func appendOptions(b []byte, o core.Options) []byte {
 	b = appendInt(append(b, "opts seed="...), o.Seed, ' ')
-	b = appendFloat(append(b, "t0="...), o.T0, " alpha=")
-	b = appendFloat(b, o.Alpha, " iters=")
+	b = appendFloat(append(b, "alpha="...), o.Alpha, " iters=")
 	b = appendInt(b, o.ItersPerModule, ' ')
-	b = appendFloat(append(b, "psingle="...), o.PSingle, " overlap=")
-	b = appendFloat(b, o.OverlapPenalty, " wt0=")
+	b = appendFloat(append(b, "psingle="...), o.PSingle, " wt0=")
 	b = appendFloat(b, o.WindowT0, " patience=")
 	b = appendInt(b, o.WindowPatience, '\n')
 	// o.Search is already Normalized by Canonicalized: Starts ≥ 1 and

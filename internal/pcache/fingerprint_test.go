@@ -23,10 +23,10 @@ import (
 // Golden fingerprints for the paper's two reference assays. These pin
 // the canonical encoding: if either changes, every cache entry in the
 // wild silently misses, so a change here must be deliberate (and must
-// bump the "pcache/v2" version string).
+// bump the "pcache/v3" version string).
 const (
-	goldenPCRKey     = Key("e63b0f1bb33a86bbc5e12c5907f6edbf43015b5829d9b078bf836731fcec533e")
-	goldenInvitroKey = Key("76949f143f3104c24b5119f8276d2ed3fc95a86f54419ad4f96442ceb835446d")
+	goldenPCRKey     = Key("60b0ef1a1418e30272808908cb5539bc29a6e8d956694e96934c5e9c7cc464ba")
+	goldenInvitroKey = Key("ed2926aff6df9672d5f98c6fb57541e2040e748cdf1da8e2b23ff5600e395bfa")
 )
 
 func pcrInput(t testing.TB) Input {
@@ -123,15 +123,15 @@ func TestFingerprintMutations(t *testing.T) {
 	}{
 		{"placer", func(in *Input) { in.Placer = "greedy" }},
 		{"seed", func(in *Input) { in.Options.Seed = 2 }},
-		{"t0", func(in *Input) { in.Options.T0 = 5000 }},
 		{"alpha", func(in *Input) { in.Options.Alpha = 0.95 }},
 		{"iters", func(in *Input) { in.Options.ItersPerModule = 100 }},
 		{"psingle", func(in *Input) { in.Options.PSingle = 0.5 }},
-		{"overlap", func(in *Input) { in.Options.OverlapPenalty = 50 }},
 		{"window_t0", func(in *Input) { in.Options.WindowT0 = 77 }},
 		{"patience", func(in *Input) { in.Options.WindowPatience = 3 }},
 		{"starts", func(in *Input) { in.Options.Search.Starts = 8 }},
 		{"search_seed", func(in *Input) { in.Options.Search.Seed = 5 }},
+		{"twostage", func(in *Input) { in.Placer = "twostage" }},
+		{"twostage_beta", func(in *Input) { in.Placer, in.FT.Beta = "twostage", 60 }},
 		{"array_w", func(in *Input) { in.Problem.MaxW++ }},
 		{"array_h", func(in *Input) { in.Problem.MaxH++ }},
 		{"obstacle", func(in *Input) {
@@ -193,7 +193,7 @@ var keySink Key
 // the hash.
 func fmtFingerprint(in Input) Key {
 	h := sha256.New()
-	fmt.Fprintln(h, "dmfb pcache/v2")
+	fmt.Fprintln(h, "dmfb pcache/v3")
 	fmt.Fprintf(h, "placer %s\n", in.Placer)
 
 	if s := in.Schedule; s != nil {
@@ -232,17 +232,14 @@ func fmtFingerprint(in Input) Key {
 
 	fmtWriteOptions(h, in.Options.Canonicalized())
 	if in.Placer == "twostage" {
-		ft := in.FT.Canonicalized()
-		fmt.Fprintf(h, "ft beta=%g t0=%g margin=%d restarts=%d\n",
-			ft.Beta, ft.T0, ft.MarginCells, ft.Restarts)
+		fmt.Fprintf(h, "ft beta=%g\n", in.FT.Beta)
 	}
 	return Key(hex.EncodeToString(h.Sum(nil)))
 }
 
 func fmtWriteOptions(w io.Writer, o core.Options) {
-	fmt.Fprintf(w, "opts seed=%d t0=%g alpha=%g iters=%d psingle=%g overlap=%g wt0=%g patience=%d\n",
-		o.Seed, o.T0, o.Alpha, o.ItersPerModule, o.PSingle,
-		o.OverlapPenalty, o.WindowT0, o.WindowPatience)
+	fmt.Fprintf(w, "opts seed=%d alpha=%g iters=%d psingle=%g wt0=%g patience=%d\n",
+		o.Seed, o.Alpha, o.ItersPerModule, o.PSingle, o.WindowT0, o.WindowPatience)
 	fmt.Fprintf(w, "search starts=%d seed=%d\n", o.Search.Starts, o.Search.Seed)
 }
 
@@ -265,7 +262,7 @@ func TestFingerprintMatchesFmt(t *testing.T) {
 		{"pcr_twostage", func(t testing.TB) Input {
 			in := pcrInput(t)
 			in.Placer = "twostage"
-			in.FT = core.FTOptions{Beta: 40, T0: 2.5, MarginCells: 3, Restarts: 2}
+			in.FT = core.FTOptions{Beta: 40}
 			return in
 		}},
 		{"obstacles", func(t testing.TB) Input {
@@ -287,10 +284,10 @@ func TestFingerprintMatchesFmt(t *testing.T) {
 		}},
 		{"options", func(t testing.TB) Input {
 			in := invitroInput(t)
-			in.Options = core.Options{Seed: -1, T0: 5000.5, Alpha: 0.95, ItersPerModule: 123,
-				PSingle: 0.3, OverlapPenalty: 1e-9, WindowT0: 1e21, WindowPatience: 3,
+			in.Options = core.Options{Seed: -1, Alpha: 0.95, ItersPerModule: 123,
+				PSingle: 0.3, WindowT0: 1e21, WindowPatience: 3,
 				Search: place.SearchOptions{Starts: 4, Seed: -7, Workers: 3}}
-			in.FT = core.FTOptions{Beta: 1.0 / 3, MarginCells: -2}
+			in.FT = core.FTOptions{Beta: 1.0 / 3}
 			return in
 		}},
 		{"bare_problem", func(t testing.TB) Input {
@@ -336,10 +333,10 @@ func FuzzFingerprint(f *testing.F) {
 				Modules:   []place.Module{{ID: x, Name: fluid, Size: size, Span: span}},
 				Obstacles: []geom.Point{{X: x, Y: int(n)}}},
 			Placer: name,
-			Options: core.Options{Seed: n, T0: f1, Alpha: f2, ItersPerModule: x, PSingle: -f1,
-				OverlapPenalty: f2, WindowT0: -f2, WindowPatience: -x,
+			Options: core.Options{Seed: n, Alpha: f2, ItersPerModule: x, PSingle: -f1,
+				WindowT0: -f2, WindowPatience: -x,
 				Search: place.SearchOptions{Starts: x, Seed: -n}},
-			FT: core.FTOptions{Beta: f1, T0: f2, MarginCells: x, Restarts: int(n)},
+			FT: core.FTOptions{Beta: f1},
 		}
 		if twostage {
 			in.Placer = "twostage"
