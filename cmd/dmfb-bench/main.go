@@ -132,16 +132,16 @@ func must[T any](v T, err error) T {
 // reproduces the paper's single-anneal numbers.
 func placerOpts() dmfb.PlacerOptions {
 	return dmfb.PlacerOptions{
-		Seed:     *seed,
-		Search:   *search,
-		Observer: dmfb.ObserveAnneal(ts.Tracer, ts.Metrics, "bench"),
-		Metrics:  ts.Metrics,
+		Seed:    *seed,
+		Search:  *search,
+		Tracer:  ts.Tracer,
+		Metrics: ts.Metrics,
 	}
 }
 
 // benchPlace synthesises the PCR case study and places it via the
-// shared pipeline, with the bench-stage anneal observer attached. beta
-// only matters for the "twostage" placer.
+// shared pipeline, with the session's telemetry attached. beta only
+// matters for the "twostage" placer.
 func benchPlace(placer string, beta float64) pipeline.Result {
 	res, err := pipeline.Run(context.Background(), pipeline.Request{
 		Tool:  "dmfb-bench",

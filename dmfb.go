@@ -30,7 +30,6 @@ import (
 	"math"
 
 	"dmfb/internal/actuation"
-	"dmfb/internal/anneal"
 	"dmfb/internal/assay"
 	"dmfb/internal/campaign"
 	"dmfb/internal/core"
@@ -98,7 +97,11 @@ type (
 	PlacementProblem = core.Problem
 	// PlacerOptions configures the annealing placers; the zero value
 	// gives the paper's parameters (α = 0.9, N = 400 × #modules,
-	// p = 0.8; T0 = 10000 is fixed).
+	// p = 0.8; T0 = 10000 is fixed). Its Tracer receives one
+	// "anneal.level" span per temperature level and one "anneal.best"
+	// event per best-cost improvement, tagged "area" (stage 1) or "ft"
+	// (stage 2); its Metrics receives the anneal.* and place.<stage>.*
+	// metrics. Neither sink changes a placement.
 	PlacerOptions = core.Options
 	// SearchOptions configures deterministic multi-start annealing
 	// (PlacerOptions.Search): Starts independent runs with splitmix64-
@@ -398,18 +401,4 @@ type (
 	// MetricsRegistry holds named counters, gauges and histograms,
 	// safe for concurrent use.
 	MetricsRegistry = telemetry.Registry
-	// AnnealObserver receives progress callbacks from the annealing
-	// placers (one per temperature level plus best-cost improvements);
-	// set it on PlacerOptions.Observer.
-	AnnealObserver = anneal.Observer
-	// AnnealProgress is the payload of an AnnealObserver callback.
-	AnnealProgress = anneal.Progress
 )
-
-// ObserveAnneal adapts telemetry sinks into an AnnealObserver: each
-// temperature level becomes an "anneal.level" span and updates the
-// anneal.* metrics, tagged with the given stage name. Either sink may
-// be nil; with both nil the returned observer is nil (zero overhead).
-func ObserveAnneal(tr *Tracer, reg *MetricsRegistry, stage string) AnnealObserver {
-	return telemetry.AnnealObserver(tr, reg, stage)
-}

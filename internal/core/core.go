@@ -28,7 +28,6 @@ import (
 	"sort"
 	"sync"
 
-	"dmfb/internal/anneal"
 	"dmfb/internal/campaign"
 	"dmfb/internal/fti"
 	"dmfb/internal/geom"
@@ -161,19 +160,18 @@ type Options struct {
 	// count.
 	Search place.SearchOptions
 
-	// Observer, if non-nil, receives annealing progress notifications
-	// (per temperature level and on best-cost improvement) from every
-	// annealing run these options configure. Wire telemetry through it
-	// with telemetry.AnnealObserver. With multi-start search the
-	// observer is shared across goroutines and must be safe for
-	// concurrent use.
-	Observer anneal.Observer
+	// Tracer, if non-nil, receives one "anneal.level" span per
+	// temperature level and one "anneal.best" event per best-cost
+	// improvement of every annealing run these options configure,
+	// tagged with the run's stage ("area" or "ft").
+	Tracer *telemetry.Tracer
 
-	// Metrics, if non-nil, receives the incremental kernel's counters
-	// at the end of every annealing run: moves proposed / committed /
-	// reverted, delta vs from-scratch cost evaluations, and the FTI
-	// cache hit rate. With multi-start search the registry is shared
-	// across goroutines (it is safe for concurrent use).
+	// Metrics, if non-nil, receives the anneal.* metrics per level and
+	// improvement, and the incremental kernel's counters at the end of
+	// every annealing run: moves proposed / committed / reverted, delta
+	// vs from-scratch cost evaluations, and the FTI cache hit rate.
+	// Both sinks are safe for concurrent use, so multi-start search
+	// shares them across goroutines.
 	Metrics *telemetry.Registry
 }
 
@@ -199,11 +197,11 @@ func (o Options) withDefaults() Options {
 // Canonicalized returns the options in the canonical form the
 // placement cache fingerprints: the paper's defaults are filled in, so
 // a zero field and its explicit default hash to the same key, and the
-// telemetry sinks (Observer, Metrics) — which never influence the
+// telemetry sinks (Tracer, Metrics) — which never influence the
 // placement — are cleared.
 func (o Options) Canonicalized() Options {
 	c := o.withDefaults()
-	c.Observer = nil
+	c.Tracer = nil
 	c.Metrics = nil
 	c.Search = c.Search.Normalized()
 	return c
@@ -371,21 +369,6 @@ func clampPos(p geom.Point, sz geom.Size, prob Problem) geom.Point {
 	return p
 }
 
-// windowStop returns the paper's stopping criterion: the controlling
-// window has sat at its minimum span for `patience` consecutive
-// levels.
-func windowStop(o Options, span, patience int) func(anneal.Level) bool {
-	atMin := 0
-	return func(l anneal.Level) bool {
-		if window(l.T, o.WindowT0, span) <= 1 {
-			atMin++
-		} else {
-			atMin = 0
-		}
-		return atMin >= patience
-	}
-}
-
 // AnnealArea runs the fault-oblivious placer of Section 4, minimising
 // array area with a forbidden-overlap penalty. Moves are priced
 // incrementally by a moveKernel; results are bit-identical to the
@@ -410,21 +393,14 @@ func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
 		return nil, Stats{}, err
 	}
 	o := opts.withDefaults()
-	sched := anneal.Schedule{T0: areaT0, Alpha: o.Alpha, Iters: o.ItersPerModule * len(prob.Modules)}
-	if err := sched.Validate(); err != nil {
+	iters, err := o.innerIters(len(prob.Modules))
+	if err != nil {
 		return nil, Stats{}, fmt.Errorf("core: %w", err)
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
-	span := max(prob.MaxW, prob.MaxH)
-
 	k := newMoveKernel(initialPlacement(prob), prob, o, 0, false, false)
-	problem := kernelProblem(k)
-	problem.Stop = windowStop(o, span, o.WindowPatience)
-	problem.Observer = o.Observer
-	res := anneal.RunMoves(problem, sched, rng)
-	k.flushMetrics(o.Metrics, "area")
+	best, st := k.RunMoves(areaT0, iters, 0, rand.New(rand.NewSource(o.Seed)))
+	k.flushMetrics(o.Metrics)
 
-	best := res.Best.Clone()
 	// Do not normalise when obstacles pin absolute coordinates.
 	if len(prob.Obstacles) == 0 {
 		best.Normalize()
@@ -435,7 +411,7 @@ func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
 	if hits := prob.obstacleHits(best); hits > 0 {
 		return nil, Stats{}, fmt.Errorf("core: annealing could not clear %d obstacle cell(s)", hits)
 	}
-	return best, Stats{Levels: len(res.Levels), Evaluations: res.Evaluations, FinalCost: res.BestCost}, nil
+	return best, st, nil
 }
 
 // FullReconfigure is "full reconfiguration": re-placing the entire
@@ -489,14 +465,11 @@ func AnnealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft
 		})
 		return r.p, r.st, err
 	}
-	return annealFaultTolerance(start, prob, opts, ft, kernelProblem)
+	return annealFaultTolerance(start, prob, opts, ft)
 }
 
-// annealFaultTolerance is one seeded stage-2 run with the kernel's
-// annealing problem built by build, which tests replace to run the
-// stage without its cost bound.
-func annealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft FTOptions,
-	build func(*moveKernel) anneal.MoveProblem[*place.Placement, *kernelMove]) (*place.Placement, Stats, error) {
+// annealFaultTolerance is one seeded stage-2 run.
+func annealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft FTOptions) (*place.Placement, Stats, error) {
 	o := opts.withDefaults()
 	if start == nil {
 		return nil, Stats{}, fmt.Errorf("core: stage 2 requires a stage-1 placement")
@@ -516,31 +489,22 @@ func annealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft
 	if prob2.MaxH < prob.MaxH {
 		prob2.MaxH = prob.MaxH
 	}
-	span := max(prob2.MaxW, prob2.MaxH)
-	sched := anneal.Schedule{T0: ltsaT0, Alpha: o.Alpha, Iters: o.ItersPerModule * len(prob.Modules)}
-	if err := sched.Validate(); err != nil {
+	iters, err := o.innerIters(len(prob.Modules))
+	if err != nil {
 		return nil, Stats{}, fmt.Errorf("core: stage 2: %w", err)
 	}
-
-	rng := rand.New(rand.NewSource(o.Seed + 1))
 	// Single displacement only; the FTI term is priced by the
-	// incremental per-module cache.
+	// incremental per-module cache. The run also stops once T drops
+	// below α/1000 of its start.
 	k := newMoveKernel(start.Clone(), prob2, o, ft.Beta, true, true)
-	problem := build(k)
-	problem.Stop = anneal.StopAny(
-		windowStop(o, span, o.WindowPatience),
-		anneal.StopBelow(o.Alpha/1000*ltsaT0),
-	)
-	problem.Observer = o.Observer
-	res := anneal.RunMoves(problem, sched, rng)
-	k.flushMetrics(o.Metrics, "ft")
+	best, st := k.RunMoves(ltsaT0, iters, o.Alpha/1000*ltsaT0, rand.New(rand.NewSource(o.Seed+1)))
+	k.flushMetrics(o.Metrics)
 
-	best := res.Best.Clone()
 	best.Normalize()
 	if err := best.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("core: LTSA ended with forbidden overlap: %w", err)
 	}
-	return best, Stats{Levels: len(res.Levels), Evaluations: res.Evaluations, FinalCost: res.BestCost}, nil
+	return best, st, nil
 }
 
 // TwoStageResult bundles the outcome of the enhanced placement

@@ -283,24 +283,40 @@ func TestAnnealAreaRandomProblems(t *testing.T) {
 }
 
 // TestAnnealRejectsInvalidSchedule pins that options which build an
-// invalid annealing schedule, or no stage-2 restart at all, come back
-// as errors instead of panicking inside the annealer.
+// invalid annealing schedule — no inner loop, or a cooling factor
+// outside (0,1) — come back as errors from both stages instead of
+// running. Alpha 0 is the zero value and so takes the default 0.9;
+// a negative one stands for the lower edge.
 func TestAnnealRejectsInvalidSchedule(t *testing.T) {
 	prob := pcrProblem()
-	bad := lightOptions(1)
-	bad.ItersPerModule = -1
-	if _, _, err := AnnealArea(prob, bad); err == nil {
-		t.Error("AnnealArea accepted ItersPerModule -1")
-	}
-	if _, err := TwoStage(prob, bad, FTOptions{Beta: 30}); err == nil {
-		t.Error("TwoStage accepted ItersPerModule -1")
-	}
 	s1, _, err := AnnealArea(prob, lightOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := AnnealFaultTolerance(s1, prob, bad, FTOptions{Beta: 30}); err == nil {
-		t.Error("AnnealFaultTolerance accepted ItersPerModule -1")
+	for _, c := range []struct {
+		name  string
+		apply func(*Options)
+	}{
+		{"ItersPerModule -1", func(o *Options) { o.ItersPerModule = -1 }},
+		{"Alpha 1", func(o *Options) { o.Alpha = 1 }},
+		{"Alpha -0.5", func(o *Options) { o.Alpha = -0.5 }},
+	} {
+		bad := lightOptions(1)
+		c.apply(&bad)
+		if _, _, err := AnnealArea(prob, bad); err == nil {
+			t.Errorf("AnnealArea accepted %s", c.name)
+		}
+		if _, err := TwoStage(prob, bad, FTOptions{Beta: 30}); err == nil {
+			t.Errorf("TwoStage accepted %s", c.name)
+		}
+		if _, _, err := AnnealFaultTolerance(s1, prob, bad, FTOptions{Beta: 30}); err == nil {
+			t.Errorf("AnnealFaultTolerance accepted %s", c.name)
+		}
+	}
+	zero := lightOptions(1)
+	zero.Alpha = 0
+	if _, _, err := AnnealArea(prob, zero); err != nil {
+		t.Errorf("AnnealArea rejected the zero Alpha: %v", err)
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 
-	"dmfb/internal/anneal"
 	"dmfb/internal/fti"
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
@@ -15,9 +15,9 @@ import (
 // interchange families). A rejected move is undone in place from the
 // journal Bound opens (place.State's, plus the obstacle-hit counts
 // saved here) instead of discarding a cloned placement. The kernel
-// proposes every move into one buffer it owns (the annealer's protocol
-// finishes a move before proposing the next), so the moves travel by
-// pointer and are never copied.
+// proposes every move into one buffer it owns (RunMoves finishes a
+// move before proposing the next), so the moves travel by pointer and
+// are never copied.
 type kernelMove struct {
 	n       int // 1 or 2 relocations
 	idx     [2]int
@@ -67,6 +67,7 @@ type moveKernel struct {
 	move     kernelMove // buffer Propose fills
 	dirty    []int      // scratch: modules invalidated by the staged move
 	dirtyIn  []bool     // scratch: dedup marks, index-aligned with modules
+	thresh   expMemo    // Metropolis thresholds of RunMoves' current level
 	counters kernelCounters
 }
 
@@ -102,25 +103,14 @@ func newMoveKernel(p *place.Placement, prob Problem, o Options, beta float64, us
 	return k
 }
 
-// kernelProblem wires k into the annealer's move protocol; Stop and
-// Observer are left to the caller.
-func kernelProblem(k *moveKernel) anneal.MoveProblem[*place.Placement, *kernelMove] {
-	return anneal.MoveProblem[*place.Placement, *kernelMove]{
-		Cost:     k.Cost,
-		Propose:  k.Propose,
-		Bound:    k.Bound,
-		Delta:    k.Delta,
-		Commit:   k.Commit,
-		Revert:   k.Revert,
-		Snapshot: k.Snapshot,
+// stage tags the kernel's telemetry: "area" for stage 1, "ft" for
+// stage 2's LTSA.
+func (k *moveKernel) stage() string {
+	if k.useFTI {
+		return "ft"
 	}
+	return "area"
 }
-
-// Cost returns the committed cost in O(1).
-func (k *moveKernel) Cost() float64 { return k.cost }
-
-// Snapshot clones the current placement for best-state tracking.
-func (k *moveKernel) Snapshot() *place.Placement { return k.st.P.Clone() }
 
 // costNow evaluates the cost of the current (possibly staged) state
 // from the kernel's integer books, with the same expression and
@@ -204,7 +194,8 @@ func (k *moveKernel) Propose(T float64, rng *rand.Rand) *kernelMove {
 // every cell covered. Since covered/total ≤ 1 and float rounding is
 // monotone, β·(covered/total) ≤ β holds after rounding too, so the
 // bound is sound in floating point. It is exact when the move creates
-// overlap (the cost then ignores the FTI) and in stage 1.
+// overlap (the cost then ignores the FTI) and in stage 1, and −Inf
+// under priceEveryMove.
 func (k *moveKernel) Bound(m *kernelMove) float64 {
 	k.st.Begin()
 	k.atHits = k.hits
@@ -214,6 +205,9 @@ func (k *moveKernel) Bound(m *kernelMove) float64 {
 	k.priced = false
 	k.pending = k.areaCost()
 	lb := k.pending
+	if priceEveryMove {
+		return math.Inf(-1)
+	}
 	if k.useFTI && k.st.Overlap() == 0 {
 		lb -= max(k.beta, 0)
 	}
@@ -308,12 +302,12 @@ func coversObstacleCount(obstacles []geom.Point, r geom.Rect) int {
 }
 
 // flushMetrics publishes the kernel's counters to the registry (no-op
-// for a nil registry), tagged with the placement stage.
-func (k *moveKernel) flushMetrics(reg *telemetry.Registry, stage string) {
+// for a nil registry), tagged with the kernel's stage.
+func (k *moveKernel) flushMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	c := k.counters
+	c, stage := k.counters, k.stage()
 	reg.Counter("place." + stage + ".moves_proposed").Add(c.proposed)
 	reg.Counter("place." + stage + ".moves_committed").Add(c.committed)
 	reg.Counter("place." + stage + ".moves_reverted").Add(c.reverted)

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
-	"dmfb/internal/anneal"
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
 )
@@ -55,8 +53,8 @@ func runKernelDifferential(t *testing.T, prob Problem, o Options, beta float64, 
 	rngD := rand.New(rand.NewSource(seed + 1000)) // accept/reject decisions
 
 	curCost := scratchCost(cur, prob, o, beta, useFTI)
-	if k.Cost() != curCost {
-		t.Fatalf("initial cost = %v, scratch %v", k.Cost(), curCost)
+	if k.cost != curCost {
+		t.Fatalf("initial cost = %v, scratch %v", k.cost, curCost)
 	}
 
 	T := float64(areaT0)
@@ -118,8 +116,8 @@ func runKernelDifferential(t *testing.T, prob Problem, o Options, beta float64, 
 				curCost = want
 			}
 		}
-		if k.Cost() != curCost {
-			t.Fatalf("move %d: committed cost = %v, scratch %v", mv, k.Cost(), curCost)
+		if k.cost != curCost {
+			t.Fatalf("move %d: committed cost = %v, scratch %v", mv, k.cost, curCost)
 		}
 		if k.st.Overlap() != cur.OverlapCells() || k.st.BoundingBox() != cur.BoundingBox() {
 			t.Fatalf("move %d: incremental state drifted from scratch", mv)
@@ -171,22 +169,12 @@ func TestKernelDifferentialFTI(t *testing.T) {
 	}
 }
 
-// unboundedProblem is kernelProblem with the cost bound disabled:
-// Bound still stages the move but returns −Inf, so RunMoves prices
-// every proposal with Delta.
-func unboundedProblem(k *moveKernel) anneal.MoveProblem[*place.Placement, *kernelMove] {
-	p := kernelProblem(k)
-	p.Bound = func(m *kernelMove) float64 {
-		k.Bound(m)
-		return math.Inf(-1)
-	}
-	return p
-}
-
 // TestStage2BoundMatchesUnbounded pins the bound's exactness end to
 // end: across stage-1 seeds and the Table 2 β range, stage 2 with the
 // bound returns the same placement, level count, evaluation count and
-// final cost as stage 2 pricing every proposal exactly.
+// final cost as stage 2 pricing every proposal exactly: with
+// priceEveryMove set, Bound still stages the move but returns −Inf, so
+// RunMoves prices every proposal with Delta.
 func TestStage2BoundMatchesUnbounded(t *testing.T) {
 	prob := pcrProblem()
 	for _, seed := range []int64{1, 2, 3} {
@@ -201,7 +189,9 @@ func TestStage2BoundMatchesUnbounded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d β=%v: %v", seed, beta, err)
 			}
-			want, wantSt, err := annealFaultTolerance(s1, prob, opts, ft, unboundedProblem)
+			priceEveryMove = true
+			want, wantSt, err := annealFaultTolerance(s1, prob, opts, ft)
+			priceEveryMove = false
 			if err != nil {
 				t.Fatalf("seed %d β=%v unbounded: %v", seed, beta, err)
 			}

@@ -172,7 +172,7 @@ func TestMultiStartStage2SingleBackCompat(t *testing.T) {
 	prob := pcrProblem()
 	s1 := stage1For(t, prob, 7)
 	ft := FTOptions{Beta: 50}
-	plain, plainStats, err := annealFaultTolerance(s1, prob, multiStartOptions(7), ft, kernelProblem)
+	plain, plainStats, err := annealFaultTolerance(s1, prob, multiStartOptions(7), ft)
 	if err != nil {
 		t.Fatal(err)
 	}

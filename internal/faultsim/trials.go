@@ -26,15 +26,10 @@ import (
 func SingleFaultTrial(p *place.Placement) campaign.TrialFunc {
 	array := p.BoundingBox()
 	return func(_ context.Context, t campaign.Trial) campaign.Outcome {
-		cell := geom.Point{
+		return planOutcome(p, array, geom.Point{
 			X: array.X + t.RNG.Intn(array.W),
 			Y: array.Y + t.RNG.Intn(array.H),
-		}
-		rels, err := reconfig.Plan(p, array, cell)
-		if err != nil {
-			return campaign.Outcome{}
-		}
-		return campaign.Outcome{Survived: true, Value: float64(len(rels))}
+		})
 	}
 }
 
@@ -44,16 +39,22 @@ func SingleFaultTrial(p *place.Placement) campaign.TrialFunc {
 func ExhaustiveTrial(p *place.Placement) campaign.TrialFunc {
 	array := p.BoundingBox()
 	return func(_ context.Context, t campaign.Trial) campaign.Outcome {
-		cell := geom.Point{
+		return planOutcome(p, array, geom.Point{
 			X: array.X + t.Index%array.W,
 			Y: array.Y + t.Index/array.W,
-		}
-		rels, err := reconfig.Plan(p, array, cell)
-		if err != nil {
-			return campaign.Outcome{}
-		}
-		return campaign.Outcome{Survived: true, Value: float64(len(rels))}
+		})
 	}
+}
+
+// planOutcome is one single-fault trial at cell: it survives when
+// partial reconfiguration finds a plan, and its Value is the number of
+// module relocations the plan needed.
+func planOutcome(p *place.Placement, array geom.Rect, cell geom.Point) campaign.Outcome {
+	rels, err := reconfig.Plan(p, array, cell)
+	if err != nil {
+		return campaign.Outcome{}
+	}
+	return campaign.Outcome{Survived: true, Value: float64(len(rels))}
 }
 
 // MultiFaultTrial returns the trial function of the sequential k-fault
@@ -81,20 +82,10 @@ func MultiFaultTrial(p *place.Placement, k int, withFull bool, opts core.Options
 				j--
 				continue
 			}
-			if _, err := reconfig.Recover(cur, array, cell, dead...); err == nil {
-				dead = append(dead, cell)
-				continue
+			if cur = absorb(cur, array, dead, cell, withFull, opts, t.Seed); cur == nil {
+				return campaign.Outcome{Value: float64(len(dead))}
 			}
-			if withFull {
-				o := opts
-				o.Seed = campaign.DeriveSeed(t.Seed, uint64(j))
-				if full, err := core.FullReconfigure(cur, append(append([]geom.Point(nil), dead...), cell), o); err == nil {
-					cur = full
-					dead = append(dead, cell)
-					continue
-				}
-			}
-			return campaign.Outcome{Value: float64(len(dead))}
+			dead = append(dead, cell)
 		}
 		return campaign.Outcome{Survived: true, Value: float64(k)}
 	}
@@ -118,23 +109,34 @@ func DefectYieldTrial(p *place.Placement, gen defect.Generator, withFull bool, o
 			if err := ctx.Err(); err != nil {
 				return campaign.Outcome{Err: err}
 			}
-			if _, err := reconfig.Recover(cur, array, cell, dead...); err == nil {
-				dead = append(dead, cell)
-				continue
+			if cur = absorb(cur, array, dead, cell, withFull, opts, t.Seed); cur == nil {
+				return campaign.Outcome{Value: n}
 			}
-			if withFull {
-				o := opts
-				o.Seed = campaign.DeriveSeed(t.Seed, uint64(len(dead)))
-				if full, err := core.FullReconfigure(cur, append(append([]geom.Point(nil), dead...), cell), o); err == nil {
-					cur = full
-					dead = append(dead, cell)
-					continue
-				}
-			}
-			return campaign.Outcome{Value: n}
+			dead = append(dead, cell)
 		}
 		return campaign.Outcome{Survived: true, Value: n}
 	}
+}
+
+// absorb injects one more fault at cell into cur, whose earlier
+// faults are dead: partial reconfiguration first, and when that fails
+// and withFull is set, full re-placement seeded from the trial seed
+// and the number of faults already absorbed. It returns the
+// configuration to continue from, or nil when the fault is fatal.
+func absorb(cur *place.Placement, array geom.Rect, dead []geom.Point, cell geom.Point,
+	withFull bool, opts core.Options, seed int64) *place.Placement {
+	if _, err := reconfig.Recover(cur, array, cell, dead...); err == nil {
+		return cur
+	}
+	if !withFull {
+		return nil
+	}
+	opts.Seed = campaign.DeriveSeed(seed, uint64(len(dead)))
+	full, err := core.FullReconfigure(cur, append(append([]geom.Point(nil), dead...), cell), opts)
+	if err != nil {
+		return nil
+	}
+	return full
 }
 
 // LadderYieldTrial returns the trial function of the design-time

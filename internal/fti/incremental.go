@@ -58,9 +58,11 @@ type Incremental struct {
 	savedArray geom.Rect
 	savedCover int
 	savedKnock []int32
-	savedUncov []geom.Rect
+	savedUncov []geom.Rect // whole arrays under fullSwap
 	savedReloc []bool
-	dirty      []int // modules re-evaluated by the staged Apply
+	dirty      []int       // modules re-evaluated by the staged Apply
+	undoUncov  []geom.Rect // dirty modules' prior analyses, without fullSwap
+	undoReloc  []bool
 
 	// Spare buffers recycled across full rebuilds.
 	spareKnock []int32
@@ -326,16 +328,12 @@ func (inc *Incremental) Apply(array geom.Rect, dirty []int) {
 		inc.ensureScratch()
 	}
 	inc.dirty = append(inc.dirty[:0], dirty...)
-	if inc.savedUncov == nil {
-		inc.savedUncov = make([]geom.Rect, 0, 8)
-		inc.savedReloc = make([]bool, 0, 8)
-	}
-	inc.savedUncov = inc.savedUncov[:0]
-	inc.savedReloc = inc.savedReloc[:0]
+	inc.undoUncov = inc.undoUncov[:0]
+	inc.undoReloc = inc.undoReloc[:0]
 	for _, mi := range dirty {
 		old := inc.uncovered[mi]
-		inc.savedUncov = append(inc.savedUncov, old)
-		inc.savedReloc = append(inc.savedReloc, inc.reloc[mi])
+		inc.undoUncov = append(inc.undoUncov, old)
+		inc.undoReloc = append(inc.undoReloc, inc.reloc[mi])
 		u, r := inc.evalModule(mi)
 		// Most re-priced modules keep their rectangle; removing and
 		// re-adding it would leave the counters as they are.
@@ -358,11 +356,7 @@ func (inc *Incremental) Commit() {
 		inc.spareKnock = inc.savedKnock
 		inc.spareUncov = inc.savedUncov
 		inc.spareReloc = inc.savedReloc
-		inc.savedKnock, inc.savedUncov, inc.savedReloc = nil, nil, nil
-		return
 	}
-	inc.savedUncov = inc.savedUncov[:0]
-	inc.savedReloc = inc.savedReloc[:0]
 }
 
 // Revert discards the staged analysis and reinstates the saved one.
@@ -382,20 +376,17 @@ func (inc *Incremental) Revert() {
 		inc.knock = inc.savedKnock
 		inc.uncovered = inc.savedUncov
 		inc.reloc = inc.savedReloc
-		inc.savedKnock, inc.savedUncov, inc.savedReloc = nil, nil, nil
 		return
 	}
 	for i := len(inc.dirty) - 1; i >= 0; i-- {
 		mi := inc.dirty[i]
-		if inc.uncovered[mi] != inc.savedUncov[i] {
+		if inc.uncovered[mi] != inc.undoUncov[i] {
 			inc.knockRemove(inc.uncovered[mi])
-			inc.knockAdd(inc.savedUncov[i])
+			inc.knockAdd(inc.undoUncov[i])
 		}
-		inc.uncovered[mi] = inc.savedUncov[i]
-		inc.reloc[mi] = inc.savedReloc[i]
+		inc.uncovered[mi] = inc.undoUncov[i]
+		inc.reloc[mi] = inc.undoReloc[i]
 	}
-	inc.savedUncov = inc.savedUncov[:0]
-	inc.savedReloc = inc.savedReloc[:0]
 	if inc.covered != inc.savedCover {
 		panic(fmt.Sprintf("fti: revert mismatch: covered %d != saved %d",
 			inc.covered, inc.savedCover))

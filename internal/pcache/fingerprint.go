@@ -61,7 +61,7 @@ type Input struct {
 //   - Library devices are encoded sorted by name.
 //   - Placer options are canonicalized first (zero fields take the
 //     paper's defaults, so an explicit default and a zero hash
-//     identically); Observer/Metrics never participate.
+//     identically); Tracer/Metrics never participate.
 //   - Multi-start search participates through Starts and the seed
 //     override only; Workers is a concurrency cap that never changes
 //     the result, so it must never split (or alias) a key.

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"dmfb/internal/anneal"
 	"dmfb/internal/assay"
 	"dmfb/internal/core"
 	"dmfb/internal/geom"
@@ -18,6 +17,7 @@ import (
 	"dmfb/internal/pcr"
 	"dmfb/internal/place"
 	"dmfb/internal/schedule"
+	"dmfb/internal/telemetry"
 )
 
 // Golden fingerprints for the paper's two reference assays. These pin
@@ -80,9 +80,9 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 
 	observed := base
-	observed.Options.Observer = func(anneal.Progress) {}
+	observed.Options.Tracer = telemetry.New(io.Discard)
 	if got := Fingerprint(observed); got != key {
-		t.Errorf("attaching an Observer changed the key")
+		t.Errorf("attaching a Tracer changed the key")
 	}
 
 	// Workers only caps concurrency — the multi-start winner is

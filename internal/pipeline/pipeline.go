@@ -88,11 +88,9 @@ type PlaceSpec struct {
 	// Placer selects the algorithm: "greedy", "greedy-oblivious",
 	// "sa" or "twostage".
 	Placer string
-	// Options configures the annealing placers. When Observer is nil
-	// and the request has telemetry sinks, Run attaches the standard
-	// "place"-stage anneal observer; Metrics likewise defaults to the
-	// request registry. Neither affects the annealer's RNG, so
-	// placements are bit-identical with or without telemetry.
+	// Options configures the annealing placers. Its Tracer and Metrics
+	// default to the request's sinks. Neither affects the annealer's
+	// RNG, so placements are bit-identical with or without telemetry.
 	Options core.Options
 	// FT configures stage 2 of the "twostage" placer.
 	FT core.FTOptions
@@ -395,8 +393,8 @@ func (req *Request) runPlace(res *Result) error {
 	}
 
 	opts := spec.Options
-	if opts.Observer == nil {
-		opts.Observer = telemetry.AnnealObserver(req.Tracer, req.Metrics, "place")
+	if opts.Tracer == nil {
+		opts.Tracer = req.Tracer
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = req.Metrics

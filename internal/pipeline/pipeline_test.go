@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestRunParity(t *testing.T) {
 }
 
 // TestRunTelemetryInert: attaching telemetry sinks must not change the
-// placement (the anneal observer never touches the RNG).
+// placement (anneal telemetry never touches the RNG).
 func TestRunTelemetryInert(t *testing.T) {
 	req := Request{
 		Synth: &SynthSpec{Assay: "pcr"},
@@ -74,6 +75,57 @@ func TestRunTelemetryInert(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("tracer attached but no spans emitted")
+	}
+}
+
+// TestRunAnnealStageTags: the two stages of a twostage placement tag
+// their anneal.level spans and anneal.best events "area" and "ft", one
+// span per temperature level of each stage, each timed by its level's
+// wall clock, and the span total equals the anneal.levels counter.
+func TestRunAnnealStageTags(t *testing.T) {
+	var buf bytes.Buffer
+	reg := telemetry.NewRegistry()
+	res, err := Run(context.Background(), Request{
+		Synth: &SynthSpec{Assay: "pcr"},
+		Place: &PlaceSpec{Placer: "twostage", Options: core.Options{Seed: 1},
+			FT: core.FTOptions{Beta: 30}},
+		Tracer:  telemetry.New(&buf),
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, bests := map[string]int{}, map[string]int{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var rec struct {
+			Kind, Name string
+			DurUS      int64 `json:"dur_us"`
+			Fields     struct{ Stage string }
+		}
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case rec.Kind == "span" && rec.Name == "anneal.level":
+			spans[rec.Fields.Stage]++
+			if rec.DurUS <= 0 {
+				t.Errorf("%s level span lasted %d µs", rec.Fields.Stage, rec.DurUS)
+			}
+		case rec.Kind == "event" && rec.Name == "anneal.best":
+			bests[rec.Fields.Stage]++
+		}
+	}
+	ts := res.TwoStage
+	want := map[string]int{"area": ts.Stage1Stats.Levels, "ft": ts.Stage2Stats.Levels}
+	if len(spans) != 2 || spans["area"] != want["area"] || spans["ft"] != want["ft"] {
+		t.Errorf("anneal.level spans by stage = %v, want %v", spans, want)
+	}
+	if len(bests) != 2 || bests["area"] == 0 || bests["ft"] == 0 {
+		t.Errorf("anneal.best events by stage = %v, want both stages", bests)
+	}
+	if got := reg.Counter("anneal.levels").Value(); got != int64(spans["area"]+spans["ft"]) {
+		t.Errorf("anneal.levels = %d, spans %v", got, spans)
 	}
 }
 

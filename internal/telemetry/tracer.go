@@ -147,7 +147,8 @@ func (t *Tracer) EventIn(name string, parent SpanID, fields Fields) {
 
 // EmitSpan emits a completed span retrospectively: a span of the
 // given duration ending now, under the default parent. Used when the
-// caller measured the duration itself (e.g. anneal.Level.Duration).
+// caller measured the duration itself (e.g. an annealing level's
+// wall time).
 func (t *Tracer) EmitSpan(name string, dur time.Duration, fields Fields) {
 	t.EmitSpanIn(name, 0, dur, fields)
 }
