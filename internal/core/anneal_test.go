@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
 
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
+	"dmfb/internal/telemetry"
 )
 
 // TestExpMemoExact checks that the per-level threshold memo returns
@@ -82,28 +85,143 @@ func TestRunMovesTracksBestNotCurrent(t *testing.T) {
 	}
 }
 
-// TestRunMovesTemperatureExtremes: one level at a huge temperature
-// accepts nearly every move, and one at a vanishing temperature never
-// accepts an uphill one, so the current state ends at the best.
-// A stop temperature of +Inf ends each run after its first level.
-func TestRunMovesTemperatureExtremes(t *testing.T) {
+// TestScheduleValidate pins the schedule checks innerIters makes
+// before any run: α must lie strictly inside (0,1) and the inner loop
+// must be positive, whether ItersPerModule or the module count is what
+// makes it empty.
+func TestScheduleValidate(t *testing.T) {
+	good := Options{Alpha: 0.9, ItersPerModule: 10}
+	if iters, err := good.innerIters(3); err != nil || iters != 30 {
+		t.Fatalf("innerIters(3) = %d, %v; want 30, nil", iters, err)
+	}
+	for _, c := range []struct {
+		o Options
+		n int
+	}{
+		{Options{Alpha: 1, ItersPerModule: 10}, 3},
+		{Options{Alpha: 0, ItersPerModule: 10}, 3},
+		{Options{Alpha: -0.5, ItersPerModule: 10}, 3},
+		{Options{Alpha: 0.9, ItersPerModule: 0}, 3},
+		{Options{Alpha: 0.9, ItersPerModule: 10}, 0},
+	} {
+		if _, err := c.o.innerIters(c.n); err == nil {
+			t.Errorf("α %v, %d iters per module, %d modules accepted", c.o.Alpha, c.o.ItersPerModule, c.n)
+		}
+	}
+}
+
+// TestHighTemperatureAcceptsEverything: one level at a huge
+// temperature accepts nearly every move, and a stop temperature of
+// +Inf ends the run after that level.
+func TestHighTemperatureAcceptsEverything(t *testing.T) {
 	prob := kernelTestProblem(rand.New(rand.NewSource(7)), 6)
-	o := Options{}.withDefaults()
-	hot := newMoveKernel(initialPlacement(prob), prob, o, 0, false, false)
+	hot := newMoveKernel(initialPlacement(prob), prob, Options{}.withDefaults(), 0, false, false)
 	if _, st := hot.RunMoves(1e12, 500, math.Inf(1), rand.New(rand.NewSource(5))); st.Levels != 1 {
 		t.Fatalf("hot run: %d levels, want 1", st.Levels)
 	}
 	if r := float64(hot.counters.committed) / float64(hot.counters.proposed); r < 0.99 {
 		t.Errorf("accept rate at T=1e12 = %v, want ~1", r)
 	}
-	cold := newMoveKernel(initialPlacement(prob), prob, o, 0, false, false)
+}
+
+// TestLowTemperatureRejectsUphill: one level at a vanishing
+// temperature never accepts an uphill move, so the current state ends
+// at the best.
+func TestLowTemperatureRejectsUphill(t *testing.T) {
+	prob := kernelTestProblem(rand.New(rand.NewSource(7)), 6)
+	cold := newMoveKernel(initialPlacement(prob), prob, Options{}.withDefaults(), 0, false, false)
 	start := cold.cost
 	_, st := cold.RunMoves(1e-6, 500, math.Inf(1), rand.New(rand.NewSource(5)))
+	if st.Levels != 1 {
+		t.Fatalf("cold run: %d levels, want 1", st.Levels)
+	}
 	if cold.cost != st.FinalCost || cold.cost > start {
 		t.Errorf("T=1e-6: start %v, best %v, current %v: an uphill move was accepted",
 			start, st.FinalCost, cold.cost)
 	}
 	if cold.counters.committed == 0 {
 		t.Error("T=1e-6: no move accepted, so the test shows nothing")
+	}
+}
+
+// traceRecord is one anneal.level span or anneal.best event as the
+// Tracer writes it.
+type traceRecord struct {
+	Kind, Name string
+	DurUS      int64 `json:"dur_us"`
+	Fields     struct {
+		Stage    string
+		Level    int
+		BestCost float64 `json:"best_cost"`
+	}
+}
+
+// tracedRun anneals a small problem in one stage with a Tracer
+// attached and returns the run's Stats with its anneal.level spans and
+// anneal.best events.
+func tracedRun(t *testing.T, useFTI bool) (st Stats, levels, bests []traceRecord) {
+	t.Helper()
+	var buf bytes.Buffer
+	prob := kernelTestProblem(rand.New(rand.NewSource(9)), 6)
+	o := Options{Tracer: telemetry.New(&buf)}.withDefaults()
+	k := newMoveKernel(initialPlacement(prob), prob, o, 30, useFTI, false)
+	_, st = k.RunMoves(areaT0, 200, 0, rand.New(rand.NewSource(2)))
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var rec traceRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case rec.Kind == "span" && rec.Name == "anneal.level":
+			levels = append(levels, rec)
+		case rec.Kind == "event" && rec.Name == "anneal.best":
+			bests = append(bests, rec)
+		}
+	}
+	return st, levels, bests
+}
+
+// TestLevelSpanNotifications: a run with a Tracer emits one
+// anneal.level span per temperature level, in level order, and one
+// anneal.best event per strict improvement of the best cost, the last
+// of which is the run's final cost; all carry the kernel's stage.
+func TestLevelSpanNotifications(t *testing.T) {
+	for _, c := range []struct {
+		useFTI bool
+		stage  string
+	}{{false, "area"}, {true, "ft"}} {
+		st, levels, bests := tracedRun(t, c.useFTI)
+		if len(levels) != st.Levels {
+			t.Fatalf("%s: %d anneal.level spans, want one per level (%d)", c.stage, len(levels), st.Levels)
+		}
+		for i, l := range levels {
+			if l.Fields.Level != i || l.Fields.Stage != c.stage {
+				t.Errorf("%s: span %d reports level %d, stage %q", c.stage, i, l.Fields.Level, l.Fields.Stage)
+			}
+		}
+		if len(bests) == 0 {
+			t.Fatalf("%s: no anneal.best events", c.stage)
+		}
+		prev := math.Inf(1)
+		for i, b := range bests {
+			if b.Fields.BestCost >= prev || b.Fields.Stage != c.stage {
+				t.Errorf("%s: best %d: cost %v after %v, stage %q", c.stage, i, b.Fields.BestCost, prev, b.Fields.Stage)
+			}
+			prev = b.Fields.BestCost
+		}
+		if prev != st.FinalCost {
+			t.Errorf("%s: last anneal.best cost %v, final cost %v", c.stage, prev, st.FinalCost)
+		}
+	}
+}
+
+// TestLevelDurationPopulated: every anneal.level span is timed by its
+// level's wall clock, so none lasts zero.
+func TestLevelDurationPopulated(t *testing.T) {
+	_, levels, _ := tracedRun(t, false)
+	for i, l := range levels {
+		if l.DurUS <= 0 {
+			t.Errorf("level %d span lasted %d µs, want > 0", i, l.DurUS)
+		}
 	}
 }
