@@ -81,6 +81,23 @@ func TestSpecFingerprintLegacyStability(t *testing.T) {
 	}
 }
 
+// TestSpecFingerprintGolden pins literal fingerprints of a multi and a
+// yield spec: recorded checkpoints of these campaigns must keep
+// resuming.
+func TestSpecFingerprintGolden(t *testing.T) {
+	for _, c := range []struct {
+		sp   Spec
+		want string
+	}{
+		{Spec{Mode: "multi", K: 3}, "fa9954cf1c954114"},
+		{Spec{Mode: "yield", Q: 0.02}, "b64863ff273dd2f4"},
+	} {
+		if got := c.sp.Fingerprint(); got != c.want {
+			t.Errorf("Fingerprint(%+v) = %s, golden %s", c.sp, got, c.want)
+		}
+	}
+}
+
 func TestSpecFingerprintDistinguishesDefectExtensions(t *testing.T) {
 	base := Spec{Mode: "yield", Trials: 64, Q: 0.02}
 	variants := []Spec{

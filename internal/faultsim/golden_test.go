@@ -114,3 +114,19 @@ func TestGoldenSequentialPresets(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenLadderYield pins the design-time ladder yield campaign on
+// the pcr-area fixture under uniform defects dense enough that L1
+// often fails and the deeper rungs decide the die.
+func TestGoldenLadderYield(t *testing.T) {
+	p := pcrAreaPlacement(t)
+	fn := LadderYieldTrial(pcr.MustSchedule(), p, defect.Uniform{Prob: 0.05},
+		core.Options{Seed: 3, ItersPerModule: 40, WindowPatience: 2})
+	rep, err := campaign.Run(context.Background(), campaign.Config{Trials: 24, Seed: 9}, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rep.Summary.Survived; s != 7 {
+		t.Errorf("ladder yield (q=0.05, 24 trials, seed 9) survived %d/24, golden 7/24", s)
+	}
+}

@@ -98,7 +98,8 @@ func TestYieldDeterminismKillAndResume(t *testing.T) {
 // TestLadderYieldDeterministicAcrossWorkers runs the design-time
 // local-reconfiguration yield workload on the annealed PCR fixture:
 // worker counts must not change the aggregate (the L3 anneal seeds
-// derive from the trial seed, never from shared state).
+// derive from the trial seed, never from shared state), and the
+// seeded survival count is pinned.
 func TestLadderYieldDeterministicAcrossWorkers(t *testing.T) {
 	sched := pcr.MustSchedule()
 	p := pcrAreaPlacement(t)
@@ -109,6 +110,9 @@ func TestLadderYieldDeterministicAcrossWorkers(t *testing.T) {
 			campaign.Config{Name: "yield-ladder", Trials: 48, Seed: 5, Workers: w}, fn)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rep.Summary.Survived != 40 {
+			t.Errorf("ladder yield at %d workers survived %d/48, golden 40/48", w, rep.Summary.Survived)
 		}
 		b, _ := rep.Summary.MarshalDeterministic()
 		jsons = append(jsons, string(b))
