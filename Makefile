@@ -58,11 +58,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkMerge$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzDefectMap$$' -fuzztime $(FUZZTIME) ./internal/defect/
+	$(GO) test -run '^$$' -fuzz '^FuzzReconfigureL1MatchesRecover$$' -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateMoves$$' -fuzztime $(FUZZTIME) ./internal/place/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteTree$$' -fuzztime $(FUZZTIME) ./internal/router/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPlacement$$' -fuzztime $(FUZZTIME) ./internal/format/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSchedule$$' -fuzztime $(FUZZTIME) ./internal/format/
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) ./internal/pcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/dispatch/
 
 # bench measures the annealing inner loop (clone-and-recompute vs the
 # incremental move kernel), whole stage-2 runs per proposal

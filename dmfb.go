@@ -43,6 +43,7 @@ import (
 	"dmfb/internal/pcr"
 	"dmfb/internal/place"
 	"dmfb/internal/reconfig"
+	"dmfb/internal/recovery"
 	"dmfb/internal/render"
 	"dmfb/internal/router"
 	"dmfb/internal/schedule"
@@ -337,7 +338,7 @@ func ExhaustiveSingleFault(p *Placement) FaultCampaign {
 // MonteCarloMultiFault measures survival under k sequential faults
 // with partial reconfiguration between failures.
 func MonteCarloMultiFault(p *Placement, k, trials int, seed int64) (FaultCampaign, error) {
-	return faultsim.Run(p, trials, seed, faultsim.MultiFaultTrial(p, k, false, core.Options{}))
+	return faultsim.Run(p, trials, seed, MultiFaultTrial(p, k, false, core.Options{}))
 }
 
 // EstimateYield measures the fraction of chips usable when every array
@@ -347,7 +348,7 @@ func MonteCarloMultiFault(p *Placement, k, trials int, seed int64) (FaultCampaig
 func EstimateYield(p *Placement, defectProb float64, trials int, seed int64,
 	withFull bool, opts PlacerOptions) (FaultCampaign, error) {
 	return faultsim.Run(p, trials, seed,
-		faultsim.DefectYieldTrial(p, defect.Uniform{Prob: defectProb}, withFull, opts))
+		faultsim.DefectYieldTrial(nil, p, defect.Uniform{Prob: defectProb}, recoveryCap(withFull), opts))
 }
 
 // RunCampaign executes a fault-injection campaign across a worker
@@ -365,7 +366,17 @@ func SingleFaultTrial(p *Placement) TrialFunc { return faultsim.SingleFaultTrial
 // MultiFaultTrial is the sequential k-fault campaign workload on p,
 // with full re-placement fallback when withFull is set.
 func MultiFaultTrial(p *Placement, k int, withFull bool, opts PlacerOptions) TrialFunc {
-	return faultsim.MultiFaultTrial(p, k, withFull, opts)
+	return faultsim.MultiFaultTrial(p, k, recoveryCap(withFull), opts)
+}
+
+// recoveryCap maps the withFull switch of the campaign workloads onto
+// the recovery ladder: partial reconfiguration (L1) alone, or up to
+// full re-placement of the module set (L3).
+func recoveryCap(withFull bool) recovery.Level {
+	if withFull {
+		return recovery.LevelDefragment
+	}
+	return recovery.LevelRelocate
 }
 
 // RenderPlacement draws a placement as ASCII art.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"dmfb/internal/core"
 	"dmfb/internal/faultsim"
 	"dmfb/internal/format"
 	"dmfb/internal/invitro"
@@ -293,17 +292,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Full reconfiguration + yield.
-	dead := []Point{{X: 0, Y: 0}}
-	fresh, err := core.FullReconfigure(p, dead, light)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fresh.Modules {
-		if fresh.Rect(i).Contains(dead[0]) {
-			t.Error("full reconfiguration covers the dead cell")
-		}
-	}
+	// Yield.
 	y, err := EstimateYield(p, 0.01, 40, 1, false, light)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +310,7 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mfFull, err := faultsim.Run(p, 60, 4, faultsim.MultiFaultTrial(p, 2, true, light))
+	mfFull, err := faultsim.Run(p, 60, 4, MultiFaultTrial(p, 2, true, light))
 	if err != nil {
 		t.Fatal(err)
 	}

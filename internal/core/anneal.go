@@ -104,14 +104,14 @@ func (o Options) innerIters(n int) (int, error) {
 // RunMoves anneals from temperature T0 with iters proposals per level
 // and returns the best placement seen with the run's Stats. It stops
 // once the controlling window has sat at its minimum span for
-// WindowPatience consecutive levels, or the temperature has dropped
-// below tMin. Each proposal is first priced by Bound; when lb ≥ 0 the
+// WindowPatience consecutive levels, the paper's stopping criterion
+// (or at maxLevels). Each proposal is first priced by Bound; when lb ≥ 0 the
 // uniform draw the Metropolis test needs anyway is taken at once, and
 // a draw that fails even the bound's threshold rejects the move
 // without Delta. Otherwise the move is priced exactly and decided as
 // plain Metropolis. Within a level each integral threshold exp(−x/T)
 // is computed once (expMemo).
-func (k *moveKernel) RunMoves(T0 float64, iters int, tMin float64, rng *rand.Rand) (*place.Placement, Stats) {
+func (k *moveKernel) RunMoves(T0 float64, iters int, rng *rand.Rand) (*place.Placement, Stats) {
 	best, bestCost := k.st.P.Clone(), k.cost
 	st := Stats{Evaluations: 1}
 	atMin := 0
@@ -162,7 +162,7 @@ func (k *moveKernel) RunMoves(T0 float64, iters int, tMin float64, rng *rand.Ran
 		} else {
 			atMin = 0
 		}
-		if atMin >= k.o.WindowPatience || T < tMin {
+		if atMin >= k.o.WindowPatience {
 			break
 		}
 	}

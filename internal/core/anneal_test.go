@@ -47,7 +47,7 @@ func TestNilSinksZeroAllocInnerLoop(t *testing.T) {
 		k := newMoveKernel(initialPlacement(prob), prob, Options{}.withDefaults(), 30, useFTI, false)
 		rng := rand.New(rand.NewSource(1))
 		allocs := func(iters int) float64 {
-			return testing.AllocsPerRun(5, func() { k.RunMoves(1, iters, 0, rng) })
+			return testing.AllocsPerRun(5, func() { k.RunMoves(1, iters, rng) })
 		}
 		if d := allocs(2000) - allocs(1000); d > 0 {
 			t.Errorf("useFTI %v: inner loop allocates: +%v allocs for +1000 iterations per level", useFTI, d)
@@ -61,7 +61,7 @@ func TestMaxLevelsSafetyNet(t *testing.T) {
 	prob := kernelTestProblem(rand.New(rand.NewSource(3)), 3)
 	o := Options{WindowPatience: 1 << 30}.withDefaults()
 	k := newMoveKernel(initialPlacement(prob), prob, o, 0, false, false)
-	if _, st := k.RunMoves(areaT0, 1, 0, rand.New(rand.NewSource(1))); st.Levels != maxLevels {
+	if _, st := k.RunMoves(areaT0, 1, rand.New(rand.NewSource(1))); st.Levels != maxLevels {
 		t.Errorf("levels = %d, want %d", st.Levels, maxLevels)
 	}
 }
@@ -72,10 +72,10 @@ func TestMaxLevelsSafetyNet(t *testing.T) {
 // cost.
 func TestRunMovesTracksBestNotCurrent(t *testing.T) {
 	prob := kernelTestProblem(rand.New(rand.NewSource(5)), 6)
-	o := Options{}.withDefaults()
+	o := oneLevel
 	k := newMoveKernel(initialPlacement(prob), prob, o, 0, false, false)
 	start := k.cost
-	best, st := k.RunMoves(1e9, 100, 5e8, rand.New(rand.NewSource(3)))
+	best, st := k.RunMoves(1e9, 800, rand.New(rand.NewSource(3)))
 	if got := scratchCost(best, prob, o, 0, false); got != st.FinalCost {
 		t.Errorf("best placement costs %v, Stats.FinalCost %v", got, st.FinalCost)
 	}
@@ -110,13 +110,17 @@ func TestScheduleValidate(t *testing.T) {
 	}
 }
 
+// oneLevel stops every run after its first level: with WindowT0 = +Inf
+// the controlling window sits at its minimum span from the start, and
+// a patience of one level ends the run there.
+var oneLevel = Options{WindowT0: math.Inf(1), WindowPatience: 1}.withDefaults()
+
 // TestHighTemperatureAcceptsEverything: one level at a huge
-// temperature accepts nearly every move, and a stop temperature of
-// +Inf ends the run after that level.
+// temperature accepts nearly every move.
 func TestHighTemperatureAcceptsEverything(t *testing.T) {
 	prob := kernelTestProblem(rand.New(rand.NewSource(7)), 6)
-	hot := newMoveKernel(initialPlacement(prob), prob, Options{}.withDefaults(), 0, false, false)
-	if _, st := hot.RunMoves(1e12, 500, math.Inf(1), rand.New(rand.NewSource(5))); st.Levels != 1 {
+	hot := newMoveKernel(initialPlacement(prob), prob, oneLevel, 0, false, false)
+	if _, st := hot.RunMoves(1e12, 500, rand.New(rand.NewSource(5))); st.Levels != 1 {
 		t.Fatalf("hot run: %d levels, want 1", st.Levels)
 	}
 	if r := float64(hot.counters.committed) / float64(hot.counters.proposed); r < 0.99 {
@@ -129,9 +133,9 @@ func TestHighTemperatureAcceptsEverything(t *testing.T) {
 // at the best.
 func TestLowTemperatureRejectsUphill(t *testing.T) {
 	prob := kernelTestProblem(rand.New(rand.NewSource(7)), 6)
-	cold := newMoveKernel(initialPlacement(prob), prob, Options{}.withDefaults(), 0, false, false)
+	cold := newMoveKernel(initialPlacement(prob), prob, oneLevel, 0, false, false)
 	start := cold.cost
-	_, st := cold.RunMoves(1e-6, 500, math.Inf(1), rand.New(rand.NewSource(5)))
+	_, st := cold.RunMoves(1e-6, 500, rand.New(rand.NewSource(5)))
 	if st.Levels != 1 {
 		t.Fatalf("cold run: %d levels, want 1", st.Levels)
 	}
@@ -165,7 +169,7 @@ func tracedRun(t *testing.T, useFTI bool) (st Stats, levels, bests []traceRecord
 	prob := kernelTestProblem(rand.New(rand.NewSource(9)), 6)
 	o := Options{Tracer: telemetry.New(&buf)}.withDefaults()
 	k := newMoveKernel(initialPlacement(prob), prob, o, 30, useFTI, false)
-	_, st = k.RunMoves(areaT0, 200, 0, rand.New(rand.NewSource(2)))
+	_, st = k.RunMoves(areaT0, 200, rand.New(rand.NewSource(2)))
 	for dec := json.NewDecoder(&buf); dec.More(); {
 		var rec traceRecord
 		if err := dec.Decode(&rec); err != nil {

@@ -341,8 +341,8 @@ func window(T, windowT0 float64, span int) int {
 // the transposed footprint must itself fit the core area, or clampPos
 // would push the module to a negative origin. Auto-sized problems
 // (NewProblem) always allow both orientations; fabricated-array
-// problems (FullReconfigure, the recovery ladder's defragmentation)
-// can be tighter than a module's transposed footprint.
+// problems (the recovery ladder's defragmentation) can be tighter
+// than a module's transposed footprint.
 func rotatable(m place.Module, prob Problem) bool {
 	if m.Size.IsSquare() {
 		return false
@@ -398,7 +398,7 @@ func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("core: %w", err)
 	}
 	k := newMoveKernel(initialPlacement(prob), prob, o, 0, false, false)
-	best, st := k.RunMoves(areaT0, iters, 0, rand.New(rand.NewSource(o.Seed)))
+	best, st := k.RunMoves(areaT0, iters, rand.New(rand.NewSource(o.Seed)))
 	k.flushMetrics(o.Metrics)
 
 	// Do not normalise when obstacles pin absolute coordinates.
@@ -412,27 +412,6 @@ func AnnealArea(prob Problem, opts Options) (*place.Placement, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("core: annealing could not clear %d obstacle cell(s)", hits)
 	}
 	return best, st, nil
-}
-
-// FullReconfigure is "full reconfiguration": re-placing the entire
-// module set from scratch around the accumulated dead cells, used when
-// on-line partial reconfiguration cannot absorb a fault. It keeps the
-// array bounds of the original placement (the chip is already
-// fabricated) and returns a fresh placement in which no module covers
-// any dead cell, or an error if annealing cannot find one.
-func FullReconfigure(old *place.Placement, dead []geom.Point, opts Options) (*place.Placement, error) {
-	bb := old.BoundingBox()
-	prob := Problem{
-		Modules:   old.Modules,
-		MaxW:      bb.MaxX(),
-		MaxH:      bb.MaxY(),
-		Obstacles: dead,
-	}
-	if err := prob.Validate(); err != nil {
-		return nil, err
-	}
-	p, _, err := AnnealArea(prob, opts)
-	return p, err
 }
 
 // FTOptions configures stage 2 of the enhanced placement algorithm.
@@ -497,7 +476,7 @@ func annealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft
 	// incremental per-module cache. The run also stops once T drops
 	// below α/1000 of its start.
 	k := newMoveKernel(start.Clone(), prob2, o, ft.Beta, true, true)
-	best, st := k.RunMoves(ltsaT0, iters, o.Alpha/1000*ltsaT0, rand.New(rand.NewSource(o.Seed+1)))
+	best, st := k.RunMoves(ltsaT0, iters, rand.New(rand.NewSource(o.Seed+1)))
 	k.flushMetrics(o.Metrics)
 
 	best.Normalize()

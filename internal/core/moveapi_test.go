@@ -35,44 +35,6 @@ func TestAnnealAreaObstaclePinnedNoNormalize(t *testing.T) {
 	}
 }
 
-// TestFullReconfigureDeterministic pins full reconfiguration under the
-// move API: identical inputs replay to identical placements.
-func TestFullReconfigureDeterministic(t *testing.T) {
-	mods := []place.Module{
-		mod(0, "A", 3, 3, 0, 6), mod(1, "B", 2, 4, 3, 10), mod(2, "C", 4, 2, 7, 13),
-	}
-	old := place.New(mods)
-	old.Pos[0] = geom.Point{X: 0, Y: 0}
-	old.Pos[1] = geom.Point{X: 3, Y: 0}
-	old.Pos[2] = geom.Point{X: 0, Y: 4}
-	dead := []geom.Point{{X: 1, Y: 1}}
-
-	p1, err := FullReconfigure(old, dead, lightOptions(9))
-	if err != nil {
-		t.Fatalf("FullReconfigure: %v", err)
-	}
-	p2, err := FullReconfigure(old, dead, lightOptions(9))
-	if err != nil {
-		t.Fatalf("FullReconfigure rerun: %v", err)
-	}
-	if p1.String() != p2.String() {
-		t.Fatalf("FullReconfigure not deterministic:\n%s\nvs\n%s", p1, p2)
-	}
-	for i := range p1.Modules {
-		for _, d := range dead {
-			if p1.Rect(i).Contains(d) {
-				t.Fatalf("module %s covers dead cell %v", p1.Modules[i].Name, d)
-			}
-		}
-	}
-	// The chip is already fabricated: the new placement stays within
-	// the old array bounds.
-	bb := old.BoundingBox()
-	if !p1.FitsIn(bb.MaxX(), bb.MaxY()) {
-		t.Fatalf("reconfigured placement exceeds the fabricated %dx%d array", bb.MaxX(), bb.MaxY())
-	}
-}
-
 // TestBetaSweepDeterministic pins the Table-2 sweep under the move
 // API: the shared stage-1 placement plus per-β LTSA replays exactly.
 func TestBetaSweepDeterministic(t *testing.T) {

@@ -1,7 +1,15 @@
 package defect
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"dmfb/internal/geom"
+	"dmfb/internal/place"
+	"dmfb/internal/reconfig"
+	"dmfb/internal/recovery"
 )
 
 // FuzzDefectMap fuzzes the textual defect-map parser: arbitrary text
@@ -50,4 +58,73 @@ func FuzzDefectMap(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReconfigureL1MatchesRecover is the differential check behind the
+// fault campaigns: on a random placement and fault sequence,
+// Reconfigure capped at L1 without a schedule accepts exactly the
+// faults that a loop of reconfig.Recover accepts, and both end on the
+// same placement.
+func FuzzReconfigureL1MatchesRecover(f *testing.F) {
+	f.Add(int64(1), uint8(3))
+	f.Add(int64(7), uint8(6))
+	f.Add(int64(-42), uint8(12))
+	f.Add(int64(987654321), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, kRaw uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		array := geom.Rect{W: 3 + rng.Intn(6), H: 3 + rng.Intn(6)}
+		p := randomPlacement(rng, array)
+		faults := make([]geom.Point, 0, int(kRaw%16)+1)
+		for len(faults) < cap(faults) && len(faults) < array.Cells() {
+			c := geom.Point{X: rng.Intn(array.W), Y: rng.Intn(array.H)}
+			if !slices.Contains(faults, c) {
+				faults = append(faults, c)
+			}
+		}
+
+		cur := p.Clone()
+		accepted := 0
+		for _, c := range faults {
+			if _, err := reconfig.Recover(cur, array, c, faults[:accepted]...); err != nil {
+				break
+			}
+			accepted++
+		}
+		rev := Reconfigure(nil, p, array, faults, ReconfigureOptions{MaxLevel: recovery.LevelRelocate})
+		if rev.Survivable != (accepted == len(faults)) || len(rev.Levels) != accepted {
+			t.Fatalf("Reconfigure absorbed %d of %d faults (survivable %v), Recover loop %d",
+				len(rev.Levels), len(faults), rev.Survivable, accepted)
+		}
+		if !slices.Equal(rev.Placement.Pos, cur.Pos) || !slices.Equal(rev.Placement.Rot, cur.Rot) {
+			t.Fatalf("placements differ after %d faults:\n%s\nvs\n%s", accepted, rev.Placement, cur)
+		}
+	})
+}
+
+// randomPlacement scatters up to six modules with random footprints
+// and spans over array, dropping any that finds no free spot.
+func randomPlacement(rng *rand.Rand, array geom.Rect) *place.Placement {
+	var mods []place.Module
+	var pos []geom.Point
+	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+		start := rng.Intn(8)
+		m := place.Module{ID: len(mods), Name: fmt.Sprintf("M%d", i),
+			Size: geom.Size{W: 1 + rng.Intn(3), H: 1 + rng.Intn(3)},
+			Span: geom.Interval{Start: start, End: start + 1 + rng.Intn(8)}}
+		if m.Size.W > array.W || m.Size.H > array.H {
+			continue
+		}
+		for try := 0; try < 20; try++ {
+			at := geom.Point{X: rng.Intn(array.W - m.Size.W + 1), Y: rng.Intn(array.H - m.Size.H + 1)}
+			q := place.New(append(mods, m))
+			copy(q.Pos, append(pos, at))
+			if q.Validate() == nil {
+				mods, pos = append(mods, m), append(pos, at)
+				break
+			}
+		}
+	}
+	p := place.New(mods)
+	copy(p.Pos, pos)
+	return p
 }

@@ -3,7 +3,6 @@ package defect
 import (
 	"dmfb/internal/core"
 	"dmfb/internal/geom"
-	"dmfb/internal/modlib"
 	"dmfb/internal/place"
 	"dmfb/internal/recovery"
 	"dmfb/internal/schedule"
@@ -14,17 +13,13 @@ type ReconfigureOptions struct {
 	// MaxLevel caps the recovery ladder rung the pass may climb. Zero
 	// means LevelDefragment; anything above is clamped to it, because
 	// L4 (abandoning operations) is re-synthesis territory — a die
-	// that needs it is not survivable as designed.
+	// that needs it is not survivable as designed. LevelRelocate is
+	// the paper's plain partial reconfiguration.
 	MaxLevel recovery.Level
 	// Anneal configures the L3 defragmentation anneal; set Seed from
-	// campaign.DeriveSeed inside campaign trials.
+	// campaign.DeriveSeed inside campaign trials. Every L3 of one pass
+	// runs with this seed.
 	Anneal core.Options
-	// StretchLimit caps the total makespan increase (schedule seconds)
-	// L2 downgrades may introduce. Zero means unlimited.
-	StretchLimit int
-	// Library is the device catalogue searched for L2 downgrades
-	// (modlib.Table1 when nil).
-	Library *modlib.Library
 }
 
 // Review is the verdict of the design-time pass on one defect map.
@@ -35,18 +30,12 @@ type Review struct {
 	Survivable bool
 	// Levels is the ladder rung that absorbed each defect, in input
 	// order (LevelNone for defects on cells no module uses). On a
-	// non-survivable die it stops at the defect that failed.
+	// non-survivable die it stops before the defect that failed.
 	Levels []recovery.Level
-	// Deepest is the deepest rung any defect forced.
-	Deepest recovery.Level
-	// StretchSec is the total makespan change from L2 downgrades.
-	StretchSec int
-	// Failed is the first unsurvivable defect (meaningful only when
-	// Survivable is false).
-	Failed geom.Point
 	// Placement and Sched are the reconfigured design: where each
 	// module ended up and the (possibly stretched) schedule. They
-	// equal the inputs when the map needed no reconfiguration.
+	// equal the inputs when the map needed no reconfiguration, and
+	// Sched stays nil when no schedule was given.
 	Placement *place.Placement
 	Sched     *schedule.Schedule
 }
@@ -64,24 +53,24 @@ type Review struct {
 //
 // Defects are processed in the given order; pass the canonical scan
 // order (what every Generator returns) for deterministic results. The
-// array must be anchored at the origin (the L3 anneal core area), as
-// every placement produced by the pipeline is.
+// array is the fabricated one and bounds every rung, however far the
+// reconfigured modules' bounding box shrinks; it must be anchored at
+// the origin (the L3 anneal core area), as every placement produced
+// by the pipeline is.
+//
+// The schedule may be nil when only the placement is known, as in the
+// fault campaigns: L2 is then skipped and L1 and L3 are the paper's
+// partial and full reconfiguration.
 func Reconfigure(s *schedule.Schedule, p *place.Placement, array geom.Rect,
 	defects []geom.Point, opts ReconfigureOptions) Review {
 	if opts.MaxLevel == recovery.LevelNone || opts.MaxLevel > recovery.LevelDefragment {
 		opts.MaxLevel = recovery.LevelDefragment
 	}
-	ladder := recovery.New(recovery.Options{
-		MaxLevel:     opts.MaxLevel,
-		Library:      opts.Library,
-		Anneal:       opts.Anneal,
-		StretchLimit: opts.StretchLimit,
-	})
-	rev := Review{Survivable: true, Placement: p, Sched: s}
-	var known []geom.Point
-	for _, d := range defects {
-		known = append(known, d)
-		if len(rev.Placement.ModulesAt(d)) == 0 {
+	ladder := recovery.New(recovery.Options{MaxLevel: opts.MaxLevel, Anneal: opts.Anneal})
+	rev := Review{Survivable: true, Placement: p, Sched: s,
+		Levels: make([]recovery.Level, 0, len(defects))}
+	for i, d := range defects {
+		if !used(rev.Placement, d) {
 			// A defect on a cell no module ever uses costs nothing now,
 			// but stays in the obstacle set for every later defect.
 			rev.Levels = append(rev.Levels, recovery.LevelNone)
@@ -93,20 +82,25 @@ func Reconfigure(s *schedule.Schedule, p *place.Placement, array geom.Rect,
 			Array:     array,
 			Now:       0,
 			Fault:     d,
-			Faults:    known,
+			Faults:    defects[:i+1],
 		})
 		if plan == nil {
 			rev.Survivable = false
-			rev.Failed = d
 			return rev
 		}
 		rev.Levels = append(rev.Levels, plan.Level)
-		if plan.Level > rev.Deepest {
-			rev.Deepest = plan.Level
-		}
-		rev.StretchSec += plan.StretchSec
 		rev.Placement = plan.Placement
 		rev.Sched = plan.Sched
 	}
 	return rev
+}
+
+// used reports whether any module of p ever occupies cell d.
+func used(p *place.Placement, d geom.Point) bool {
+	for i := range p.Modules {
+		if p.Rect(i).Contains(d) {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package defect
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"dmfb/internal/core"
@@ -36,7 +37,7 @@ func TestReconfigureEmptyMapSurvives(t *testing.T) {
 	if !rev.Survivable {
 		t.Fatal("defect-free die reported unsurvivable")
 	}
-	if len(rev.Levels) != 0 || rev.Deepest != recovery.LevelNone || rev.StretchSec != 0 {
+	if len(rev.Levels) != 0 {
 		t.Errorf("defect-free review carries work: %+v", rev)
 	}
 	if rev.Placement != p || rev.Sched != s {
@@ -90,8 +91,8 @@ func TestReconfigureModuleCellRelocates(t *testing.T) {
 	if !rev.Survivable {
 		t.Fatalf("single module-cell defect at %v unsurvivable", hit)
 	}
-	if rev.Deepest < recovery.LevelRelocate {
-		t.Errorf("deepest level %v, want at least relocate", rev.Deepest)
+	if len(rev.Levels) != 1 || rev.Levels[0] < recovery.LevelRelocate {
+		t.Errorf("levels %v, want one of at least relocate", rev.Levels)
 	}
 	// No module may still occupy the defective cell at the time any
 	// module uses it; the ladder guarantees this, spot-check it.
@@ -117,8 +118,8 @@ func TestReconfigureSaturatedDieFails(t *testing.T) {
 	if rev.Survivable {
 		t.Fatal("fully dead die reported survivable")
 	}
-	if !array.Contains(rev.Failed) {
-		t.Errorf("failed defect %v outside the array", rev.Failed)
+	if len(rev.Levels) >= len(all) {
+		t.Errorf("review absorbed %d of %d defects but failed", len(rev.Levels), len(all))
 	}
 }
 
@@ -128,7 +129,7 @@ func TestReconfigureDeterministic(t *testing.T) {
 	defects := []geom.Point{{X: 0, Y: 0}, {X: 2, Y: 1}, {X: 4, Y: 3}}
 	a := Reconfigure(s, p, array, defects, reconfOpts())
 	b := Reconfigure(s, p, array, defects, reconfOpts())
-	if a.Survivable != b.Survivable || a.Deepest != b.Deepest || a.StretchSec != b.StretchSec {
+	if a.Survivable != b.Survivable || !slices.Equal(a.Levels, b.Levels) {
 		t.Fatalf("reviews differ: %+v vs %+v", a, b)
 	}
 	ra, err := format.MarshalPlacement(a.Placement)

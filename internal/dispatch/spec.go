@@ -11,6 +11,7 @@ import (
 	"dmfb/internal/faultsim"
 	"dmfb/internal/fti"
 	"dmfb/internal/pipeline"
+	"dmfb/internal/recovery"
 	"dmfb/internal/sim"
 	"dmfb/internal/telemetry"
 )
@@ -55,7 +56,8 @@ type Spec struct {
 	// (defect.Reconfigure): a die survives when the full recovery
 	// ladder absorbs its whole defect map before the assay starts.
 	Ladder bool `json:"ladder,omitempty"`
-	// Full enables the full re-placement fallback (multi and yield).
+	// Full enables the full re-placement fallback (multi and yield):
+	// the recovery ladder's L3 after partial reconfiguration fails.
 	Full bool `json:"full,omitempty"`
 	// Recovery is the assay-mode fault response: l1 | ladder | off.
 	Recovery string `json:"recovery,omitempty"`
@@ -197,6 +199,12 @@ func (sp Spec) Fingerprint() string {
 		parts = append(parts, sp.DefectParams().FingerprintParts()...)
 		parts = append(parts, sp.Spares, sp.Ladder)
 	}
+	// Full re-placement runs as the recovery ladder's L3 inside the
+	// fabricated array, with one anneal seed per trial; checkpoints
+	// of the earlier bounding-box fallback must refuse to resume.
+	if sp.Full {
+		parts = append(parts, "ladder-l3")
+	}
 	return campaign.ConfigFingerprint(parts...)
 }
 
@@ -257,24 +265,30 @@ func (sp Spec) Build(ctx context.Context, opts BuildOptions) (*Built, error) {
 		ArrayH:       array.H,
 		Modules:      len(p.Modules),
 	}
-	// The heavy annealer options of the full-reconfiguration fallback,
-	// identical to dmfb-campaign's.
-	heavy := core.Options{Seed: 3, ItersPerModule: 40, WindowPatience: 2}
+	// Multi and yield trials walk the recovery ladder: partial
+	// reconfiguration only, up to full re-placement (L3) with Full,
+	// and with the schedule's downgrades too (L2) with Ladder. The L3
+	// anneal options are dmfb-campaign's.
+	maxLevel := recovery.LevelRelocate
+	if sp.Full || sp.Ladder {
+		maxLevel = recovery.LevelDefragment
+	}
+	heavy := core.Options{ItersPerModule: 40, WindowPatience: 2}
 	switch sp.Mode {
 	case "single":
 		b.Fn = faultsim.SingleFaultTrial(p)
 	case "multi":
-		b.Fn = faultsim.MultiFaultTrial(p, sp.K, sp.Full, heavy)
+		b.Fn = faultsim.MultiFaultTrial(p, sp.K, maxLevel, heavy)
 	case "yield":
 		gen, err := sp.DefectParams().Generator()
 		if err != nil {
 			return nil, err
 		}
-		if sp.Ladder {
-			b.Fn = faultsim.LadderYieldTrial(res.Schedule, p, gen, heavy)
-		} else {
-			b.Fn = faultsim.DefectYieldTrial(p, gen, sp.Full, heavy)
+		sched := res.Schedule
+		if !sp.Ladder {
+			sched = nil
 		}
+		b.Fn = faultsim.DefectYieldTrial(sched, p, gen, maxLevel, heavy)
 	case "exhaustive":
 		b.Fn = faultsim.ExhaustiveTrial(p)
 		b.Trials = array.Cells()

@@ -62,13 +62,21 @@ func TestSpecValidateDefectExtensions(t *testing.T) {
 
 // TestSpecFingerprintLegacyStability pins the fingerprint of a plain
 // uniform yield spec to the pre-defect-model formula: recorded
-// checkpoints from before the generalization must still resume.
+// checkpoints from before the generalization must still resume. A
+// Full spec must not: its trials now re-place inside the fabricated
+// array (the ladder's L3), so its old checkpoints refuse to resume.
 func TestSpecFingerprintLegacyStability(t *testing.T) {
-	sp := Spec{Mode: "yield", Trials: 512, Q: 0.05, Full: true}.Normalized()
+	sp := Spec{Mode: "yield", Trials: 512, Q: 0.05}.Normalized()
 	legacy := campaign.ConfigFingerprint("dmfb-campaign",
 		sp.Mode, sp.K, sp.Q, sp.Full, sp.Recovery, sp.Transient, sp.PlaceSeed)
 	if got := sp.Fingerprint(); got != legacy {
 		t.Errorf("uniform yield fingerprint %s drifted from legacy %s", got, legacy)
+	}
+	sp.Full = true
+	legacyFull := campaign.ConfigFingerprint("dmfb-campaign",
+		sp.Mode, sp.K, sp.Q, sp.Full, sp.Recovery, sp.Transient, sp.PlaceSeed)
+	if got := sp.Fingerprint(); got == legacyFull {
+		t.Errorf("full yield fingerprint %s still equals the bounding-box fallback's", got)
 	}
 	// Same for the other modes, which never carry defect extensions.
 	for _, mode := range []string{"single", "multi", "assay", "exhaustive"} {

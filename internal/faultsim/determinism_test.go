@@ -10,6 +10,7 @@ import (
 
 	"dmfb/internal/campaign"
 	"dmfb/internal/core"
+	"dmfb/internal/recovery"
 )
 
 // The determinism contract of the campaign engine, exercised on a real
@@ -29,7 +30,7 @@ func runMulti512(t *testing.T, cfg campaign.Config, fn campaign.TrialFunc) campa
 
 func TestDeterminism512AcrossWorkerCounts(t *testing.T) {
 	p := tightPlacement(t)
-	fn := MultiFaultTrial(p, 3, false, core.Options{})
+	fn := MultiFaultTrial(p, 3, recovery.LevelRelocate, core.Options{})
 	base := campaign.Config{Name: "det512", Trials: 512, Seed: 1}
 
 	var jsons []string
@@ -60,7 +61,7 @@ func TestDeterminism512AcrossWorkerCounts(t *testing.T) {
 
 func TestDeterminismKillAndResumeMatchesUninterrupted(t *testing.T) {
 	p := tightPlacement(t)
-	fn := MultiFaultTrial(p, 3, false, core.Options{})
+	fn := MultiFaultTrial(p, 3, recovery.LevelRelocate, core.Options{})
 
 	uninterrupted := runMulti512(t, campaign.Config{Name: "det512", Trials: 512, Seed: 1}, fn)
 

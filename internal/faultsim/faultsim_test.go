@@ -10,6 +10,7 @@ import (
 	"dmfb/internal/geom"
 	"dmfb/internal/pcr"
 	"dmfb/internal/place"
+	"dmfb/internal/recovery"
 )
 
 func mod(id int, w, h, s, e int) place.Module {
@@ -89,7 +90,7 @@ func TestMultiFaultDegradesMonotonically(t *testing.T) {
 	p := spaced()
 	prev := 1.1
 	for _, k := range []int{1, 3, 6} {
-		s := mustRun(t, p, 400, 3, MultiFaultTrial(p, k, false, core.Options{}))
+		s := mustRun(t, p, 400, 3, MultiFaultTrial(p, k, recovery.LevelRelocate, core.Options{}))
 		rate := s.SurvivalRate()
 		if rate > prev+0.05 { // sampling tolerance
 			t.Errorf("survival increased with more faults: k=%d rate=%.3f prev=%.3f", k, rate, prev)
@@ -97,7 +98,7 @@ func TestMultiFaultDegradesMonotonically(t *testing.T) {
 		prev = rate
 	}
 	// Absurd k: zero trials survive (cannot even place k faults).
-	s := mustRun(t, p, 10, 1, MultiFaultTrial(p, 10000, false, core.Options{}))
+	s := mustRun(t, p, 10, 1, MultiFaultTrial(p, 10000, recovery.LevelRelocate, core.Options{}))
 	if s.Survived != 0 {
 		t.Error("k > cells should survive nothing")
 	}
@@ -105,7 +106,7 @@ func TestMultiFaultDegradesMonotonically(t *testing.T) {
 
 func TestMultiFaultSingleEqualsMonteCarloSingle(t *testing.T) {
 	p := spaced()
-	mf := mustRun(t, p, 3000, 11, MultiFaultTrial(p, 1, false, core.Options{}))
+	mf := mustRun(t, p, 3000, 11, MultiFaultTrial(p, 1, recovery.LevelRelocate, core.Options{}))
 	if math.Abs(mf.SurvivalRate()-mf.PredictedFTI) > 0.05 {
 		t.Errorf("MultiFaultTrial(k=1) survival %.4f far from FTI %.4f", mf.SurvivalRate(), mf.PredictedFTI)
 	}

@@ -1,10 +1,15 @@
 package faultsim
 
 import (
+	"fmt"
 	"testing"
+
+	"dmfb/internal/defect"
+	"dmfb/internal/geom"
 
 	"dmfb/internal/core"
 	"dmfb/internal/pcr"
+	"dmfb/internal/recovery"
 )
 
 func lightOpts(seed int64) core.Options {
@@ -22,8 +27,8 @@ func TestFullReconfigurationBeatsPartial(t *testing.T) {
 	}
 	p := res.Final
 	const k, trials = 2, 40
-	partial := mustRun(t, p, trials, 5, MultiFaultTrial(p, k, false, core.Options{}))
-	full := mustRun(t, p, trials, 5, MultiFaultTrial(p, k, true, lightOpts(1)))
+	partial := mustRun(t, p, trials, 5, MultiFaultTrial(p, k, recovery.LevelRelocate, core.Options{}))
+	full := mustRun(t, p, trials, 5, MultiFaultTrial(p, k, recovery.LevelDefragment, lightOpts(1)))
 	if full.Survived < partial.Survived {
 		t.Errorf("full fallback survived %d < partial-only %d", full.Survived, partial.Survived)
 	}
@@ -45,8 +50,8 @@ func TestFullFallbackOnMinimalPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	const trials = 30
-	partial := mustRun(t, p, trials, 7, MultiFaultTrial(p, 1, false, core.Options{}))
-	full := mustRun(t, p, trials, 7, MultiFaultTrial(p, 1, true, lightOpts(2)))
+	partial := mustRun(t, p, trials, 7, MultiFaultTrial(p, 1, recovery.LevelRelocate, core.Options{}))
+	full := mustRun(t, p, trials, 7, MultiFaultTrial(p, 1, recovery.LevelDefragment, lightOpts(2)))
 	if full.SurvivalRate() < partial.SurvivalRate() {
 		t.Errorf("full fallback (%.3f) below partial-only (%.3f)",
 			full.SurvivalRate(), partial.SurvivalRate())
@@ -55,5 +60,38 @@ func TestFullFallbackOnMinimalPlacement(t *testing.T) {
 	// some otherwise-fatal faults.
 	if full.Survived == partial.Survived {
 		t.Logf("note: full fallback rescued no extra faults in %d trials", trials)
+	}
+}
+
+// TestFullReconfigurationUsesFabricatedArray: full re-placement (the
+// ladder's L3) is bounded by the fabricated array, not by the bounding
+// box of the modules it starts from. On the tight fixture the 1x1
+// module that sets the 6x4 box has moved to (4,0), so the modules now
+// span only 5x4. A defect on the unused cell (4,2) and a fault at
+// (1,1) leave no 2x2 site for relocation, and no way to pack the
+// module set into the 5x4 box: only the sixth column of the chip
+// makes the die survive.
+func TestFullReconfigurationUsesFabricatedArray(t *testing.T) {
+	p := tightPlacement(t)
+	array := p.BoundingBox()
+	p.Pos[4] = geom.Point{X: 4, Y: 0}
+	if bb := p.BoundingBox(); bb.W != 5 || array.W != 6 {
+		t.Fatalf("fixture: box %v inside array %v, want 5 of 6 columns", bb, array)
+	}
+	defects := []geom.Point{{X: 4, Y: 2}, {X: 1, Y: 1}}
+	opts := defect.ReconfigureOptions{Anneal: core.Options{Seed: 1, ItersPerModule: 40, WindowPatience: 2}}
+	rev := defect.Reconfigure(nil, p, array, defects, opts)
+	if !rev.Survivable {
+		t.Fatalf("die with defects %v not survivable inside the fabricated %v", defects, array)
+	}
+	want := []recovery.Level{recovery.LevelNone, recovery.LevelDefragment}
+	if fmt.Sprint(rev.Levels) != fmt.Sprint(want) {
+		t.Fatalf("levels %v, want %v", rev.Levels, want)
+	}
+	if bb := rev.Placement.BoundingBox(); bb.MaxX() != array.MaxX() {
+		t.Errorf("re-placement spans %v; it needs the column outside the old box", bb)
+	}
+	if shrunk := defect.Reconfigure(nil, p, p.BoundingBox(), defects, opts); shrunk.Survivable {
+		t.Errorf("die survived inside the shrunk box %v, so the fixture proves nothing", p.BoundingBox())
 	}
 }

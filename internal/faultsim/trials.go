@@ -10,6 +10,7 @@ import (
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
 	"dmfb/internal/reconfig"
+	"dmfb/internal/recovery"
 	"dmfb/internal/schedule"
 	"dmfb/internal/sim"
 )
@@ -58,36 +59,31 @@ func planOutcome(p *place.Placement, array geom.Rect, cell geom.Point) campaign.
 }
 
 // MultiFaultTrial returns the trial function of the sequential k-fault
-// campaign on p: k distinct faults injected one at a time, partial
-// reconfiguration after each, with full re-placement as a fallback
-// when withFull is set. Value is the number of faults absorbed before
-// the first unrecoverable one (k when the trial survives).
-func MultiFaultTrial(p *place.Placement, k int, withFull bool, opts core.Options) campaign.TrialFunc {
+// campaign on p: k distinct faults injected one at a time and walked
+// through the recovery ladder capped at maxLevel (see walk). Value is
+// the number of faults absorbed before the first unrecoverable one (k
+// when the trial survives).
+func MultiFaultTrial(p *place.Placement, k int, maxLevel recovery.Level, anneal core.Options) campaign.TrialFunc {
 	array := p.BoundingBox()
 	return func(ctx context.Context, t campaign.Trial) campaign.Outcome {
 		if k > array.Cells() {
 			return campaign.Outcome{}
 		}
-		cur := p.Clone()
-		var dead []geom.Point
-		for j := 0; j < k; j++ {
-			if err := ctx.Err(); err != nil {
-				return campaign.Outcome{Err: err}
-			}
+		if err := ctx.Err(); err != nil {
+			return campaign.Outcome{Err: err}
+		}
+		faults := make([]geom.Point, 0, k)
+		for len(faults) < k {
 			cell := geom.Point{
 				X: array.X + t.RNG.Intn(array.W),
 				Y: array.Y + t.RNG.Intn(array.H),
 			}
-			if containsPoint(dead, cell) {
-				j--
-				continue
+			if !containsPoint(faults, cell) {
+				faults = append(faults, cell)
 			}
-			if cur = absorb(cur, array, dead, cell, withFull, opts, t.Seed); cur == nil {
-				return campaign.Outcome{Value: float64(len(dead))}
-			}
-			dead = append(dead, cell)
 		}
-		return campaign.Outcome{Survived: true, Value: float64(k)}
+		rev := walk(t, nil, p, array, faults, maxLevel, anneal)
+		return campaign.Outcome{Survived: rev.Survivable, Value: float64(len(rev.Levels))}
 	}
 }
 
@@ -95,69 +91,33 @@ func MultiFaultTrial(p *place.Placement, k int, withFull bool, opts core.Options
 // campaign on p: each trial draws one die's defect map from gen on the
 // trial's private RNG stream (defect.Uniform{Prob: q} fails every
 // cell independently with probability q) and the chip is usable if
-// the configuration absorbs all its defects one at a time by partial
-// reconfiguration, with full re-placement as a fallback when withFull
-// is set. Value is the number of defects on the die.
-func DefectYieldTrial(p *place.Placement, gen defect.Generator, withFull bool, opts core.Options) campaign.TrialFunc {
-	array := p.BoundingBox()
-	return func(ctx context.Context, t campaign.Trial) campaign.Outcome {
-		defects := gen.Generate(array, t.RNG)
-		n := float64(len(defects))
-		cur := p.Clone()
-		var dead []geom.Point
-		for _, cell := range defects {
-			if err := ctx.Err(); err != nil {
-				return campaign.Outcome{Err: err}
-			}
-			if cur = absorb(cur, array, dead, cell, withFull, opts, t.Seed); cur == nil {
-				return campaign.Outcome{Value: n}
-			}
-			dead = append(dead, cell)
-		}
-		return campaign.Outcome{Survived: true, Value: n}
-	}
-}
-
-// absorb injects one more fault at cell into cur, whose earlier
-// faults are dead: partial reconfiguration first, and when that fails
-// and withFull is set, full re-placement seeded from the trial seed
-// and the number of faults already absorbed. It returns the
-// configuration to continue from, or nil when the fault is fatal.
-func absorb(cur *place.Placement, array geom.Rect, dead []geom.Point, cell geom.Point,
-	withFull bool, opts core.Options, seed int64) *place.Placement {
-	if _, err := reconfig.Recover(cur, array, cell, dead...); err == nil {
-		return cur
-	}
-	if !withFull {
-		return nil
-	}
-	opts.Seed = campaign.DeriveSeed(seed, uint64(len(dead)))
-	full, err := core.FullReconfigure(cur, append(append([]geom.Point(nil), dead...), cell), opts)
-	if err != nil {
-		return nil
-	}
-	return full
-}
-
-// LadderYieldTrial returns the trial function of the design-time
-// local-reconfiguration yield campaign: each trial draws one die's
-// defect map from gen and asks defect.Reconfigure whether the full
-// recovery ladder (L1 relocate, L2 downgrade, L3 defragment) absorbs
-// every defect before the assay starts. Survived means the die runs
-// the schedule as designed, possibly stretched; Value is the number
-// of defects on the die.
-func LadderYieldTrial(s *schedule.Schedule, p *place.Placement, gen defect.Generator, anneal core.Options) campaign.TrialFunc {
+// the recovery ladder, capped at maxLevel, absorbs all its defects one
+// at a time (see walk). With a schedule s the ladder may also
+// downgrade modules (L2): the design-time local reconfiguration of
+// defect.Reconfigure. Value is the number of defects on the die.
+func DefectYieldTrial(s *schedule.Schedule, p *place.Placement, gen defect.Generator,
+	maxLevel recovery.Level, anneal core.Options) campaign.TrialFunc {
 	array := p.BoundingBox()
 	return func(ctx context.Context, t campaign.Trial) campaign.Outcome {
 		if err := ctx.Err(); err != nil {
 			return campaign.Outcome{Err: err}
 		}
 		defects := gen.Generate(array, t.RNG)
-		o := anneal
-		o.Seed = campaign.DeriveSeed(t.Seed, 0)
-		rev := defect.Reconfigure(s, p, array, defects, defect.ReconfigureOptions{Anneal: o})
+		rev := walk(t, s, p, array, defects, maxLevel, anneal)
 		return campaign.Outcome{Survived: rev.Survivable, Value: float64(len(defects))}
 	}
+}
+
+// walk absorbs faults into p in order with defect.Reconfigure, which
+// climbs the recovery ladder from L1 (partial reconfiguration) to
+// maxLevel (zero means L3) for each one, inside the fabricated array.
+// Every L3 re-placement of the trial anneals with anneal and the seed
+// campaign.DeriveSeed(t.Seed, 0).
+func walk(t campaign.Trial, s *schedule.Schedule, p *place.Placement, array geom.Rect,
+	faults []geom.Point, maxLevel recovery.Level, anneal core.Options) defect.Review {
+	anneal.Seed = campaign.DeriveSeed(t.Seed, 0)
+	return defect.Reconfigure(s, p, array, faults,
+		defect.ReconfigureOptions{MaxLevel: maxLevel, Anneal: anneal})
 }
 
 // AssayTrial returns the trial function of the end-to-end assay

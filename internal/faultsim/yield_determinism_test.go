@@ -12,6 +12,7 @@ import (
 	"dmfb/internal/core"
 	"dmfb/internal/defect"
 	"dmfb/internal/pcr"
+	"dmfb/internal/recovery"
 )
 
 // The determinism contract extended to defect-map yield campaigns: a
@@ -24,7 +25,7 @@ func clusteredGen() defect.Generator {
 
 func TestYieldDeterminism512AcrossWorkerCounts(t *testing.T) {
 	p := tightPlacement(t)
-	fn := DefectYieldTrial(p, clusteredGen(), false, core.Options{})
+	fn := DefectYieldTrial(nil, p, clusteredGen(), recovery.LevelRelocate, core.Options{})
 	base := campaign.Config{Name: "yield512", Trials: 512, Seed: 1}
 
 	var jsons []string
@@ -58,7 +59,7 @@ func TestYieldDeterminism512AcrossWorkerCounts(t *testing.T) {
 
 func TestYieldDeterminismKillAndResume(t *testing.T) {
 	p := tightPlacement(t)
-	fn := DefectYieldTrial(p, clusteredGen(), false, core.Options{})
+	fn := DefectYieldTrial(nil, p, clusteredGen(), recovery.LevelRelocate, core.Options{})
 
 	uninterrupted, err := campaign.Run(context.Background(),
 		campaign.Config{Name: "yield512", Trials: 512, Seed: 1}, fn)
@@ -103,7 +104,7 @@ func TestYieldDeterminismKillAndResume(t *testing.T) {
 func TestLadderYieldDeterministicAcrossWorkers(t *testing.T) {
 	sched := pcr.MustSchedule()
 	p := pcrAreaPlacement(t)
-	fn := LadderYieldTrial(sched, p, clusteredGen(), core.Options{Seed: 3, ItersPerModule: 40, WindowPatience: 2})
+	fn := DefectYieldTrial(sched, p, clusteredGen(), recovery.LevelDefragment, core.Options{Seed: 3, ItersPerModule: 40, WindowPatience: 2})
 	var jsons []string
 	for _, w := range []int{1, 4} {
 		rep, err := campaign.Run(context.Background(),
@@ -132,7 +133,7 @@ func TestFileModelYieldIsTrialIndependent(t *testing.T) {
 	}
 	rep, err := campaign.Run(context.Background(),
 		campaign.Config{Name: "yield-file", Trials: 64, Seed: 2},
-		DefectYieldTrial(p, f, false, core.Options{}))
+		DefectYieldTrial(nil, p, f, recovery.LevelRelocate, core.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,9 +125,10 @@ func PlanModuleSized(p *place.Placement, array geom.Rect, mi int, size geom.Size
 		}
 	}
 	if !ok {
+		// Formatted from ints, which box without allocating.
 		return Relocation{}, fmt.Errorf(
-			"reconfig: module %s (%v) cannot be relocated for fault at %v: no accommodating empty rectangle",
-			m.Name, size, fault)
+			"reconfig: module %s (%dx%d) cannot be relocated for fault at (%d,%d): no accommodating empty rectangle",
+			m.Name, size.W, size.H, fault.X, fault.Y)
 	}
 	return Relocation{
 		Module: mi,
@@ -142,29 +143,38 @@ func PlanModuleSized(p *place.Placement, array geom.Rect, mi int, size geom.Size
 // error (leaving p modified only on success) if the relocations
 // conflict with the placement.
 func Apply(p *place.Placement, rels []Relocation) error {
-	next := p.Clone()
-	for _, r := range rels {
-		if r.Module < 0 || r.Module >= len(next.Modules) {
-			return fmt.Errorf("reconfig: relocation references unknown module %d", r.Module)
-		}
-		m := next.Modules[r.Module]
-		sz := r.To.Size()
-		switch {
-		case sz == m.Size:
-			next.Rot[r.Module] = false
-		case sz == m.Size.Transpose():
-			next.Rot[r.Module] = true
-		default:
-			return fmt.Errorf("reconfig: site %v does not match module %s footprint %v",
-				r.To, m.Name, m.Size)
-		}
-		next.Pos[r.Module] = r.To.Origin()
+	// Moves are made in place and undone on failure; the undo log of
+	// the usual one or two relocations lives on the stack.
+	type undo struct {
+		mi  int
+		pos geom.Point
+		rot bool
 	}
-	if err := next.Validate(); err != nil {
-		return fmt.Errorf("reconfig: relocations produce overlap: %w", err)
+	var buf [4]undo
+	log := buf[:0]
+	err := func() error {
+		for _, r := range rels {
+			if r.Module < 0 || r.Module >= len(p.Modules) {
+				return fmt.Errorf("reconfig: relocation references unknown module %d", r.Module)
+			}
+			m := p.Modules[r.Module]
+			log = append(log, undo{r.Module, p.Pos[r.Module], p.Rot[r.Module]})
+			if sz := r.To.Size(); sz != m.Size && sz != m.Size.Transpose() {
+				return fmt.Errorf("reconfig: site %v does not match module %s footprint %v", r.To, m.Name, m.Size)
+			}
+			p.Pos[r.Module], p.Rot[r.Module] = r.To.Origin(), r.To.Size() != m.Size
+		}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("reconfig: relocations produce overlap: %w", err)
+		}
+		return nil
+	}()
+	if err != nil {
+		for i := len(log) - 1; i >= 0; i-- {
+			p.Pos[log[i].mi], p.Rot[log[i].mi] = log[i].pos, log[i].rot
+		}
+		return err
 	}
-	copy(p.Pos, next.Pos)
-	copy(p.Rot, next.Rot)
 	if reg := instr.Load(); reg != nil {
 		reg.Counter("reconfig.applies").Add(int64(len(rels)))
 	}

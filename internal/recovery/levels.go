@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -15,17 +16,20 @@ import (
 // tryRelocate is L1: plain partial reconfiguration. Every affected
 // module is relocated in module-index order, each plan seeing the
 // previous applications, exactly reproducing the paper's on-line
-// recovery — a fault the FTI marks uncovered fails here.
+// recovery — a fault the FTI marks uncovered fails here. Every known
+// fault, the new one included, is an obstacle for the new sites.
 func (l *Ladder) tryRelocate(st State) (*Plan, error) {
 	pl := st.Placement.Clone()
-	obstacles := otherFaults(st)
 	ops := moduleOps(st.Sched)
 	var rels []reconfig.Relocation
-	for _, mi := range affectedModules(st) {
-		name := st.Sched.Graph.Op(ops[mi]).Name
-		r, err := reconfig.PlanModule(pl, st.Array, mi, st.Fault, obstacles...)
+	for mi := range pl.Modules {
+		if !affected(st, ops, mi) {
+			continue
+		}
+		name := pl.Modules[mi].Name
+		r, err := reconfig.PlanModule(pl, st.Array, mi, st.Fault, st.Faults...)
 		if err != nil {
-			return nil, fmt.Errorf("partial reconfiguration failed for %s: %v", name, err)
+			return nil, errors.New("partial reconfiguration failed for " + name + ": " + err.Error())
 		}
 		if err := reconfig.Apply(pl, []reconfig.Relocation{r}); err != nil {
 			return nil, fmt.Errorf("applying relocation of %s: %v", name, err)
@@ -43,25 +47,31 @@ func (l *Ladder) tryRelocate(st State) (*Plan, error) {
 func (l *Ladder) tryDowngrade(st State) (*Plan, error) {
 	sched := st.Sched
 	pl := st.Placement.Clone()
-	obstacles := otherFaults(st)
+	lib := l.opts.Library
+	if lib == nil {
+		lib = modlib.Table1()
+	}
 	var rels []reconfig.Relocation
 	var downs []Downgrade
 	totalStretch := 0
-	for _, mi := range affectedModules(st) {
+	ops := moduleOps(sched)
+	for mi := range pl.Modules {
+		if !affected(st, ops, mi) {
+			continue
+		}
 		// The catalogue footprint first: downgrading is a last resort.
-		if r, err := reconfig.PlanModule(pl, st.Array, mi, st.Fault, obstacles...); err == nil {
+		if r, err := reconfig.PlanModule(pl, st.Array, mi, st.Fault, st.Faults...); err == nil {
 			if err := reconfig.Apply(pl, []reconfig.Relocation{r}); err == nil {
 				rels = append(rels, r)
 				continue
 			}
 		}
-		ops := moduleOps(sched)
 		opID := ops[mi]
 		name := sched.Graph.Op(opID).Name
 		cur := sched.Items[opID].Device
 		placed := false
-		for _, cand := range downgradeCandidates(l.opts.Library, cur) {
-			r, err := reconfig.PlanModuleSized(pl, st.Array, mi, cand.Size, st.Fault, obstacles...)
+		for _, cand := range downgradeCandidates(lib, cur) {
+			r, err := reconfig.PlanModuleSized(pl, st.Array, mi, cand.Size, st.Fault, st.Faults...)
 			if err != nil {
 				continue
 			}
@@ -145,7 +155,6 @@ func (l *Ladder) tryDefragment(st State) (*Plan, error) {
 // unfinished operation is abandoned.
 func (l *Ladder) tryDegrade(st State) (*Plan, error) {
 	pl := st.Placement.Clone()
-	obstacles := otherFaults(st)
 	ops := moduleOps(st.Sched)
 	abandoned := make(map[int]bool, len(st.Abandoned))
 	for id, v := range st.Abandoned {
@@ -155,11 +164,11 @@ func (l *Ladder) tryDegrade(st State) (*Plan, error) {
 	}
 	var rels []reconfig.Relocation
 	var newAbandon []int
-	for _, mi := range affectedModules(st) {
-		if abandoned[ops[mi]] {
+	for mi := range pl.Modules {
+		if !affected(st, ops, mi) || abandoned[ops[mi]] {
 			continue
 		}
-		if r, err := reconfig.PlanModule(pl, st.Array, mi, st.Fault, obstacles...); err == nil {
+		if r, err := reconfig.PlanModule(pl, st.Array, mi, st.Fault, st.Faults...); err == nil {
 			if err := reconfig.Apply(pl, []reconfig.Relocation{r}); err == nil {
 				rels = append(rels, r)
 				continue

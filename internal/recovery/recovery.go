@@ -94,7 +94,7 @@ type Options struct {
 	// paper's plain partial reconfiguration.
 	MaxLevel Level
 	// Library is the device catalogue searched for L2 downgrades.
-	// Nil means modlib.Table1.
+	// Nil means modlib.Table1, built only when L2 runs.
 	Library *modlib.Library
 	// Anneal configures the L3 defragmentation anneal. The zero value
 	// takes the package defaults (a short, seeded run); set Seed to
@@ -119,9 +119,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxLevel == LevelNone {
 		o.MaxLevel = LevelDegrade
 	}
-	if o.Library == nil {
-		o.Library = modlib.Table1()
-	}
 	if o.Anneal.ItersPerModule == 0 {
 		o.Anneal.ItersPerModule = 60
 	}
@@ -134,10 +131,13 @@ func (o Options) withDefaults() Options {
 // State is the world as seen at fault-detection time, in placement
 // coordinates. The ladder never mutates it.
 type State struct {
-	// Sched is the schedule being executed.
+	// Sched is the schedule being executed. It may be nil when only
+	// the placement is known (fault campaigns without an assay); the
+	// ladder then skips the rungs that rewrite the schedule, L2 and
+	// L4, so it can fail at any cap.
 	Sched *schedule.Schedule
 	// Placement is the current placement, one module per bound
-	// schedule item in op-ID order.
+	// schedule item in op-ID order (module names are the op names).
 	Placement *place.Placement
 	// Array is the fabricated array the modules must stay inside.
 	// Its origin must be (0,0) for L3 (the anneal core area).
@@ -149,7 +149,8 @@ type State struct {
 	// Faults is every known permanent fault including Fault; all of
 	// them are obstacles for any new module site.
 	Faults []geom.Point
-	// Abandoned holds op IDs already abandoned by earlier L4 plans.
+	// Abandoned holds op IDs already abandoned by earlier L4 plans
+	// (always empty without a schedule).
 	Abandoned map[int]bool
 }
 
@@ -233,33 +234,52 @@ func (l *Ladder) MaxLevel() Level { return l.opts.MaxLevel }
 // Recover runs the ladder for the given state. It returns the first
 // valid plan found, climbing L1 → MaxLevel, together with the audit
 // report. A nil plan means every permitted rung failed — possible
-// only when MaxLevel < LevelDegrade, since L4 cannot fail.
+// only when MaxLevel < LevelDegrade or the state has no schedule,
+// since L4 cannot fail.
 func (l *Ladder) Recover(st State) (*Plan, Report) {
 	span := l.opts.Telemetry.StartChild("recovery.ladder", l.opts.Span)
-	l.opts.Metrics.Counter("recovery.invocations").Inc()
 	start := time.Now()
 	var rep Report
 	var plan *Plan
 	for lv := LevelRelocate; lv <= l.opts.MaxLevel; lv++ {
+		if st.Sched == nil && (lv == LevelDowngrade || lv == LevelDegrade) {
+			continue
+		}
 		p, err := l.attempt(lv, st)
 		if err != nil {
 			rep.Attempts = append(rep.Attempts, Attempt{Level: lv, Err: err.Error()})
-			l.opts.Metrics.Counter("recovery." + lv.String() + "_failures").Inc()
 			continue
 		}
 		rep.Attempts = append(rep.Attempts, Attempt{Level: lv})
-		l.opts.Metrics.Counter("recovery." + lv.String() + "_successes").Inc()
 		plan = p
 		break
+	}
+	if l.opts.Telemetry != nil || l.opts.Metrics != nil {
+		l.observe(span, st, plan, rep, start)
+	}
+	return plan, rep
+}
+
+// observe emits one invocation's recovery.* metrics and its
+// "recovery.ladder" span.
+func (l *Ladder) observe(span telemetry.Span, st State, plan *Plan, rep Report, start time.Time) {
+	m := l.opts.Metrics
+	m.Counter("recovery.invocations").Inc()
+	for _, a := range rep.Attempts {
+		if a.Err != "" {
+			m.Counter("recovery." + a.Level.String() + "_failures").Inc()
+		} else {
+			m.Counter("recovery." + a.Level.String() + "_successes").Inc()
+		}
 	}
 	level := LevelNone
 	if plan != nil {
 		level = plan.Level
 		if len(plan.Abandon) > 0 {
-			l.opts.Metrics.Counter("recovery.abandoned_ops").Add(int64(len(plan.Abandon)))
+			m.Counter("recovery.abandoned_ops").Add(int64(len(plan.Abandon)))
 		}
 	}
-	l.opts.Metrics.Histogram("recovery.ladder_ms", telemetry.LatencyBuckets...).
+	m.Histogram("recovery.ladder_ms", telemetry.LatencyBuckets...).
 		Observe(float64(time.Since(start).Microseconds()) / 1000)
 	span.End(telemetry.Fields{
 		"level":    level.String(),
@@ -267,7 +287,6 @@ func (l *Ladder) Recover(st State) (*Plan, Report) {
 		"fault":    st.Fault.String(),
 		"t_sec":    st.Now,
 	})
-	return plan, rep
 }
 
 func (l *Ladder) attempt(lv Level, st State) (*Plan, error) {
@@ -285,8 +304,12 @@ func (l *Ladder) attempt(lv Level, st State) (*Plan, error) {
 }
 
 // moduleOps returns the op ID of each placement module, in module
-// index order (bound schedule items in op-ID order).
+// index order (bound schedule items in op-ID order); nil without a
+// schedule.
 func moduleOps(s *schedule.Schedule) []int {
+	if s == nil {
+		return nil
+	}
 	var out []int
 	for i := range s.Items {
 		if s.Items[i].Bound {
@@ -296,34 +319,13 @@ func moduleOps(s *schedule.Schedule) []int {
 	return out
 }
 
-// affectedModules returns the indices of modules whose current site
-// contains the fault and whose operation is unfinished and not
-// abandoned — exactly the set partial reconfiguration must move.
-func affectedModules(st State) []int {
-	ops := moduleOps(st.Sched)
-	var out []int
-	for i := range st.Placement.Modules {
-		if st.Placement.Modules[i].Span.End <= st.Now {
-			continue
-		}
-		if st.Abandoned[ops[i]] {
-			continue
-		}
-		if st.Placement.Rect(i).Contains(st.Fault) {
-			out = append(out, i)
-		}
+// affected reports whether module i must leave the fault: its current
+// site contains the fault and its operation is unfinished and not
+// abandoned. ops maps modules to op IDs (moduleOps); it is read only
+// when some operation is abandoned.
+func affected(st State, ops []int, i int) bool {
+	if st.Placement.Modules[i].Span.End <= st.Now || !st.Placement.Rect(i).Contains(st.Fault) {
+		return false
 	}
-	return out
-}
-
-// otherFaults returns every known fault except the new one — the
-// obstacle set for relocation planning.
-func otherFaults(st State) []geom.Point {
-	var out []geom.Point
-	for _, f := range st.Faults {
-		if f != st.Fault {
-			out = append(out, f)
-		}
-	}
-	return out
+	return len(st.Abandoned) == 0 || !st.Abandoned[ops[i]]
 }
