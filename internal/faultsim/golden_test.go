@@ -56,8 +56,7 @@ func pcrAreaPlacement(t testing.TB) *place.Placement {
 // multi and yield counts also pin fti.Site's choice of relocation
 // site, since later defects strike the relocated modules. The +full
 // counts pin the ladder's L3 inside the fabricated array with one
-// anneal seed per trial (tight yield+full was 21 when the fallback
-// re-placed inside the shrinking bounding box, seeded per fault).
+// anneal seed per trial.
 func TestGoldenSequentialPresets(t *testing.T) {
 	light := core.Options{Seed: 3, ItersPerModule: 40, WindowPatience: 2}
 	uniform := defect.Uniform{Prob: 0.05}

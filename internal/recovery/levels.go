@@ -47,9 +47,8 @@ func (l *Ladder) tryRelocate(st State) (*Plan, error) {
 func (l *Ladder) tryDowngrade(st State) (*Plan, error) {
 	sched := st.Sched
 	pl := st.Placement.Clone()
-	lib := l.opts.Library
-	if lib == nil {
-		lib = modlib.Table1()
+	if l.opts.Library == nil {
+		l.opts.Library = modlib.Table1() // resolved once, on the first L2
 	}
 	var rels []reconfig.Relocation
 	var downs []Downgrade
@@ -70,7 +69,7 @@ func (l *Ladder) tryDowngrade(st State) (*Plan, error) {
 		name := sched.Graph.Op(opID).Name
 		cur := sched.Items[opID].Device
 		placed := false
-		for _, cand := range downgradeCandidates(lib, cur) {
+		for _, cand := range downgradeCandidates(l.opts.Library, cur) {
 			r, err := reconfig.PlanModuleSized(pl, st.Array, mi, cand.Size, st.Fault, st.Faults...)
 			if err != nil {
 				continue

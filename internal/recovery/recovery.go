@@ -94,7 +94,7 @@ type Options struct {
 	// paper's plain partial reconfiguration.
 	MaxLevel Level
 	// Library is the device catalogue searched for L2 downgrades.
-	// Nil means modlib.Table1, built only when L2 runs.
+	// Nil means modlib.Table1, built when L2 first runs.
 	Library *modlib.Library
 	// Anneal configures the L3 defragmentation anneal. The zero value
 	// takes the package defaults (a short, seeded run); set Seed to
@@ -217,8 +217,9 @@ func (r Report) Final() Level {
 	return LevelNone
 }
 
-// Ladder escalates through recovery levels. It is stateless between
-// invocations and safe for sequential reuse.
+// Ladder escalates through recovery levels. It keeps no state between
+// invocations beyond the device library it resolves on first use, and
+// is safe for sequential reuse.
 type Ladder struct {
 	opts Options
 }
