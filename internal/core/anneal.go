@@ -104,11 +104,11 @@ func (o Options) innerIters(n int) (int, error) {
 // RunMoves anneals from temperature T0 with iters proposals per level
 // and returns the best placement seen with the run's Stats. It stops
 // once the controlling window has sat at its minimum span for
-// WindowPatience consecutive levels, the paper's stopping criterion
-// (or at maxLevels). Each proposal is first priced by Bound; when lb ≥ 0 the
-// uniform draw the Metropolis test needs anyway is taken at once, and
-// a draw that fails even the bound's threshold rejects the move
-// without Delta. Otherwise the move is priced exactly and decided as
+// WindowPatience consecutive levels, the paper's stopping criterion,
+// or after maxLevels levels. Each proposal is first priced by Bound;
+// when lb ≥ 0 the uniform draw the Metropolis test needs anyway is
+// taken at once, and a draw that fails even the bound's threshold
+// rejects the move without Delta. Otherwise the move is priced exactly and decided as
 // plain Metropolis. Within a level each integral threshold exp(−x/T)
 // is computed once (expMemo).
 func (k *moveKernel) RunMoves(T0 float64, iters int, rng *rand.Rand) (*place.Placement, Stats) {

@@ -473,8 +473,7 @@ func annealFaultTolerance(start *place.Placement, prob Problem, opts Options, ft
 		return nil, Stats{}, fmt.Errorf("core: stage 2: %w", err)
 	}
 	// Single displacement only; the FTI term is priced by the
-	// incremental per-module cache. The run also stops once T drops
-	// below α/1000 of its start.
+	// incremental per-module cache.
 	k := newMoveKernel(start.Clone(), prob2, o, ft.Beta, true, true)
 	best, st := k.RunMoves(ltsaT0, iters, rand.New(rand.NewSource(o.Seed+1)))
 	k.flushMetrics(o.Metrics)
