@@ -8,6 +8,7 @@ package dmfb
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -203,15 +204,30 @@ func TestCLICampaign(t *testing.T) {
 }
 
 // TestCLICampaignYield drives the defect-map yield surface end to
-// end: bad flag combinations exit with a usage hint, and a clustered
+// end: bad flag combinations exit 2 with a usage hint, from
+// dmfb-campaign and from dmfb-dispatch submit alike, and a clustered
 // run with spare insertion stays byte-identical across worker counts.
 func TestCLICampaignYield(t *testing.T) {
 	bin := buildCLI(t)
 	tool := filepath.Join(bin, "dmfb-campaign")
 	dir := t.TempDir()
 
+	// reject runs one tool and wants exit 2 with the usage hint.
+	reject := func(bin string, args ...string) {
+		t.Helper()
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "usage:") {
+			t.Errorf("%s %v: want exit 2 with a usage hint, got %v:\n%s", filepath.Base(bin), args, err, out)
+		}
+	}
 	// Flag validation: each bad combination must fail before any work
-	// starts and point the user at the yield usage line.
+	// starts, or before submit contacts a dispatcher (nothing listens
+	// on the -to address), and point the user at the yield usage line.
+	badMap := filepath.Join(dir, "bad.map")
+	if err := os.WriteFile(badMap, []byte("..?.\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	bad := [][]string{
 		{"-mode", "yield", "-defect-prob", "0", "-trials", "10"},
 		{"-mode", "yield", "-defect-prob", "1", "-trials", "10"},
@@ -219,22 +235,12 @@ func TestCLICampaignYield(t *testing.T) {
 		{"-mode", "yield", "-defect-model", "file", "-trials", "10"},
 		{"-mode", "yield", "-defect-file", "nope.map", "-trials", "10"},
 		{"-mode", "yield", "-defect-model", "clustered", "-cluster-size", "999", "-trials", "10"},
+		// A malformed defect map file.
+		{"-mode", "yield", "-defect-model", "file", "-defect-file", badMap, "-trials", "10"},
 	}
 	for _, args := range bad {
-		if out := run(t, tool, false, args...); !strings.Contains(out, "usage:") {
-			t.Errorf("%v: no usage hint in rejection:\n%s", args, out)
-		}
-	}
-
-	// A malformed defect map file is rejected with the map format hint.
-	badMap := filepath.Join(dir, "bad.map")
-	if err := os.WriteFile(badMap, []byte("..?.\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := run(t, tool, false, "-mode", "yield", "-defect-model", "file",
-		"-defect-file", badMap, "-trials", "10")
-	if !strings.Contains(out, "usage:") {
-		t.Errorf("bad map file: no usage hint:\n%s", out)
+		reject(tool, args...)
+		reject(filepath.Join(bin, "dmfb-dispatch"), append([]string{"submit", "-to", "http://127.0.0.1:1"}, args...)...)
 	}
 
 	// Clustered defects with a 2-line spare budget: worker counts must
@@ -269,7 +275,7 @@ func TestCLICampaignYield(t *testing.T) {
 	if err := os.WriteFile(goodMap, []byte("..........\n....X.....\n..........\n..........\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out = run(t, tool, true, "-mode", "yield", "-defect-model", "file",
+	out := run(t, tool, true, "-mode", "yield", "-defect-model", "file",
 		"-defect-file", goodMap, "-trials", "16", "-quiet")
 	if !strings.Contains(out, "yield-file") {
 		t.Errorf("file-model campaign not named yield-file:\n%s", out)

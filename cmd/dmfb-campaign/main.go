@@ -19,8 +19,8 @@
 //	dmfb-campaign -mode yield -defect-model file -defect-file die.map
 //	dmfb-campaign -mode yield -spares 2 -ladder      # space redundancy + design-time ladder
 //	dmfb-campaign -mode assay -recovery ladder       # full simulation per trial
-//	dmfb-campaign -trials 1e6 -checkpoint run.jsonl  # interruptible
-//	dmfb-campaign -trials 1e6 -checkpoint run.jsonl -resume
+//	dmfb-campaign -trials 1000000 -checkpoint run.jsonl  # interruptible
+//	dmfb-campaign -trials 1000000 -checkpoint run.jsonl -resume
 //	dmfb-campaign -summary sum.json                  # deterministic summary bytes
 //	dmfb-campaign -trace t.jsonl -metrics m.json     # observability
 //	dmfb-campaign -ops :9090                         # live /metrics + /progress
@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"dmfb/internal/campaign"
-	"dmfb/internal/defect"
 	"dmfb/internal/dispatch"
 	"dmfb/internal/stats"
 	"dmfb/internal/telemetry/cliflags"
@@ -58,7 +57,6 @@ type output struct {
 
 func main() {
 	var (
-		sp      = dispatch.Spec{}
 		workers = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		timeout = flag.Duration("timeout", 0, "per-trial timeout (0 = none; breaks determinism when it fires)")
 		ckpt    = flag.String("checkpoint", "", "JSONL checkpoint `file` (appended per trial)")
@@ -66,103 +64,30 @@ func main() {
 		jsonOut = flag.String("json", "", "write machine-readable results to `file`")
 		sumOut  = flag.String("summary", "", "write the deterministic summary JSON to `file` (byte-identical to a dmfb-dispatch fleet's)")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
+		spec    = dispatch.SpecFlags(flag.CommandLine, 10000, false)
 	)
-	flag.StringVar(&sp.Mode, "mode", "multi", "campaign kind: single | multi | yield | exhaustive | assay")
-	flag.IntVar(&sp.Trials, "trials", 10000, "number of trials (ignored for -mode exhaustive)")
-	flag.Int64Var(&sp.Seed, "seed", 1, "campaign seed; same seed => same summary at any worker count")
-	flag.IntVar(&sp.K, "k", 2, "faults per trial in -mode multi")
-	flag.Float64Var(&sp.Q, "q", 0.01, "mean per-cell defect probability in -mode yield (alias of -defect-prob)")
-	flag.Float64Var(&sp.Q, "defect-prob", 0.01, "mean per-cell defect probability in -mode yield")
-	flag.StringVar(&sp.DefectModel, "defect-model", "uniform", "defect map model in -mode yield: uniform | clustered | file")
-	flag.Float64Var(&sp.ClusterSize, "cluster-size", 4, "mean defects per cluster for -defect-model clustered")
-	flag.IntVar(&sp.ClusterRadius, "cluster-radius", 2, "cluster scatter radius in cells for -defect-model clustered")
-	defectFile := flag.String("defect-file", "", "defect map `file` for -defect-model file ('.' good, 'X' defective)")
-	flag.IntVar(&sp.Spares, "spares", 0, "interstitial spare lines to thread through the placement (space redundancy)")
-	flag.BoolVar(&sp.Ladder, "ladder", false, "yield trials use the design-time local-reconfiguration ladder instead of the runtime recovery loop")
-	flag.BoolVar(&sp.Full, "full", false, "fall back to full re-placement when partial reconfiguration fails")
-	flag.StringVar(&sp.Recovery, "recovery", "l1", "fault response in -mode assay: l1 | ladder | off")
-	flag.Float64Var(&sp.Transient, "transient", 0, "probability a fault is transient in -mode assay")
-	flag.Int64Var(&sp.PlaceSeed, "place-seed", 2, "annealing seed of the PCR placement under test")
 	os.Exit(cliflags.Main("dmfb-campaign", func(ts *cliflags.Session) int {
-		return run(ts, params{
-			spec: sp, defectFile: *defectFile, workers: *workers, timeout: *timeout,
-			ckpt: *ckpt, resume: *resume, jsonOut: *jsonOut, sumOut: *sumOut,
-			quiet: *quiet,
+		sp, err := spec()
+		if err != nil {
+			return ts.Usage(err)
+		}
+		return run(ts, sp, params{
+			workers: *workers, timeout: *timeout, ckpt: *ckpt, resume: *resume,
+			jsonOut: *jsonOut, sumOut: *sumOut, quiet: *quiet,
 		})
 	}))
 }
 
-// params carries the parsed flag values into run.
+// params carries the parsed non-spec flag values into run.
 type params struct {
-	spec                  dispatch.Spec
 	workers               int
 	resume, quiet         bool
 	timeout               time.Duration
 	ckpt, jsonOut, sumOut string
-	defectFile            string
 }
 
-// validateDefectFlags checks the raw yield-mode flag values before
-// Spec.Normalized papers over them — Normalized maps a zero defect
-// probability to the 0.01 default, which used to let an explicit
-// "-defect-prob 0" (or 1, or anything out of range combined with a
-// defaulted model) run a campaign the user never asked for. Strict
-// validation here turns every bad -defect-model/-defect-prob
-// combination into exit 1 with a usage hint.
-func validateDefectFlags(sp dispatch.Spec, defectFile string) error {
-	switch sp.DefectModel {
-	case "", defect.ModelUniform, defect.ModelClustered:
-		if defectFile != "" {
-			return fmt.Errorf("-defect-file is only meaningful with -defect-model file, got %q", sp.DefectModel)
-		}
-		if sp.Q <= 0 || sp.Q >= 1 {
-			return fmt.Errorf("defect probability %g outside (0,1)", sp.Q)
-		}
-		if sp.DefectModel == defect.ModelClustered {
-			if sp.ClusterSize < 1 || sp.ClusterSize > 64 {
-				return fmt.Errorf("-cluster-size %g outside [1,64]", sp.ClusterSize)
-			}
-			if sp.ClusterRadius < 0 || sp.ClusterRadius > 64 {
-				return fmt.Errorf("-cluster-radius %d outside [0,64]", sp.ClusterRadius)
-			}
-		}
-	case defect.ModelFile:
-		if defectFile == "" {
-			return fmt.Errorf("-defect-model file needs -defect-file")
-		}
-	default:
-		return fmt.Errorf("unknown -defect-model %q (want uniform, clustered or file)", sp.DefectModel)
-	}
-	return nil
-}
-
-func run(ts *cliflags.Session, pr params) int {
-	if pr.spec.Mode == "yield" {
-		if err := validateDefectFlags(pr.spec, pr.defectFile); err != nil {
-			fmt.Fprintln(os.Stderr, "dmfb-campaign:", err)
-			fmt.Fprintln(os.Stderr, "usage: -mode yield takes -defect-model uniform|clustered|file with -defect-prob in (0,1); clustered adds -cluster-size/-cluster-radius, file adds -defect-file")
-			return 1
-		}
-		if pr.defectFile != "" {
-			raw, err := os.ReadFile(pr.defectFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dmfb-campaign:", err)
-				return 1
-			}
-			if _, err := defect.ParseMap(string(raw)); err != nil {
-				fmt.Fprintln(os.Stderr, "dmfb-campaign:", err)
-				fmt.Fprintln(os.Stderr, "usage: a defect map is rows of '.' (good) and 'X' (defective); '#' lines are comments")
-				return 1
-			}
-			pr.spec.DefectMap = string(raw)
-		}
-	}
-	sp := pr.spec.Normalized()
-	if err := sp.Validate(false); err != nil {
-		fmt.Fprintln(os.Stderr, "dmfb-campaign:", err)
-		return 2
-	}
-
+// run executes the campaign sp, already validated and normalized.
+func run(ts *cliflags.Session, sp dispatch.Spec, pr params) int {
 	built, err := sp.Build(context.Background(), dispatch.BuildOptions{
 		Tool: "dmfb-campaign", Tracer: ts.Tracer, Metrics: ts.Metrics,
 	})

@@ -121,49 +121,19 @@ func runServe(ts *cliflags.Session, args []string) int {
 	return 0
 }
 
-// specFlags installs the campaign-spec flags, mirroring dmfb-campaign.
-// The returned string is the -defect-file path; submit reads it and
-// ships the map content in the spec so workers need no filesystem.
-func specFlags(fs *flag.FlagSet) (*dispatch.Spec, *string) {
-	sp := &dispatch.Spec{}
-	fs.StringVar(&sp.Mode, "mode", "multi", "campaign `kind`: single, multi, yield or assay")
-	fs.IntVar(&sp.Trials, "trials", 200, "number of randomized trials")
-	fs.Int64Var(&sp.Seed, "seed", 1, "campaign seed")
-	fs.IntVar(&sp.K, "k", 2, "simultaneous faults per trial (multi, assay)")
-	fs.Float64Var(&sp.Q, "q", 0.01, "per-cell defect probability in -mode yield (alias of -defect-prob)")
-	fs.Float64Var(&sp.Q, "defect-prob", 0.01, "mean per-cell defect probability in -mode yield")
-	fs.StringVar(&sp.DefectModel, "defect-model", "uniform", "defect map model in -mode yield: uniform | clustered | file")
-	fs.Float64Var(&sp.ClusterSize, "cluster-size", 4, "mean defects per cluster for -defect-model clustered")
-	fs.IntVar(&sp.ClusterRadius, "cluster-radius", 2, "cluster scatter radius in cells for -defect-model clustered")
-	defectFile := fs.String("defect-file", "", "defect map `file` for -defect-model file ('.' good, 'X' defective)")
-	fs.IntVar(&sp.Spares, "spares", 0, "interstitial spare lines to thread through the placement (yield)")
-	fs.BoolVar(&sp.Ladder, "ladder", false, "judge yield by the design-time recovery ladder instead of partial reconfiguration")
-	fs.BoolVar(&sp.Full, "full", false, "enable full re-placement fallback (multi, yield)")
-	fs.StringVar(&sp.Recovery, "recovery", "l1", "assay fault response: l1, ladder or off")
-	fs.Float64Var(&sp.Transient, "transient", 0, "probability an assay fault is transient")
-	fs.Int64Var(&sp.PlaceSeed, "place-seed", 2, "seed of the annealed placement under test")
-	return sp, defectFile
-}
-
 func runSubmit(ts *cliflags.Session, args []string) int {
 	fs := flag.NewFlagSet("dmfb-dispatch submit", flag.ContinueOnError)
 	to := fs.String("to", "http://127.0.0.1:9400", "dispatcher base `URL`")
-	sp, defectFile := specFlags(fs)
+	spec := dispatch.SpecFlags(fs, 200, true)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *defectFile != "" {
-		raw, err := os.ReadFile(*defectFile)
-		if err != nil {
-			return ts.Fail(fmt.Errorf("reading -defect-file: %w", err))
-		}
-		sp.DefectMap = string(raw)
-	}
-	if err := sp.Validate(true); err != nil {
+	sp, err := spec()
+	if err != nil {
 		return ts.Usage(err)
 	}
 	client := dispatch.NewClient(*to, nil)
-	resp, err := client.Submit(context.Background(), *sp)
+	resp, err := client.Submit(context.Background(), sp)
 	if err != nil {
 		return ts.Fail(err)
 	}

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	dmfb-campaign -trials 1e5 -trace t.jsonl -metrics m.json -checkpoint c.jsonl
+//	dmfb-campaign -trials 100000 -trace t.jsonl -metrics m.json -checkpoint c.jsonl
 //	dmfb-report -trace t.jsonl -metrics m.json -checkpoint c.jsonl
 package main
 

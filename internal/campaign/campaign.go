@@ -210,26 +210,25 @@ func Run(ctx context.Context, cfg Config, fn TrialFunc) (Report, error) {
 
 	table := make([]slot, cfg.Trials)
 	resumed := 0
-	hdr := checkpointHeader{V: checkpointVersion, Campaign: cfg.Name, Seed: cfg.Seed,
-		Trials: cfg.Trials, Config: cfg.Fingerprint}
+	id := CheckpointID{Campaign: cfg.Name, Seed: cfg.Seed, Trials: cfg.Trials, Fingerprint: cfg.Fingerprint}
 	if cfg.Resume {
-		done, err := loadCheckpoint(cfg.Checkpoint, hdr)
+		done, err := ReadResultLog(cfg.Checkpoint, id)
 		if err != nil {
 			return Report{}, err
 		}
-		for idx, line := range done {
-			table[idx] = slot{done: true, res: line}
-			resumed++
+		for _, r := range done {
+			table[r.Trial] = slot{done: true, res: r}
 		}
+		resumed = len(done)
 		cfg.Tracker.noteResumed(resumed)
 	}
-	var cw *checkpointWriter
+	var rlog *ResultLog
 	if cfg.Checkpoint != "" {
 		var err error
-		if cw, err = newCheckpointWriter(cfg.Checkpoint, hdr); err != nil {
+		if rlog, err = NewResultLog(cfg.Checkpoint, id); err != nil {
 			return Report{}, err
 		}
-		defer cw.close()
+		defer rlog.Close()
 	}
 
 	var (
@@ -238,8 +237,8 @@ func Run(ctx context.Context, cfg Config, fn TrialFunc) (Report, error) {
 		writeErr  error
 	)
 	workers := runTrials(ctx, cfg, fn, 0, table, span.ID(), func(r TrialResult, ms float64) {
-		if cw != nil {
-			if err := cw.record(r); err != nil && writeErr == nil {
+		if rlog != nil {
+			if err := rlog.Append(r); err != nil && writeErr == nil {
 				writeErr = err
 			}
 		}

@@ -25,9 +25,9 @@ import (
 // out of order) and the file tolerates a torn final line — the write
 // that was interrupted by the kill that the resume is recovering from.
 //
-// The same format is the dispatcher's durable result store: ResultLog
-// appends TrialResult lines as workers stream them in, and
-// ReadResultLog replays them on restart.
+// ResultLog writes the format and ReadResultLog replays it, for Run's
+// checkpoint and resume and for the dispatcher's durable result store
+// alike.
 
 const checkpointVersion = 1
 
@@ -107,46 +107,6 @@ func readCheckpoint(path string) (*checkpointHeader, []TrialResult, error) {
 	return &hdr, results, nil
 }
 
-// readLog reads a checkpoint file written under want: its recorded
-// trials in trial order. A missing or empty file records nothing and
-// is not an error; a header mismatch or a trial outside the header's
-// range is.
-func readLog(path string, want checkpointHeader) ([]TrialResult, error) {
-	hdr, results, err := readCheckpoint(path)
-	if errors.Is(err, fs.ErrNotExist) || err == nil && hdr == nil {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if *hdr != want {
-		return nil, fmt.Errorf(
-			"campaign: checkpoint %s was written by %s; refusing to resume %s",
-			path, hdr.identity(), want.identity())
-	}
-	for _, r := range results {
-		if r.Trial < 0 || r.Trial >= want.Trials {
-			return nil, fmt.Errorf("campaign: checkpoint %s: trial %d out of range [0,%d)",
-				path, r.Trial, want.Trials)
-		}
-	}
-	return results, nil
-}
-
-// loadCheckpoint is readLog keyed by trial index, the form resume
-// fills its trial table from.
-func loadCheckpoint(path string, want checkpointHeader) (map[int]TrialResult, error) {
-	results, err := readLog(path, want)
-	if err != nil || results == nil {
-		return nil, err
-	}
-	done := make(map[int]TrialResult, len(results))
-	for _, r := range results {
-		done[r.Trial] = r
-	}
-	return done, nil
-}
-
 // CheckpointInfo is the read-only summary of a checkpoint file, for
 // reporting tools (dmfb-report) that inspect a run they did not
 // start.
@@ -201,68 +161,9 @@ func ReadCheckpoint(path string) (*CheckpointInfo, error) {
 	return info, nil
 }
 
-// checkpointWriter appends completed-trial records to the checkpoint
-// file. Writes are serialised by a mutex and flushed per record, so a
-// killed process loses at most the record being written.
-type checkpointWriter struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-}
-
-// newCheckpointWriter opens path for appending, writing the header
-// when the file is new or empty.
-func newCheckpointWriter(path string, hdr checkpointHeader) (*checkpointWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: open checkpoint: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: stat checkpoint: %w", err)
-	}
-	cw := &checkpointWriter{f: f, w: bufio.NewWriter(f)}
-	if st.Size() == 0 {
-		if err := cw.writeJSON(hdr); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return cw, nil
-}
-
-func (cw *checkpointWriter) writeJSON(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if _, err := cw.w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("campaign: write checkpoint: %w", err)
-	}
-	return cw.w.Flush()
-}
-
-// record appends one completed trial.
-func (cw *checkpointWriter) record(line TrialResult) error {
-	return cw.writeJSON(line)
-}
-
-func (cw *checkpointWriter) close() error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	err := cw.w.Flush()
-	if cerr := cw.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // CheckpointID is the identity a checkpoint file is pinned to: the
-// header the file starts with, and what ResultLog/ReadResultLog (and
-// Resume, via Config) refuse to mix.
+// header the file starts with, and what ResultLog and ReadResultLog
+// (and Run's Resume, via Config) refuse to mix.
 type CheckpointID struct {
 	Campaign    string
 	Seed        int64
@@ -277,36 +178,91 @@ func (id CheckpointID) header() checkpointHeader {
 	}
 }
 
-// ResultLog is an append-only trial-result store in the campaign
-// checkpoint format, for processes (the dispatch service) that record
-// results they did not execute themselves. Appends are serialised and
-// flushed per record, so a killed process loses at most the record
-// being written.
+// ResultLog is the append-only trial-result store in the checkpoint
+// format: Run's checkpoint, and the dispatch service's record of
+// results streamed in by workers. Appends are serialised and flushed
+// per record, so a killed process loses at most the record being
+// written.
 type ResultLog struct {
-	cw *checkpointWriter
+	mu sync.Mutex
+	f  *os.File
+	w  *bufio.Writer
 }
 
-// NewResultLog opens (or creates) the result log at path, writing the
-// id header when the file is new.
+// NewResultLog opens (or creates) the result log at path for
+// appending, writing the id header when the file is new or empty.
 func NewResultLog(path string, id CheckpointID) (*ResultLog, error) {
-	cw, err := newCheckpointWriter(path, id.header())
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: open checkpoint: %w", err)
 	}
-	return &ResultLog{cw: cw}, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign: stat checkpoint: %w", err)
+	}
+	l := &ResultLog{f: f, w: bufio.NewWriter(f)}
+	if st.Size() == 0 {
+		if err := l.writeJSON(id.header()); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
+func (l *ResultLog) writeJSON(v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, err := l.w.Write(append(b, '\n')); err != nil {
+		return fmt.Errorf("campaign: write checkpoint: %w", err)
+	}
+	return l.w.Flush()
 }
 
 // Append records one completed trial.
-func (l *ResultLog) Append(r TrialResult) error { return l.cw.record(r) }
+func (l *ResultLog) Append(r TrialResult) error { return l.writeJSON(r) }
 
 // Close flushes and closes the log file.
-func (l *ResultLog) Close() error { return l.cw.close() }
+func (l *ResultLog) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	err := l.w.Flush()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
-// ReadResultLog replays a result log written under the same id and
-// returns the recorded trials sorted by trial index (duplicate
-// records for a trial collapse; a torn trailing line is skipped). A
-// missing file is an empty log. An id mismatch is an error — results
-// from a different campaign must never be merged.
+// ReadResultLog replays a result log written under id and returns the
+// recorded trials sorted by trial index (duplicate records for a
+// trial collapse, the last winning; a torn trailing line is skipped).
+// A missing or empty file is an empty log. An id mismatch or a trial
+// outside the id's range is an error: results from a different
+// campaign must never be merged.
 func ReadResultLog(path string, id CheckpointID) ([]TrialResult, error) {
-	return readLog(path, id.header())
+	want := id.header()
+	hdr, results, err := readCheckpoint(path)
+	if errors.Is(err, fs.ErrNotExist) || err == nil && hdr == nil {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if *hdr != want {
+		return nil, fmt.Errorf(
+			"campaign: checkpoint %s was written by %s; refusing to resume %s",
+			path, hdr.identity(), want.identity())
+	}
+	for _, r := range results {
+		if r.Trial < 0 || r.Trial >= want.Trials {
+			return nil, fmt.Errorf("campaign: checkpoint %s: trial %d out of range [0,%d)",
+				path, r.Trial, want.Trials)
+		}
+	}
+	return results, nil
 }

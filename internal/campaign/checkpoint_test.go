@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzReadCheckpoint replays arbitrary bytes as a checkpoint file
-// through ReadCheckpoint (the reporting reader) and loadCheckpoint
+// through ReadCheckpoint (the reporting reader) and ReadResultLog
 // (the resume and result-log reader). Either may refuse the file, but
 // neither may panic, and what they return is bounded by the input: no
 // more trials than the file has lines after its header, recorded
@@ -37,7 +37,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 {"trial":-1}
 `...))
 	f.Add([]byte(`{"v":1,"campaign":"other","seed":4,"trials":2}` + "\n" + `{"trial":1,"value":2}`))
-	seeded := checkpointHeader{V: checkpointVersion, Campaign: "torn", Seed: 4, Trials: 20}
+	seeded := CheckpointID{Campaign: "torn", Seed: 4, Trials: 20}
 
 	// Inputs run one at a time per process, so they can share a file.
 	path := filepath.Join(f.TempDir(), "input.jsonl")
@@ -47,7 +47,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		maxTrials := bytes.Count(data, []byte{'\n'}) // lines after the header
 
-		wants := []checkpointHeader{seeded}
+		wants := []CheckpointID{seeded}
 		if info, err := ReadCheckpoint(path); err == nil {
 			if info.Done > maxTrials {
 				t.Fatalf("ReadCheckpoint recorded %d trials from %d lines after the header", info.Done, maxTrials)
@@ -73,20 +73,22 @@ func FuzzReadCheckpoint(f *testing.F) {
 			}
 			// The file's own identity, so resume replay runs past the
 			// header check on inputs that carry one.
-			wants = append(wants, checkpointHeader{V: checkpointVersion,
-				Campaign: info.Campaign, Seed: info.Seed, Trials: info.Trials})
+			wants = append(wants, CheckpointID{Campaign: info.Campaign, Seed: info.Seed, Trials: info.Trials})
 		}
 		for _, want := range wants {
-			done, err := loadCheckpoint(path, want)
+			done, err := ReadResultLog(path, want)
 			if err != nil {
 				continue
 			}
 			if len(done) > maxTrials {
-				t.Fatalf("loadCheckpoint recorded %d trials from %d lines after the header", len(done), maxTrials)
+				t.Fatalf("ReadResultLog recorded %d trials from %d lines after the header", len(done), maxTrials)
 			}
-			for trial, line := range done {
-				if trial < 0 || trial >= want.Trials || line.Trial != trial {
-					t.Fatalf("trial %d (line %d) recorded outside [0,%d)", trial, line.Trial, want.Trials)
+			for i, line := range done {
+				if line.Trial < 0 || line.Trial >= want.Trials {
+					t.Fatalf("trial %d recorded outside [0,%d)", line.Trial, want.Trials)
+				}
+				if i > 0 && done[i-1].Trial >= line.Trial {
+					t.Fatalf("trials not in strictly ascending order: %d then %d", done[i-1].Trial, line.Trial)
 				}
 			}
 		}

@@ -47,9 +47,7 @@ func TestPanicMessageCarriesIdentityAndStack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	lines, err := loadCheckpoint(ckpt, checkpointHeader{
-		V: checkpointVersion, Campaign: "panic-id", Seed: 42, Trials: 1,
-	})
+	lines, err := ReadResultLog(ckpt, CheckpointID{Campaign: "panic-id", Seed: 42, Trials: 1})
 	if err != nil {
 		t.Fatalf("load checkpoint: %v", err)
 	}

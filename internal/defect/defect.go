@@ -79,9 +79,11 @@ type Params struct {
 	Map string `json:"map,omitempty"`
 }
 
-// Normalized fills in the defaults, mirroring the dmfb-campaign flag
-// surface: empty model means uniform, zero cluster parameters take the
-// flag defaults.
+// Normalized fills in the defaults: empty model means uniform, and
+// zero probability and cluster parameters take the default density,
+// cluster size and radius. These are the only copies of the defect
+// defaults; dispatch.Spec and the campaign flags derive theirs from
+// here.
 func (pr Params) Normalized() Params {
 	if pr.Model == "" {
 		pr.Model = ModelUniform
@@ -98,20 +100,22 @@ func (pr Params) Normalized() Params {
 	return pr
 }
 
-// Validate checks the parameters describe a generatable model. It
-// validates the normalized form, so a zero value passes (it is the
-// default uniform model); callers that must reject unset flags (the
-// CLI's strict -defect-prob check) should validate the raw values
-// before normalizing.
+// Validate checks the parameters describe a generatable model, as
+// given: it does not normalize first, so an explicit zero probability
+// or an empty model is rejected. Wire documents, where zero means
+// "default", normalize before validating; command-line values do not,
+// which is what makes an explicit "-defect-prob 0" an error.
 func (pr Params) Validate() error {
-	pr = pr.Normalized()
 	switch pr.Model {
 	case ModelUniform, ModelClustered:
-		if pr.Prob <= 0 || pr.Prob >= 1 {
+		if pr.Map != "" {
+			return fmt.Errorf("defect: a map is only read by the file model, got model %q", pr.Model)
+		}
+		if !(pr.Prob > 0 && pr.Prob < 1) {
 			return fmt.Errorf("defect: probability %g outside (0,1)", pr.Prob)
 		}
 		if pr.Model == ModelClustered {
-			if pr.ClusterSize < 1 || pr.ClusterSize > 64 {
+			if !(pr.ClusterSize >= 1 && pr.ClusterSize <= 64) {
 				return fmt.Errorf("defect: cluster size %g outside [1,64]", pr.ClusterSize)
 			}
 			if pr.ClusterRadius < 0 || pr.ClusterRadius > 64 {
@@ -133,10 +137,10 @@ func (pr Params) Validate() error {
 
 // Generator builds the generator the parameters describe.
 func (pr Params) Generator() (Generator, error) {
+	pr = pr.Normalized()
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	pr = pr.Normalized()
 	switch pr.Model {
 	case ModelUniform:
 		return Uniform{Prob: pr.Prob}, nil

@@ -164,7 +164,8 @@ func TestParamsValidate(t *testing.T) {
 		pr   Params
 		ok   bool
 	}{
-		{"zero value (default uniform)", Params{}, true},
+		{"zero value normalized (default uniform)", Params{}.Normalized(), true},
+		{"uniform with a map", Params{Model: ModelUniform, Prob: 0.05, Map: "X.\n"}, false},
 		{"uniform", Params{Model: ModelUniform, Prob: 0.05}, true},
 		{"uniform prob too high", Params{Model: ModelUniform, Prob: 1}, false},
 		{"uniform prob negative", Params{Model: ModelUniform, Prob: -0.1}, false},
@@ -186,6 +187,14 @@ func TestParamsValidate(t *testing.T) {
 		} else if c.ok && gen == nil {
 			t.Errorf("%s: Generator() returned nil without error", c.name)
 		}
+	}
+	// Validate checks the values as given; Generator normalizes first,
+	// so the zero value is the default uniform model there only.
+	if err := (Params{}).Validate(); err == nil {
+		t.Error("raw zero value validated; an unset model must be rejected")
+	}
+	if _, err := (Params{}).Generator(); err != nil {
+		t.Errorf("zero value Generator() = %v, want the default uniform model", err)
 	}
 }
 

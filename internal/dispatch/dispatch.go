@@ -230,7 +230,6 @@ func (d *Dispatcher) load() error {
 		if err := json.Unmarshal(raw, &doc); err != nil {
 			return fmt.Errorf("dispatch: spec %s corrupt: %w", id, err)
 		}
-		doc.Spec = doc.Spec.Normalized()
 		c, err := d.newCampaignState(id, doc.Spec)
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -289,6 +290,42 @@ func TestDispatchRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := client.Status(ctx, "c999999"); !IsStatus(err, http.StatusNotFound) {
 		t.Errorf("unknown campaign: want 404, got %v", err)
+	}
+}
+
+// TestDispatchRejectsOverCapSpec: a spec past the trial cap (or with
+// a transient probability outside [0,1]) is a 400 before the
+// dispatcher allocates its per-trial table, and the dispatcher keeps
+// serving. Without the cap the 2^40-trial POST exhausts memory.
+func TestDispatchRejectsOverCapSpec(t *testing.T) {
+	d, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		if err := d.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	for _, body := range []string{
+		`{"mode":"multi","trials":1099511627776}`,
+		fmt.Sprintf(`{"mode":"multi","trials":%d}`, MaxTrials+1),
+		`{"mode":"assay","trials":8,"transient":7}`,
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	all, err := NewClient(srv.URL, srv.Client()).List(context.Background())
+	if err != nil || len(all) != 0 {
+		t.Errorf("GET /v1/campaigns after rejections: %v, %d campaigns", err, len(all))
 	}
 }
 

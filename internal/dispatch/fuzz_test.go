@@ -11,6 +11,8 @@ import (
 // it. None may panic; Normalized is idempotent; and the fingerprint is
 // deterministic, the same for the sparse and the spelled-out spec,
 // and blind to Trials and Seed (the checkpoint header pins those).
+// Any spec the dispatcher accepts is inside the trust-boundary bounds:
+// 1 <= Trials <= MaxTrials and 0 <= Transient <= 1.
 func FuzzSpec(f *testing.F) {
 	f.Add([]byte(`{"mode":"multi","trials":64,"seed":3,"k":3}`))
 	f.Add([]byte(`{"mode":"yield","trials":8,"q":0.02,"full":true}`))
@@ -19,6 +21,7 @@ func FuzzSpec(f *testing.F) {
 	f.Add([]byte(`{"mode":"assay","trials":512,"seed":5,"k":1,"recovery":"ladder","transient":0.15}`))
 	f.Add([]byte(`{"mode":"exhaustive","q":-1,"k":-3,"spares":99}`))
 	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"mode":"multi","trials":1099511627776,"transient":7}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sp Spec
 		dec := json.NewDecoder(bytes.NewReader(data))
@@ -32,6 +35,11 @@ func FuzzSpec(f *testing.F) {
 		}
 		_ = sp.Validate(true)
 		_ = sp.Validate(false)
+		if n.Validate(true) == nil {
+			if n.Trials < 1 || n.Trials > MaxTrials || !(n.Transient >= 0 && n.Transient <= 1) {
+				t.Fatalf("accepted spec out of bounds: trials %d, transient %g", n.Trials, n.Transient)
+			}
+		}
 		_ = sp.Name()
 		_ = sp.DefectParams()
 		fp := sp.Fingerprint()

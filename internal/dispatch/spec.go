@@ -2,7 +2,9 @@ package dispatch
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"os"
 	"sync"
 
 	"dmfb/internal/campaign"
@@ -18,8 +20,9 @@ import (
 
 // Spec is the portable definition of a fault-injection campaign — the
 // document a client submits to the dispatcher and a simd worker turns
-// back into a runnable trial function. It mirrors the dmfb-campaign
-// flag surface, and every consumer (the single-process CLI, the
+// back into a runnable trial function. SpecFlags is its one
+// command-line surface, shared by dmfb-campaign and dmfb-dispatch
+// submit, and every consumer (the single-process CLI, the
 // dispatcher, every worker) derives the campaign's name, fingerprint
 // and trial function from the same Spec methods, which is what keeps
 // a distributed run byte-identical to a local one.
@@ -67,9 +70,15 @@ type Spec struct {
 	PlaceSeed int64 `json:"place_seed,omitempty"`
 }
 
-// Normalized returns the spec with the dmfb-campaign flag defaults
-// filled in, so a sparse wire document and a fully spelled-out one
-// name (and fingerprint) the same campaign.
+// MaxTrials bounds a campaign's trial count. The dispatcher holds a
+// result slot per trial (about 41 B each), so one campaign's table
+// stays near 0.4 GB at the cap.
+const MaxTrials = 10_000_000
+
+// Normalized returns the spec with the campaign defaults filled in, so
+// a sparse wire document and a fully spelled-out one name (and
+// fingerprint) the same campaign. The defect-model defaults are
+// defect.Params.Normalized's.
 func (sp Spec) Normalized() Spec {
 	if sp.Mode == "" {
 		sp.Mode = "multi"
@@ -77,18 +86,8 @@ func (sp Spec) Normalized() Spec {
 	if sp.K == 0 {
 		sp.K = 2
 	}
-	if sp.Q == 0 {
-		sp.Q = 0.01
-	}
-	if sp.DefectModel == "" {
-		sp.DefectModel = defect.ModelUniform
-	}
-	if sp.ClusterSize == 0 {
-		sp.ClusterSize = 4
-	}
-	if sp.ClusterRadius == 0 {
-		sp.ClusterRadius = 2
-	}
+	dp := sp.DefectParams().Normalized()
+	sp.DefectModel, sp.Q, sp.ClusterSize, sp.ClusterRadius = dp.Model, dp.Prob, dp.ClusterSize, dp.ClusterRadius
 	if sp.Recovery == "" {
 		sp.Recovery = "l1"
 	}
@@ -98,11 +97,15 @@ func (sp Spec) Normalized() Spec {
 	return sp
 }
 
-// Validate checks the spec describes a runnable campaign. With remote
-// set it additionally rejects modes the dispatcher cannot shard
-// (exhaustive needs the placement to know its own trial count).
+// Validate checks the spec describes a runnable campaign, as given: it
+// does not normalize first, so a zero where the default is nonzero
+// (k, q, the defect model) is an error. Wire specs, where zero means
+// "default", are normalized before they are validated; flag values
+// are validated raw (SpecFlags), which is what rejects an explicit
+// "-defect-prob 0". With remote set it additionally rejects modes the
+// dispatcher cannot shard (exhaustive needs the placement to know its
+// own trial count).
 func (sp Spec) Validate(remote bool) error {
-	sp = sp.Normalized()
 	switch sp.Mode {
 	case "single", "multi", "yield", "assay":
 	case "exhaustive":
@@ -112,13 +115,13 @@ func (sp Spec) Validate(remote bool) error {
 	default:
 		return fmt.Errorf("dispatch: unknown mode %q (want single, multi, yield, assay or exhaustive)", sp.Mode)
 	}
-	if sp.Trials <= 0 && sp.Mode != "exhaustive" {
-		return fmt.Errorf("dispatch: need at least one trial, got %d", sp.Trials)
+	if sp.Mode != "exhaustive" && (sp.Trials < 1 || sp.Trials > MaxTrials) {
+		return fmt.Errorf("dispatch: trial count %d outside [1,%d]", sp.Trials, MaxTrials)
 	}
 	if sp.K < 1 {
 		return fmt.Errorf("dispatch: need at least one fault per trial, got k=%d", sp.K)
 	}
-	if sp.Q <= 0 || sp.Q >= 1 {
+	if !(sp.Q > 0 && sp.Q < 1) {
 		return fmt.Errorf("dispatch: defect probability q=%g outside (0,1)", sp.Q)
 	}
 	if sp.Mode == "yield" {
@@ -132,19 +135,66 @@ func (sp Spec) Validate(remote bool) error {
 	if _, err := sim.ParseRecoveryMode(sp.Recovery); err != nil {
 		return err
 	}
+	if !(sp.Transient >= 0 && sp.Transient <= 1) {
+		return fmt.Errorf("dispatch: transient probability %g outside [0,1]", sp.Transient)
+	}
 	return nil
 }
 
-// DefectParams assembles the yield-mode defect model description from
-// the spec's flat fields.
+// DefectParams returns the yield-mode defect model description held
+// in the spec's flat fields, as given.
 func (sp Spec) DefectParams() defect.Params {
-	sp = sp.Normalized()
 	return defect.Params{
 		Model:         sp.DefectModel,
 		Prob:          sp.Q,
 		ClusterSize:   sp.ClusterSize,
 		ClusterRadius: sp.ClusterRadius,
 		Map:           sp.DefectMap,
+	}
+}
+
+// specUsage is the hint printed under a rejected set of spec flags.
+var specUsage = fmt.Sprintf(`usage: -mode single|multi|yield|assay (exhaustive: dmfb-campaign only) with -trials in [1,%d], -k >= 1, -spares in [0,8], -transient in [0,1];
+       -mode yield takes -defect-model uniform|clustered|file with -defect-prob in (0,1); clustered adds -cluster-size/-cluster-radius, file adds -defect-file (rows of '.' good, 'X' defective)`, MaxTrials)
+
+// SpecFlags installs the campaign spec's command-line flags on fs: one
+// per Spec field, with -q the alias of -defect-prob, plus -defect-file,
+// whose content becomes DefectMap. Defaults are Spec{}.Normalized()'s;
+// the -trials default is the caller's. Once fs is parsed, the returned
+// function reads the defect file, validates the raw flag values with
+// Validate(remote) and returns the normalized spec; its error carries
+// the usage hint.
+func SpecFlags(fs *flag.FlagSet, trials int, remote bool) func() (Spec, error) {
+	d := Spec{}.Normalized()
+	sp := &Spec{}
+	fs.StringVar(&sp.Mode, "mode", d.Mode, "campaign `kind`: single | multi | yield | assay | exhaustive (dmfb-campaign only)")
+	fs.IntVar(&sp.Trials, "trials", trials, fmt.Sprintf("number of trials, at most %d (ignored for -mode exhaustive)", MaxTrials))
+	fs.Int64Var(&sp.Seed, "seed", 1, "campaign seed; same seed => same summary at any worker count")
+	fs.IntVar(&sp.K, "k", d.K, "faults per trial in -mode multi and assay")
+	fs.Float64Var(&sp.Q, "q", d.Q, "alias of -defect-prob")
+	fs.Float64Var(&sp.Q, "defect-prob", d.Q, "mean per-cell defect probability in -mode yield")
+	fs.StringVar(&sp.DefectModel, "defect-model", d.DefectModel, "defect map model in -mode yield: uniform | clustered | file")
+	fs.Float64Var(&sp.ClusterSize, "cluster-size", d.ClusterSize, "mean defects per cluster for -defect-model clustered")
+	fs.IntVar(&sp.ClusterRadius, "cluster-radius", d.ClusterRadius, "cluster scatter radius in cells for -defect-model clustered")
+	file := fs.String("defect-file", "", "defect map `file` for -defect-model file ('.' good, 'X' defective)")
+	fs.IntVar(&sp.Spares, "spares", d.Spares, "interstitial spare lines to thread through the placement (space redundancy)")
+	fs.BoolVar(&sp.Ladder, "ladder", d.Ladder, "yield trials use the design-time local-reconfiguration ladder instead of the runtime recovery loop")
+	fs.BoolVar(&sp.Full, "full", d.Full, "fall back to full re-placement when partial reconfiguration fails (multi, yield)")
+	fs.StringVar(&sp.Recovery, "recovery", d.Recovery, "fault response in -mode assay: l1 | ladder | off")
+	fs.Float64Var(&sp.Transient, "transient", d.Transient, "probability a fault is transient in -mode assay")
+	fs.Int64Var(&sp.PlaceSeed, "place-seed", d.PlaceSeed, "annealing seed of the PCR placement under test")
+	return func() (Spec, error) {
+		if *file != "" {
+			raw, err := os.ReadFile(*file)
+			if err != nil {
+				return Spec{}, fmt.Errorf("reading -defect-file: %w\n%s", err, specUsage)
+			}
+			sp.DefectMap = string(raw)
+		}
+		if err := sp.Validate(remote); err != nil {
+			return Spec{}, fmt.Errorf("%w\n%s", err, specUsage)
+		}
+		return sp.Normalized(), nil
 	}
 }
 

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -45,9 +46,19 @@ func TestSpecValidateDefectExtensions(t *testing.T) {
 		// Non-yield modes never touch the defect params, so a stale
 		// defect field cannot invalidate them.
 		{"multi ignores defect model", Spec{Mode: "multi", Trials: 8, DefectModel: "salt"}, ""},
+		{"map without file model", Spec{Mode: "yield", Trials: 8, DefectMap: "X.\n"}, "file model"},
+		// The trust-boundary bounds.
+		{"trials at cap", Spec{Mode: "multi", Trials: MaxTrials}, ""},
+		{"trials over cap", Spec{Mode: "multi", Trials: MaxTrials + 1}, "trial count"},
+		{"trials 2^40", Spec{Mode: "multi", Trials: 1 << 40}, "trial count"},
+		{"no trials", Spec{Mode: "multi"}, "trial count"},
+		{"transient 1", Spec{Mode: "assay", Trials: 8, Transient: 1}, ""},
+		{"transient 7", Spec{Mode: "assay", Trials: 8, Transient: 7}, "transient"},
+		{"transient negative", Spec{Mode: "assay", Trials: 8, Transient: -0.1}, "transient"},
+		{"transient NaN", Spec{Mode: "assay", Trials: 8, Transient: math.NaN()}, "transient"},
 	}
 	for _, c := range cases {
-		err := c.sp.Validate(false)
+		err := c.sp.Normalized().Validate(false)
 		if c.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)
@@ -56,6 +67,28 @@ func TestSpecValidateDefectExtensions(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestSpecValidateRaw: Validate judges the values as given, so a zero
+// the wire reads as "default" is an error when it comes from a flag.
+func TestSpecValidateRaw(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sp   Spec
+		want string
+	}{
+		{"zero q", Spec{Mode: "yield", Trials: 8, K: 2, DefectModel: defect.ModelUniform}, "q=0"},
+		{"zero k", Spec{Mode: "multi", Trials: 8, Q: 0.01}, "k=0"},
+		{"empty defect model", Spec{Mode: "yield", Trials: 8, K: 2, Q: 0.01}, "unknown model"},
+		{"empty mode", Spec{Trials: 8, K: 2, Q: 0.01}, "unknown mode"},
+	} {
+		if err := c.sp.Validate(false); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want containing %q", c.name, err, c.want)
+		}
+		if err := c.sp.Normalized().Validate(false); err != nil {
+			t.Errorf("%s: normalized spec rejected: %v", c.name, err)
 		}
 	}
 }

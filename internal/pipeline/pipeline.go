@@ -562,8 +562,9 @@ func (req *Request) runTest(res *Result) error {
 // stage wraps one pipeline stage in the standard telemetry: a
 // "stage.<name>" span (nested under the tracer's current default
 // parent, which it becomes for the stage's duration) and a
-// "stage.<name>_ms" latency histogram. Mirrors cliflags.Session.Stage
-// so pipeline spans slot into the same tool.run→stage.* hierarchy.
+// "stage.<name>_ms" latency histogram. Under a CLI session's tool.run
+// root this gives the tool.run→stage.* hierarchy, with library spans
+// nesting under their stage.
 func (req *Request) stage(name string) func() {
 	if req.Tracer == nil && req.Metrics == nil {
 		return func() {}

@@ -339,3 +339,59 @@ func TestRunCancellation(t *testing.T) {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
 	}
 }
+
+// TestStageNestsSpans checks the default-parent plumbing under a
+// tool's root span: library spans emitted inside a pipeline stage (the
+// annealer's anneal.level) carry the stage span as parent, each stage
+// span the root, and the root no parent.
+func TestStageNestsSpans(t *testing.T) {
+	var buf bytes.Buffer
+	tr := telemetry.New(&buf)
+	root := tr.Start("tool.run")
+	tr.SwapDefaultParent(root.ID())
+	if _, err := Run(context.Background(), Request{
+		Tool:   "tool",
+		Synth:  &SynthSpec{Assay: "pcr"},
+		Place:  &PlaceSpec{Placer: "sa", Options: core.Options{Seed: 1, ItersPerModule: 20}},
+		Tracer: tr,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	root.End(nil)
+
+	ids := map[string]uint64{}
+	levelPars := map[uint64]bool{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var rec struct {
+			Kind, Name string
+			ID         uint64 `json:"id"`
+			Par        uint64 `json:"par"`
+		}
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind != "span" {
+			continue
+		}
+		switch rec.Name {
+		case "anneal.level":
+			levelPars[rec.Par] = true
+		case "tool.run":
+			if rec.Par != 0 {
+				t.Errorf("tool.run parent = %d, want root", rec.Par)
+			}
+		case "stage.synth", "stage.place":
+			if rec.Par != uint64(root.ID()) {
+				t.Errorf("%s parent = %d, want tool.run id %d", rec.Name, rec.Par, root.ID())
+			}
+		}
+		ids[rec.Name] = rec.ID
+	}
+	if ids["stage.synth"] == 0 || ids["stage.place"] == 0 {
+		t.Fatalf("stage spans missing: %v", ids)
+	}
+	if len(levelPars) != 1 || !levelPars[ids["stage.place"]] {
+		t.Errorf("anneal.level parents %v, want only stage.place id %d", levelPars, ids["stage.place"])
+	}
+}

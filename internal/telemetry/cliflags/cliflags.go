@@ -205,30 +205,6 @@ func (s *Session) SetProgress(fn func() any) {
 	s.ops.SetProgress(fn)
 }
 
-// Stage wraps a pipeline stage: it measures wall and CPU time,
-// emits a "stage.<name>" span and observes a "stage.<name>_ms"
-// histogram. While the stage runs, its span is the tracer's default
-// parent, so library spans emitted inside nest under it. Call the
-// returned function when the stage completes.
-func (s *Session) Stage(name string) func() {
-	if s == nil {
-		return func() {}
-	}
-	clock := telemetry.StartStage(name)
-	span := s.Tracer.Start("stage." + name)
-	prev := s.Tracer.SwapDefaultParent(span.ID())
-	return func() {
-		st := clock.Stop()
-		s.Tracer.SwapDefaultParent(prev)
-		span.End(telemetry.Fields{
-			"tool":   s.tool,
-			"cpu_us": st.CPU.Microseconds(),
-		})
-		s.Metrics.Histogram("stage."+name+"_ms", telemetry.LatencyBuckets...).
-			Observe(float64(st.Wall.Microseconds()) / 1000)
-	}
-}
-
 // Flush persists the observability state collected so far without
 // ending the session: the metrics snapshot is (re)written to the
 // -metrics file and the trace file is synced to disk. Safe to call

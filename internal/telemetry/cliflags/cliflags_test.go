@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dmfb/internal/telemetry"
 )
 
 func TestRegisterOnAndStartInert(t *testing.T) {
@@ -26,8 +28,7 @@ func TestRegisterOnAndStartInert(t *testing.T) {
 	if ts.Tracer != nil || ts.Metrics != nil {
 		t.Error("inert session has live sinks")
 	}
-	done := ts.Stage("noop") // must not panic with nil sinks
-	done()
+	ts.Tracer.Start("noop").End(nil) // must not panic with nil sinks
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +52,10 @@ func TestSessionWritesTraceAndMetrics(t *testing.T) {
 		t.Fatal("sinks not opened")
 	}
 	ts.Metrics.Counter("work.items").Add(3)
-	done := ts.Stage("work")
+	span := ts.Tracer.Start("stage.work")
 	time.Sleep(time.Millisecond)
-	done()
+	span.End(nil)
+	ts.Metrics.Histogram("stage.work_ms", telemetry.LatencyBuckets...).Observe(1)
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,6 @@ func TestStartFailsOnBadTracePath(t *testing.T) {
 
 func TestNilSessionSafe(t *testing.T) {
 	var ts *Session
-	ts.Stage("x")()
 	ts.SetProgress(func() any { return nil })
 	if ts.Ops() != nil {
 		t.Error("nil session has an ops server")
@@ -316,59 +317,5 @@ func TestFlushPersistsMidRun(t *testing.T) {
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestStageNestsSpans checks the default-parent plumbing: spans
-// emitted by library code inside a Stage must carry the stage span as
-// parent, and the stage span the root.
-func TestStageNestsSpans(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "t.jsonl")
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	cfg := RegisterOn(fs)
-	if err := fs.Parse([]string{"-trace", tracePath}); err != nil {
-		t.Fatal(err)
-	}
-	ts, err := cfg.Start("tool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := ts.Stage("work")
-	ts.Tracer.EmitSpan("lib.inner", time.Millisecond, nil) // library code, no explicit parent
-	done()
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ids := map[string]uint64{}
-	pars := map[string]uint64{}
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var rec struct {
-			Kind string `json:"kind"`
-			Name string `json:"name"`
-			ID   uint64 `json:"id"`
-			Par  uint64 `json:"par"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Kind == "span" {
-			ids[rec.Name] = rec.ID
-			pars[rec.Name] = rec.Par
-		}
-	}
-	if pars["lib.inner"] != ids["stage.work"] || ids["stage.work"] == 0 {
-		t.Errorf("lib.inner parent = %d, want stage.work id %d", pars["lib.inner"], ids["stage.work"])
-	}
-	if pars["stage.work"] != ids["tool.run"] || ids["tool.run"] == 0 {
-		t.Errorf("stage.work parent = %d, want tool.run id %d", pars["stage.work"], ids["tool.run"])
-	}
-	if pars["tool.run"] != 0 {
-		t.Errorf("tool.run parent = %d, want root", pars["tool.run"])
 	}
 }
