@@ -235,6 +235,9 @@ func TestCLICampaignYield(t *testing.T) {
 		{"-mode", "yield", "-defect-model", "file", "-trials", "10"},
 		{"-mode", "yield", "-defect-file", "nope.map", "-trials", "10"},
 		{"-mode", "yield", "-defect-model", "clustered", "-cluster-size", "999", "-trials", "10"},
+		// Zeros that would silently run the defaults (radius 2, place seed 2).
+		{"-mode", "yield", "-defect-model", "clustered", "-cluster-radius", "0", "-trials", "10"},
+		{"-mode", "yield", "-place-seed", "0", "-trials", "10"},
 		// A malformed defect map file.
 		{"-mode", "yield", "-defect-model", "file", "-defect-file", badMap, "-trials", "10"},
 	}

@@ -143,12 +143,14 @@ func placerOpts() dmfb.PlacerOptions {
 // shared pipeline, with the session's telemetry attached. beta only
 // matters for the "twostage" placer.
 func benchPlace(placer string, beta float64) pipeline.Result {
+	opts := placerOpts()
+	opts.Tracer = nil // the pipeline scopes req.Tracer under stage.place
 	res, err := pipeline.Run(context.Background(), pipeline.Request{
 		Tool:  "dmfb-bench",
 		Synth: &pipeline.SynthSpec{Assay: "pcr"},
 		Place: &pipeline.PlaceSpec{
 			Placer:  placer,
-			Options: placerOpts(),
+			Options: opts,
 			FT:      dmfb.FTOptions{Beta: beta},
 		},
 		Tracer:  ts.Tracer,

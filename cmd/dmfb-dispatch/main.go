@@ -84,7 +84,6 @@ func runServe(ts *cliflags.Session, args []string) int {
 		LeaseTTL:     *ttl,
 		MaxCampaigns: *maxC,
 		Metrics:      ts.Metrics,
-		Tracer:       ts.Tracer,
 	})
 	if err != nil {
 		return ts.Fail(err)

@@ -44,12 +44,11 @@ type Trial struct {
 	// RNG is the trial's private random stream, already positioned at
 	// its start.
 	RNG *rand.Rand
-	// Tracer is the campaign's tracer (nil when tracing is disabled)
-	// and Span the id of this trial's "campaign.trial" span. Trial
-	// functions thread them into nested stages (simulator, recovery
-	// ladder) so traces form a campaign→trial→recovery hierarchy.
+	// Tracer is the campaign's tracer scoped under this trial's
+	// "campaign.trial" span (nil when tracing is disabled). Trial
+	// functions hand it to nested stages (simulator, recovery ladder)
+	// so traces form a campaign→trial→recovery hierarchy.
 	Tracer *telemetry.Tracer
-	Span   telemetry.SpanID
 }
 
 // Outcome is what one trial reports back.
@@ -236,7 +235,7 @@ func Run(ctx context.Context, cfg Config, fn TrialFunc) (Report, error) {
 		durations []float64
 		writeErr  error
 	)
-	workers := runTrials(ctx, cfg, fn, 0, table, span.ID(), func(r TrialResult, ms float64) {
+	workers := runTrials(ctx, cfg, fn, 0, table, cfg.Tracer.Under(span.ID()), func(r TrialResult, ms float64) {
 		if rlog != nil {
 			if err := rlog.Append(r); err != nil && writeErr == nil {
 				writeErr = err
@@ -278,10 +277,11 @@ func Run(ctx context.Context, cfg Config, fn TrialFunc) (Report, error) {
 // per-trial scheduling overhead stays far below the cost of a trial
 // even for microsecond-scale trials. Each completed trial fills its
 // slot and, when onDone is non-nil, is passed to it with its wall time
-// in milliseconds; both happen under one lock. It returns the
-// realised pool size.
+// in milliseconds; both happen under one lock. Trial spans are started
+// from tr, the campaign's tracer scoped under its run or range span.
+// It returns the realised pool size.
 func runTrials(ctx context.Context, cfg Config, fn TrialFunc, lo int, table []slot,
-	parent telemetry.SpanID, onDone func(r TrialResult, ms float64)) int {
+	tr *telemetry.Tracer, onDone func(r TrialResult, ms float64)) int {
 	n := len(table)
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -313,9 +313,9 @@ func runTrials(ctx context.Context, cfg Config, fn TrialFunc, lo int, table []sl
 						return
 					}
 					i := lo + o
-					tsp := cfg.Tracer.StartChild("campaign.trial", parent)
+					tsp := tr.Start("campaign.trial")
 					t := Trial{Index: i, Seed: DeriveSeed(cfg.Seed, uint64(i)), RNG: TrialRNG(cfg.Seed, i),
-						Tracer: cfg.Tracer, Span: tsp.ID()}
+						Tracer: tr.Under(tsp.ID())}
 					t0 := time.Now()
 					out := execTrial(ctx, cfg.TrialTimeout, safeFn, t)
 					if cerr := ctx.Err(); cerr != nil && errors.Is(out.Err, cerr) {
@@ -472,7 +472,7 @@ func RunRange(ctx context.Context, cfg Config, fn TrialFunc, lo, hi int) ([]Tria
 
 	span := cfg.Tracer.Start("campaign.range")
 	table := make([]slot, hi-lo)
-	runTrials(ctx, cfg, fn, lo, table, span.ID(), nil)
+	runTrials(ctx, cfg, fn, lo, table, cfg.Tracer.Under(span.ID()), nil)
 	out := completed(table)
 	span.End(telemetry.Fields{"campaign": cfg.Name, "lo": lo, "hi": hi, "completed": len(out)})
 	if err := ctx.Err(); err != nil {

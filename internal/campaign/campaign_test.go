@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -242,6 +243,75 @@ func TestMetricsWired(t *testing.T) {
 				t.Errorf("campaign.trials_survived = %d", surv)
 			}
 		})
+	}
+}
+
+// TestTrialSpanTree checks the trace tree of a concurrent campaign,
+// through Run and RunRange: every campaign.trial span sits under the
+// one campaign.run (campaign.range) span, and what a trial function
+// emits through Trial.Tracer sits under its own trial's span.
+func TestTrialSpanTree(t *testing.T) {
+	for _, root := range []string{"campaign.run", "campaign.range"} {
+		var buf strings.Builder
+		tr := telemetry.New(&buf)
+		cfg := Config{Name: "tree", Trials: 64, Workers: 4, Seed: 3, Tracer: tr}
+		fn := func(_ context.Context, t Trial) Outcome {
+			t.Tracer.Event("trial.work", telemetry.Fields{"trial": t.Index})
+			return Outcome{Survived: true}
+		}
+		var err error
+		if root == "campaign.run" {
+			_, err = Run(context.Background(), cfg, fn)
+		} else {
+			_, err = RunRange(context.Background(), cfg, fn, 0, cfg.Trials)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		type rec struct {
+			Name   string `json:"name"`
+			ID     uint64 `json:"id"`
+			Par    uint64 `json:"par"`
+			Fields struct {
+				Trial int `json:"trial"`
+			} `json:"fields"`
+		}
+		var recs []rec
+		byID := map[uint64]rec{}
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var r rec
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				t.Fatalf("bad line %q: %v", line, err)
+			}
+			recs = append(recs, r)
+			if r.ID != 0 {
+				byID[r.ID] = r
+			}
+		}
+		works := 0
+		for _, r := range recs {
+			switch r.Name {
+			case root:
+				if r.Par != 0 {
+					t.Errorf("%s has parent %d, want a root", root, r.Par)
+				}
+			case "campaign.trial":
+				if byID[r.Par].Name != root {
+					t.Errorf("trial %d span under %q, want %s", r.Fields.Trial, byID[r.Par].Name, root)
+				}
+			case "trial.work":
+				works++
+				if p := byID[r.Par]; p.Name != "campaign.trial" || p.Fields.Trial != r.Fields.Trial {
+					t.Errorf("trial %d's event under %s of trial %d", r.Fields.Trial, p.Name, p.Fields.Trial)
+				}
+			default:
+				t.Errorf("unexpected record %q", r.Name)
+			}
+		}
+		if works != cfg.Trials {
+			t.Errorf("%s: %d trial events, want %d", root, works, cfg.Trials)
+		}
 	}
 }
 

@@ -118,8 +118,10 @@ func (pr Params) Validate() error {
 			if !(pr.ClusterSize >= 1 && pr.ClusterSize <= 64) {
 				return fmt.Errorf("defect: cluster size %g outside [1,64]", pr.ClusterSize)
 			}
-			if pr.ClusterRadius < 0 || pr.ClusterRadius > 64 {
-				return fmt.Errorf("defect: cluster radius %d outside [0,64]", pr.ClusterRadius)
+			// Zero is the wire format's "default radius", so a
+			// radius of 0 cannot be asked for.
+			if pr.ClusterRadius < 1 || pr.ClusterRadius > 64 {
+				return fmt.Errorf("defect: cluster radius %d outside [1,64]", pr.ClusterRadius)
 			}
 		}
 	case ModelFile:

@@ -196,6 +196,15 @@ func TestParamsValidate(t *testing.T) {
 	if _, err := (Params{}).Generator(); err != nil {
 		t.Errorf("zero value Generator() = %v, want the default uniform model", err)
 	}
+	// Likewise a zero cluster radius: raw it is rejected (the wire
+	// format cannot ask for it), normalized it is the default radius.
+	zeroRadius := Params{Model: ModelClustered, Prob: 0.02, ClusterSize: 4}
+	if err := zeroRadius.Validate(); err == nil {
+		t.Error("raw cluster radius 0 validated; it would run the default radius")
+	}
+	if _, err := zeroRadius.Generator(); err != nil {
+		t.Errorf("zero-radius Generator() = %v, want the default radius", err)
+	}
 }
 
 func TestFingerprintPartsDistinguishModels(t *testing.T) {

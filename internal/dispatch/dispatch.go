@@ -68,8 +68,6 @@ type Options struct {
 	// Metrics receives dispatch.* counters; a private registry is
 	// created when nil so /metrics always has data.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, records dispatch.* spans.
-	Tracer *telemetry.Tracer
 }
 
 // Dispatcher is the campaign dispatch service. Build with New, mount
@@ -77,7 +75,6 @@ type Options struct {
 type Dispatcher struct {
 	opts     Options
 	reg      *telemetry.Registry
-	tracer   *telemetry.Tracer
 	adm      *server.Admission
 	progress *obs.ProgressMux
 	mux      *http.ServeMux
@@ -154,7 +151,6 @@ func New(opts Options) (*Dispatcher, error) {
 	d := &Dispatcher{
 		opts:      opts,
 		reg:       reg,
-		tracer:    opts.Tracer,
 		adm:       server.NewAdmission(opts.MaxCampaigns),
 		progress:  obs.NewProgressMux(),
 		campaigns: make(map[string]*campaignState),

@@ -99,12 +99,13 @@ func (sp Spec) Normalized() Spec {
 
 // Validate checks the spec describes a runnable campaign, as given: it
 // does not normalize first, so a zero where the default is nonzero
-// (k, q, the defect model) is an error. Wire specs, where zero means
-// "default", are normalized before they are validated; flag values
-// are validated raw (SpecFlags), which is what rejects an explicit
-// "-defect-prob 0". With remote set it additionally rejects modes the
-// dispatcher cannot shard (exhaustive needs the placement to know its
-// own trial count).
+// (k, q, the defect model, the place seed, the cluster radius) is an
+// error. Wire specs, where zero means "default", are normalized
+// before they are validated; flag values are validated raw
+// (SpecFlags), which is what rejects an explicit "-defect-prob 0",
+// "-place-seed 0" or "-cluster-radius 0". With remote set it
+// additionally rejects modes the dispatcher cannot shard (exhaustive
+// needs the placement to know its own trial count).
 func (sp Spec) Validate(remote bool) error {
 	switch sp.Mode {
 	case "single", "multi", "yield", "assay":
@@ -138,6 +139,11 @@ func (sp Spec) Validate(remote bool) error {
 	if !(sp.Transient >= 0 && sp.Transient <= 1) {
 		return fmt.Errorf("dispatch: transient probability %g outside [0,1]", sp.Transient)
 	}
+	// Zero is the wire format's "default place seed" (2), so a place
+	// seed of 0 cannot be asked for.
+	if sp.PlaceSeed == 0 {
+		return fmt.Errorf("dispatch: place seed 0 is reserved for the default; pick a nonzero seed")
+	}
 	return nil
 }
 
@@ -155,7 +161,7 @@ func (sp Spec) DefectParams() defect.Params {
 
 // specUsage is the hint printed under a rejected set of spec flags.
 var specUsage = fmt.Sprintf(`usage: -mode single|multi|yield|assay (exhaustive: dmfb-campaign only) with -trials in [1,%d], -k >= 1, -spares in [0,8], -transient in [0,1];
-       -mode yield takes -defect-model uniform|clustered|file with -defect-prob in (0,1); clustered adds -cluster-size/-cluster-radius, file adds -defect-file (rows of '.' good, 'X' defective)`, MaxTrials)
+       -mode yield takes -defect-model uniform|clustered|file with -defect-prob in (0,1); clustered adds -cluster-size/-cluster-radius (radius >= 1), file adds -defect-file (rows of '.' good, 'X' defective)`, MaxTrials)
 
 // SpecFlags installs the campaign spec's command-line flags on fs: one
 // per Spec field, with -q the alias of -defect-prob, plus -defect-file,

@@ -83,6 +83,11 @@ func TestSpecValidateRaw(t *testing.T) {
 		{"zero k", Spec{Mode: "multi", Trials: 8, Q: 0.01}, "k=0"},
 		{"empty defect model", Spec{Mode: "yield", Trials: 8, K: 2, Q: 0.01}, "unknown model"},
 		{"empty mode", Spec{Trials: 8, K: 2, Q: 0.01}, "unknown mode"},
+		// Zero normalizes to place seed 2 and cluster radius 2, so an
+		// explicit zero would silently run the default.
+		{"zero place seed", Spec{Mode: "multi", Trials: 8, K: 2, Q: 0.01, Recovery: "l1"}, "place seed 0"},
+		{"zero cluster radius", Spec{Mode: "yield", Trials: 8, K: 2, Q: 0.01, Recovery: "l1", PlaceSeed: 2,
+			DefectModel: defect.ModelClustered, ClusterSize: 4}, "cluster radius 0"},
 	} {
 		if err := c.sp.Validate(false); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want containing %q", c.name, err, c.want)

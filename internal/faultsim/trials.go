@@ -144,7 +144,6 @@ func AssayTrial(s *schedule.Schedule, p *place.Placement, k int,
 			Recovery:     mode,
 			RecoverySeed: campaign.DeriveSeed(t.Seed, 0),
 			Telemetry:    t.Tracer,
-			Span:         t.Span,
 		}
 		var faults []sim.FaultInjection
 		var cells []geom.Point

@@ -9,10 +9,10 @@
 // sim — and each is skipped unless its spec is present (or its input
 // is given pre-computed, e.g. Request.Placement skips the placer).
 // Each stage runs under a "stage.<name>" telemetry span nested in the
-// caller's current default parent and observes a "stage.<name>_ms"
-// histogram, matching the span hierarchy the CLIs established before
-// this package existed. The context is checked between stages, so a
-// cancelled request stops at the next stage boundary.
+// parent carried by Request.Tracer and observes a "stage.<name>_ms"
+// histogram; library spans started inside a stage nest under it. The
+// context is checked between stages, so a cancelled request stops at
+// the next stage boundary.
 //
 // Failures are returned as *StageError wrapping the cause, so callers
 // can switch on the stage tag (errors.As) or the underlying error
@@ -89,7 +89,8 @@ type PlaceSpec struct {
 	// "sa" or "twostage".
 	Placer string
 	// Options configures the annealing placers. Its Tracer and Metrics
-	// default to the request's sinks. Neither affects the annealer's
+	// default to the request's sinks, the tracer scoped under the
+	// stage.place span. Neither affects the annealer's
 	// RNG, so placements are bit-identical with or without telemetry.
 	Options core.Options
 	// FT configures stage 2 of the "twostage" placer.
@@ -119,7 +120,8 @@ type FTISpec struct {
 // placement.
 type SimSpec struct {
 	// Options configures the simulator. Telemetry and Metrics default
-	// to the request's sinks when nil.
+	// to the request's sinks when nil, the tracer scoped under the
+	// stage.sim span.
 	Options sim.Options
 	// Faults are injected at their scheduled times.
 	Faults []sim.FaultInjection
@@ -305,6 +307,7 @@ func Run(ctx context.Context, req Request) (Result, error) {
 		if res.Schedule == nil || res.Placement == nil {
 			return res, &StageError{StageSim, fmt.Errorf("simulation needs a schedule and a placement")}
 		}
+		done := req.stage(StageSim)
 		opts := req.Sim.Options
 		if opts.Telemetry == nil {
 			opts.Telemetry = req.Tracer
@@ -312,7 +315,6 @@ func Run(ctx context.Context, req Request) (Result, error) {
 		if opts.Metrics == nil {
 			opts.Metrics = req.Metrics
 		}
-		done := req.stage(StageSim)
 		r := sim.Run(res.Schedule, res.Placement, opts, req.Sim.Faults...)
 		done()
 		res.Sim = &r
@@ -392,6 +394,8 @@ func (req *Request) runPlace(res *Result) error {
 		}
 	}
 
+	done := req.stage(StagePlace)
+	defer done()
 	opts := spec.Options
 	if opts.Tracer == nil {
 		opts.Tracer = req.Tracer
@@ -399,9 +403,6 @@ func (req *Request) runPlace(res *Result) error {
 	if opts.Metrics == nil {
 		opts.Metrics = req.Metrics
 	}
-
-	done := req.stage(StagePlace)
-	defer done()
 	req.Metrics.Counter("pipeline.placer_runs").Add(1)
 	var err error
 	switch spec.Placer {
@@ -560,21 +561,22 @@ func (req *Request) runTest(res *Result) error {
 }
 
 // stage wraps one pipeline stage in the standard telemetry: a
-// "stage.<name>" span (nested under the tracer's current default
-// parent, which it becomes for the stage's duration) and a
-// "stage.<name>_ms" latency histogram. Under a CLI session's tool.run
-// root this gives the tool.run→stage.* hierarchy, with library spans
-// nesting under their stage.
+// "stage.<name>" span under req.Tracer's parent and a
+// "stage.<name>_ms" latency histogram. Until the returned func runs,
+// req.Tracer is scoped under the stage span, so library spans started
+// from it after this call nest under their stage. Under a CLI
+// session's tool.run root this gives the tool.run→stage.* hierarchy.
 func (req *Request) stage(name string) func() {
 	if req.Tracer == nil && req.Metrics == nil {
 		return func() {}
 	}
 	clock := telemetry.StartStage(name)
 	span := req.Tracer.Start("stage." + name)
-	prev := req.Tracer.SwapDefaultParent(span.ID())
+	outer := req.Tracer
+	req.Tracer = outer.Under(span.ID())
 	return func() {
+		req.Tracer = outer
 		st := clock.Stop()
-		req.Tracer.SwapDefaultParent(prev)
 		span.End(telemetry.Fields{
 			"tool":   req.Tool,
 			"cpu_us": st.CPU.Microseconds(),

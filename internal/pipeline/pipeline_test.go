@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"dmfb/internal/core"
@@ -343,24 +344,30 @@ func TestRunCancellation(t *testing.T) {
 // TestStageNestsSpans checks the default-parent plumbing under a
 // tool's root span: library spans emitted inside a pipeline stage (the
 // annealer's anneal.level) carry the stage span as parent, each stage
-// span the root, and the root no parent.
+// TestStageNestsSpans checks the pipeline's trace tree under a CLI
+// tool's root span: each stage span has the root as parent, library
+// spans emitted inside a stage carry the stage span (the annealer's
+// anneal.level under stage.place, sim.run under stage.sim, the sim's
+// events under sim.run), and stages run after stage.fti ends
+// (exhaustive, montecarlo) sit beside it under the root.
 func TestStageNestsSpans(t *testing.T) {
 	var buf bytes.Buffer
 	tr := telemetry.New(&buf)
 	root := tr.Start("tool.run")
-	tr.SwapDefaultParent(root.ID())
 	if _, err := Run(context.Background(), Request{
 		Tool:   "tool",
 		Synth:  &SynthSpec{Assay: "pcr"},
 		Place:  &PlaceSpec{Placer: "sa", Options: core.Options{Seed: 1, ItersPerModule: 20}},
-		Tracer: tr,
+		FTI:    &FTISpec{Verify: true, MonteCarlo: 20, Seed: 1},
+		Sim:    &SimSpec{},
+		Tracer: tr.Under(root.ID()),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	root.End(nil)
 
 	ids := map[string]uint64{}
-	levelPars := map[uint64]bool{}
+	pars := map[string]map[uint64]bool{}
 	dec := json.NewDecoder(&buf)
 	for dec.More() {
 		var rec struct {
@@ -371,27 +378,34 @@ func TestStageNestsSpans(t *testing.T) {
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec.Kind != "span" {
-			continue
+		name := rec.Name
+		if rec.Kind == "event" && strings.HasPrefix(name, "sim.") {
+			name = "sim.<event>"
 		}
-		switch rec.Name {
-		case "anneal.level":
-			levelPars[rec.Par] = true
-		case "tool.run":
-			if rec.Par != 0 {
-				t.Errorf("tool.run parent = %d, want root", rec.Par)
-			}
-		case "stage.synth", "stage.place":
-			if rec.Par != uint64(root.ID()) {
-				t.Errorf("%s parent = %d, want tool.run id %d", rec.Name, rec.Par, root.ID())
-			}
+		if pars[name] == nil {
+			pars[name] = map[uint64]bool{}
 		}
-		ids[rec.Name] = rec.ID
+		pars[name][rec.Par] = true
+		if rec.Kind == "span" {
+			ids[rec.Name] = rec.ID
+		}
 	}
-	if ids["stage.synth"] == 0 || ids["stage.place"] == 0 {
-		t.Fatalf("stage spans missing: %v", ids)
+	for child, parent := range map[string]string{
+		"stage.synth":      "tool.run",
+		"stage.place":      "tool.run",
+		"stage.fti":        "tool.run",
+		"stage.exhaustive": "tool.run",
+		"stage.montecarlo": "tool.run",
+		"stage.sim":        "tool.run",
+		"anneal.level":     "stage.place",
+		"sim.run":          "stage.sim",
+		"sim.<event>":      "sim.run",
+	} {
+		if ids[parent] == 0 || len(pars[child]) != 1 || !pars[child][ids[parent]] {
+			t.Errorf("%s parents %v, want only %s id %d", child, pars[child], parent, ids[parent])
+		}
 	}
-	if len(levelPars) != 1 || !levelPars[ids["stage.place"]] {
-		t.Errorf("anneal.level parents %v, want only stage.place id %d", levelPars, ids["stage.place"])
+	if !pars["tool.run"][0] || len(pars["tool.run"]) != 1 {
+		t.Errorf("tool.run parents %v, want a root", pars["tool.run"])
 	}
 }

@@ -104,11 +104,10 @@ type Options struct {
 	// L2 downgrade may introduce. Zero means unlimited.
 	StretchLimit int
 	// Telemetry, when non-nil, receives a "recovery.ladder" span per
-	// invocation with the chosen level and attempt count.
+	// invocation with the chosen level and attempt count, under the
+	// tracer's parent (the simulator passes its tracer scoped under
+	// "sim.run").
 	Telemetry *telemetry.Tracer
-	// Span, when non-zero, is the trace span the ladder spans nest
-	// under (the simulator passes its "sim.run" span).
-	Span telemetry.SpanID
 	// Metrics, when non-nil, receives recovery.* counters: one
 	// success/failure pair per level plus recovery.invocations and
 	// recovery.abandoned_ops.
@@ -238,7 +237,7 @@ func (l *Ladder) MaxLevel() Level { return l.opts.MaxLevel }
 // only when MaxLevel < LevelDegrade or the state has no schedule,
 // since L4 cannot fail.
 func (l *Ladder) Recover(st State) (*Plan, Report) {
-	span := l.opts.Telemetry.StartChild("recovery.ladder", l.opts.Span)
+	span := l.opts.Telemetry.Start("recovery.ladder")
 	start := time.Now()
 	var rep Report
 	var plan *Plan

@@ -84,7 +84,8 @@ type Options struct {
 	// registry is created when nil so /metrics always has data.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records server.* and stage.* spans per
-	// request.
+	// request: each job's pipeline gets the tracer scoped under its
+	// own root "server.<kind>" span.
 	Tracer *telemetry.Tracer
 }
 
@@ -356,11 +357,10 @@ func (s *Server) execute(ctx context.Context, j *job, kind string, sr *SimulateR
 	j.running.Store(true)
 
 	span := s.tracer.Start("server." + kind)
-	prev := s.tracer.SwapDefaultParent(span.ID())
+	preq.Tracer = s.tracer.Under(span.ID())
 	clock := telemetry.StartStage("server." + kind)
 	res, err := s.run(ctx, preq)
 	st := clock.Stop()
-	s.tracer.SwapDefaultParent(prev)
 	cacheState := "miss"
 	if res.CacheHit {
 		cacheState = "hit"
@@ -448,7 +448,6 @@ func (s *Server) buildRequest(kind string, sr *SimulateRequest) (pipeline.Reques
 			Seed:       sr.FTISeed,
 		},
 		Cache:   s.cache,
-		Tracer:  s.tracer,
 		Metrics: s.reg,
 	}
 	if kind == "simulate" {

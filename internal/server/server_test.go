@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -455,4 +456,141 @@ func TestOpsEndpointsMounted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestServerConcurrentSpanTrees sends eight compiles at once to a
+// four-worker server with a tracer. Every server.compile span must be
+// a root and parent exactly its own request's stage spans, with the
+// annealer's records under that request's stage.place. The eight
+// requests differ in shape (placer sa or twostage, verify, montecarlo),
+// so each request's subtree is unique: a stage or anneal record nested
+// under another request's span leaves some server.compile subtree
+// matching no request.
+func TestServerConcurrentSpanTrees(t *testing.T) {
+	var buf bytes.Buffer
+	s := New(Options{Workers: 4, Tracer: telemetry.New(&buf)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var bodies, want []string
+	for _, placer := range []string{"sa", "twostage"} {
+		for _, verify := range []bool{false, true} {
+			for _, mc := range []int{0, 20} {
+				bodies = append(bodies, fmt.Sprintf(
+					`{"assay":"pcr","placer":%q,"seed":%d,"beta":30,"iters_per_module":20,"window_patience":2,"verify":%t,"montecarlo":%d}`,
+					placer, len(bodies)+1, verify, mc))
+				stages := []string{"stage.fti", "stage.place", "stage.synth"}
+				if verify {
+					stages = append(stages, "stage.exhaustive")
+				}
+				if mc > 0 {
+					stages = append(stages, "stage.montecarlo")
+				}
+				tags := "area"
+				if placer == "twostage" {
+					tags = "area,ft"
+				}
+				want = append(want, subtreeShape(stages, tags))
+			}
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Dmfb-Cache") != "miss" {
+				t.Errorf("%s: %d (cache %q) %s", body, resp.StatusCode, resp.Header.Get("X-Dmfb-Cache"), b)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	type rec struct {
+		Kind, Name string
+		ID         uint64 `json:"id"`
+		Par        uint64 `json:"par"`
+		Fields     struct {
+			Stage string `json:"stage"`
+		} `json:"fields"`
+	}
+	var recs []rec
+	byID := map[uint64]rec{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var r rec
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+		if r.Kind == "span" {
+			byID[r.ID] = r
+		}
+	}
+	stages := map[uint64][]string{}      // server.compile id -> its stage spans
+	tags := map[uint64]map[string]bool{} // stage.place id -> anneal stage tags
+	placeOf := map[uint64]uint64{}       // server.compile id -> its stage.place id
+	for _, r := range recs {
+		switch {
+		case r.Name == "server.compile":
+			if r.Par != 0 {
+				t.Errorf("server.compile span %d has parent %d (%s), want a root", r.ID, r.Par, byID[r.Par].Name)
+			}
+		case strings.HasPrefix(r.Name, "stage."):
+			if byID[r.Par].Name != "server.compile" {
+				t.Errorf("%s span %d has parent %d (%q), want a server.compile span", r.Name, r.ID, r.Par, byID[r.Par].Name)
+				continue
+			}
+			stages[r.Par] = append(stages[r.Par], r.Name)
+			if r.Name == "stage.place" {
+				placeOf[r.Par] = r.ID
+			}
+		case strings.HasPrefix(r.Name, "anneal."):
+			if byID[r.Par].Name != "stage.place" {
+				t.Errorf("%s record has parent %d (%q), want a stage.place span", r.Name, r.Par, byID[r.Par].Name)
+				continue
+			}
+			if tags[r.Par] == nil {
+				tags[r.Par] = map[string]bool{}
+			}
+			tags[r.Par][r.Fields.Stage] = true
+		}
+	}
+	var got []string
+	for _, r := range recs {
+		if r.Name == "server.compile" {
+			var tl []string
+			for tag := range tags[placeOf[r.ID]] {
+				tl = append(tl, tag)
+			}
+			slices.Sort(tl)
+			got = append(got, subtreeShape(stages[r.ID], strings.Join(tl, ",")))
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("server.compile subtrees do not match the requests one to one:\ngot  %q\nwant %q", got, want)
+	}
+}
+
+// subtreeShape renders one request's trace subtree: its sorted stage
+// span names and the anneal stage tags under its stage.place.
+func subtreeShape(stages []string, tags string) string {
+	stages = slices.Clone(stages)
+	slices.Sort(stages)
+	return strings.Join(stages, ",") + " | " + tags
 }

@@ -110,13 +110,12 @@ type Options struct {
 	// downgrade may introduce. Zero means unlimited.
 	RecoveryStretchLimit int
 	// Telemetry, when non-nil, mirrors every Event as a structured
-	// "sim.<kind>" trace record and wraps the run in a "sim.run" span.
+	// "sim.<kind>" trace record and wraps the run in a "sim.run" span
+	// under the tracer's parent; the event records and the recovery
+	// ladder's spans nest under sim.run. Campaigns pass the trial's
+	// tracer, so traces form a campaign→trial→sim→recovery hierarchy.
 	// The Events slice in Result is unchanged either way.
 	Telemetry *telemetry.Tracer
-	// Span, when non-zero, is the trace span the "sim.run" span nests
-	// under — campaigns pass the trial span so traces form a
-	// campaign→trial→sim→recovery hierarchy.
-	Span telemetry.SpanID
 	// Metrics, when non-nil, receives sim.* metrics: event counts,
 	// transport totals, droplet route lengths and the latency of
 	// partial reconfiguration (sim.reconfig_latency_ms).
@@ -243,9 +242,9 @@ type simulator struct {
 	// abandoned holds op IDs dropped by graceful degradation.
 	abandoned map[int]bool
 	res       *Result
-	// span is the id of this run's "sim.run" trace span; event
-	// records nest under it.
-	span telemetry.SpanID
+	// tr is the run's tracer scoped under its "sim.run" span (nil when
+	// tracing is off); event records and ladder spans nest there.
+	tr *telemetry.Tracer
 	// tree is the routing search of the current droplet decision: each
 	// decision resets it once and asks it for every candidate target.
 	tree router.Tree
@@ -272,8 +271,8 @@ func Run(s *schedule.Schedule, p *place.Placement, opts Options, faults ...Fault
 		abandoned: make(map[int]bool),
 		res:       &Result{},
 	}
-	span := o.Telemetry.StartChild("sim.run", o.Span)
-	sim.span = span.ID()
+	span := o.Telemetry.Start("sim.run")
+	sim.tr = o.Telemetry.Under(span.ID())
 	if o.Recovery != RecoveryOff {
 		maxLevel := recovery.LevelRelocate
 		if o.Recovery == RecoveryLadder {
@@ -283,8 +282,7 @@ func Run(s *schedule.Schedule, p *place.Placement, opts Options, faults ...Fault
 			MaxLevel:     maxLevel,
 			Anneal:       core.Options{Seed: o.RecoverySeed},
 			StretchLimit: o.RecoveryStretchLimit,
-			Telemetry:    o.Telemetry,
-			Span:         sim.span,
+			Telemetry:    sim.tr,
 			Metrics:      o.Metrics,
 		})
 	}
@@ -430,7 +428,9 @@ func (sim *simulator) resetTree(id int, from geom.Point, keepOut []geom.Rect) {
 func (sim *simulator) log(t int, kind, format string, args ...any) {
 	detail := fmt.Sprintf(format, args...)
 	sim.res.Events = append(sim.res.Events, Event{TimeSec: t, Kind: kind, Detail: detail})
-	sim.opts.Telemetry.EventIn("sim."+kind, sim.span, telemetry.Fields{"t_sec": t, "detail": detail})
+	if sim.tr != nil {
+		sim.tr.Event("sim."+kind, telemetry.Fields{"t_sec": t, "detail": detail})
+	}
 	sim.opts.Metrics.Counter("sim.events").Inc()
 }
 

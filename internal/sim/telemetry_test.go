@@ -16,6 +16,8 @@ type traceRecord struct {
 	TUS    int64          `json:"t_us"`
 	Kind   string         `json:"kind"`
 	Name   string         `json:"name"`
+	ID     uint64         `json:"id"`
+	Par    uint64         `json:"par"`
 	Fields map[string]any `json:"fields"`
 }
 
@@ -58,15 +60,39 @@ func TestTraceEventsMatchEventLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Collect the sim.* events from the trace, in emission order.
+	// Collect the sim.* events from the trace, in emission order; they
+	// and the recovery ladder's spans nest under the root sim.run span.
 	var traced []traceRecord
+	var ladderPars []uint64
+	var run traceRecord
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var rec traceRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("invalid trace line %q: %v", line, err)
 		}
-		if rec.Kind == "event" && strings.HasPrefix(rec.Name, "sim.") {
+		switch {
+		case rec.Kind == "event" && strings.HasPrefix(rec.Name, "sim."):
 			traced = append(traced, rec)
+		case rec.Name == "recovery.ladder":
+			ladderPars = append(ladderPars, rec.Par)
+		case rec.Name == "sim.run":
+			run = rec
+		}
+	}
+	if run.ID == 0 || run.Par != 0 {
+		t.Fatalf("sim.run span id %d par %d, want a root", run.ID, run.Par)
+	}
+	if len(ladderPars) == 0 {
+		t.Error("no recovery.ladder span despite a relocation")
+	}
+	for _, par := range ladderPars {
+		if par != run.ID {
+			t.Errorf("recovery.ladder under %d, want sim.run %d", par, run.ID)
+		}
+	}
+	for _, rec := range traced {
+		if rec.Par != run.ID {
+			t.Errorf("%s event under %d, want sim.run %d", rec.Name, rec.Par, run.ID)
 		}
 	}
 

@@ -110,6 +110,8 @@ func Main(tool string, run func(ts *Session) int) int {
 
 // Session is the live observability state of one tool invocation.
 type Session struct {
+	// Tracer is scoped under the root "tool.run" span: everything the
+	// tool emits through it nests there.
 	Tracer  *telemetry.Tracer
 	Metrics *telemetry.Registry
 
@@ -126,9 +128,9 @@ type Session struct {
 // not given; Start with no flags set returns a fully inert Session,
 // so callers never need to branch. On success the process-wide
 // router/reconfig hooks are pointed at the session registry, the root
-// "tool.run" span is open and installed as the tracer's default
-// parent (so stage spans and stage-nested library spans form a tree),
-// and the ops server — when requested — is already listening.
+// "tool.run" span is open and Session.Tracer is scoped under it (so
+// stage spans and stage-nested library spans form a tree), and the
+// ops server — when requested — is already listening.
 func (c *Config) Start(tool string) (*Session, error) {
 	s := &Session{tool: tool, metricsPath: c.MetricsPath}
 	if c.TracePath != "" {
@@ -166,7 +168,7 @@ func (c *Config) Start(tool string) (*Session, error) {
 	reconfig.Instrument(s.Metrics)
 	s.Tracer.Event("tool.start", telemetry.Fields{"tool": tool})
 	s.root = s.Tracer.Start("tool.run")
-	s.Tracer.SwapDefaultParent(s.root.ID())
+	s.Tracer = s.Tracer.Under(s.root.ID())
 	return s, nil
 }
 
@@ -251,7 +253,6 @@ func (s *Session) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.Tracer.SwapDefaultParent(0)
 	s.root.End(nil)
 	var first error
 	if s.ops != nil {

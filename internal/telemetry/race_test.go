@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -61,8 +62,9 @@ func TestRegistryConcurrentHammering(t *testing.T) {
 	}
 }
 
-// Concurrent span and event emission must keep seq contiguous and one
-// record per line.
+// Concurrent span and event emission must keep seq contiguous, one
+// record per line, and every record under its own goroutine's spans:
+// views made by Under never share a parent.
 func TestTracerConcurrentEmission(t *testing.T) {
 	var mu sync.Mutex
 	var buf strings.Builder
@@ -78,14 +80,17 @@ func TestTracerConcurrentEmission(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
+			root := tr.Start("root")
+			in := tr.Under(root.ID())
 			for i := 0; i < perG; i++ {
-				sp := tr.Start("work")
-				tr.Event("tick", Fields{"i": i})
-				sp.End(nil)
+				sp := in.Start("work")
+				in.Under(sp.ID()).Event("tick", Fields{"g": g})
+				sp.End(Fields{"g": g})
 			}
-		}()
+			root.End(Fields{"g": g})
+		}(g)
 	}
 	wg.Wait()
 
@@ -95,8 +100,39 @@ func TestTracerConcurrentEmission(t *testing.T) {
 	mu.Lock()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	mu.Unlock()
-	if len(lines) != goroutines*perG*2 {
-		t.Fatalf("%d lines, want %d", len(lines), goroutines*perG*2)
+	if len(lines) != goroutines*(perG*2+1) {
+		t.Fatalf("%d lines, want %d", len(lines), goroutines*(perG*2+1))
+	}
+	type rec struct {
+		Name   string `json:"name"`
+		ID     uint64 `json:"id"`
+		Par    uint64 `json:"par"`
+		Fields struct {
+			G int `json:"g"`
+		} `json:"fields"`
+	}
+	recs := make([]rec, len(lines))
+	byID := map[uint64]rec{}
+	for i, l := range lines {
+		if err := json.Unmarshal([]byte(l), &recs[i]); err != nil {
+			t.Fatalf("bad line %q: %v", l, err)
+		}
+		if recs[i].ID != 0 {
+			byID[recs[i].ID] = recs[i]
+		}
+	}
+	want := map[string]string{"tick": "work", "work": "root"}
+	for _, r := range recs {
+		if r.Name == "root" {
+			if r.Par != 0 {
+				t.Errorf("root span of goroutine %d has par %d", r.Fields.G, r.Par)
+			}
+			continue
+		}
+		p, ok := byID[r.Par]
+		if !ok || p.Name != want[r.Name] || p.Fields.G != r.Fields.G {
+			t.Fatalf("%s of goroutine %d has parent %+v, want its own goroutine's %s", r.Name, r.Fields.G, p, want[r.Name])
+		}
 	}
 	sums := tr.Summaries()
 	if s := sums["work"]; s.N != goroutines*perG {

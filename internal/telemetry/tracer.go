@@ -49,18 +49,30 @@ import (
 type Fields map[string]any
 
 // SpanID identifies one span within a trace. The zero SpanID means
-// "no explicit span": as a parent argument it falls back to the
-// tracer's default parent (see SwapDefaultParent).
+// "no span": a tracer whose parent is zero emits roots, and as the
+// parent argument of StartChild it means the tracer's own parent.
 type SpanID uint64
 
 // maxSpanSamples bounds the per-name duration samples kept for
 // Summaries, so long campaigns cannot grow memory without bound.
 const maxSpanSamples = 8192
 
-// Tracer writes structured trace records as JSONL. Create one with
-// New (or NewWithClock for deterministic tests); the zero value is not
+// Tracer writes structured trace records as JSONL. A Tracer is a view
+// of one shared sink (writer, clock, sequence numbers, span ids and
+// duration samples) plus a parent span: Start, Event and EmitSpan
+// parent their records to it. Under returns another view on the same
+// sink, so a caller hands each layer a tracer that already carries
+// the layer's parent and concurrent work never shares a mutable
+// parent. Create one with New (or NewWithClock for deterministic
+// tests); its parent is zero, so it emits roots. The zero value is not
 // usable, but a nil *Tracer is: every method no-ops.
 type Tracer struct {
+	*sink
+	parent SpanID
+}
+
+// sink is the state every view of one trace shares.
+type sink struct {
 	mu    sync.Mutex
 	w     io.Writer
 	clock func() time.Duration // monotonic time since tracer creation
@@ -68,8 +80,7 @@ type Tracer struct {
 	err   error
 	durs  map[string][]float64 // span duration samples in milliseconds
 
-	ids    atomic.Uint64 // span id allocator
-	parent atomic.Uint64 // default parent for zero-SpanID emissions
+	ids atomic.Uint64 // span id allocator
 }
 
 // New returns a Tracer emitting JSONL records to w. Timestamps are
@@ -82,7 +93,17 @@ func New(w io.Writer) *Tracer {
 // NewWithClock is New with an injectable monotonic clock, for
 // deterministic (golden-output) tests.
 func NewWithClock(w io.Writer, clock func() time.Duration) *Tracer {
-	return &Tracer{w: w, clock: clock, durs: make(map[string][]float64)}
+	return &Tracer{sink: &sink{w: w, clock: clock, durs: make(map[string][]float64)}}
+}
+
+// Under returns a view of t's trace whose records nest under parent
+// (zero: roots). It allocates one small struct; on a nil tracer it
+// returns nil and allocates nothing.
+func (t *Tracer) Under(parent SpanID) *Tracer {
+	if t == nil {
+		return nil
+	}
+	return &Tracer{sink: t.sink, parent: parent}
 }
 
 // Enabled reports whether the tracer records anything.
@@ -98,26 +119,6 @@ func (t *Tracer) Err() error {
 	return t.err
 }
 
-// SwapDefaultParent sets the parent attached to spans and events
-// emitted without an explicit one and returns the previous default.
-// Single-threaded pipeline drivers (the CLI stage wrappers) use it to
-// nest instrumented library code under the current stage span;
-// concurrent emitters must pass explicit parents instead.
-func (t *Tracer) SwapDefaultParent(p SpanID) SpanID {
-	if t == nil {
-		return 0
-	}
-	return SpanID(t.parent.Swap(uint64(p)))
-}
-
-// resolve maps the zero SpanID to the tracer's default parent.
-func (t *Tracer) resolve(p SpanID) SpanID {
-	if p != 0 {
-		return p
-	}
-	return SpanID(t.parent.Load())
-}
-
 // record is the wire format of one JSONL line.
 type record struct {
 	Seq    uint64 `json:"seq"`
@@ -130,32 +131,20 @@ type record struct {
 	Fields Fields `json:"fields,omitempty"`
 }
 
-// Event emits a point-in-time record under the default parent.
+// Event emits a point-in-time record under the tracer's parent.
 func (t *Tracer) Event(name string, fields Fields) {
-	t.EventIn(name, 0, fields)
-}
-
-// EventIn emits a point-in-time record under the given span (zero:
-// the default parent).
-func (t *Tracer) EventIn(name string, parent SpanID, fields Fields) {
 	if t == nil {
 		return
 	}
 	t.emit(record{TUS: t.clock().Microseconds(), Kind: "event", Name: name,
-		Parent: uint64(t.resolve(parent)), Fields: fields})
+		Parent: uint64(t.parent), Fields: fields})
 }
 
 // EmitSpan emits a completed span retrospectively: a span of the
-// given duration ending now, under the default parent. Used when the
+// given duration ending now, under the tracer's parent. Used when the
 // caller measured the duration itself (e.g. an annealing level's
 // wall time).
 func (t *Tracer) EmitSpan(name string, dur time.Duration, fields Fields) {
-	t.EmitSpanIn(name, 0, dur, fields)
-}
-
-// EmitSpanIn is EmitSpan under an explicit parent span (zero: the
-// default parent).
-func (t *Tracer) EmitSpanIn(name string, parent SpanID, dur time.Duration, fields Fields) {
 	if t == nil {
 		return
 	}
@@ -165,7 +154,7 @@ func (t *Tracer) EmitSpanIn(name string, parent SpanID, dur time.Duration, field
 		start = 0
 	}
 	t.emit(record{TUS: start.Microseconds(), Kind: "span", Name: name,
-		ID: t.ids.Add(1), Parent: uint64(t.resolve(parent)),
+		ID: t.ids.Add(1), Parent: uint64(t.parent),
 		DurUS: dur.Microseconds(), Fields: fields})
 	t.sample(name, dur)
 }
@@ -181,18 +170,21 @@ type Span struct {
 	parent SpanID
 }
 
-// Start begins a span under the default parent. End emits it as one
+// Start begins a span under the tracer's parent. End emits it as one
 // "span" record.
 func (t *Tracer) Start(name string) Span { return t.StartChild(name, 0) }
 
 // StartChild begins a span under an explicit parent (zero: the
-// default parent). The span's id is allocated immediately, so nested
-// work can reference it before End.
+// tracer's own parent). The span's id is allocated immediately, so
+// nested work can reference it before End or scope a tracer Under it.
 func (t *Tracer) StartChild(name string, parent SpanID) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, name: name, start: t.clock(), id: SpanID(t.ids.Add(1)), parent: t.resolve(parent)}
+	if parent == 0 {
+		parent = t.parent
+	}
+	return Span{t: t, name: name, start: t.clock(), id: SpanID(t.ids.Add(1)), parent: parent}
 }
 
 // ID returns the span's identifier (0 for the zero Span).
@@ -204,14 +196,6 @@ func (s Span) StartChild(name string) Span {
 		return Span{}
 	}
 	return s.t.StartChild(name, s.id)
-}
-
-// Event emits a point-in-time record inside s.
-func (s Span) Event(name string, fields Fields) {
-	if s.t == nil {
-		return
-	}
-	s.t.EventIn(name, s.id, fields)
 }
 
 // End completes the span, attaching the given fields.
@@ -226,7 +210,7 @@ func (s Span) End(fields Fields) {
 	s.t.sample(s.name, dur)
 }
 
-func (t *Tracer) emit(rec record) {
+func (t *sink) emit(rec record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
@@ -244,7 +228,7 @@ func (t *Tracer) emit(rec record) {
 	}
 }
 
-func (t *Tracer) sample(name string, dur time.Duration) {
+func (t *sink) sample(name string, dur time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.durs[name]) < maxSpanSamples {

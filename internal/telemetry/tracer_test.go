@@ -53,14 +53,15 @@ func TestNilTracerNoOps(t *testing.T) {
 	sp := tr.Start("y")
 	sp.End(nil)
 	tr.EmitSpan("z", time.Second, nil)
-	tr.EventIn("w", 3, nil)
-	tr.EmitSpanIn("v", 3, time.Second, nil)
-	if tr.SwapDefaultParent(7) != 0 {
-		t.Error("nil tracer has a default parent")
+	in := tr.Under(3)
+	if in != nil {
+		t.Error("Under on a nil tracer returned a live view")
 	}
+	in.Event("w", nil)
+	in.EmitSpan("v", time.Second, nil)
+	in.StartChild("u", 0).End(nil)
 	child := sp.StartChild("grandchild") // zero Span: child is inert too
 	child.End(nil)
-	sp.Event("inside", nil)
 	if sp.ID() != 0 {
 		t.Error("zero span has an id")
 	}
@@ -82,32 +83,34 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 		c := sp.StartChild("hotter")
 		c.End(nil)
 		sp.End(nil)
-		tr.EmitSpanIn("loop", sp.ID(), time.Microsecond, nil)
+		tr.Under(sp.ID()).EmitSpan("loop", time.Microsecond, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("nil-tracer span path allocated %.1f times per run, want 0", allocs)
 	}
 }
 
-// TestSpanHierarchy checks that explicit parents, Span.StartChild and
-// the default parent reconstruct into one tree.
+// TestSpanHierarchy checks that Under views, StartChild's explicit
+// and zero parents and Span.StartChild reconstruct into one tree whose
+// ids are unique across views.
 func TestSpanHierarchy(t *testing.T) {
 	var buf strings.Builder
 	tr := NewWithClock(&buf, fakeClock(time.Microsecond))
 
 	root := tr.Start("tool.run")
-	prev := tr.SwapDefaultParent(root.ID())
-	if prev != 0 {
-		t.Fatalf("initial default parent = %d, want 0", prev)
-	}
-	stage := tr.Start("stage.place") // default parent -> root
-	tr.EmitSpanIn("anneal.level", stage.ID(), time.Microsecond, nil)
+	run := tr.Under(root.ID())
+	stage := run.Start("stage.place") // the view's parent -> root
+	inStage := run.Under(stage.ID())
+	inStage.EmitSpan("anneal.level", time.Microsecond, nil)
+	inStage.Event("anneal.best", nil)
 	trial := stage.StartChild("campaign.trial")
-	trial.Event("sim.fault", nil)
+	tr.Under(trial.ID()).Event("sim.fault", nil)
 	trial.End(nil)
+	run.StartChild("stage.fti", 0).End(nil)           // zero: the view's parent
+	run.StartChild("exhaustive", stage.ID()).End(nil) // explicit parent wins
 	stage.End(nil)
-	tr.SwapDefaultParent(prev)
 	root.End(nil)
+	tr.Event("tool.done", nil) // the original tracer still emits roots
 
 	type rec struct {
 		Kind string `json:"kind"`
@@ -117,6 +120,7 @@ func TestSpanHierarchy(t *testing.T) {
 	}
 	parentOf := map[string]uint64{}
 	idOf := map[string]uint64{}
+	seen := map[uint64]string{}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var r rec
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
@@ -124,15 +128,27 @@ func TestSpanHierarchy(t *testing.T) {
 		}
 		parentOf[r.Name] = r.Par
 		idOf[r.Name] = r.ID
+		if r.Kind == "span" {
+			if other, dup := seen[r.ID]; dup {
+				t.Errorf("span id %d used by %s and %s", r.ID, other, r.Name)
+			}
+			seen[r.ID] = r.Name
+		}
 	}
 	if idOf["tool.run"] == 0 || parentOf["tool.run"] != 0 {
 		t.Errorf("root span: id=%d par=%d, want id>0 par=0", idOf["tool.run"], parentOf["tool.run"])
 	}
+	if parentOf["tool.done"] != 0 {
+		t.Errorf("tool.done has par=%d, want a root", parentOf["tool.done"])
+	}
 	for child, parent := range map[string]string{
 		"stage.place":    "tool.run",
 		"anneal.level":   "stage.place",
+		"anneal.best":    "stage.place",
 		"campaign.trial": "stage.place",
 		"sim.fault":      "campaign.trial",
+		"stage.fti":      "tool.run",
+		"exhaustive":     "stage.place",
 	} {
 		if parentOf[child] != idOf[parent] {
 			t.Errorf("%s has par=%d, want %s's id %d", child, parentOf[child], parent, idOf[parent])
