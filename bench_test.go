@@ -321,7 +321,7 @@ func BenchmarkFullVsPartialReconfiguration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		f, err := faultsim.Run(fx.tolerant, 100, 5, MultiFaultTrial(fx.tolerant, 2, true, light))
+		f, err := faultsim.Run(fx.tolerant, 100, 5, MultiFaultTrial(fx.tolerant, 2, true, light), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

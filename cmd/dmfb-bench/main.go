@@ -25,6 +25,7 @@ import (
 	"dmfb"
 	"dmfb/internal/campaign"
 	"dmfb/internal/dispatch"
+	"dmfb/internal/faultsim"
 	"dmfb/internal/pipeline"
 	"dmfb/internal/telemetry"
 	"dmfb/internal/telemetry/cliflags"
@@ -143,14 +144,12 @@ func placerOpts() dmfb.PlacerOptions {
 // shared pipeline, with the session's telemetry attached. beta only
 // matters for the "twostage" placer.
 func benchPlace(placer string, beta float64) pipeline.Result {
-	opts := placerOpts()
-	opts.Tracer = nil // the pipeline scopes req.Tracer under stage.place
 	res, err := pipeline.Run(context.Background(), pipeline.Request{
 		Tool:  "dmfb-bench",
 		Synth: &pipeline.SynthSpec{Assay: "pcr"},
 		Place: &pipeline.PlaceSpec{
 			Placer:  placer,
-			Options: opts,
+			Options: placerOpts(),
 			FT:      dmfb.FTOptions{Beta: beta},
 		},
 		Tracer:  ts.Tracer,
@@ -416,8 +415,8 @@ func monteCarlo() []measurement {
 		p     *dmfb.Placement
 	}{{"area-minimal", "area_minimal", s1},
 		{"fault-tolerant (beta=60)", "fault_tolerant", res.Placement}} {
-		ex := dmfb.ExhaustiveSingleFault(c.p)
-		mc := must(dmfb.MonteCarloSingleFault(c.p, 10000, *seed))
+		ex := faultsim.Exhaustive(c.p, ts.Metrics)
+		mc := must(faultsim.Run(c.p, 10000, *seed, faultsim.SingleFaultTrial(c.p), ts.Metrics))
 		fmt.Printf("%-26s exhaustive: %v\n", c.label, ex)
 		fmt.Printf("%-26s montecarlo: %v\n", c.label, mc)
 		// The FTI is the exact single-fault survival rate, so the
@@ -429,7 +428,7 @@ func monteCarlo() []measurement {
 			Paper:    dmfb.Round4(ex.SurvivalRate()),
 		})
 		for _, k := range []int{2, 3} {
-			mk := must(dmfb.MonteCarloMultiFault(c.p, k, 2000, *seed))
+			mk := must(faultsim.Run(c.p, 2000, *seed, dmfb.MultiFaultTrial(c.p, k, false, dmfb.PlacerOptions{}), ts.Metrics))
 			fmt.Printf("%-26s %d faults:   survived %.4f\n", c.label, k, mk.SurvivalRate())
 			ms = append(ms, measurement{
 				Name:     fmt.Sprintf("%s_%dfault_survival", c.slug, k),

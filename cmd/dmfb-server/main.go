@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"dmfb/internal/server"
-	"dmfb/internal/telemetry"
 	"dmfb/internal/telemetry/cliflags"
 )
 
@@ -39,15 +38,11 @@ func main() {
 		drainT  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	)
 	os.Exit(cliflags.Main("dmfb-server", func(ts *cliflags.Session) int {
-		reg := ts.Metrics
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
 		srv := server.New(server.Options{
 			Workers:    *workers,
 			QueueDepth: *queue,
 			CacheBytes: *cacheMB << 20,
-			Metrics:    reg,
+			Metrics:    ts.Metrics,
 			Tracer:     ts.Tracer,
 		})
 

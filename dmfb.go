@@ -228,7 +228,7 @@ func ComputeFTI(p *Placement) FTIResult { return fti.Compute(p) }
 // relocating every module that uses it while avoiding the given
 // obstacle cells (earlier faults).
 func Recover(p *Placement, array Rect, fault Point, obstacles ...Point) ([]Relocation, error) {
-	return reconfig.Recover(p, array, fault, obstacles...)
+	return reconfig.Recover(nil, p, array, fault, obstacles...)
 }
 
 // Simulator fault recovery.
@@ -326,7 +326,7 @@ func LocateAllFaults(c *Chip) []Point { return testdrop.LocalizeAll(c) }
 // single-cell faults; the rate converges to the placement's FTI. The
 // error rejects a campaign of fewer than one trial.
 func MonteCarloSingleFault(p *Placement, trials int, seed int64) (FaultCampaign, error) {
-	return faultsim.Run(p, trials, seed, faultsim.SingleFaultTrial(p))
+	return faultsim.Run(p, trials, seed, faultsim.SingleFaultTrial(p), nil)
 }
 
 // ExhaustiveSingleFault attempts recovery for every array cell; its
@@ -338,7 +338,7 @@ func ExhaustiveSingleFault(p *Placement) FaultCampaign {
 // MonteCarloMultiFault measures survival under k sequential faults
 // with partial reconfiguration between failures.
 func MonteCarloMultiFault(p *Placement, k, trials int, seed int64) (FaultCampaign, error) {
-	return faultsim.Run(p, trials, seed, MultiFaultTrial(p, k, false, core.Options{}))
+	return faultsim.Run(p, trials, seed, MultiFaultTrial(p, k, false, core.Options{}), nil)
 }
 
 // EstimateYield measures the fraction of chips usable when every array
@@ -348,7 +348,7 @@ func MonteCarloMultiFault(p *Placement, k, trials int, seed int64) (FaultCampaig
 func EstimateYield(p *Placement, defectProb float64, trials int, seed int64,
 	withFull bool, opts PlacerOptions) (FaultCampaign, error) {
 	return faultsim.Run(p, trials, seed,
-		faultsim.DefectYieldTrial(nil, p, defect.Uniform{Prob: defectProb}, recoveryCap(withFull), opts))
+		faultsim.DefectYieldTrial(nil, p, defect.Uniform{Prob: defectProb}, recoveryCap(withFull), opts), nil)
 }
 
 // RunCampaign executes a fault-injection campaign across a worker

@@ -49,6 +49,12 @@ type Trial struct {
 	// functions hand it to nested stages (simulator, recovery ladder)
 	// so traces form a campaign→trial→recovery hierarchy.
 	Tracer *telemetry.Tracer
+	// Metrics is the campaign's registry, Config.Metrics (nil when
+	// metrics are disabled). Trial functions hand it to the same
+	// nested stages as Tracer, so their sim.*, router.*, recovery.*
+	// and reconfig.* metrics land in the registry of the campaign that
+	// ran them.
+	Metrics *telemetry.Registry
 }
 
 // Outcome is what one trial reports back.
@@ -102,7 +108,7 @@ type Config struct {
 	// that predate fingerprints.
 	Fingerprint string
 	// Metrics, if non-nil, receives campaign.* counters and the
-	// campaign.trial_ms histogram.
+	// campaign.trial_ms histogram, and is every trial's Trial.Metrics.
 	Metrics *telemetry.Registry
 	// Tracer, if non-nil, receives a campaign.run span.
 	Tracer *telemetry.Tracer
@@ -315,7 +321,7 @@ func runTrials(ctx context.Context, cfg Config, fn TrialFunc, lo int, table []sl
 					i := lo + o
 					tsp := tr.Start("campaign.trial")
 					t := Trial{Index: i, Seed: DeriveSeed(cfg.Seed, uint64(i)), RNG: TrialRNG(cfg.Seed, i),
-						Tracer: tr.Under(tsp.ID())}
+						Tracer: tr.Under(tsp.ID()), Metrics: cfg.Metrics}
 					t0 := time.Now()
 					out := execTrial(ctx, cfg.TrialTimeout, safeFn, t)
 					if cerr := ctx.Err(); cerr != nil && errors.Is(out.Err, cerr) {

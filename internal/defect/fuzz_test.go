@@ -85,12 +85,12 @@ func FuzzReconfigureL1MatchesRecover(f *testing.F) {
 		cur := p.Clone()
 		accepted := 0
 		for _, c := range faults {
-			if _, err := reconfig.Recover(cur, array, c, faults[:accepted]...); err != nil {
+			if _, err := reconfig.Recover(nil, cur, array, c, faults[:accepted]...); err != nil {
 				break
 			}
 			accepted++
 		}
-		rev := Reconfigure(nil, p, array, faults, ReconfigureOptions{MaxLevel: recovery.LevelRelocate})
+		rev := Reconfigure(nil, p, array, faults, recovery.Options{MaxLevel: recovery.LevelRelocate})
 		if rev.Survivable != (accepted == len(faults)) || len(rev.Levels) != accepted {
 			t.Fatalf("Reconfigure absorbed %d of %d faults (survivable %v), Recover loop %d",
 				len(rev.Levels), len(faults), rev.Survivable, accepted)

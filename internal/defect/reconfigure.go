@@ -1,26 +1,11 @@
 package defect
 
 import (
-	"dmfb/internal/core"
 	"dmfb/internal/geom"
 	"dmfb/internal/place"
 	"dmfb/internal/recovery"
 	"dmfb/internal/schedule"
 )
-
-// ReconfigureOptions configures the design-time survivability pass.
-type ReconfigureOptions struct {
-	// MaxLevel caps the recovery ladder rung the pass may climb. Zero
-	// means LevelDefragment; anything above is clamped to it, because
-	// L4 (abandoning operations) is re-synthesis territory — a die
-	// that needs it is not survivable as designed. LevelRelocate is
-	// the paper's plain partial reconfiguration.
-	MaxLevel recovery.Level
-	// Anneal configures the L3 defragmentation anneal; set Seed from
-	// campaign.DeriveSeed inside campaign trials. Every L3 of one pass
-	// runs with this seed.
-	Anneal core.Options
-}
 
 // Review is the verdict of the design-time pass on one defect map.
 type Review struct {
@@ -61,12 +46,22 @@ type Review struct {
 // The schedule may be nil when only the placement is known, as in the
 // fault campaigns: L2 is then skipped and L1 and L3 are the paper's
 // partial and full reconfiguration.
+//
+// opts configures the ladder. Its MaxLevel caps the rung the pass may
+// climb: zero means LevelDefragment, and anything above is clamped to
+// it, because L4 (abandoning operations) is re-synthesis territory — a
+// die that needs it is not survivable as designed. LevelRelocate is the
+// paper's plain partial reconfiguration. Every L3 of one pass anneals
+// with opts.Anneal (inside campaign trials, set its Seed from
+// campaign.DeriveSeed). Each ladder call emits its recovery.ladder span
+// and recovery.* and reconfig.* metrics into opts.Telemetry and
+// opts.Metrics.
 func Reconfigure(s *schedule.Schedule, p *place.Placement, array geom.Rect,
-	defects []geom.Point, opts ReconfigureOptions) Review {
+	defects []geom.Point, opts recovery.Options) Review {
 	if opts.MaxLevel == recovery.LevelNone || opts.MaxLevel > recovery.LevelDefragment {
 		opts.MaxLevel = recovery.LevelDefragment
 	}
-	ladder := recovery.New(recovery.Options{MaxLevel: opts.MaxLevel, Anneal: opts.Anneal})
+	ladder := recovery.New(opts)
 	rev := Review{Survivable: true, Placement: p, Sched: s,
 		Levels: make([]recovery.Level, 0, len(defects))}
 	for i, d := range defects {

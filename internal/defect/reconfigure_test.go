@@ -27,8 +27,8 @@ func pcrFixture(t *testing.T) (*schedule.Schedule, *place.Placement) {
 	return s, p
 }
 
-func reconfOpts() ReconfigureOptions {
-	return ReconfigureOptions{Anneal: core.Options{Seed: 1, ItersPerModule: 60, WindowPatience: 2}}
+func reconfOpts() recovery.Options {
+	return recovery.Options{Anneal: core.Options{Seed: 1, ItersPerModule: 60, WindowPatience: 2}}
 }
 
 func TestReconfigureEmptyMapSurvives(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"dmfb/internal/fti"
 	"dmfb/internal/place"
 	"dmfb/internal/stats"
+	"dmfb/internal/telemetry"
 )
 
 // Summary reports a fault-injection campaign.
@@ -55,11 +56,13 @@ func (s Summary) String() string {
 // is one of the trial constructors in trials.go, built on p — and
 // reports it against p's FTI. Trial t draws only from
 // campaign.TrialRNG(seed, t), so the summary is a pure function of the
-// arguments at any worker count. The error is the engine's: trials
-// must be positive and fn non-nil.
-func Run(p *place.Placement, trials int, seed int64, fn campaign.TrialFunc) (Summary, error) {
+// arguments at any worker count. Metrics, when non-nil, receives the
+// engine's campaign.* metrics and whatever the trials record into
+// campaign.Trial.Metrics. The error is the engine's: trials must be
+// positive and fn non-nil.
+func Run(p *place.Placement, trials int, seed int64, fn campaign.TrialFunc, metrics *telemetry.Registry) (Summary, error) {
 	rep, err := campaign.Run(context.Background(),
-		campaign.Config{Name: "faultsim", Trials: trials, Seed: seed}, fn)
+		campaign.Config{Name: "faultsim", Trials: trials, Seed: seed, Metrics: metrics}, fn)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -72,8 +75,12 @@ func Run(p *place.Placement, trials int, seed int64, fn campaign.TrialFunc) (Sum
 
 // ExhaustiveSingleFault attempts reconfiguration for every cell of the
 // array. Its survival rate equals the FTI exactly.
-func ExhaustiveSingleFault(p *place.Placement) Summary {
-	s, err := Run(p, p.BoundingBox().Cells(), 0, ExhaustiveTrial(p))
+func ExhaustiveSingleFault(p *place.Placement) Summary { return Exhaustive(p, nil) }
+
+// Exhaustive is ExhaustiveSingleFault recording its campaign into
+// metrics (see Run).
+func Exhaustive(p *place.Placement, metrics *telemetry.Registry) Summary {
+	s, err := Run(p, p.BoundingBox().Cells(), 0, ExhaustiveTrial(p), metrics)
 	if err != nil {
 		// An empty array has no cells to sweep.
 		return Summary{PredictedFTI: fti.Compute(p).FTI()}

@@ -29,7 +29,7 @@ func spaced() *place.Placement {
 // mustRun is Run for tests: a campaign the engine rejects is fatal.
 func mustRun(t *testing.T, p *place.Placement, trials int, seed int64, fn campaign.TrialFunc) Summary {
 	t.Helper()
-	s, err := Run(p, trials, seed, fn)
+	s, err := Run(p, trials, seed, fn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func mustRun(t *testing.T, p *place.Placement, trials int, seed int64, fn campai
 func TestRunRejectsEmptyCampaign(t *testing.T) {
 	p := spaced()
 	for _, trials := range []int{0, -3} {
-		if _, err := Run(p, trials, 1, SingleFaultTrial(p)); err == nil {
+		if _, err := Run(p, trials, 1, SingleFaultTrial(p), nil); err == nil {
 			t.Errorf("Run accepted %d trials", trials)
 		}
 	}

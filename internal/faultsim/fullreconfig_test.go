@@ -79,7 +79,7 @@ func TestFullReconfigurationUsesFabricatedArray(t *testing.T) {
 		t.Fatalf("fixture: box %v inside array %v, want 5 of 6 columns", bb, array)
 	}
 	defects := []geom.Point{{X: 4, Y: 2}, {X: 1, Y: 1}}
-	opts := defect.ReconfigureOptions{Anneal: core.Options{Seed: 1, ItersPerModule: 40, WindowPatience: 2}}
+	opts := recovery.Options{Anneal: core.Options{Seed: 1, ItersPerModule: 40, WindowPatience: 2}}
 	rev := defect.Reconfigure(nil, p, array, defects, opts)
 	if !rev.Survivable {
 		t.Fatalf("die with defects %v not survivable inside the fabricated %v", defects, array)

@@ -105,7 +105,7 @@ func TestGoldenSequentialPresets(t *testing.T) {
 					}
 				}
 			}
-			if s, err := Run(c.p, 256, 7, SingleFaultTrial(c.p)); err != nil || s.Survived != c.single {
+			if s, err := Run(c.p, 256, 7, SingleFaultTrial(c.p), nil); err != nil || s.Survived != c.single {
 				t.Errorf("Run(single, 256, 7) = %v (%v), golden %d/256", s, err, c.single)
 			} else if math.Abs(s.PredictedFTI-c.fti) > 1e-6 {
 				t.Errorf("PredictedFTI = %.6f, golden %.6f", s.PredictedFTI, c.fti)

@@ -171,7 +171,7 @@ func TestRecoveryMatchesBruteForceOracle(t *testing.T) {
 					Y: array.Y + tr.Index/array.W,
 				}
 				cur := p.Clone()
-				if _, rerr := reconfig.Recover(cur, array, fault); rerr != nil {
+				if _, rerr := reconfig.Recover(nil, cur, array, fault); rerr != nil {
 					return campaign.Outcome{}
 				}
 				revalidateCellByCell(t, cur, array, fault)

@@ -27,7 +27,7 @@ import (
 func SingleFaultTrial(p *place.Placement) campaign.TrialFunc {
 	array := p.BoundingBox()
 	return func(_ context.Context, t campaign.Trial) campaign.Outcome {
-		return planOutcome(p, array, geom.Point{
+		return planOutcome(t, p, array, geom.Point{
 			X: array.X + t.RNG.Intn(array.W),
 			Y: array.Y + t.RNG.Intn(array.H),
 		})
@@ -40,7 +40,7 @@ func SingleFaultTrial(p *place.Placement) campaign.TrialFunc {
 func ExhaustiveTrial(p *place.Placement) campaign.TrialFunc {
 	array := p.BoundingBox()
 	return func(_ context.Context, t campaign.Trial) campaign.Outcome {
-		return planOutcome(p, array, geom.Point{
+		return planOutcome(t, p, array, geom.Point{
 			X: array.X + t.Index%array.W,
 			Y: array.Y + t.Index/array.W,
 		})
@@ -49,9 +49,10 @@ func ExhaustiveTrial(p *place.Placement) campaign.TrialFunc {
 
 // planOutcome is one single-fault trial at cell: it survives when
 // partial reconfiguration finds a plan, and its Value is the number of
-// module relocations the plan needed.
-func planOutcome(p *place.Placement, array geom.Rect, cell geom.Point) campaign.Outcome {
-	rels, err := reconfig.Plan(p, array, cell)
+// module relocations the plan needed. The plan's reconfig.* metrics go
+// to the trial's registry.
+func planOutcome(t campaign.Trial, p *place.Placement, array geom.Rect, cell geom.Point) campaign.Outcome {
+	rels, err := reconfig.Plan(t.Metrics, p, array, cell)
 	if err != nil {
 		return campaign.Outcome{}
 	}
@@ -112,12 +113,14 @@ func DefectYieldTrial(s *schedule.Schedule, p *place.Placement, gen defect.Gener
 // climbs the recovery ladder from L1 (partial reconfiguration) to
 // maxLevel (zero means L3) for each one, inside the fabricated array.
 // Every L3 re-placement of the trial anneals with anneal and the seed
-// campaign.DeriveSeed(t.Seed, 0).
+// campaign.DeriveSeed(t.Seed, 0). Each ladder call emits its
+// recovery.ladder span under the trial's span and its metrics into the
+// trial's registry.
 func walk(t campaign.Trial, s *schedule.Schedule, p *place.Placement, array geom.Rect,
 	faults []geom.Point, maxLevel recovery.Level, anneal core.Options) defect.Review {
 	anneal.Seed = campaign.DeriveSeed(t.Seed, 0)
-	return defect.Reconfigure(s, p, array, faults,
-		defect.ReconfigureOptions{MaxLevel: maxLevel, Anneal: anneal})
+	return defect.Reconfigure(s, p, array, faults, recovery.Options{
+		MaxLevel: maxLevel, Anneal: anneal, Telemetry: t.Tracer, Metrics: t.Metrics})
 }
 
 // AssayTrial returns the trial function of the end-to-end assay
@@ -144,6 +147,7 @@ func AssayTrial(s *schedule.Schedule, p *place.Placement, k int,
 			Recovery:     mode,
 			RecoverySeed: campaign.DeriveSeed(t.Seed, 0),
 			Telemetry:    t.Tracer,
+			Metrics:      t.Metrics,
 		}
 		var faults []sim.FaultInjection
 		var cells []geom.Point

@@ -89,9 +89,10 @@ type PlaceSpec struct {
 	// "sa" or "twostage".
 	Placer string
 	// Options configures the annealing placers. Its Tracer and Metrics
-	// default to the request's sinks, the tracer scoped under the
-	// stage.place span. Neither affects the annealer's
-	// RNG, so placements are bit-identical with or without telemetry.
+	// are ignored: the stage replaces them with the request's sinks,
+	// the tracer scoped under the stage.place span. Neither affects the
+	// annealer's RNG, so placements are bit-identical with or without
+	// telemetry.
 	Options core.Options
 	// FT configures stage 2 of the "twostage" placer.
 	FT core.FTOptions
@@ -119,9 +120,9 @@ type FTISpec struct {
 // SimSpec requests a chip-simulator run of the schedule on the
 // placement.
 type SimSpec struct {
-	// Options configures the simulator. Telemetry and Metrics default
-	// to the request's sinks when nil, the tracer scoped under the
-	// stage.sim span.
+	// Options configures the simulator. Its Telemetry and Metrics are
+	// ignored: the stage replaces them with the request's sinks, the
+	// tracer scoped under the stage.sim span.
 	Options sim.Options
 	// Faults are injected at their scheduled times.
 	Faults []sim.FaultInjection
@@ -132,7 +133,9 @@ type RouteSpec struct {
 	W, H      int
 	Faults    []geom.Point // injected before planning
 	Endpoints []router.Endpoint
-	Options   router.ConcurrentOptions
+	// Options configures the concurrent router. Its Metrics is ignored:
+	// the stage replaces it with the request's registry.
+	Options router.ConcurrentOptions
 	// Frames compiles the plan into an electrode actuation program
 	// (Result.Route.Program). Always done by the route CLI; spec'd so
 	// service callers can skip it.
@@ -175,6 +178,10 @@ type Request struct {
 	// byte-identically to a fresh run.
 	Cache *pcache.Cache
 
+	// Tracer and Metrics are the run's only sinks. Every stage hands
+	// them to the layers it calls, the tracer scoped under the stage's
+	// span; they replace the sinks in PlaceSpec, SimSpec and RouteSpec
+	// options.
 	Tracer  *telemetry.Tracer
 	Metrics *telemetry.Registry
 }
@@ -309,12 +316,7 @@ func Run(ctx context.Context, req Request) (Result, error) {
 		}
 		done := req.stage(StageSim)
 		opts := req.Sim.Options
-		if opts.Telemetry == nil {
-			opts.Telemetry = req.Tracer
-		}
-		if opts.Metrics == nil {
-			opts.Metrics = req.Metrics
-		}
+		opts.Telemetry, opts.Metrics = req.Tracer, req.Metrics
 		r := sim.Run(res.Schedule, res.Placement, opts, req.Sim.Faults...)
 		done()
 		res.Sim = &r
@@ -397,12 +399,7 @@ func (req *Request) runPlace(res *Result) error {
 	done := req.stage(StagePlace)
 	defer done()
 	opts := spec.Options
-	if opts.Tracer == nil {
-		opts.Tracer = req.Tracer
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = req.Metrics
-	}
+	opts.Tracer, opts.Metrics = req.Tracer, req.Metrics
 	req.Metrics.Counter("pipeline.placer_runs").Add(1)
 	var err error
 	switch spec.Placer {
@@ -478,13 +475,13 @@ func (req *Request) runFTI(res *Result) error {
 
 	if req.FTI.Verify {
 		done := req.stage("exhaustive")
-		ex := faultsim.ExhaustiveSingleFault(res.Placement)
+		ex := faultsim.Exhaustive(res.Placement, req.Metrics)
 		done()
 		res.Exhaustive = &ex
 	}
 	if n := req.FTI.MonteCarlo; n > 0 {
 		done := req.stage("montecarlo")
-		mc, err := faultsim.Run(res.Placement, n, req.FTI.Seed, faultsim.SingleFaultTrial(res.Placement))
+		mc, err := faultsim.Run(res.Placement, n, req.FTI.Seed, faultsim.SingleFaultTrial(res.Placement), req.Metrics)
 		done()
 		if err != nil {
 			return &StageError{StageFTI, err}
@@ -503,9 +500,7 @@ func (req *Request) runRoute(res *Result) error {
 		}
 	}
 	opts := spec.Options
-	if opts.Metrics == nil {
-		opts.Metrics = req.Metrics
-	}
+	opts.Metrics = req.Metrics
 	done := req.stage(StageRoute)
 	plan, err := router.PlanConcurrent(chip, spec.Endpoints, opts)
 	done()

@@ -341,30 +341,34 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestStageNestsSpans checks the default-parent plumbing under a
-// tool's root span: library spans emitted inside a pipeline stage (the
-// annealer's anneal.level) carry the stage span as parent, each stage
 // TestStageNestsSpans checks the pipeline's trace tree under a CLI
 // tool's root span: each stage span has the root as parent, library
 // spans emitted inside a stage carry the stage span (the annealer's
 // anneal.level under stage.place, sim.run under stage.sim, the sim's
 // events under sim.run), and stages run after stage.fti ends
-// (exhaustive, montecarlo) sit beside it under the root.
+// (exhaustive, montecarlo) sit beside it under the root. Sinks set in
+// the place and sim specs' options are replaced by the request's and
+// receive nothing.
 func TestStageNestsSpans(t *testing.T) {
-	var buf bytes.Buffer
+	var buf, strayBuf bytes.Buffer
 	tr := telemetry.New(&buf)
+	stray, strayReg := telemetry.New(&strayBuf), telemetry.NewRegistry()
 	root := tr.Start("tool.run")
 	if _, err := Run(context.Background(), Request{
-		Tool:   "tool",
-		Synth:  &SynthSpec{Assay: "pcr"},
-		Place:  &PlaceSpec{Placer: "sa", Options: core.Options{Seed: 1, ItersPerModule: 20}},
+		Tool:  "tool",
+		Synth: &SynthSpec{Assay: "pcr"},
+		Place: &PlaceSpec{Placer: "sa",
+			Options: core.Options{Seed: 1, ItersPerModule: 20, Tracer: stray, Metrics: strayReg}},
 		FTI:    &FTISpec{Verify: true, MonteCarlo: 20, Seed: 1},
-		Sim:    &SimSpec{},
+		Sim:    &SimSpec{Options: sim.Options{Telemetry: stray, Metrics: strayReg}},
 		Tracer: tr.Under(root.ID()),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	root.End(nil)
+	if snap := strayReg.Snapshot(); strayBuf.Len() > 0 || len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) > 0 {
+		t.Errorf("spec sinks received records: trace %q, metrics %+v", strayBuf.String(), snap)
+	}
 
 	ids := map[string]uint64{}
 	pars := map[string]map[uint64]bool{}

@@ -117,13 +117,13 @@ func FuzzPlanModule(f *testing.F) {
 			return
 		}
 		for mi := range s.p.Modules {
-			rel, err := PlanModule(s.p, s.array, mi, s.fault, s.obstacles...)
+			rel, err := PlanModule(nil, s.p, s.array, mi, s.fault, s.obstacles...)
 			if err != nil {
 				continue
 			}
 			checkRelocation(t, s, mi, rel)
 			// Planning is deterministic: replanning yields the same site.
-			again, err2 := PlanModule(s.p, s.array, mi, s.fault, s.obstacles...)
+			again, err2 := PlanModule(nil, s.p, s.array, mi, s.fault, s.obstacles...)
 			if err2 != nil || again != rel {
 				t.Fatalf("replan diverged: %v / %v (err %v)", rel, again, err2)
 			}
@@ -131,7 +131,7 @@ func FuzzPlanModule(f *testing.F) {
 			// (modules time-sharing the fault are planned independently,
 			// so apply one at a time).
 			cur := s.p.Clone()
-			if aerr := Apply(cur, []Relocation{rel}); aerr != nil {
+			if aerr := Apply(nil, cur, []Relocation{rel}); aerr != nil {
 				t.Fatalf("planned relocation %v does not apply: %v", rel, aerr)
 			}
 			if verr := cur.Validate(); verr != nil {
@@ -151,7 +151,7 @@ func FuzzRecover(f *testing.F) {
 			return
 		}
 		cur := s.p.Clone()
-		rels, err := Recover(cur, s.array, s.fault)
+		rels, err := Recover(nil, cur, s.array, s.fault)
 		if err != nil {
 			// Failed recovery must leave the placement untouched.
 			for i := range s.p.Modules {

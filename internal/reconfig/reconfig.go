@@ -6,11 +6,15 @@
 // fti.Site, which scans the same free sites the fault tolerance index
 // intersects, so a placement's FTI exactly predicts which faults this
 // package can recover from.
+//
+// Every planning and applying function records its reconfig.* metrics
+// (reconfig.plan_ms, reconfig.relocations, reconfig.plan_failures,
+// reconfig.applies) into the registry its caller hands it as the first
+// argument; a nil registry records nothing.
 package reconfig
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dmfb/internal/fti"
@@ -18,17 +22,6 @@ import (
 	"dmfb/internal/place"
 	"dmfb/internal/telemetry"
 )
-
-// instr is the package-level metrics hook. Reconfiguration planning
-// is invoked deep inside the simulator and the fault-injection
-// campaigns, with no options struct to thread a registry through, so
-// the hook is process-wide; the disabled cost is one atomic load.
-var instr atomic.Pointer[telemetry.Registry]
-
-// Instrument directs reconfiguration metrics (reconfig.plan_ms,
-// reconfig.relocations, reconfig.plan_failures, reconfig.applies) to
-// reg; nil disables them.
-func Instrument(reg *telemetry.Registry) { instr.Store(reg) }
 
 // Relocation describes one successful partial reconfiguration.
 type Relocation struct {
@@ -64,13 +57,13 @@ func (r Relocation) Rotated() bool {
 //
 // Each relocation goes to the free site avoiding the faulty cell and
 // the obstacles that borders the fewest free cells (see fti.Site).
-func Plan(p *place.Placement, array geom.Rect, fault geom.Point, obstacles ...geom.Point) ([]Relocation, error) {
+func Plan(reg *telemetry.Registry, p *place.Placement, array geom.Rect, fault geom.Point, obstacles ...geom.Point) ([]Relocation, error) {
 	if !array.Contains(fault) {
 		return nil, fmt.Errorf("reconfig: fault %v outside array %v", fault, array)
 	}
 	var out []Relocation
 	for _, mi := range p.ModulesAt(fault) {
-		r, err := PlanModule(p, array, mi, fault, obstacles...)
+		r, err := PlanModule(reg, p, array, mi, fault, obstacles...)
 		if err != nil {
 			return nil, err
 		}
@@ -85,11 +78,11 @@ func Plan(p *place.Placement, array geom.Rect, fault geom.Point, obstacles ...ge
 // obstacle cells — typically previously detected faults — are treated
 // as occupied when searching for a site. The placement is not
 // modified.
-func PlanModule(p *place.Placement, array geom.Rect, mi int, fault geom.Point, obstacles ...geom.Point) (Relocation, error) {
+func PlanModule(reg *telemetry.Registry, p *place.Placement, array geom.Rect, mi int, fault geom.Point, obstacles ...geom.Point) (Relocation, error) {
 	if mi < 0 || mi >= len(p.Modules) {
 		return Relocation{}, fmt.Errorf("reconfig: unknown module %d", mi)
 	}
-	return PlanModuleSized(p, array, mi, p.Modules[mi].Size, fault, obstacles...)
+	return PlanModuleSized(reg, p, array, mi, p.Modules[mi].Size, fault, obstacles...)
 }
 
 // PlanModuleSized is PlanModule with an explicit footprint for the
@@ -97,8 +90,7 @@ func PlanModule(p *place.Placement, array geom.Rect, mi int, fault geom.Point, o
 // The recovery ladder uses it to plan a *downgrade*: re-hosting an
 // operation on a smaller (typically slower) library device when no
 // site accommodates the original footprint.
-func PlanModuleSized(p *place.Placement, array geom.Rect, mi int, size geom.Size, fault geom.Point, obstacles ...geom.Point) (Relocation, error) {
-	reg := instr.Load()
+func PlanModuleSized(reg *telemetry.Registry, p *place.Placement, array geom.Rect, mi int, size geom.Size, fault geom.Point, obstacles ...geom.Point) (Relocation, error) {
 	var start time.Time
 	if reg != nil {
 		start = time.Now()
@@ -142,7 +134,7 @@ func PlanModuleSized(p *place.Placement, array geom.Rect, mi int, size geom.Size
 // positions and orientations. It validates the result and reports an
 // error (leaving p modified only on success) if the relocations
 // conflict with the placement.
-func Apply(p *place.Placement, rels []Relocation) error {
+func Apply(reg *telemetry.Registry, p *place.Placement, rels []Relocation) error {
 	// Moves are made in place and undone on failure; the undo log of
 	// the usual one or two relocations lives on the stack.
 	type undo struct {
@@ -175,7 +167,7 @@ func Apply(p *place.Placement, rels []Relocation) error {
 		}
 		return err
 	}
-	if reg := instr.Load(); reg != nil {
+	if reg != nil {
 		reg.Counter("reconfig.applies").Add(int64(len(rels)))
 	}
 	return nil
@@ -184,12 +176,12 @@ func Apply(p *place.Placement, rels []Relocation) error {
 // Recover plans and applies the reconfiguration for a fault in one
 // step, returning the relocations performed. Obstacles are previously
 // detected faults the new sites must also avoid (see Plan).
-func Recover(p *place.Placement, array geom.Rect, fault geom.Point, obstacles ...geom.Point) ([]Relocation, error) {
-	rels, err := Plan(p, array, fault, obstacles...)
+func Recover(reg *telemetry.Registry, p *place.Placement, array geom.Rect, fault geom.Point, obstacles ...geom.Point) ([]Relocation, error) {
+	rels, err := Plan(reg, p, array, fault, obstacles...)
 	if err != nil {
 		return nil, err
 	}
-	if err := Apply(p, rels); err != nil {
+	if err := Apply(reg, p, rels); err != nil {
 		return nil, err
 	}
 	return rels, nil

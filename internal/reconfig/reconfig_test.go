@@ -18,7 +18,7 @@ func mod(id int, name string, w, h, s, e int) place.Module {
 func TestPlanFaultInFreeCell(t *testing.T) {
 	p := place.New([]place.Module{mod(0, "A", 2, 2, 0, 10)})
 	array := geom.Rect{X: 0, Y: 0, W: 6, H: 6}
-	rels, err := Plan(p, array, geom.Point{X: 5, Y: 5})
+	rels, err := Plan(nil, p, array, geom.Point{X: 5, Y: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestPlanFaultInFreeCell(t *testing.T) {
 func TestPlanOutsideArray(t *testing.T) {
 	p := place.New([]place.Module{mod(0, "A", 2, 2, 0, 10)})
 	array := geom.Rect{X: 0, Y: 0, W: 6, H: 6}
-	if _, err := Plan(p, array, geom.Point{X: 6, Y: 0}); err == nil {
+	if _, err := Plan(nil, p, array, geom.Point{X: 6, Y: 0}); err == nil {
 		t.Error("fault outside array accepted")
 	}
 }
@@ -39,7 +39,7 @@ func TestRecoverSimpleRelocation(t *testing.T) {
 	p := place.New([]place.Module{mod(0, "A", 2, 2, 0, 10)})
 	array := geom.Rect{X: 0, Y: 0, W: 6, H: 6}
 	fault := geom.Point{X: 0, Y: 0}
-	rels, err := Recover(p, array, fault)
+	rels, err := Recover(nil, p, array, fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRecoverFailsWhenNoSpace(t *testing.T) {
 	// 3x3 module fills the whole array.
 	p := place.New([]place.Module{mod(0, "A", 3, 3, 0, 10)})
 	array := geom.Rect{X: 0, Y: 0, W: 3, H: 3}
-	if _, err := Recover(p, array, geom.Point{X: 1, Y: 1}); err == nil {
+	if _, err := Recover(nil, p, array, geom.Point{X: 1, Y: 1}); err == nil {
 		t.Error("impossible relocation accepted")
 	}
 	// Placement untouched on failure.
@@ -76,7 +76,7 @@ func TestRecoverTimeSharedCell(t *testing.T) {
 	mods := []place.Module{mod(0, "A", 2, 2, 0, 5), mod(1, "B", 2, 2, 5, 10)}
 	p := place.New(mods)
 	array := geom.Rect{X: 0, Y: 0, W: 4, H: 4}
-	rels, err := Recover(p, array, geom.Point{X: 0, Y: 0})
+	rels, err := Recover(nil, p, array, geom.Point{X: 0, Y: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRelocationUsesRotationWhenNeeded(t *testing.T) {
 	// Array 5x3: free cells are x2..4 y0..1 (3x2). A (2x3) fits only
 	// rotated.
 	array := geom.Rect{X: 0, Y: 0, W: 5, H: 3}
-	rels, err := Recover(p, array, geom.Point{X: 0, Y: 0})
+	rels, err := Recover(nil, p, array, geom.Point{X: 0, Y: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +116,10 @@ func TestRelocationUsesRotationWhenNeeded(t *testing.T) {
 
 func TestApplyRejectsGarbage(t *testing.T) {
 	p := place.New([]place.Module{mod(0, "A", 2, 2, 0, 10)})
-	if err := Apply(p, []Relocation{{Module: 5, To: geom.Rect{W: 2, H: 2}}}); err == nil {
+	if err := Apply(nil, p, []Relocation{{Module: 5, To: geom.Rect{W: 2, H: 2}}}); err == nil {
 		t.Error("unknown module accepted")
 	}
-	if err := Apply(p, []Relocation{{Module: 0, To: geom.Rect{W: 3, H: 2}}}); err == nil {
+	if err := Apply(nil, p, []Relocation{{Module: 0, To: geom.Rect{W: 3, H: 2}}}); err == nil {
 		t.Error("wrong footprint accepted")
 	}
 }
@@ -148,7 +148,7 @@ func TestPlanMatchesFTICoverage(t *testing.T) {
 		cov := fti.ComputeOn(p, array)
 		for y := 0; y < ah; y++ {
 			for x := 0; x < aw; x++ {
-				_, err := Plan(p.Clone(), array, geom.Point{X: x, Y: y})
+				_, err := Plan(nil, p.Clone(), array, geom.Point{X: x, Y: y})
 				if (err == nil) != cov.CoveredAt(x, y) {
 					t.Fatalf("trial %d: cell (%d,%d) Plan err=%v but covered=%v\n%s",
 						trial, x, y, err, cov.CoveredAt(x, y), p)
@@ -185,7 +185,7 @@ func TestRecoverPostconditions(t *testing.T) {
 			affected[mi] = true
 		}
 		before := p.Clone()
-		rels, err := Recover(p, array, fault)
+		rels, err := Recover(nil, p, array, fault)
 		if err != nil {
 			continue // uncovered fault; tested elsewhere
 		}

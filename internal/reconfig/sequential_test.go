@@ -20,7 +20,7 @@ func TestRecoverSequentialFaultsAvoidPrior(t *testing.T) {
 	// free sites are x = 2, 3, 4; x = 4 borders the fewest free cells
 	// (the array edge closes its right side).
 	f1 := geom.Point{X: 1, Y: 1}
-	rels1, err := Recover(p, array, f1)
+	rels1, err := Recover(nil, p, array, f1)
 	if err != nil {
 		t.Fatalf("first recovery: %v", err)
 	}
@@ -34,7 +34,7 @@ func TestRecoverSequentialFaultsAvoidPrior(t *testing.T) {
 	// left edge — which covers the dead cell f1. This pins the gap the
 	// variadic obstacle parameter closes.
 	f2 := geom.Point{X: 4, Y: 0}
-	buggy, err := PlanModule(p, array, 0, f2)
+	buggy, err := PlanModule(nil, p, array, 0, f2)
 	if err != nil {
 		t.Fatalf("obstacle-less plan: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestRecoverSequentialFaultsAvoidPrior(t *testing.T) {
 		t.Fatalf("expected the obstacle-less plan to cover prior fault %v, got site %v", f1, buggy.To)
 	}
 
-	rels2, err := Recover(p, array, f2, f1)
+	rels2, err := Recover(nil, p, array, f2, f1)
 	if err != nil {
 		t.Fatalf("second recovery: %v", err)
 	}

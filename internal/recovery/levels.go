@@ -27,11 +27,11 @@ func (l *Ladder) tryRelocate(st State) (*Plan, error) {
 			continue
 		}
 		name := pl.Modules[mi].Name
-		r, err := reconfig.PlanModule(pl, st.Array, mi, st.Fault, st.Faults...)
+		r, err := reconfig.PlanModule(l.opts.Metrics, pl, st.Array, mi, st.Fault, st.Faults...)
 		if err != nil {
 			return nil, errors.New("partial reconfiguration failed for " + name + ": " + err.Error())
 		}
-		if err := reconfig.Apply(pl, []reconfig.Relocation{r}); err != nil {
+		if err := reconfig.Apply(l.opts.Metrics, pl, []reconfig.Relocation{r}); err != nil {
 			return nil, fmt.Errorf("applying relocation of %s: %v", name, err)
 		}
 		rels = append(rels, r)
@@ -59,8 +59,8 @@ func (l *Ladder) tryDowngrade(st State) (*Plan, error) {
 			continue
 		}
 		// The catalogue footprint first: downgrading is a last resort.
-		if r, err := reconfig.PlanModule(pl, st.Array, mi, st.Fault, st.Faults...); err == nil {
-			if err := reconfig.Apply(pl, []reconfig.Relocation{r}); err == nil {
+		if r, err := reconfig.PlanModule(l.opts.Metrics, pl, st.Array, mi, st.Fault, st.Faults...); err == nil {
+			if err := reconfig.Apply(l.opts.Metrics, pl, []reconfig.Relocation{r}); err == nil {
 				rels = append(rels, r)
 				continue
 			}
@@ -70,7 +70,7 @@ func (l *Ladder) tryDowngrade(st State) (*Plan, error) {
 		cur := sched.Items[opID].Device
 		placed := false
 		for _, cand := range downgradeCandidates(l.opts.Library, cur) {
-			r, err := reconfig.PlanModuleSized(pl, st.Array, mi, cand.Size, st.Fault, st.Faults...)
+			r, err := reconfig.PlanModuleSized(l.opts.Metrics, pl, st.Array, mi, cand.Size, st.Fault, st.Faults...)
 			if err != nil {
 				continue
 			}
@@ -167,8 +167,8 @@ func (l *Ladder) tryDegrade(st State) (*Plan, error) {
 		if !affected(st, ops, mi) || abandoned[ops[mi]] {
 			continue
 		}
-		if r, err := reconfig.PlanModule(pl, st.Array, mi, st.Fault, st.Faults...); err == nil {
-			if err := reconfig.Apply(pl, []reconfig.Relocation{r}); err == nil {
+		if r, err := reconfig.PlanModule(l.opts.Metrics, pl, st.Array, mi, st.Fault, st.Faults...); err == nil {
+			if err := reconfig.Apply(l.opts.Metrics, pl, []reconfig.Relocation{r}); err == nil {
 				rels = append(rels, r)
 				continue
 			}

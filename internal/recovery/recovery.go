@@ -108,9 +108,10 @@ type Options struct {
 	// tracer's parent (the simulator passes its tracer scoped under
 	// "sim.run").
 	Telemetry *telemetry.Tracer
-	// Metrics, when non-nil, receives recovery.* counters: one
+	// Metrics, when non-nil, receives recovery.* counters (one
 	// success/failure pair per level plus recovery.invocations and
-	// recovery.abandoned_ops.
+	// recovery.abandoned_ops) and the reconfig.* metrics of every
+	// relocation the rungs plan and apply.
 	Metrics *telemetry.Registry
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"dmfb/internal/fluidics"
 	"dmfb/internal/geom"
-	"dmfb/internal/telemetry"
 )
 
 // Request describes one routing query.
@@ -108,22 +107,8 @@ func resetBools(b []bool, n int) []bool {
 }
 
 // PathTo returns exactly what Route returns for the tree's request with
-// To set to to, and counts it in the router metrics the same way.
+// To set to to.
 func (t *Tree) PathTo(to geom.Point) ([]geom.Point, error) {
-	path, err := t.pathTo(to)
-	if reg := instrumented(); reg != nil {
-		if err != nil {
-			reg.Counter("router.route_failures").Inc()
-		} else {
-			reg.Counter("router.routes").Inc()
-			reg.Histogram("router.path_len", telemetry.PathLenBuckets...).
-				Observe(float64(Steps(path)))
-		}
-	}
-	return path, err
-}
-
-func (t *Tree) pathTo(to geom.Point) ([]geom.Point, error) {
 	from, w := t.from, t.w
 	if !t.chip.In(from) || !t.chip.In(to) {
 		return nil, fmt.Errorf("router: endpoints %v -> %v outside %dx%d array",

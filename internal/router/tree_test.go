@@ -8,7 +8,6 @@ import (
 
 	"dmfb/internal/fluidics"
 	"dmfb/internal/geom"
-	"dmfb/internal/telemetry"
 )
 
 // referenceRoute is the one-query breadth-first search Route ran
@@ -224,34 +223,6 @@ func TestTreeResetClearsState(t *testing.T) {
 	tree.Reset(fluidics.NewChip(3, 2), Request{From: geom.Point{X: 0, Y: 0}})
 	if _, err := tree.PathTo(geom.Point{X: 1, Y: 1}); err != nil {
 		t.Fatalf("extra blocked cell of the previous request leaked: %v", err)
-	}
-}
-
-// TestTreePathToCountsLikeRoute: each PathTo is one Route in the
-// router metrics, success or failure.
-func TestTreePathToCountsLikeRoute(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	Instrument(reg)
-	defer Instrument(nil)
-	chip := fluidics.NewChip(5, 5)
-	if err := chip.InjectFault(geom.Point{X: 4, Y: 4}); err != nil {
-		t.Fatal(err)
-	}
-	var tree Tree
-	tree.Reset(chip, Request{From: geom.Point{X: 0, Y: 0}})
-	for _, to := range []geom.Point{{X: 4, Y: 0}, {X: 4, Y: 4}, {X: 0, Y: 0}, {X: 9, Y: 9}, {X: 2, Y: 3}} {
-		if _, err := tree.PathTo(to); (err != nil) != (to == geom.Point{X: 4, Y: 4} || to == geom.Point{X: 9, Y: 9}) {
-			t.Fatalf("PathTo(%v) error %v", to, err)
-		}
-	}
-	if got := reg.Counter("router.routes").Value(); got != 3 {
-		t.Errorf("router.routes = %d, want 3", got)
-	}
-	if got := reg.Counter("router.route_failures").Value(); got != 2 {
-		t.Errorf("router.route_failures = %d, want 2", got)
-	}
-	if got := reg.Histogram("router.path_len", telemetry.PathLenBuckets...).Sum(); got != 4+0+5 {
-		t.Errorf("router.path_len sum = %v, want 9", got)
 	}
 }
 

@@ -80,12 +80,14 @@ type Options struct {
 	CacheBytes int
 	// MaxJobs bounds retained finished jobs (0 = DefaultMaxJobs).
 	MaxJobs int
-	// Metrics receives server, pipeline and cache metrics; a private
-	// registry is created when nil so /metrics always has data.
+	// Metrics receives server, cache and pipeline metrics, the
+	// pipeline's including every layer it calls (sim.*, router.*,
+	// recovery.*, reconfig.*); a private registry is created when nil
+	// so /metrics always has data.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records server.* and stage.* spans per
 	// request: each job's pipeline gets the tracer scoped under its
-	// own root "server.<kind>" span.
+	// own root "server.<kind>" span, whose "job" field is the job id.
 	Tracer *telemetry.Tracer
 }
 
@@ -366,6 +368,7 @@ func (s *Server) execute(ctx context.Context, j *job, kind string, sr *SimulateR
 		cacheState = "hit"
 	}
 	span.End(telemetry.Fields{
+		"job":    j.id,
 		"kind":   kind,
 		"cache":  cacheState,
 		"error":  err != nil,

@@ -213,6 +213,27 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
+// TestSimulateRecordsLayerMetrics: a server handed a registry records
+// the router.* and reconfig.* metrics of a faulted simulate into it,
+// with no process-wide hook installed.
+func TestSimulateRecordsLayerMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ts := httptest.NewServer(New(Options{Workers: 1, Metrics: reg}).Handler())
+	defer ts.Close()
+
+	resp, b := post(t, ts, "/v1/simulate",
+		`{"assay":"pcr","placer":"twostage","seed":1,"beta":40,"faults":[{"time_sec":1,"x":2,"y":2}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: %d %s", resp.StatusCode, b)
+	}
+	if got := reg.Counter("router.routes").Value(); got <= 0 {
+		t.Errorf("router.routes = %d, want > 0", got)
+	}
+	if got := reg.Counter("reconfig.relocations").Value(); got <= 0 {
+		t.Errorf("reconfig.relocations = %d, want > 0", got)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s := New(Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -460,25 +481,33 @@ func TestOpsEndpointsMounted(t *testing.T) {
 
 // TestServerConcurrentSpanTrees sends eight compiles at once to a
 // four-worker server with a tracer. Every server.compile span must be
-// a root and parent exactly its own request's stage spans, with the
-// annealer's records under that request's stage.place. The eight
-// requests differ in shape (placer sa or twostage, verify, montecarlo),
-// so each request's subtree is unique: a stage or anneal record nested
-// under another request's span leaves some server.compile subtree
-// matching no request.
+// a root carrying its job id and parent exactly its own request's
+// stage spans, with the annealer's records under that request's
+// stage.place. Each response's X-Dmfb-Job header finds its root span
+// by the span's "job" field; the requests differ in shape (placer sa
+// or twostage, verify, montecarlo), so a stage or anneal record nested
+// under another request's span shows up as a subtree that does not
+// match its request.
 func TestServerConcurrentSpanTrees(t *testing.T) {
 	var buf bytes.Buffer
 	s := New(Options{Workers: 4, Tracer: telemetry.New(&buf)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var bodies, want []string
+	var (
+		mu   sync.Mutex
+		want = map[string]string{} // job id -> its request's subtree shape
+		wg   sync.WaitGroup
+	)
+	start := make(chan struct{})
+	seed := 0
 	for _, placer := range []string{"sa", "twostage"} {
 		for _, verify := range []bool{false, true} {
 			for _, mc := range []int{0, 20} {
-				bodies = append(bodies, fmt.Sprintf(
+				seed++
+				body := fmt.Sprintf(
 					`{"assay":"pcr","placer":%q,"seed":%d,"beta":30,"iters_per_module":20,"window_patience":2,"verify":%t,"montecarlo":%d}`,
-					placer, len(bodies)+1, verify, mc))
+					placer, seed, verify, mc)
 				stages := []string{"stage.fti", "stage.place", "stage.synth"}
 				if verify {
 					stages = append(stages, "stage.exhaustive")
@@ -490,28 +519,27 @@ func TestServerConcurrentSpanTrees(t *testing.T) {
 				if placer == "twostage" {
 					tags = "area,ft"
 				}
-				want = append(want, subtreeShape(stages, tags))
+				shape := subtreeShape(stages, tags)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					b, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Dmfb-Cache") != "miss" {
+						t.Errorf("%s: %d (cache %q) %s", body, resp.StatusCode, resp.Header.Get("X-Dmfb-Cache"), b)
+					}
+					mu.Lock()
+					want[resp.Header.Get("X-Dmfb-Job")] = shape
+					mu.Unlock()
+				}()
 			}
 		}
-	}
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, body := range bodies {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Dmfb-Cache") != "miss" {
-				t.Errorf("%s: %d (cache %q) %s", body, resp.StatusCode, resp.Header.Get("X-Dmfb-Cache"), b)
-			}
-		}()
 	}
 	close(start)
 	wg.Wait()
@@ -525,6 +553,7 @@ func TestServerConcurrentSpanTrees(t *testing.T) {
 		Par        uint64 `json:"par"`
 		Fields     struct {
 			Stage string `json:"stage"`
+			Job   string `json:"job"`
 		} `json:"fields"`
 	}
 	var recs []rec
@@ -540,6 +569,7 @@ func TestServerConcurrentSpanTrees(t *testing.T) {
 			byID[r.ID] = r
 		}
 	}
+	roots := map[string]uint64{}         // job id -> its server.compile span id
 	stages := map[uint64][]string{}      // server.compile id -> its stage spans
 	tags := map[uint64]map[string]bool{} // stage.place id -> anneal stage tags
 	placeOf := map[uint64]uint64{}       // server.compile id -> its stage.place id
@@ -549,6 +579,10 @@ func TestServerConcurrentSpanTrees(t *testing.T) {
 			if r.Par != 0 {
 				t.Errorf("server.compile span %d has parent %d (%s), want a root", r.ID, r.Par, byID[r.Par].Name)
 			}
+			if _, dup := roots[r.Fields.Job]; dup {
+				t.Errorf("two server.compile spans carry job %q", r.Fields.Job)
+			}
+			roots[r.Fields.Job] = r.ID
 		case strings.HasPrefix(r.Name, "stage."):
 			if byID[r.Par].Name != "server.compile" {
 				t.Errorf("%s span %d has parent %d (%q), want a server.compile span", r.Name, r.ID, r.Par, byID[r.Par].Name)
@@ -569,21 +603,23 @@ func TestServerConcurrentSpanTrees(t *testing.T) {
 			tags[r.Par][r.Fields.Stage] = true
 		}
 	}
-	var got []string
-	for _, r := range recs {
-		if r.Name == "server.compile" {
-			var tl []string
-			for tag := range tags[placeOf[r.ID]] {
-				tl = append(tl, tag)
-			}
-			slices.Sort(tl)
-			got = append(got, subtreeShape(stages[r.ID], strings.Join(tl, ",")))
-		}
+	if len(roots) != len(want) {
+		t.Errorf("%d server.compile spans for %d jobs", len(roots), len(want))
 	}
-	slices.Sort(got)
-	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		t.Errorf("server.compile subtrees do not match the requests one to one:\ngot  %q\nwant %q", got, want)
+	for job, shape := range want {
+		id, ok := roots[job]
+		if !ok {
+			t.Errorf("job %q: no server.compile span carries its id", job)
+			continue
+		}
+		var tl []string
+		for tag := range tags[placeOf[id]] {
+			tl = append(tl, tag)
+		}
+		slices.Sort(tl)
+		if got := subtreeShape(stages[id], strings.Join(tl, ",")); got != shape {
+			t.Errorf("job %q: subtree %q, want its request's %q", job, got, shape)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func BenchmarkPlanSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cells {
-			reconfig.Plan(p, array, c)
+			reconfig.Plan(nil, p, array, c)
 		}
 	}
 }

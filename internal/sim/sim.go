@@ -116,9 +116,12 @@ type Options struct {
 	// tracer, so traces form a campaign→trial→sim→recovery hierarchy.
 	// The Events slice in Result is unchanged either way.
 	Telemetry *telemetry.Tracer
-	// Metrics, when non-nil, receives sim.* metrics: event counts,
+	// Metrics, when non-nil, receives sim.* metrics (event counts,
 	// transport totals, droplet route lengths and the latency of
-	// partial reconfiguration (sim.reconfig_latency_ms).
+	// partial reconfiguration, sim.reconfig_latency_ms), the router.*
+	// count of every routing query (router.routes,
+	// router.route_failures, router.path_len) and the recovery
+	// ladder's recovery.* and reconfig.* metrics.
 	Metrics *telemetry.Registry
 }
 
@@ -248,6 +251,12 @@ type simulator struct {
 	// tree is the routing search of the current droplet decision: each
 	// decision resets it once and asks it for every candidate target.
 	tree router.Tree
+	// routes, routeFailures and pathLen are the router.* handles in
+	// opts.Metrics, each looked up on its first use: once per run, not
+	// once per route, and a run that never fails a route adds no
+	// router.route_failures key.
+	routes, routeFailures *telemetry.Counter
+	pathLen               *telemetry.Histogram
 }
 
 // ArrayCell converts placed-array coordinates (as used by placements
@@ -423,6 +432,29 @@ func (sim *simulator) resetTree(id int, from geom.Point, keepOut []geom.Rect) {
 		}
 	}
 	sim.tree.Reset(sim.chip, router.Request{From: from, KeepOut: keepOut, AvoidDroplets: avoid})
+}
+
+// pathTo asks the routing tree for a path to to and counts the query
+// as one router.routes (with its router.path_len) or one
+// router.route_failures.
+func (sim *simulator) pathTo(to geom.Point) ([]geom.Point, error) {
+	path, err := sim.tree.PathTo(to)
+	if reg := sim.opts.Metrics; reg != nil {
+		if err != nil {
+			if sim.routeFailures == nil {
+				sim.routeFailures = reg.Counter("router.route_failures")
+			}
+			sim.routeFailures.Inc()
+		} else {
+			if sim.routes == nil {
+				sim.routes = reg.Counter("router.routes")
+				sim.pathLen = reg.Histogram("router.path_len", telemetry.PathLenBuckets...)
+			}
+			sim.routes.Inc()
+			sim.pathLen.Observe(float64(router.Steps(path)))
+		}
+	}
+	return path, err
 }
 
 func (sim *simulator) log(t int, kind, format string, args ...any) {
@@ -796,7 +828,7 @@ func (sim *simulator) routeDroplet(t, id int, target geom.Point, ownOp int) erro
 		return fmt.Errorf("unknown droplet %d", id)
 	}
 	sim.resetTree(id, d.Pos, sim.activeRects(t, ownOp))
-	path, err := sim.tree.PathTo(target)
+	path, err := sim.pathTo(target)
 	if err != nil {
 		return err
 	}
@@ -872,7 +904,7 @@ func (sim *simulator) mergeInto(t, into, id, ownOp int, center geom.Point) error
 			if chebyshev(s, center) != 2 || !sim.chip.In(s) || sim.chip.IsFaulty(s) {
 				continue
 			}
-			path, err := sim.tree.PathTo(s)
+			path, err := sim.pathTo(s)
 			if err != nil {
 				continue
 			}
@@ -960,7 +992,7 @@ func (sim *simulator) parkDroplet(t, id, starterOp int) error {
 		if inModule || !sim.state.SeparationOK(cell, id) {
 			continue
 		}
-		path, err := sim.tree.PathTo(cell)
+		path, err := sim.pathTo(cell)
 		if err != nil {
 			continue
 		}
@@ -1017,7 +1049,7 @@ func (sim *simulator) collectDroplet(t, id int) {
 	// accounting; removal happens regardless.
 	sim.resetTree(id, d.Pos, sim.activeRects(t))
 	for _, port := range sim.ports {
-		path, err := sim.tree.PathTo(port)
+		path, err := sim.pathTo(port)
 		if err == nil {
 			if ferr := sim.state.FollowPath(id, path); ferr != nil {
 				// The droplet is removed below regardless; a refused

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"dmfb/internal/fluidics"
 	"dmfb/internal/fti"
 	"dmfb/internal/geom"
+	"dmfb/internal/router"
 	"dmfb/internal/telemetry"
 )
 
@@ -147,5 +149,32 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 		if plain.Events[i] != traced.Events[i] {
 			t.Errorf("event %d differs: %v vs %v", i, plain.Events[i], traced.Events[i])
 		}
+	}
+}
+
+// TestPathToCountsRouterMetrics: each routing query of a run is one
+// router.routes (with its router.path_len) or one
+// router.route_failures in the run's registry.
+func TestPathToCountsRouterMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	chip := fluidics.NewChip(5, 5)
+	if err := chip.InjectFault(geom.Point{X: 4, Y: 4}); err != nil {
+		t.Fatal(err)
+	}
+	sim := &simulator{opts: Options{Metrics: reg}}
+	sim.tree.Reset(chip, router.Request{From: geom.Point{X: 0, Y: 0}})
+	for _, to := range []geom.Point{{X: 4, Y: 0}, {X: 4, Y: 4}, {X: 0, Y: 0}, {X: 9, Y: 9}, {X: 2, Y: 3}} {
+		if _, err := sim.pathTo(to); (err != nil) != (to == geom.Point{X: 4, Y: 4} || to == geom.Point{X: 9, Y: 9}) {
+			t.Fatalf("pathTo(%v) error %v", to, err)
+		}
+	}
+	if got := reg.Counter("router.routes").Value(); got != 3 {
+		t.Errorf("router.routes = %d, want 3", got)
+	}
+	if got := reg.Counter("router.route_failures").Value(); got != 2 {
+		t.Errorf("router.route_failures = %d, want 2", got)
+	}
+	if got := reg.Histogram("router.path_len", telemetry.PathLenBuckets...).Sum(); got != 4+0+5 {
+		t.Errorf("router.path_len sum = %v, want 9", got)
 	}
 }

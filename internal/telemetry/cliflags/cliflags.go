@@ -33,8 +33,6 @@ import (
 
 	"dmfb/internal/obs"
 	"dmfb/internal/place"
-	"dmfb/internal/reconfig"
-	"dmfb/internal/router"
 	"dmfb/internal/telemetry"
 )
 
@@ -126,11 +124,11 @@ type Session struct {
 // Start opens the sinks requested by the parsed flags. It returns a
 // Session whose Tracer/Metrics are nil when the corresponding flag was
 // not given; Start with no flags set returns a fully inert Session,
-// so callers never need to branch. On success the process-wide
-// router/reconfig hooks are pointed at the session registry, the root
-// "tool.run" span is open and Session.Tracer is scoped under it (so
-// stage spans and stage-nested library spans form a tree), and the
-// ops server — when requested — is already listening.
+// so callers never need to branch. On success the root "tool.run" span
+// is open and Session.Tracer is scoped under it (so stage spans and
+// stage-nested library spans form a tree), and the ops server — when
+// requested — is already listening. The tool hands Tracer and Metrics
+// to the layers it calls; nothing reaches them any other way.
 func (c *Config) Start(tool string) (*Session, error) {
 	s := &Session{tool: tool, metricsPath: c.MetricsPath}
 	if c.TracePath != "" {
@@ -164,8 +162,6 @@ func (c *Config) Start(tool string) (*Session, error) {
 		s.ops = srv
 		fmt.Fprintf(os.Stderr, "%s: ops listening on %s\n", tool, srv.URL())
 	}
-	router.Instrument(s.Metrics)
-	reconfig.Instrument(s.Metrics)
 	s.Tracer.Event("tool.start", telemetry.Fields{"tool": tool})
 	s.root = s.Tracer.Start("tool.run")
 	s.Tracer = s.Tracer.Under(s.root.ID())
@@ -281,8 +277,6 @@ func (s *Session) Close() error {
 	if err := s.closeFiles(); err != nil && first == nil {
 		first = err
 	}
-	router.Instrument(nil)
-	reconfig.Instrument(nil)
 	return first
 }
 

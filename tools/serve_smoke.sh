@@ -1,10 +1,12 @@
 #!/bin/sh
 # serve_smoke.sh — end-to-end smoke test of dmfb-server: boot it on a
 # free port, POST the same PCR compile twice, and assert the second
-# response is a byte-identical cache hit; then SIGTERM and expect a
-# graceful zero-status drain. Exercises the real binary (flags,
-# listener, ops endpoints, shutdown path) where the unit tests use
-# httptest.
+# response is a byte-identical cache hit; POST one faulted simulate
+# and expect its router.* and reconfig.* metrics on /metrics (the
+# server runs without -metrics, so they reach only the server's own
+# registry); then SIGTERM and expect a graceful zero-status drain.
+# Exercises the real binary (flags, listener, ops endpoints, shutdown
+# path) where the unit tests use httptest.
 set -eu
 
 bin=${1:?usage: serve_smoke.sh <dmfb-server-binary>}
@@ -33,10 +35,17 @@ grep -qi '^X-Dmfb-Cache: hit' "$tmp/h2" || { echo "second request was not a cach
 cmp -s "$tmp/b1" "$tmp/b2" || { echo "cached response differs from fresh response"; exit 1; }
 grep -q '"fti":' "$tmp/b1" || { echo "compile response missing fti:"; cat "$tmp/b1"; exit 1; }
 
+sim='{"assay":"pcr","placer":"twostage","seed":1,"beta":40,"faults":[{"time_sec":1,"x":2,"y":2}]}'
+curl -fsS -o "$tmp/sim" -d "$sim" "$url/v1/simulate"
+grep -q '"outcome":"completed"' "$tmp/sim" || { echo "faulted simulate did not complete:"; cat "$tmp/sim"; exit 1; }
+
 curl -fsS "$url/healthz" | grep -qx ok || { echo "/healthz failed"; exit 1; }
-curl -fsS "$url/metrics" | grep -q dmfb_pcache_hits || { echo "/metrics missing cache counters"; exit 1; }
+curl -fsS "$url/metrics" > "$tmp/metrics"
+grep -q dmfb_pcache_hits "$tmp/metrics" || { echo "/metrics missing cache counters"; exit 1; }
+grep -q '^dmfb_router_routes ' "$tmp/metrics" || { echo "/metrics missing the simulate's router counters"; exit 1; }
+grep -q '^dmfb_reconfig_relocations ' "$tmp/metrics" || { echo "/metrics missing the simulate's reconfig counters"; exit 1; }
 curl -fsS "$url/progress" | grep -q '"tool": "dmfb-server"' || { echo "/progress missing tool name"; exit 1; }
 
 kill -TERM "$pid"
 wait "$pid" || { echo "server exited nonzero on SIGTERM:"; cat "$tmp/stderr"; exit 1; }
-echo "serve-smoke: ok (byte-identical cache hit, graceful SIGTERM drain)"
+echo "serve-smoke: ok (byte-identical cache hit, simulate metrics, graceful SIGTERM drain)"
