@@ -117,8 +117,9 @@ type Options struct {
 	// The Events slice in Result is unchanged either way.
 	Telemetry *telemetry.Tracer
 	// Metrics, when non-nil, receives sim.* metrics (event counts,
-	// transport totals, droplet route lengths and the latency of
-	// partial reconfiguration, sim.reconfig_latency_ms), the router.*
+	// transport totals added up over every run that shares the
+	// registry, droplet route lengths and the latency of partial
+	// reconfiguration, sim.reconfig_latency_ms), the router.*
 	// count of every routing query (router.routes,
 	// router.route_failures, router.path_len) and the recovery
 	// ladder's recovery.* and reconfig.* metrics.
@@ -303,8 +304,8 @@ func Run(s *schedule.Schedule, p *place.Placement, opts Options, faults ...Fault
 			"transport_steps": sim.res.TransportSteps,
 			"relocations":     len(sim.res.Relocations),
 		})
-		o.Metrics.Gauge("sim.transport_steps").Set(float64(sim.res.TransportSteps))
-		o.Metrics.Gauge("sim.transport_ms").Set(float64(sim.res.TransportMS))
+		o.Metrics.Counter("sim.transport_steps").Add(int64(sim.res.TransportSteps))
+		o.Metrics.Counter("sim.transport_ms").Add(int64(sim.res.TransportMS))
 	}()
 	if err := sim.setup(p); err != nil {
 		return sim.fail(0, err.Error())

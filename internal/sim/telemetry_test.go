@@ -178,3 +178,23 @@ func TestPathToCountsRouterMetrics(t *testing.T) {
 		t.Errorf("router.path_len sum = %v, want 9", got)
 	}
 }
+
+// TestTransportTotalsAddUpOverRuns: runs sharing one registry, as a
+// campaign's trials do, add their transport totals to the
+// sim.transport_* counters instead of overwriting one another.
+func TestTransportTotalsAddUpOverRuns(t *testing.T) {
+	s, p := pcrSetup(t)
+	reg := telemetry.NewRegistry()
+	plain := Run(s, p, Options{Metrics: reg})
+	faulted := Run(s, p, Options{Metrics: reg},
+		FaultInjection{TimeSec: 1, Cell: ArrayCell(Options{}, geom.Point{X: p.Rect(0).X, Y: p.Rect(0).Y})})
+	if plain.TransportSteps == 0 || faulted.TransportSteps == 0 {
+		t.Fatalf("transport steps %d, %d: want both runs to move droplets", plain.TransportSteps, faulted.TransportSteps)
+	}
+	if got, want := reg.Counter("sim.transport_steps").Value(), int64(plain.TransportSteps+faulted.TransportSteps); got != want {
+		t.Errorf("sim.transport_steps = %d, want %d", got, want)
+	}
+	if got, want := reg.Counter("sim.transport_ms").Value(), int64(plain.TransportMS+faulted.TransportMS); got != want {
+		t.Errorf("sim.transport_ms = %d, want %d", got, want)
+	}
+}
