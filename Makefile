@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSchedule$$' -fuzztime $(FUZZTIME) ./internal/format/
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) ./internal/pcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/dispatch/
+	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime $(FUZZTIME) ./internal/server/
 
 # bench measures the annealing inner loop (clone-and-recompute vs the
 # incremental move kernel), whole stage-2 runs per proposal
@@ -122,8 +123,9 @@ perfbench-check:
 
 # serve-smoke boots the real dmfb-server binary on a free port,
 # compiles the same assay twice over HTTP and asserts the second
-# response is a byte-identical cache hit, then SIGTERMs it and expects
-# a graceful drain. See tools/serve_smoke.sh.
+# response is a byte-identical replay, checks a placement-cache hit and
+# a repeated simulate, then SIGTERMs it and expects a graceful drain.
+# See tools/serve_smoke.sh.
 serve-smoke:
 	@tmp=$$(mktemp -d); \
 	$(GO) build -o $$tmp/dmfb-server ./cmd/dmfb-server && \

@@ -415,8 +415,9 @@ func monteCarlo() []measurement {
 		p     *dmfb.Placement
 	}{{"area-minimal", "area_minimal", s1},
 		{"fault-tolerant (beta=60)", "fault_tolerant", res.Placement}} {
-		ex := faultsim.Exhaustive(c.p, ts.Metrics)
-		mc := must(faultsim.Run(c.p, 10000, *seed, faultsim.SingleFaultTrial(c.p), ts.Metrics))
+		predicted := dmfb.ComputeFTI(c.p).FTI()
+		ex := faultsim.Exhaustive(c.p, predicted, ts.Metrics)
+		mc := must(faultsim.Run(predicted, 10000, *seed, faultsim.SingleFaultTrial(c.p), ts.Metrics))
 		fmt.Printf("%-26s exhaustive: %v\n", c.label, ex)
 		fmt.Printf("%-26s montecarlo: %v\n", c.label, mc)
 		// The FTI is the exact single-fault survival rate, so the
@@ -428,7 +429,7 @@ func monteCarlo() []measurement {
 			Paper:    dmfb.Round4(ex.SurvivalRate()),
 		})
 		for _, k := range []int{2, 3} {
-			mk := must(faultsim.Run(c.p, 2000, *seed, dmfb.MultiFaultTrial(c.p, k, false, dmfb.PlacerOptions{}), ts.Metrics))
+			mk := must(faultsim.Run(predicted, 2000, *seed, dmfb.MultiFaultTrial(c.p, k, false, dmfb.PlacerOptions{}), ts.Metrics))
 			fmt.Printf("%-26s %d faults:   survived %.4f\n", c.label, k, mk.SurvivalRate())
 			ms = append(ms, measurement{
 				Name:     fmt.Sprintf("%s_%dfault_survival", c.slug, k),

@@ -310,7 +310,7 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mfFull, err := faultsim.Run(p, 60, 4, MultiFaultTrial(p, 2, true, light), nil)
+	mfFull, err := faultsim.Run(ComputeFTI(p).FTI(), 60, 4, MultiFaultTrial(p, 2, true, light), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

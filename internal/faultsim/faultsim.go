@@ -53,14 +53,15 @@ func (s Summary) String() string {
 }
 
 // Run executes a campaign of trials trials of fn seeded by seed — fn
-// is one of the trial constructors in trials.go, built on p — and
-// reports it against p's FTI. Trial t draws only from
+// is one of the trial constructors in trials.go, built on a placement
+// p — and reports it against predictedFTI, p's FTI, which the caller
+// has already computed (fti.Compute(p).FTI()). Trial t draws only from
 // campaign.TrialRNG(seed, t), so the summary is a pure function of the
 // arguments at any worker count. Metrics, when non-nil, receives the
 // engine's campaign.* metrics and whatever the trials record into
 // campaign.Trial.Metrics. The error is the engine's: trials must be
 // positive and fn non-nil.
-func Run(p *place.Placement, trials int, seed int64, fn campaign.TrialFunc, metrics *telemetry.Registry) (Summary, error) {
+func Run(predictedFTI float64, trials int, seed int64, fn campaign.TrialFunc, metrics *telemetry.Registry) (Summary, error) {
 	rep, err := campaign.Run(context.Background(),
 		campaign.Config{Name: "faultsim", Trials: trials, Seed: seed, Metrics: metrics}, fn)
 	if err != nil {
@@ -69,21 +70,23 @@ func Run(p *place.Placement, trials int, seed int64, fn campaign.TrialFunc, metr
 	return Summary{
 		Trials:       rep.Summary.Trials,
 		Survived:     rep.Summary.Survived,
-		PredictedFTI: fti.Compute(p).FTI(),
+		PredictedFTI: predictedFTI,
 	}, nil
 }
 
 // ExhaustiveSingleFault attempts reconfiguration for every cell of the
 // array. Its survival rate equals the FTI exactly.
-func ExhaustiveSingleFault(p *place.Placement) Summary { return Exhaustive(p, nil) }
+func ExhaustiveSingleFault(p *place.Placement) Summary {
+	return Exhaustive(p, fti.Compute(p).FTI(), nil)
+}
 
-// Exhaustive is ExhaustiveSingleFault recording its campaign into
-// metrics (see Run).
-func Exhaustive(p *place.Placement, metrics *telemetry.Registry) Summary {
-	s, err := Run(p, p.BoundingBox().Cells(), 0, ExhaustiveTrial(p), metrics)
+// Exhaustive is ExhaustiveSingleFault against p's already computed FTI,
+// recording its campaign into metrics (see Run).
+func Exhaustive(p *place.Placement, predictedFTI float64, metrics *telemetry.Registry) Summary {
+	s, err := Run(predictedFTI, p.BoundingBox().Cells(), 0, ExhaustiveTrial(p), metrics)
 	if err != nil {
 		// An empty array has no cells to sweep.
-		return Summary{PredictedFTI: fti.Compute(p).FTI()}
+		return Summary{PredictedFTI: predictedFTI}
 	}
 	return s
 }

@@ -8,6 +8,7 @@ import (
 	"dmfb/internal/campaign"
 	"dmfb/internal/core"
 	"dmfb/internal/defect"
+	"dmfb/internal/fti"
 	"dmfb/internal/geom"
 	"dmfb/internal/pcr"
 	"dmfb/internal/place"
@@ -105,7 +106,7 @@ func TestGoldenSequentialPresets(t *testing.T) {
 					}
 				}
 			}
-			if s, err := Run(c.p, 256, 7, SingleFaultTrial(c.p), nil); err != nil || s.Survived != c.single {
+			if s, err := Run(fti.Compute(c.p).FTI(), 256, 7, SingleFaultTrial(c.p), nil); err != nil || s.Survived != c.single {
 				t.Errorf("Run(single, 256, 7) = %v (%v), golden %d/256", s, err, c.single)
 			} else if math.Abs(s.PredictedFTI-c.fti) > 1e-6 {
 				t.Errorf("PredictedFTI = %.6f, golden %.6f", s.PredictedFTI, c.fti)

@@ -475,13 +475,13 @@ func (req *Request) runFTI(res *Result) error {
 
 	if req.FTI.Verify {
 		done := req.stage("exhaustive")
-		ex := faultsim.Exhaustive(res.Placement, req.Metrics)
+		ex := faultsim.Exhaustive(res.Placement, r.FTI(), req.Metrics)
 		done()
 		res.Exhaustive = &ex
 	}
 	if n := req.FTI.MonteCarlo; n > 0 {
 		done := req.stage("montecarlo")
-		mc, err := faultsim.Run(res.Placement, n, req.FTI.Seed, faultsim.SingleFaultTrial(res.Placement), req.Metrics)
+		mc, err := faultsim.Run(r.FTI(), n, req.FTI.Seed, faultsim.SingleFaultTrial(res.Placement), req.Metrics)
 		done()
 		if err != nil {
 			return &StageError{StageFTI, err}

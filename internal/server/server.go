@@ -17,9 +17,16 @@
 //
 // Every compile/simulate response carries an X-Dmfb-Job header naming
 // the job and, on success, an X-Dmfb-Cache header reporting whether
-// the placement stage was served from the cache ("hit") or annealed
-// fresh ("miss"). Cache state never leaks into the body, so hit and
-// miss responses for the same request are byte-identical.
+// the placement was annealed fresh ("miss") or not ("hit": served from
+// the placement cache, or the whole response replayed from a finished
+// job). Cache state never leaks into the body, so hit and miss
+// responses for the same request are byte-identical.
+//
+// Replay: a request that decodes to the same endpoint and fields as a
+// finished 200 job still held in the job store (see MaxJobs) is
+// answered with that job's stored body under a new job id, without
+// running the pipeline or taking a worker slot. Async does not split
+// the key; a 4xx or an unfinished job is never replayed.
 //
 // Admission control: at most Workers requests anneal concurrently and
 // at most QueueDepth more may wait; beyond that the server answers 429
@@ -32,13 +39,16 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dmfb/internal/core"
 	"dmfb/internal/format"
@@ -78,7 +88,9 @@ type Options struct {
 	// CacheBytes is the placement cache budget (0 =
 	// pcache.DefaultMaxBytes).
 	CacheBytes int
-	// MaxJobs bounds retained finished jobs (0 = DefaultMaxJobs).
+	// MaxJobs bounds retained finished jobs (0 = DefaultMaxJobs); the
+	// oldest finished job is evicted first, a running one never. It
+	// also bounds replay: only a retained job's body is replayed.
 	MaxJobs int
 	// Metrics receives server, cache and pipeline metrics, the
 	// pipeline's including every layer it calls (sim.*, router.*,
@@ -111,18 +123,37 @@ type Server struct {
 
 	jobsMu   sync.Mutex
 	jobs     map[string]*job
-	jobOrder []string
+	finished []*job              // finished jobs, oldest first; at most maxJobs
+	replays  map[requestKey]*job // newest finished 200 job per request key
 	jobSeq   int64
 	maxJobs  int
 }
 
-// job is one admitted compile/simulate request. Result fields are
-// written once by execute and published by closing done; after that
-// they are read-only.
+// requestKey identifies a validated request: the SHA-256 of its
+// endpoint and the JSON re-encoding of its decoded body with Async
+// cleared. Equal keys mean equal pipeline inputs, so one finished
+// job's body answers every request with its key.
+type requestKey [sha256.Size]byte
+
+func keyOf(kind string, sr SimulateRequest) requestKey {
+	sr.Async = false
+	b, err := json.Marshal(sr)
+	if err != nil {
+		// Unreachable for a decoded request; an unkeyed request
+		// simply runs the pipeline.
+		return requestKey{}
+	}
+	return sha256.Sum256(append([]byte(kind+"\x00"), b...))
+}
+
+// job is one compile/simulate request. Result fields are written once
+// and published by closing done (see retire); after that they are
+// read-only.
 type job struct {
-	id, kind string
-	running  atomic.Bool
-	done     chan struct{}
+	id      string
+	key     requestKey
+	running atomic.Bool
+	done    chan struct{}
 
 	status int
 	cache  string // "hit" | "miss" | "" (error)
@@ -155,6 +186,7 @@ func New(opts Options) *Server {
 		adm:     NewAdmission(opts.Workers + opts.QueueDepth),
 		run:     pipeline.Run,
 		jobs:    make(map[string]*job),
+		replays: make(map[requestKey]*job),
 		maxJobs: opts.MaxJobs,
 	}
 	s.mux = http.NewServeMux()
@@ -310,9 +342,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, kind string) 
 		s.fail(w, http.StatusBadRequest, "", fmt.Errorf("decode request: %w", err))
 		return
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		s.fail(w, http.StatusBadRequest, "", fmt.Errorf("decode request: data after the request object"))
+		return
+	}
 	preq, err := s.buildRequest(kind, &sr)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, stageOf(err), err)
+		return
+	}
+	key := keyOf(kind, sr)
+	if j := s.replay(kind, key); j != nil {
+		s.answer(w, j, sr.Async)
 		return
 	}
 
@@ -326,18 +367,63 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, kind string) 
 	}
 	s.reg.Gauge("server.pending").Set(float64(n))
 
-	j := s.newJob(kind)
+	j := s.newJob(key)
 	s.inflight.Add(1)
 	if sr.Async {
 		go s.execute(context.Background(), j, kind, &sr, preq)
-		w.Header().Set("X-Dmfb-Job", j.id)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprintf(w, "{\"job_id\":%q,\"state\":\"queued\",\"status_url\":\"/v1/jobs/%s\"}\n", j.id, j.id)
+	} else {
+		s.execute(r.Context(), j, kind, &sr, preq)
+	}
+	s.answer(w, j, sr.Async)
+}
+
+// answer writes a job's reply: 202 and its job URL when the request
+// was async, else the finished job itself.
+func (s *Server) answer(w http.ResponseWriter, j *job, async bool) {
+	if !async {
+		s.writeJob(w, j)
 		return
 	}
-	s.execute(r.Context(), j, kind, &sr, preq)
-	s.writeJob(w, j)
+	w.Header().Set("X-Dmfb-Job", j.id)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	fmt.Fprintf(w, "{\"job_id\":%q,\"state\":\"queued\",\"status_url\":\"/v1/jobs/%s\"}\n", j.id, j.id)
+}
+
+// replay answers a request from the newest retained 200 job with its
+// key: it registers a new finished job holding that job's body and
+// re-points the key to it, so a body that recurs within MaxJobs
+// requests keeps replaying. It returns nil when no such job is held.
+// A replay places nothing, so it takes no admission or worker slot;
+// its trace is the root server.<kind> span alone.
+func (s *Server) replay(kind string, key requestKey) *job {
+	start := time.Now()
+	s.jobsMu.Lock()
+	of := s.replays[key]
+	var j *job
+	if of != nil {
+		j = s.addJob(key)
+		j.status, j.cache, j.body = http.StatusOK, "hit", of.body
+		s.retire(j)
+	}
+	s.jobsMu.Unlock()
+	if j == nil {
+		return nil
+	}
+	wall := time.Since(start)
+	if s.tracer.Enabled() {
+		s.tracer.EmitSpan("server."+kind, wall, telemetry.Fields{
+			"job":       j.id,
+			"kind":      kind,
+			"cache":     "hit",
+			"replay_of": of.id,
+		})
+	}
+	s.reg.Histogram("server.request_ms", telemetry.LatencyBuckets...).
+		Observe(float64(wall.Microseconds()) / 1000)
+	s.reg.Counter("server.cache_hit").Add(1)
+	s.reg.Counter("server.replays").Add(1)
+	return j
 }
 
 // execute waits for a worker slot, runs the pipeline and publishes the
@@ -390,7 +476,7 @@ func (s *Server) execute(ctx context.Context, j *job, kind string, sr *SimulateR
 	j.status = http.StatusOK
 	j.cache = cacheState
 	j.body = body
-	close(j.done)
+	s.finish(j)
 }
 
 func (s *Server) finishError(j *job, status int, err error) {
@@ -401,7 +487,7 @@ func (s *Server) finishError(j *job, status int, err error) {
 	}
 	j.status = status
 	j.body = append(b, '\n')
-	close(j.done)
+	s.finish(j)
 }
 
 // stageOf names the pipeline stage an error belongs to ("" if none).
@@ -578,34 +664,53 @@ func (s *Server) fail(w http.ResponseWriter, status int, stage string, err error
 	}
 }
 
-// newJob registers a job, evicting the oldest finished jobs beyond
-// MaxJobs.
-func (s *Server) newJob(kind string) *job {
+// newJob registers a running job under a fresh id.
+func (s *Server) newJob(key requestKey) *job {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
+	return s.addJob(key)
+}
+
+// addJob is newJob with s.jobsMu held.
+func (s *Server) addJob(key requestKey) *job {
 	s.jobSeq++
 	j := &job{
 		id:   fmt.Sprintf("j%06d", s.jobSeq),
-		kind: kind,
+		key:  key,
 		done: make(chan struct{}),
 	}
 	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
-	for i := 0; len(s.jobs) > s.maxJobs && i < len(s.jobOrder); {
-		old := s.jobs[s.jobOrder[i]]
-		if old == nil {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			continue
-		}
-		select {
-		case <-old.done:
-			delete(s.jobs, old.id)
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-		default:
-			i++ // still running; keep it and look further
-		}
-	}
 	return j
+}
+
+// finish publishes a job whose result fields are set.
+func (s *Server) finish(j *job) {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	s.retire(j)
+}
+
+// retire publishes j (s.jobsMu held): it closes j.done, indexes a 200
+// job for replay under its key, and evicts the oldest finished job
+// once more than MaxJobs are held, dropping its replay entry unless a
+// newer job took the key over. A running job is never in the finished
+// queue, so it is never evicted.
+func (s *Server) retire(j *job) {
+	close(j.done)
+	if j.status == http.StatusOK && j.key != (requestKey{}) {
+		s.replays[j.key] = j
+	}
+	s.finished = append(s.finished, j)
+	if len(s.finished) <= s.maxJobs {
+		return
+	}
+	old := s.finished[0]
+	s.finished[0] = nil
+	s.finished = s.finished[1:]
+	delete(s.jobs, old.id)
+	if s.replays[old.key] == old {
+		delete(s.replays, old.key)
+	}
 }
 
 // progressSnapshot feeds the /progress ops endpoint.
