@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSchedule$$' -fuzztime $(FUZZTIME) ./internal/format/
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) ./internal/pcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/dispatch/
+	$(GO) test -run '^$$' -fuzz '^FuzzResults$$' -fuzztime $(FUZZTIME) ./internal/dispatch/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime $(FUZZTIME) ./internal/server/
 
 # bench measures the annealing inner loop (clone-and-recompute vs the

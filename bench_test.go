@@ -21,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"dmfb/internal/core"
 	"dmfb/internal/faultsim"
 	"dmfb/internal/invitro"
 )
@@ -45,7 +46,7 @@ func fixtures(b *testing.B) {
 			panic(err)
 		}
 		fx.prob = PlacementProblemOf(fx.sched)
-		fx.greedy, err = PlaceGreedy(fx.prob, true)
+		fx.greedy, err = core.Greedy(fx.prob, true)
 		if err != nil {
 			panic(err)
 		}
@@ -106,7 +107,7 @@ func BenchmarkGreedyBaseline(b *testing.B) {
 	fixtures(b)
 	var cells int
 	for i := 0; i < b.N; i++ {
-		p, err := PlaceGreedy(fx.prob, true)
+		p, err := core.Greedy(fx.prob, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func BenchmarkGreedyTimeOblivious(b *testing.B) {
 	fixtures(b)
 	var cells int
 	for i := 0; i < b.N; i++ {
-		p, err := PlaceGreedy(fx.prob, false)
+		p, err := core.Greedy(fx.prob, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func BenchmarkFTIExhaustiveOracle(b *testing.B) {
 	fixtures(b)
 	var f float64
 	for i := 0; i < b.N; i++ {
-		f = ExhaustiveSingleFault(fx.minimal).SurvivalRate()
+		f = faultsim.ExhaustiveSingleFault(fx.minimal).SurvivalRate()
 	}
 	b.ReportMetric(f, "fti")
 }

@@ -165,8 +165,6 @@ func benchPlace(placer string, beta float64) pipeline.Result {
 // table1 prints the module catalogue used by the PCR binding.
 func table1() []measurement {
 	fmt.Println("Table 1: resource binding in PCR (paper: identical by construction)")
-	g, mix := dmfb.PCRAssay()
-	_ = g
 	sched := must(dmfb.PCRSchedule())
 	fmt.Printf("%-4s %-26s %-8s %s\n", "op", "hardware", "module", "mixing time")
 	n := 0
@@ -175,7 +173,6 @@ func table1() []measurement {
 			it.Device.Size.String()+" cells", it.Device.Duration)
 		n++
 	}
-	_ = mix
 	return []measurement{
 		{Name: "bound_operations", Measured: float64(n), Paper: 7, Unit: "ops"},
 	}

@@ -9,11 +9,10 @@
 //     built-in PCR case study).
 //  2. Architectural-level synthesis: bind operations to module-library
 //     devices and schedule them (Bind, ScheduleAssay).
-//  3. Module placement: the greedy baseline (PlaceGreedy), the
-//     simulated-annealing area minimiser (PlaceAnneal), or the
-//     two-stage fault-tolerant placer (PlaceFaultTolerant) which
-//     maximises the fault tolerance index (FTI) while keeping area
-//     small.
+//  3. Module placement: the simulated-annealing area minimiser
+//     (PlaceAnneal), or the two-stage fault-tolerant placer
+//     (PlaceFaultTolerant) which maximises the fault tolerance index
+//     (FTI) while keeping area small.
 //  4. Analysis and operation: compute the FTI (ComputeFTI), plan and
 //     apply partial reconfiguration around faulty cells (Recover),
 //     run assays on the cycle-accurate chip simulator with fault
@@ -192,14 +191,6 @@ func PCRSchedule() (*Schedule, error) { return pcr.Schedule() }
 // with an automatically sized core area.
 func PlacementProblemOf(s *Schedule) PlacementProblem { return core.FromSchedule(s) }
 
-// PlaceGreedy runs the baseline placer of Section 6.1 (largest module
-// first, bottom-left position). timeAware selects whether the greedy
-// placer may overlap time-disjoint modules (reconfiguration-aware) or
-// treats every placed module as a static obstacle.
-func PlaceGreedy(prob PlacementProblem, timeAware bool) (*Placement, error) {
-	return core.Greedy(prob, timeAware)
-}
-
 // PlaceAnneal runs the fault-oblivious simulated-annealing placer of
 // Section 4, minimising array area.
 func PlaceAnneal(prob PlacementProblem, opts PlacerOptions) (*Placement, PlacerStats, error) {
@@ -327,12 +318,6 @@ func LocateAllFaults(c *Chip) []Point { return testdrop.LocalizeAll(c) }
 // error rejects a campaign of fewer than one trial.
 func MonteCarloSingleFault(p *Placement, trials int, seed int64) (FaultCampaign, error) {
 	return faultsim.Run(ComputeFTI(p).FTI(), trials, seed, faultsim.SingleFaultTrial(p), nil)
-}
-
-// ExhaustiveSingleFault attempts recovery for every array cell; its
-// survival rate equals the FTI exactly.
-func ExhaustiveSingleFault(p *Placement) FaultCampaign {
-	return faultsim.ExhaustiveSingleFault(p)
 }
 
 // MonteCarloMultiFault measures survival under k sequential faults

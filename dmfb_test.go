@@ -2,14 +2,13 @@ package dmfb
 
 import (
 	"math"
-	"math/big"
 	"strings"
 	"testing"
 
+	"dmfb/internal/core"
 	"dmfb/internal/faultsim"
 	"dmfb/internal/format"
 	"dmfb/internal/invitro"
-	"dmfb/internal/mixcalc"
 	"dmfb/internal/render"
 	"dmfb/internal/schedule"
 )
@@ -141,7 +140,7 @@ func TestFacadeRecoverAndRender(t *testing.T) {
 func TestFacadeSerialisationRoundTrip(t *testing.T) {
 	s, _ := PCRSchedule()
 	prob := PlacementProblemOf(s)
-	p, err := PlaceGreedy(prob, true)
+	p, err := core.Greedy(prob, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +177,6 @@ func TestFacadeFaultCampaigns(t *testing.T) {
 	p, _, err := PlaceAnneal(prob, PlacerOptions{Seed: 1, ItersPerModule: 100, WindowPatience: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	ex := ExhaustiveSingleFault(p)
-	if math.Abs(ex.SurvivalRate()-ex.PredictedFTI) > 1e-12 {
-		t.Error("exhaustive campaign does not match FTI")
 	}
 	mc, err := MonteCarloSingleFault(p, 800, 1)
 	if err != nil {
@@ -255,17 +250,6 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
-	}
-
-	// Concentration analysis.
-	g, mix := PCRAssay()
-	comp, err := mixcalc.Concentrations(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := comp.PerOp[mix[6]].Fraction("dna")
-	if frac.Cmp(bigRat(1, 8)) != 0 {
-		t.Errorf("dna fraction = %s, want 1/8", frac.RatString())
 	}
 
 	// Concurrent routing + actuation.
@@ -346,5 +330,3 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Error("no critical-path operations found")
 	}
 }
-
-func bigRat(a, b int64) *big.Rat { return big.NewRat(a, b) }

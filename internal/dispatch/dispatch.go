@@ -743,6 +743,15 @@ func (d *Dispatcher) handleResults(w http.ResponseWriter, r *http.Request) {
 		d.fail(w, http.StatusNotFound, fmt.Errorf("unknown campaign %q", req.CampaignID))
 		return
 	}
+	// Check the whole batch before applying any of it: a rejected batch
+	// leaves the lease, the log, the counters and the campaign as they were.
+	for _, res := range req.Results {
+		if res.Trial < 0 || res.Trial >= len(c.done) {
+			d.fail(w, http.StatusBadRequest,
+				fmt.Errorf("trial %d outside campaign %s [0,%d)", res.Trial, c.id, len(c.done)))
+			return
+		}
+	}
 	l := d.leases[req.LeaseID]
 	if l != nil {
 		l.expires = d.now().Add(d.opts.LeaseTTL) // a results batch is a heartbeat
@@ -765,11 +774,6 @@ func (d *Dispatcher) handleResults(w http.ResponseWriter, r *http.Request) {
 	accepted := 0
 	if c.state != "failed" {
 		for _, res := range req.Results {
-			if res.Trial < 0 || res.Trial >= len(c.done) {
-				d.fail(w, http.StatusBadRequest,
-					fmt.Errorf("trial %d outside campaign %s [0,%d)", res.Trial, c.id, len(c.done)))
-				return
-			}
 			if c.done[res.Trial] {
 				continue // duplicate from an expired-then-revived lease; identical by construction
 			}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -359,6 +361,78 @@ func TestDispatchWorkerBuildFailureFailsCampaign(t *testing.T) {
 	// Admission slot was released: a replacement campaign fits.
 	if _, err := client.Submit(ctx, testSpec(16)); err != nil {
 		t.Fatalf("submit after failure: %v", err)
+	}
+}
+
+// A results batch is applied all or nothing: one out-of-range trial
+// rejects the whole batch with 400 before any of its in-range trials
+// is recorded, logged, counted or allowed to finish the campaign.
+func TestDispatchResultsBatchAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	d, client, _ := newTestDispatcher(t, Options{StateDir: dir, Chunk: 16})
+	ctx := context.Background()
+	sp := testSpec(16)
+	sub, err := client.Submit(ctx, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, ok, err := client.Lease(ctx, "w1")
+	if err != nil || !ok {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+	b, _ := syntheticBuild(ctx, l.Spec)
+	res, err := campaign.RunRange(ctx, campaign.Config{
+		Name: l.Name, Trials: b.Trials, Seed: l.Spec.Seed, Workers: 1,
+	}, b.Fn, l.Lo, l.Hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, sub.ID+".jsonl")
+	logBefore, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every trial of the campaign, then one past its end.
+	mixed := append(append([]campaign.TrialResult(nil), res...), campaign.TrialResult{Trial: sp.Trials})
+	_, err = client.Results(ctx, ResultsRequest{
+		CampaignID: l.CampaignID, LeaseID: l.LeaseID, Results: mixed, Complete: true,
+	})
+	if !IsStatus(err, http.StatusBadRequest) {
+		t.Fatalf("mixed batch: want 400, got %v", err)
+	}
+	st, err := client.Status(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done != 0 || st.State != "running" || st.Summary != nil {
+		t.Errorf("rejected batch changed the campaign: done %d, state %q", st.Done, st.State)
+	}
+	if logAfter, err := os.ReadFile(logPath); err != nil || string(logAfter) != string(logBefore) {
+		t.Errorf("rejected batch reached the result log (err %v):\n%s", err, logAfter)
+	}
+	for _, name := range []string{"dispatch.results_recorded", "dispatch.campaigns_completed"} {
+		if n := d.reg.Counter(name).Value(); n != 0 {
+			t.Errorf("%s = %d after a rejected batch, want 0", name, n)
+		}
+	}
+
+	// The valid part alone is accepted and finishes the campaign.
+	resp, err := client.Results(ctx, ResultsRequest{
+		CampaignID: l.CampaignID, LeaseID: l.LeaseID, Results: res, Complete: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Accepted != sp.Trials || resp.State != "done" {
+		t.Fatalf("valid batch: %+v", resp)
+	}
+	got, err := client.Summary(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceSummary(t, sp); string(got) != string(want) {
+		t.Errorf("summary differs:\n got %s\nwant %s", got, want)
 	}
 }
 

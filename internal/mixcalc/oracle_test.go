@@ -1,11 +1,10 @@
-// Package mixcalc computes exact fluid compositions over a sequencing
-// graph with rational arithmetic: which fraction of each dispensed
-// fluid ends up in every intermediate and final droplet. It is the
-// analytical companion to the simulator's volume bookkeeping — used to
-// verify that a synthesised assay produces the concentrations the
-// protocol demands (e.g. every PCR reagent at 1/8 of the master mix, or
-// the 2^-k rungs of a dilution ladder) before any placement or
-// simulation work is spent on it.
+// Package mixcalc is a test-only oracle: it computes exact fluid
+// compositions over a sequencing graph with rational arithmetic (which
+// fraction of each dispensed fluid ends up in every intermediate and
+// final droplet), and its tests use it to check that the assay
+// generators produce the concentrations their protocols demand: every
+// PCR reagent at 1/8 of the master mix, the 2^-k rungs of a dilution
+// ladder. No production code imports it.
 //
 // Model: a dispense produces one unit of its fluid; a mix or dilute
 // merges its input droplets (volumes add, compositions combine
